@@ -28,7 +28,7 @@ class BreakdownError(SolverBreakdown):
 
 
 class SingularError(SolverBreakdown):
-    """Dense LU met a pivot below the hard threshold after pivoting."""
+    """The dense LU (LAPACK gesv) met an exactly zero pivot or gave a non-finite solution."""
 
 
 class DenominatorBreakdown(SolverBreakdown):

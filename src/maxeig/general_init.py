@@ -73,8 +73,7 @@ def _solve_with_unit_head(rows, error_cls, what):
     n = rows.shape[1]
     x = np.ones(n)
     if n > 1:
-        factors = linsolve.lu_factor(rows[:, 1:])
-        x[1:] = linsolve.lu_solve(factors, -rows[:, 0])
+        x[1:] = linsolve.dense_solve(rows[:, 1:], -rows[:, 0])
     if (x <= 0).any():
         raise error_cls(f"{what} has non-positive components (min {x.min():.3g}); "
                         "input is not irreducible with the assumed structure")
@@ -281,7 +280,7 @@ def general_rqi(
         eye = np.eye(q_tilde.shape[0])
 
         def solver(z, v):
-            return linsolve.lu_solve(linsolve.lu_factor(-q_tilde - z * eye), v)
+            return linsolve.dense_solve(-q_tilde - z * eye, v)
 
     z, v, trace = run_shifted_iteration(
         neg_q,

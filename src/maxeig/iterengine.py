@@ -271,8 +271,7 @@ def _dense_shifted_solver(A):
     eye = np.eye(n, dtype=A.dtype)
 
     def solve(z, v):
-        factors = linsolve.lu_factor(z * eye - A)
-        return linsolve.lu_solve(factors, v)
+        return linsolve.dense_solve(z * eye - A, v)
 
     return solve
 

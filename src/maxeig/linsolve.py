@@ -1,23 +1,34 @@
 """Linear-system solvers backing the inverse/RQI iterations.
 
-Two routes: a banded elimination solver for tridiagonal systems and a
-dense LU with partial pivoting, both real and complex.  Shifted-inverse
-iteration deliberately drives these systems toward singularity, so
-"nearly singular" is the normal operating regime here and must not
-error; only pivots below an absolute floor (an exact hit on an
-eigenvalue) raise, and the iteration driver handles that.
+Two routes, both real and complex:
+
+- ``tridiag_solve``, a banded elimination for tridiagonal systems.  Its
+  O(N) loop indexes plain Python floats through memoryviews of float64
+  buffers (complex input runs the same loop over lists), so no step
+  boxes a numpy scalar.
+- ``dense_solve``, LAPACK ``gesv`` (LU with partial pivoting) through
+  ``numpy.linalg.solve`` and numpy's bundled LAPACK.
+
+Shifted-inverse iteration deliberately drives these systems toward
+singularity, so "nearly singular" is the normal operating regime here
+and must not error.  Only an exact hit on an eigenvalue raises, and the
+iteration driver handles that: a tridiagonal pivot below an absolute
+floor raises BreakdownError; a dense system raises SingularError when
+``gesv`` meets an exactly zero pivot or the solution is not finite.
+
+``scipy.linalg`` is deliberately not imported: numpy's ``gesv`` is the
+same routine, and importing scipy would add about 28 MiB of resident
+memory and a third of a second to every process that solves a system.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakdownError, DimensionMismatch, SingularError
 from .numat import as_square_matrix, as_vector
 
-__all__ = ["PIVOT_FLOOR", "LuFactors", "lu_factor", "lu_solve", "tridiag_solve"]
+__all__ = ["PIVOT_FLOOR", "dense_solve", "tridiag_solve"]
 
 # Far below any legitimate pivot at desk scale; signals an exact eigenvalue hit.
 PIVOT_FLOOR = 1e-30
@@ -34,23 +45,22 @@ def tridiag_solve(lower, diag, upper, rhs):
 
     Raises BreakdownError when a pivot falls below PIVOT_FLOOR.
     """
-    d = as_vector(diag).copy()
-    n = len(d)
-    l = as_vector(lower) if n > 1 else np.zeros(0)
-    u = as_vector(upper).copy() if n > 1 else np.zeros(0)
-    x = as_vector(rhs).copy()
-    if n > 1 and (len(l) != n - 1 or len(u) != n - 1):
+    diag = as_vector(diag)
+    n = len(diag)
+    lower = as_vector(lower) if n > 1 else np.zeros(0)
+    upper = as_vector(upper) if n > 1 else np.zeros(0)
+    rhs = as_vector(rhs)
+    if n > 1 and (len(lower) != n - 1 or len(upper) != n - 1):
         raise DimensionMismatch("lower/upper diagonals must have length n-1")
-    if len(x) != n:
+    if len(rhs) != n:
         raise DimensionMismatch("rhs length does not match the system order")
 
-    dtype = np.result_type(d.dtype, l.dtype if n > 1 else d.dtype, u.dtype if n > 1 else d.dtype, x.dtype)
-    d = d.astype(dtype)
-    x = x.astype(dtype)
-    if n > 1:
-        l = l.astype(dtype)
-        u = u.astype(dtype)
-    s = np.zeros(n, dtype=dtype)  # fill-in second super-diagonal
+    dtype = np.result_type(lower, diag, upper, rhs, np.float64)
+    work = [np.array(a, dtype=dtype) for a in (lower, diag, upper, rhs, np.zeros(n))]
+    if dtype == np.float64:
+        l, d, u, x, s = map(memoryview, work)  # s: fill-in second super-diagonal
+    else:  # memoryview cannot index complex items
+        l, d, u, x, s = (a.tolist() for a in work)
 
     for i in range(n - 1):
         if abs(l[i]) > abs(d[i]):
@@ -78,61 +88,23 @@ def tridiag_solve(lower, diag, upper, rhs):
         x[n - 2] = (x[n - 2] - u[n - 2] * x[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (x[i] - u[i] * x[i + 1] - s[i] * x[i + 2]) / d[i]
-    return x
+    return work[3] if dtype == np.float64 else np.array(x, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class LuFactors:
-    """Packed LU factorization P A = L U with partial pivoting."""
+def dense_solve(A, rhs):
+    """Solve A x = rhs by LU with partial pivoting (LAPACK ``gesv``).
 
-    lu: np.ndarray    # unit-lower factors below, U on and above the diagonal
-    piv: np.ndarray   # row swapped with row k at elimination step k
-    parity: int       # +1/-1, sign of the permutation
-    rcond: float      # heuristic reciprocal condition estimate min|U_ii|/max|U_ii|
-
-    @property
-    def order(self) -> int:
-        return self.lu.shape[0]
-
-
-def lu_factor(A) -> LuFactors:
-    """Factor a square matrix with partial pivoting by max column magnitude.
-
-    Raises SingularError when a pivot falls below PIVOT_FLOOR after pivoting.
+    Raises SingularError when ``gesv`` meets an exactly zero pivot or
+    the solution is not finite.
     """
-    lu = as_square_matrix(A).copy()
-    n = lu.shape[0]
-    piv = np.arange(n)
-    parity = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < PIVOT_FLOOR:
-            raise SingularError(f"pivot below floor in column {k}")
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            parity = -parity
-        piv[k] = p
-        if k < n - 1:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    absdiag = np.abs(np.diag(lu))
-    rcond = float(absdiag.min() / absdiag.max())
-    return LuFactors(lu=lu, piv=piv, parity=parity, rcond=rcond)
-
-
-def lu_solve(factors: LuFactors, rhs):
-    """Solve A x = rhs given factors from lu_factor."""
-    lu = factors.lu
-    n = factors.order
-    x = as_vector(rhs).astype(np.result_type(lu.dtype, np.asarray(rhs).dtype)).copy()
-    if len(x) != n:
-        raise DimensionMismatch("rhs length does not match the factored order")
-    for k in range(n):
-        p = factors.piv[k]
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+    A = as_square_matrix(A)
+    rhs = as_vector(rhs)
+    if len(rhs) != A.shape[0]:
+        raise DimensionMismatch("rhs length does not match the matrix order")
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"gesv: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise SingularError("gesv returned a non-finite solution")
     return x

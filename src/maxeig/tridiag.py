@@ -48,12 +48,6 @@ class HTransform:
     h: np.ndarray                     # h[0] == 1, positive
     r: np.ndarray                     # one-step ratios, length N
     transformed: TridiagonalSystem    # killing only at the right endpoint
-    original_c_last: float
-
-    @property
-    def killing_rate(self) -> float:
-        """The surviving right-endpoint rate (the renamed b_N)."""
-        return float(self.transformed.c[-1])
 
 
 def compute_h(system: TridiagonalSystem) -> HTransform:
@@ -68,8 +62,7 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
     if (c[:-1] == 0).all():
         # no interior killing: the transform is the exact identity, which
         # keeps such runs bit-stable
-        return HTransform(h=np.ones(N + 1), r=np.ones(N),
-                          transformed=system, original_c_last=float(c[N]))
+        return HTransform(h=np.ones(N + 1), r=np.ones(N), transformed=system)
     r = np.ones(N)
     r[0] = 1.0 + c[0] / b[0]
     for n in range(1, N):
@@ -90,7 +83,7 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
     new_c = np.zeros(N + 1)
     new_c[N] = a[N] + c[N] - new_a[N]
     transformed = TridiagonalSystem(new_a, new_b, new_c)
-    return HTransform(h=h, r=r, transformed=transformed, original_c_last=float(c[N]))
+    return HTransform(h=h, r=r, transformed=transformed)
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,9 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     DenominatorBreakdown when the closed-form denominator vanishes
     (z is an eigenvalue to machine precision).
     """
-    mu = as_vector(mu)
-    v = as_vector(v)
+    mu = as_vector(mu, dtype=np.float64)
+    v = as_vector(v, dtype=np.float64)
+    z = float(z)
     N = transformed.n_max
     if len(v) != N + 1 or len(mu) != N + 1:
         raise DimensionMismatch("mu and v must match the system order")
@@ -178,19 +172,24 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     A_seq = np.zeros(N + 1)
     B_seq = np.zeros(N + 1)
     B_seq[0] = 1.0
-    # running sums over j <= s-1 of mu_j * (term_j) and mu_j * kappa_{j-1} * (term_j)
+    # The loop reads and writes plain Python floats through memoryviews, so
+    # no step boxes a numpy scalar.  a_s, b_s carry A_seq[s-1], B_seq[s-1]
+    # and km1 is kappa_{j-1}, j = s-1; sa*, sb* are running sums over
+    # j <= s-1 of mu_j * (term_j) and mu_j * kappa_{j-1} * (term_j).
+    A_out, B_out = memoryview(A_seq), memoryview(B_seq)
+    a_s, b_s, km1 = 0.0, 1.0, 0.0
     sa1 = sa2 = sb1 = sb2 = 0.0
-    for s in range(1, N + 1):
-        j = s - 1
-        km1 = kappa[j - 1] if j > 0 else 0.0
-        ta = mu[j] * (v[j] + z * A_seq[j])
-        tb = mu[j] * B_seq[j]
+    terms = zip(memoryview(mu), memoryview(v), memoryview(kappa)[:N])
+    for s, (mu_j, v_j, k_j) in enumerate(terms, 1):
+        ta = mu_j * (v_j + z * a_s)
+        tb = mu_j * b_s
         sa1 += ta
         sa2 += km1 * ta
         sb1 += tb
         sb2 += km1 * tb
-        A_seq[s] = -(kappa[s - 1] * sa1 - sa2)
-        B_seq[s] = 1.0 - z * (kappa[s - 1] * sb1 - sb2)
+        a_s = A_out[s] = -(k_j * sa1 - sa2)
+        b_s = B_out[s] = 1.0 - z * (k_j * sb1 - sb2)
+        km1 = k_j
 
     mb = mu[N] * b_eff[N]
     numer = float(np.sum(mu * (v + z * A_seq))) - mb * A_seq[N]

@@ -1,11 +1,11 @@
-"""Tridiagonal elimination and dense LU."""
+"""Tridiagonal elimination and the dense LAPACK solve."""
 
 import numpy as np
 import pytest
 
 from maxeig import models, tridiag
-from maxeig.errors import BreakdownError, SingularError
-from maxeig.linsolve import LuFactors, lu_factor, lu_solve, tridiag_solve
+from maxeig.errors import BreakdownError, DimensionMismatch, SingularError
+from maxeig.linsolve import dense_solve, tridiag_solve
 
 from conftest import oracle_min_neg, random_system
 
@@ -52,7 +52,7 @@ class TestTridiagSolve:
             rhs = rng.normal(size=n)
             x = tridiag_solve(lower, diag, upper, rhs)
             dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-            y = lu_solve(lu_factor(dense), rhs)
+            y = dense_solve(dense, rhs)
             worst = max(worst, np.abs(x - y).max() / max(1.0, np.abs(y).max()))
         assert worst <= 1e-9
 
@@ -65,7 +65,7 @@ class TestTridiagSolve:
             rhs = np.ones(system.order)
             x = tridiag_solve(*shifted_coeffs(system, z), rhs)
             dense = -system.dense() - z * np.eye(system.order)
-            y = lu_solve(lu_factor(dense), rhs)
+            y = dense_solve(dense, rhs)
             assert np.isfinite(x).all()
             assert np.abs(x - y).max() / np.abs(y).max() <= 1e-9
 
@@ -84,6 +84,38 @@ class TestTridiagSolve:
             prev = w
         assert angles[-1] <= 1e-7
 
+    def test_complex_input_agrees_with_dense(self, rng):
+        for n in (1, 2, 3, 17):
+            lower = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+            upper = rng.normal(size=n - 1)
+            diag = rng.normal(size=n) + 1j * rng.normal(size=n) + 4.0
+            rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x = tridiag_solve(lower, diag, upper, rhs)
+            dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+            assert x.dtype == np.complex128
+            assert np.abs(x - dense_solve(dense, rhs)).max() <= 1e-12 * np.abs(x).max()
+
+    def test_orders_one_and_two_agree_with_dense(self, rng):
+        for n in (1, 2):
+            for _ in range(5):
+                lower, upper = rng.normal(size=n - 1), rng.normal(size=n - 1)
+                diag, rhs = rng.normal(size=n), rng.normal(size=n)
+                x = tridiag_solve(lower, diag, upper, rhs)
+                dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+                assert np.abs(x - dense_solve(dense, rhs)).max() <= 1e-12 * np.abs(x).max()
+
+    def test_strided_input_equals_contiguous(self, rng):
+        n = 40
+        lower, upper = rng.normal(size=2 * (n - 1))[::2], rng.normal(size=2 * (n - 1))[::2]
+        diag, rhs = rng.normal(size=(n, 3))[:, 1], rng.normal(size=2 * n)[::-2]
+        inputs = (lower, diag, upper, rhs)
+        assert not rhs.flags.contiguous and not diag.flags.contiguous
+        kept = [a.copy() for a in inputs]
+        contiguous = [np.ascontiguousarray(a) for a in inputs]
+        assert np.array_equal(tridiag_solve(*inputs), tridiag_solve(*contiguous))
+        # the solve works on copies and leaves its inputs untouched
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+
     def test_exact_breakdown_raises(self):
         with pytest.raises(BreakdownError):
             tridiag_solve([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
@@ -92,17 +124,17 @@ class TestTridiagSolve:
 class TestDenseLu:
     def test_identity(self):
         rhs = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(lu_solve(lu_factor(np.eye(3)), rhs), rhs)
+        assert np.array_equal(dense_solve(np.eye(3), rhs), rhs)
 
     def test_permutation_needs_pivoting(self):
-        x = lu_solve(lu_factor(np.array([[0.0, 1.0], [1.0, 0.0]])), [5.0, 7.0])
+        x = dense_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), [5.0, 7.0])
         assert np.array_equal(x, [7.0, 5.0])
 
     def test_first_global_iterate_of_example(self):
         # (24 I - A) w = v0 gives the first Rayleigh quotient of the table
         A = models.negative3()
         v0 = np.ones(3) / np.sqrt(3)
-        w = lu_solve(lu_factor(24.0 * np.eye(3) - A), v0)
+        w = dense_solve(24.0 * np.eye(3) - A, v0)
         v1 = w / np.linalg.norm(w)
         z1 = v1 @ A @ v1
         assert z1 == pytest.approx(17.3772, abs=5e-4)
@@ -112,28 +144,34 @@ class TestDenseLu:
             n = int(rng.integers(2, 65))
             A = rng.normal(size=(n, n)) + n * np.eye(n)
             b = rng.normal(size=n)
-            x = lu_solve(lu_factor(A), b)
+            x = dense_solve(A, b)
             assert np.abs(A @ x - b).max() <= 1e-9 * max(1.0, np.abs(b).max(), np.abs(A @ x).max())
             C = A + 1j * rng.normal(size=(n, n))
-            xc = lu_solve(lu_factor(C), b.astype(complex))
+            xc = dense_solve(C, b.astype(complex))
             assert np.abs(C @ xc - b).max() <= 1e-9 * max(1.0, np.abs(C @ xc).max())
 
-    def test_reconstruction_and_parity(self, rng):
+    def test_pivoting_residual(self):
+        # a perturbed cyclic permutation: the leading pivot is zero and the
+        # sub-diagonal tiny, so elimination without row interchanges fails
         n = 12
-        A = rng.normal(size=(n, n))
-        f = lu_factor(A)
-        L = np.tril(f.lu, -1) + np.eye(n)
-        U = np.triu(f.lu)
-        PA = A.copy()
-        for k, p in enumerate(f.piv):
-            PA[[k, p], :] = PA[[p, k], :]
-        assert np.abs(L @ U - PA).max() <= 1e-12 * np.abs(A).max() * n
-        assert f.parity in (-1, 1)
-        assert 0.0 < f.rcond <= 1.0
-        assert isinstance(f, LuFactors)
+        A = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1e-17), -1)
+        A[-1, 0] = 1.0
+        A[0, 0] = 0.0
+        A += 1e-14 * np.tril(np.ones((n, n)), -2)
+        b = np.arange(1.0, n + 1.0)
+        x = dense_solve(A, b)
+        assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_singular_raises(self):
         with pytest.raises(SingularError):
-            lu_factor(np.zeros((2, 2)))
+            dense_solve(np.zeros((2, 2)), [1.0, 1.0])
         with pytest.raises(SingularError):
-            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
+        with pytest.raises(SingularError):
+            dense_solve(np.array([[1.0, 1j], [1j, -1.0]]), [1.0, 0.0])
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            dense_solve(np.eye(3), [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            dense_solve(np.ones((2, 3)), [1.0, 2.0])

@@ -5,7 +5,7 @@ import pytest
 
 from maxeig import models
 from maxeig.errors import DenominatorBreakdown, MaxIterationsExceeded, NonFiniteInput
-from maxeig.linsolve import lu_factor, lu_solve
+from maxeig.linsolve import dense_solve
 from maxeig.numat import TridiagonalSystem, matrix_scale, matvec
 from maxeig.tridiag import (
     compute_h,
@@ -108,7 +108,7 @@ class TestExplicitSolve:
         init = compute_initials(transformed)
         w = explicit_rqi_solve(transformed, init.mu, 0.0, [1.0, 0.0])
         dense = -transformed.dense()
-        y = lu_solve(lu_factor(dense), np.array([1.0, 0.0]))
+        y = dense_solve(dense, np.array([1.0, 0.0]))
         assert np.abs(w - y).max() <= 1e-12
 
     def test_one_step_reaches_the_eigenvalue(self):
@@ -138,6 +138,15 @@ class TestExplicitSolve:
             worst = max(worst, np.abs(w1 - w2).max() / max(1e-30, np.abs(w2).max()))
         assert worst <= 1e-8
 
+    def test_strided_input_equals_contiguous(self, rng):
+        system = random_system(rng, 30)
+        init = compute_initials(system)
+        mu = np.repeat(init.mu, 2)[::2]
+        v = rng.normal(size=(31, 2))[:, 0]
+        assert not mu.flags.contiguous and not v.flags.contiguous
+        w = explicit_rqi_solve(system, mu, 0.2, v)
+        assert np.array_equal(w, explicit_rqi_solve(system, init.mu, 0.2, np.ascontiguousarray(v)))
+
     def test_breakdown_on_exact_eigenvalue(self):
         # dyadic rates give the dense form eigenvalues exactly {1, 4}, so the
         # shift z = 1 cancels the closed-form denominator to an exact zero
@@ -162,6 +171,19 @@ class TestTridiagRqi:
         assert zs[0] == pytest.approx(0.338027, abs=5e-6)
         assert zs[1] == pytest.approx(0.327254, abs=5e-6)
         assert zs[2] == pytest.approx(0.32724, abs=5e-5)
+
+    def test_order_million_against_banded_oracle(self):
+        eigvalsh_tridiagonal = pytest.importorskip("scipy.linalg").eigvalsh_tridiagonal
+        system = models.bd_squares(10**6 - 1)
+        result, trace = tridiag_rqi(system)
+        assert trace.termination == "converged"
+        assert result.eigenvector_positive
+        # -Q is similar to the symmetric tridiagonal with off-diagonal sqrt(a_{i+1} b_i)
+        d = system.a + system.b + system.c
+        e = np.sqrt(system.a[1:] * system.b[:-1])
+        lam = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+        row_sum = np.max(2.0 * (system.a + system.b) + system.c)
+        assert abs(result.eigenvalue - lam) <= np.finfo(float).eps * row_sum
 
     def test_order_two_closed_form(self):
         result, _ = tridiag_rqi(models.bd_squares(1))
