@@ -22,11 +22,8 @@ from .errors import (
     MaxeigError,
     MaxIterationsExceeded,
     NonFiniteInput,
-    NonPositiveH,
     NonPositiveIterate,
-    NonPositiveMu,
-    NonPositivePhi,
-    NonPositiveR,
+    NonPositiveSequence,
     SafeFormulaUnavailable,
     SingularError,
     SolverBreakdown,
@@ -91,10 +88,7 @@ __all__ = [
     "BreakdownError",
     "SingularError",
     "DenominatorBreakdown",
-    "NonPositiveR",
-    "NonPositiveH",
-    "NonPositivePhi",
-    "NonPositiveMu",
+    "NonPositiveSequence",
     "NonPositiveIterate",
     "SafeFormulaUnavailable",
     "MaxIterationsExceeded",

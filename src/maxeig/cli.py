@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, matrixio, models, reference
+from . import __version__, general_init, matrixio, models, reference, tridiag
 from .errors import (
     MaxeigError,
     MaxIterationsExceeded,
@@ -28,6 +28,13 @@ from .numat import TridiagonalSystem
 from .tridiag import recover_original, tridiag_rqi
 
 METHODS = ("power", "rqi-tridiag", "rqi-general", "alg1", "alg2")
+# named --z0 policies per method; every method also takes a number
+Z0_NAMES = {
+    "rqi-tridiag": tridiag.Z0_POLICIES,
+    "rqi-general": general_init.Z0_POLICIES,
+    "alg1": ("max-ratio",),
+    "alg2": ("max-ratio",),
+}
 
 EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
@@ -74,15 +81,20 @@ def _load_input(args):
         with open(args.spec) as fh:
             spec = models.ModelSpec.from_json(fh.read())
     else:
-        params = {}
-        if args.model == "triangular":
-            params["rule"] = args.rule
-        if args.model == "branching":
-            params["alpha"] = args.alpha
-        if args.model == "poisson_block" and args.block_size:
-            params["block_size"] = args.block_size
-        spec = models.ModelSpec(name=args.model, size=args.n, params=params)
+        spec = _model_spec(args.model, args)
     return spec.render(), spec.to_json()
+
+
+def _model_spec(name, args):
+    """ModelSpec of a built-in model from the size and parameter flags."""
+    params = {}
+    if name == "triangular":
+        params["rule"] = args.rule
+    if name == "branching":
+        params["alpha"] = args.alpha
+    if name == "poisson_block" and args.block_size:
+        params["block_size"] = args.block_size
+    return models.ModelSpec(name=name, size=args.n, params=params)
 
 
 def _start_vector(choice):
@@ -91,15 +103,17 @@ def _start_vector(choice):
     return "uniform"
 
 
-def _parse_z0(text, default):
+def _parse_z0(text, method, default):
     if text is None:
         return default
-    if text in ("rayleigh", "safe", "combination", "delta1", "max-ratio"):
+    names = Z0_NAMES[method]
+    if text in names:
         return text
     try:
         return float(text)
     except ValueError:
-        raise matrixio.parse_error(f"--z0 must be a number or a named policy, got {text!r}")
+        raise matrixio.parse_error(f"--z0 for --method {method} must be a number or one of "
+                                   f"{', '.join(names)}, got {text!r}")
 
 
 def cmd_solve(args) -> int:
@@ -194,18 +208,18 @@ def _run_method(args, matrix, opts):
         system = matrix if isinstance(matrix, TridiagonalSystem) else tridiagonal_from_dense(matrix)
         if system is None:
             raise NonFiniteInput("rqi-tridiag needs tridiagonal generator input")
-        z0 = _parse_z0(args.z0, "combination")
+        z0 = _parse_z0(args.z0, args.method, "combination")
         result, trace = tridiag_rqi(system, z0=z0, v0=_start_vector(args.v0), **opts)
         recovered = recover_original(result)
         return recovered, trace, result.eigenvalue, "lambda_min(-Q)"
     if args.method == "rqi-general":
         dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
-        z0 = _parse_z0(args.z0, "safe")
+        z0 = _parse_z0(args.z0, args.method, "safe")
         result, trace = general_rqi(dense, z0=z0, v0=_start_vector(args.v0), **opts)
         primary = float(trace.steps[-1].z)  # lambda_min(-Qc) = m - rho
         return result, trace, primary, "lambda_min(-Qc)"
     dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
-    z0 = _parse_z0(args.z0, None)
+    z0 = _parse_z0(args.z0, args.method, None)
     z0 = None if z0 == "max-ratio" else z0
     if args.method == "alg1" or np.iscomplexobj(dense):
         if args.method == "alg2":
@@ -218,14 +232,7 @@ def _run_method(args, matrix, opts):
 
 
 def cmd_model(args) -> int:
-    params = {}
-    if args.name == "triangular":
-        params["rule"] = args.rule
-    if args.name == "branching":
-        params["alpha"] = args.alpha
-    if args.name == "poisson_block" and args.block_size:
-        params["block_size"] = args.block_size
-    spec = models.ModelSpec(name=args.name, size=args.n, params=params)
+    spec = _model_spec(args.name, args)
     matrix = spec.render()
     if args.emit:
         matrixio.write_matrix(args.emit, matrix, fmt=args.format)
@@ -282,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--res-tol", type=float, default=1e-8, help="relative residual tolerance")
     solve.add_argument("--max-iter", type=int, default=100)
     solve.add_argument("--steps", type=int, default=1000, help="power-iteration step count")
-    solve.add_argument("--z0", help="number | rayleigh | safe | max-ratio | combination | delta1")
+    solve.add_argument("--z0", help="number, or for rqi-tridiag combination | delta1 | safe | "
+                       "rayleigh, for rqi-general safe | rayleigh, for alg1/alg2 max-ratio")
     solve.add_argument("--v0", choices=("efficient", "uniform"))
     solve.add_argument("--norm", choices=("l1", "l2", "l2mu"))
     solve.add_argument("--negate", action="store_true",

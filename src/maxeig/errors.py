@@ -35,20 +35,15 @@ class DenominatorBreakdown(SolverBreakdown):
     """The closed-form tridiagonal solve divided by a vanishing denominator."""
 
 
-class NonPositiveR(MaxeigError, ValueError):
-    """The r-recurrence produced a non-positive value (invalid input)."""
+class NonPositiveSequence(MaxeigError, ValueError):
+    """One of the sequences r, h, phi or mu has a non-positive entry (invalid input).
 
+    ``sequence`` names which one: "r", "h", "phi" or "mu".
+    """
 
-class NonPositiveH(MaxeigError, ValueError):
-    """The harmonic-vector solve produced a non-positive component."""
-
-
-class NonPositivePhi(MaxeigError, ValueError):
-    """The tail-sequence solve produced a non-positive component."""
-
-
-class NonPositiveMu(MaxeigError, ValueError):
-    """The invariant-measure solve produced a non-positive component."""
+    def __init__(self, sequence, message):
+        super().__init__(message)
+        self.sequence = sequence
 
 
 class NonPositiveIterate(MaxeigError):

@@ -12,40 +12,31 @@ from one linear system on the shifted generator Qc = A - mI:
   (mu_0 = 1).
 
 sqrt(phi) seeds the initial vector exactly as in the tridiagonal case,
-and the safe initial shift copies the delta_1 formula with a 1/(1 -
-phi_1) correction.  On tridiagonal input the closed-form recurrences
-are used instead of dense solves, which keeps those runs O(N); the
-results agree with the dense route to roundoff.
+and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
+formula with a 1/(1 - phi_1) correction.  Tridiagonal input is handed
+to ``tridiag.tridiag_rqi`` with the banded solver and the safe shift,
+which keeps those runs O(N); the results agree with the dense route to
+roundoff.  Both routes share the start vector, initial-shift policy,
+weighted Rayleigh quotient and recovery of the tridiagonal pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import iterengine, linsolve, tridiag
-from .errors import (
-    DimensionMismatch,
-    NonFiniteInput,
-    NonPositiveH,
-    NonPositiveMu,
-    NonPositivePhi,
-    SafeFormulaUnavailable,
-)
-from .iterengine import EigenpairResult, run_shifted_iteration
+from .errors import DimensionMismatch, NonFiniteInput, NonPositiveSequence
 from .numat import (
     TridiagonalSystem,
     as_square_matrix,
     as_vector,
     matrix_scale,
-    matvec,
     shift_to_qc,
     weighted_norm,
 )
+from .tridiag import safe_z0
 
 __all__ = [
-    "GeneralInitials",
     "solve_h_general",
     "h_transform_general",
     "solve_phi_general",
@@ -56,34 +47,27 @@ __all__ = [
     "tridiagonal_from_dense",
 ]
 
-
-@dataclass(frozen=True)
-class GeneralInitials:
-    h: np.ndarray
-    q_tilde: np.ndarray | TridiagonalSystem  # three-sequence form on tridiagonal input
-    phi: np.ndarray
-    mu: np.ndarray
-    v0: np.ndarray
-    z0_rayleigh: float
-    z0_safe: float | None  # None when phi_1 >= 1 makes the safe formula unavailable
+# initial-shift policies general_rqi accepts besides a number
+Z0_POLICIES = ("safe", "rayleigh")
 
 
-def _solve_with_unit_head(rows, error_cls, what):
-    """Solve rows @ x = 0 for x with x_0 = 1; raise error_cls if any x_i <= 0."""
+def _solve_with_unit_head(rows, sequence, what):
+    """Solve rows @ x = 0 for x with x_0 = 1; raise NonPositiveSequence if any x_i <= 0."""
     n = rows.shape[1]
     x = np.ones(n)
     if n > 1:
         x[1:] = linsolve.dense_solve(rows[:, 1:], -rows[:, 0])
     if (x <= 0).any():
-        raise error_cls(f"{what} has non-positive components (min {x.min():.3g}); "
-                        "input is not irreducible with the assumed structure")
+        raise NonPositiveSequence(
+            sequence, f"{what} has non-positive components (min {x.min():.3g}); "
+            "input is not irreducible with the assumed structure")
     return x
 
 
 def solve_h_general(qc):
     """Harmonic vector of Qc away from the right endpoint, h_0 = 1."""
     qc = as_square_matrix(qc)
-    return _solve_with_unit_head(qc[:-1, :], NonPositiveH, "harmonic vector h")
+    return _solve_with_unit_head(qc[:-1, :], "h", "harmonic vector h")
 
 
 def h_transform_general(qc, h):
@@ -108,31 +92,13 @@ def solve_phi_general(q_tilde):
     """Tail sequence: rows 1..N of (I - P) phi = 0 with phi_0 = 1."""
     p = jump_matrix(q_tilde)
     rows = (np.eye(p.shape[0]) - p)[1:, :]
-    return _solve_with_unit_head(rows, NonPositivePhi, "tail sequence phi")
+    return _solve_with_unit_head(rows, "phi", "tail sequence phi")
 
 
 def solve_mu_general(q_tilde):
     """Invariant weighting: first N rows of Q^T mu = 0 with mu_0 = 1."""
     q_tilde = as_square_matrix(q_tilde)
-    return _solve_with_unit_head(q_tilde.T[:-1, :], NonPositiveMu, "invariant measure mu")
-
-
-def safe_z0(phi, mu):
-    """The safer initial shift; requires phi_1 < 1.
-
-    z0^{-1} = 1/(1 - phi_1) * max_n [ sqrt(phi_n) sum_{k<=n} mu_k sqrt(phi_k)
-              + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ]
-    """
-    phi = as_vector(phi)
-    mu = as_vector(mu)
-    if len(phi) < 2 or phi[1] >= 1.0:
-        raise SafeFormulaUnavailable(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
-    sqrt_phi = np.sqrt(phi)
-    prefix = np.cumsum(mu * sqrt_phi)
-    tail_terms = mu * phi * sqrt_phi
-    suffix = np.concatenate([np.cumsum(tail_terms[::-1])[::-1][1:], [0.0]])
-    peak = float(np.max(sqrt_phi * prefix + suffix / sqrt_phi))
-    return (1.0 - float(phi[1])) / peak
+    return _solve_with_unit_head(q_tilde.T[:-1, :], "mu", "invariant measure mu")
 
 
 def initials_general(q_tilde, phi, mu):
@@ -144,15 +110,10 @@ def initials_general(q_tilde, phi, mu):
     phi = as_vector(phi)
     mu = as_vector(mu)
     if (phi <= 0).any():
-        raise NonPositivePhi("phi must be strictly positive")
+        raise NonPositiveSequence("phi", "phi must be strictly positive")
     v0 = np.sqrt(phi)
     v0 = v0 / weighted_norm(v0, mu)
-    z0_rayleigh = float((mu * v0 * -(q_tilde @ v0)).sum() / (mu * v0 * v0).sum())
-    try:
-        z0s = safe_z0(phi / phi[0], mu)
-    except SafeFormulaUnavailable:
-        z0s = None
-    return v0, z0_rayleigh, z0s
+    return v0, tridiag._weighted_rayleigh(q_tilde, mu, v0), tridiag._safe_shift(phi, mu)
 
 
 def tridiagonal_from_dense(A, tol=0.0):
@@ -183,41 +144,6 @@ def tridiagonal_from_dense(A, tol=0.0):
     return TridiagonalSystem.from_rates(a, b, c)
 
 
-def compute_general_initials(qc, system=None) -> GeneralInitials:
-    """h, transform, phi, mu, and initials for a shifted generator Qc.
-
-    Tridiagonal input (detected, or passed as ``system``) short-circuits
-    to the closed-form recurrences, and the transform is kept in its
-    three-sequence representation.
-    """
-    if system is None:
-        qc = as_square_matrix(qc)
-        system = tridiagonal_from_dense(qc)
-    if system is not None:
-        ht = tridiag.compute_h(system)
-        init = tridiag.compute_initials(ht.transformed)
-        phi = init.phi / init.phi[0]
-        v0 = init.v0
-        mu = init.mu
-        q_tilde = ht.transformed
-        z0_rayleigh = float(
-            (mu * v0 * -matvec(q_tilde, v0)).sum() / (mu * v0 * v0).sum()
-        )
-        try:
-            z0s = safe_z0(phi, mu)
-        except SafeFormulaUnavailable:
-            z0s = None
-        return GeneralInitials(h=ht.h, q_tilde=q_tilde, phi=phi, mu=mu, v0=v0,
-                               z0_rayleigh=z0_rayleigh, z0_safe=z0s)
-    h = solve_h_general(qc)
-    q_tilde = h_transform_general(qc, h)
-    phi = solve_phi_general(q_tilde)
-    mu = solve_mu_general(q_tilde)
-    v0, z0_rayleigh, z0s = initials_general(q_tilde, phi, mu)
-    return GeneralInitials(h=h, q_tilde=q_tilde, phi=phi, mu=mu, v0=v0,
-                           z0_rayleigh=z0_rayleigh, z0_safe=z0s)
-
-
 def general_rqi(
     A,
     *,
@@ -235,77 +161,32 @@ def general_rqi(
     h-scaling (eigenvector normalized to last component 1).  The trace
     records the internal shifts, i.e. estimates of lambda_min(-Qc) =
     m - rho(A), the scale on which the reproduction tables print.
+    Tridiagonal input runs ``tridiag_rqi`` with the banded solver.
 
-    ``z0``: "safe" (default; falls back to "rayleigh" with the result
-    flagged when phi_1 >= 1), "rayleigh", or a number.
+    ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
+    efficient seed, with the result flagged, when phi_1 >= 1),
+    "rayleigh", or a number.
     """
+    tridiag._check_z0(z0, Z0_POLICIES)
+    opts = {"tol_z": tol_z, "tol_residual": tol_residual,
+            "max_iterations": max_iterations, "store_vectors": store_vectors}
     A = as_square_matrix(A)
     qc, m = shift_to_qc(A)
     system = tridiagonal_from_dense(qc)
-    init = compute_general_initials(qc, system=system)
-    mu = init.mu
-    q_tilde = init.q_tilde
+    if system is not None:
+        result, trace = tridiag.tridiag_rqi(system, solver="generic", z0=z0, v0=v0, **opts)
+        return tridiag.recover_original(result, m=m), trace
 
-    if v0 is None:
-        start = init.v0
-    elif isinstance(v0, str) and v0 == "uniform":
-        ones = np.ones(len(mu))
-        start = ones / weighted_norm(ones, mu)
-    else:
-        start = as_vector(v0)
-        start = start / weighted_norm(start, mu)
-
-    fallback = False
-    if isinstance(z0, str):
-        if z0 == "safe":
-            if init.z0_safe is None:
-                z_start, fallback = init.z0_rayleigh, True
-            else:
-                z_start = init.z0_safe
-        elif z0 == "rayleigh":
-            # the quotient of the vector the run actually starts from
-            z_start = float(
-                (mu * start * -matvec(q_tilde, start)).sum() / (mu * start * start).sum()
-            )
-        else:
-            raise ValueError(f"unknown z0 choice {z0!r}")
-    else:
-        z_start = float(z0)
-
-    neg_q = lambda vec: -matvec(q_tilde, vec)
-    if isinstance(q_tilde, TridiagonalSystem):
-        # keep tridiagonal runs O(N): banded solver on the transformed rates
-        solver = tridiag._shifted_solver(q_tilde, mu, "generic")
-    else:
-        eye = np.eye(q_tilde.shape[0])
-
-        def solver(z, v):
-            return linsolve.dense_solve(-q_tilde - z * eye, v)
-
-    z, v, trace = run_shifted_iteration(
-        neg_q,
-        solver,
-        start,
-        z_start,
-        z_update="weighted_rayleigh",
-        norm="l2mu",
-        mu=mu,
-        scale=matrix_scale(q_tilde),
-        tol_z=tol_z,
-        tol_residual=tol_residual,
-        max_iterations=max_iterations,
-        store_vectors=store_vectors,
-    )
-    g = init.h * v
-    g = g / g[-1]
-    result = EigenpairResult(
-        eigenvalue=m - z,
-        eigenvector=g,
-        iterations=trace.iterations,
-        residual=trace.steps[-1].residual,
-        shift_m=m,
-        h_scaling=init.h,
-        norm_tag="l2mu",
-        z0_fallback=fallback,
-    )
-    return result, trace
+    h = solve_h_general(qc)
+    q_tilde = h_transform_general(qc, h)
+    phi = solve_phi_general(q_tilde)
+    mu = solve_mu_general(q_tilde)
+    seed, seed_rayleigh, z_safe = initials_general(q_tilde, phi, mu)
+    start = tridiag._start_vector(v0, seed, mu)
+    z_start, fallback = tridiag._resolve_z0(z0, {
+        "safe": lambda: z_safe,
+        "rayleigh": lambda: tridiag._weighted_rayleigh(q_tilde, mu, start),
+    }, lambda: seed_rayleigh)
+    solve = iterengine._dense_shifted_solver(-q_tilde)
+    result, trace = tridiag._weighted_rqi(q_tilde, solve, mu, h, start, z_start, fallback, **opts)
+    return tridiag.recover_original(result, m=m), trace

@@ -8,10 +8,15 @@ identically zero:
    last one, which is then treated as the right-endpoint exit rate b_N;
 2. the weight sequence mu and the decreasing tail sequence phi, whose
    square root seeds the initial vector; the variational quantity
-   delta_1 seeds the initial shift from below;
+   delta_1 seeds the initial shift from below, directly or through the
+   safe shift of the general case;
 3. weighted RQI, where every shifted system is solved either by the
    closed-form O(N) representation or by the generic banded solver;
 4. recovery of the original eigenpair by undoing the h-scaling.
+
+``general_init.general_rqi`` hands tridiagonal input to this pipeline
+(banded solver, safe shift) and runs its dense route through the same
+start-vector, initial-shift and weighted-RQI helpers defined here.
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -20,12 +25,18 @@ chain, so all shifts and table entries stay positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import iterengine, linsolve
-from .errors import DenominatorBreakdown, DimensionMismatch, NonFiniteInput, NonPositiveR
+from .errors import (
+    DenominatorBreakdown,
+    DimensionMismatch,
+    NonFiniteInput,
+    NonPositiveSequence,
+    SafeFormulaUnavailable,
+)
 from .iterengine import EigenpairResult, run_shifted_iteration
 from .numat import TridiagonalSystem, as_vector, matrix_scale, matvec, weighted_norm
 
@@ -35,10 +46,14 @@ __all__ = [
     "compute_h",
     "compute_initials",
     "z0_combination",
+    "safe_z0",
     "explicit_rqi_solve",
     "tridiag_rqi",
     "recover_original",
 ]
+
+# initial-shift policies tridiag_rqi accepts besides a number
+Z0_POLICIES = ("combination", "delta1", "safe", "rayleigh")
 
 
 @dataclass(frozen=True)
@@ -68,9 +83,10 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
     for n in range(1, N):
         r[n] = 1.0 + (a[n] + c[n]) / b[n] - a[n] / (b[n] * r[n - 1])
         if r[n] <= 0.0:
-            raise NonPositiveR(f"r[{n}] = {r[n]} <= 0; input violates positivity assumptions")
+            raise NonPositiveSequence(
+                "r", f"r[{n}] = {r[n]} <= 0; input violates positivity assumptions")
     if r[0] <= 0.0:
-        raise NonPositiveR(f"r[0] = {r[0]} <= 0")
+        raise NonPositiveSequence("r", f"r[0] = {r[0]} <= 0")
     h = np.ones(N + 1)
     h[1:] = np.cumprod(r)
 
@@ -125,18 +141,22 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     inv = 1.0 / (mu * b_eff)
     phi = np.cumsum(inv[::-1])[::-1]
 
-    sqrt_phi = np.sqrt(phi)
-    v0_raw = sqrt_phi
+    v0_raw = np.sqrt(phi)
     v0 = v0_raw / weighted_norm(v0_raw, mu)
+    return InitialData(mu=mu, phi=phi, v0_raw=v0_raw, v0=v0, delta1=_delta1_peak(phi, mu))
 
-    # delta_1 = max_n [ sqrt(phi_n) * sum_{k<=n} mu_k sqrt(phi_k)
-    #                   + (1/sqrt(phi_n)) * sum_{j>n} mu_j phi_j^{3/2} ]
-    # evaluated with prefix/suffix sums, O(N) overall
+
+def _delta1_peak(phi, mu) -> float:
+    """delta_1 = max_n [ sqrt(phi_n) sum_{k<=n} mu_k sqrt(phi_k)
+                        + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ]
+
+    evaluated with prefix/suffix sums, O(N) overall.
+    """
+    sqrt_phi = np.sqrt(phi)
     prefix = np.cumsum(mu * sqrt_phi)
     tail_terms = mu * phi * sqrt_phi
     suffix = np.concatenate([np.cumsum(tail_terms[::-1])[::-1][1:], [0.0]])
-    delta1 = float(np.max(sqrt_phi * prefix + suffix / sqrt_phi))
-    return InitialData(mu=mu, phi=phi, v0_raw=v0_raw, v0=v0, delta1=delta1)
+    return float(np.max(sqrt_phi * prefix + suffix / sqrt_phi))
 
 
 def z0_combination(delta1: float, rayleigh_quotient: float) -> float:
@@ -148,6 +168,98 @@ def z0_combination(delta1: float, rayleigh_quotient: float) -> float:
     if delta1 <= 0:
         raise NonFiniteInput("delta1 must be positive")
     return (7.0 / delta1 + rayleigh_quotient) / 8.0
+
+
+def safe_z0(phi, mu):
+    """The safer initial shift for phi with phi_0 = 1; requires phi_1 < 1.
+
+    z0^{-1} = 1/(1 - phi_1) * max_n [ sqrt(phi_n) sum_{k<=n} mu_k sqrt(phi_k)
+              + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ],
+    the delta_1 peak of compute_initials with a 1/(1 - phi_1) correction.
+    """
+    phi = as_vector(phi)
+    mu = as_vector(mu)
+    if len(phi) < 2 or phi[1] >= 1.0:
+        raise SafeFormulaUnavailable(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
+    return (1.0 - float(phi[1])) / _delta1_peak(phi, mu)
+
+
+def _safe_shift(phi, mu):
+    """safe_z0 of phi rescaled to phi_0 = 1, or None when phi_1 >= 1 rules it out."""
+    try:
+        return safe_z0(phi / phi[0], mu)
+    except SafeFormulaUnavailable:
+        return None
+
+
+def _weighted_rayleigh(q, mu, v) -> float:
+    """Weighted Rayleigh quotient <v, -q v>_mu / <v, v>_mu of a real vector v."""
+    av = -matvec(q, v)
+    return float((mu * v * av).sum() / (mu * v * v).sum())
+
+
+def _start_vector(v0, seed, mu):
+    """The run's start vector for ``v0``.
+
+    None keeps the efficient ``seed`` (already normalised); "uniform" or
+    a given vector is scaled to unit mu-norm.
+    """
+    if v0 is None:
+        return seed
+    v = np.ones(len(mu)) if isinstance(v0, str) and v0 == "uniform" else as_vector(v0)
+    return v / weighted_norm(v, mu)
+
+
+def _check_z0(z0, names):
+    """Reject a z0 name outside ``names``; numbers pass."""
+    if isinstance(z0, str) and z0 not in names:
+        raise ValueError(f"unknown z0 choice {z0!r}")
+
+
+def _resolve_z0(z0, policies, seed_rayleigh):
+    """Initial shift and fallback flag for a number or a policy name.
+
+    ``policies`` maps each accepted name to a callable, so only the
+    chosen shift is computed.  A policy that returns None (the safe
+    shift when phi_1 >= 1) falls back to ``seed_rayleigh()``, the
+    Rayleigh quotient of the efficient seed, and flags the run.
+    """
+    _check_z0(z0, policies)
+    if not isinstance(z0, str):
+        return float(z0), False
+    z = policies[z0]()
+    if z is None:
+        return seed_rayleigh(), True
+    return z, False
+
+
+def _weighted_rqi(q, solve, mu, h, start, z_start, fallback, **opts):
+    """Weighted RQI on -q from (start, z_start).
+
+    The result holds lambda_min(-q) and the eigenvector in the
+    h-scaled coordinates; recover_original maps it back.
+    """
+    z, v, trace = run_shifted_iteration(
+        lambda vec: -matvec(q, vec),
+        solve,
+        start,
+        z_start,
+        z_update="weighted_rayleigh",
+        norm="l2mu",
+        mu=mu,
+        scale=matrix_scale(q),
+        **opts,
+    )
+    result = EigenpairResult(
+        eigenvalue=z,
+        eigenvector=v,
+        iterations=trace.iterations,
+        residual=trace.steps[-1].residual,
+        h_scaling=h,
+        norm_tag="l2mu",
+        z0_fallback=fallback,
+    )
+    return result, trace
 
 
 def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
@@ -236,8 +348,10 @@ def tridiag_rqi(
     coordinates.  Map back with recover_original.
 
     ``z0`` is "combination" (the table initial), "delta1" (its
-    reciprocal-bound part alone), "rayleigh", or a number.  ``v0`` is
-    None for the efficient sqrt(phi) seed, "uniform", or a vector.
+    reciprocal-bound part alone), "safe" (general_rqi's default; falls
+    back to the seed's Rayleigh quotient with the result flagged when
+    phi_1 >= 1), "rayleigh", or a number.  ``v0`` is None for the
+    efficient sqrt(phi) seed, "uniform", or a vector.
     """
     if (system.c == 0).all():
         raise NonFiniteInput("tridiag_rqi requires some killing rate (c not identically zero)")
@@ -245,54 +359,27 @@ def tridiag_rqi(
     transformed = ht.transformed
     init = compute_initials(transformed)
     mu = init.mu
-
-    if v0 is None:
-        start = init.v0
-    elif isinstance(v0, str) and v0 == "uniform":
-        ones = np.ones(transformed.order)
-        start = ones / weighted_norm(ones, mu)
-    else:
-        start = as_vector(v0)
-        start = start / weighted_norm(start, mu)
-
-    neg_q = lambda vec: -matvec(transformed, vec)
-    rayleigh = float((mu * start * neg_q(start)).sum() / (mu * start * start).sum())
-    if isinstance(z0, str):
-        if z0 == "combination":
-            z_start = z0_combination(init.delta1, rayleigh)
-        elif z0 == "delta1":
-            z_start = init.z0
-        elif z0 == "rayleigh":
-            z_start = rayleigh
-        else:
-            raise ValueError(f"unknown z0 choice {z0!r}")
-    else:
-        z_start = float(z0)
-
-    z, v, trace = run_shifted_iteration(
-        neg_q,
+    start = _start_vector(v0, init.v0, mu)
+    rayleigh = lambda vec: _weighted_rayleigh(transformed, mu, vec)
+    z_start, fallback = _resolve_z0(z0, {
+        "combination": lambda: z0_combination(init.delta1, rayleigh(start)),
+        "delta1": lambda: init.z0,
+        "safe": lambda: _safe_shift(init.phi, mu),
+        "rayleigh": lambda: rayleigh(start),
+    }, lambda: rayleigh(init.v0))
+    return _weighted_rqi(
+        transformed,
         _shifted_solver(transformed, mu, solver),
+        mu,
+        ht.h,
         start,
         z_start,
-        z_update="weighted_rayleigh",
-        norm="l2mu",
-        mu=mu,
-        scale=matrix_scale(transformed),
+        fallback,
         tol_z=tol_z,
         tol_residual=tol_residual,
         max_iterations=max_iterations,
         store_vectors=store_vectors,
     )
-    result = EigenpairResult(
-        eigenvalue=z,
-        eigenvector=v,
-        iterations=trace.iterations,
-        residual=trace.steps[-1].residual,
-        shift_m=0.0,
-        h_scaling=ht.h,
-        norm_tag="l2mu",
-    )
-    return result, trace
 
 
 def recover_original(result: EigenpairResult, ht=None, m=0.0, normalize="last"):
@@ -312,12 +399,4 @@ def recover_original(result: EigenpairResult, ht=None, m=0.0, normalize="last"):
         g = g / g[-1]
     elif normalize == "l2":
         g = g / np.linalg.norm(g)
-    return EigenpairResult(
-        eigenvalue=m - result.eigenvalue,
-        eigenvector=g,
-        iterations=result.iterations,
-        residual=result.residual,
-        shift_m=m,
-        h_scaling=h,
-        norm_tag=result.norm_tag,
-    )
+    return replace(result, eigenvalue=m - result.eigenvalue, eigenvector=g, shift_m=m, h_scaling=h)

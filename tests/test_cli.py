@@ -109,6 +109,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "solve", "--input", str(p), "--method", "rqi-tridiag")
         assert code == 4
 
+    def test_non_positive_sequence_is_4(self, capsys, tmp_path):
+        p = tmp_path / "bidiagonal.txt"
+        p.write_text("coordinate 3 2 real\n0 1 1.0\n1 2 1.0\n")
+        code, _, err = run_cli(capsys, "solve", "--input", str(p), "--method", "rqi-general")
+        assert code == 4
+        assert "phi" in err
+
+    @pytest.mark.parametrize("method, z0", [("rqi-general", "combination"),
+                                            ("rqi-tridiag", "max-ratio"),
+                                            ("alg2", "safe")])
+    def test_z0_outside_the_method_set_is_2(self, capsys, method, z0):
+        code, _, err = run_cli(capsys, "solve", "--model", "bd_squares", "--n", "7",
+                               "--method", method, "--z0", z0)
+        assert code == 2
+        assert "--z0" in err
+
+    def test_rqi_tridiag_takes_the_safe_shift(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--model", "bd_squares", "--n", "7",
+                               "--method", "rqi-tridiag", "--z0", "safe")
+        assert code == 0
+        assert "0.525268" in out
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--model", "mystery"])

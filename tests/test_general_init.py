@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from maxeig import models
-from maxeig.errors import SafeFormulaUnavailable, SolverBreakdown
+from maxeig import general_init, models, tridiag
+from maxeig.errors import NonPositiveSequence, SafeFormulaUnavailable, SolverBreakdown
 from maxeig.general_init import (
     general_rqi,
     h_transform_general,
@@ -17,7 +17,7 @@ from maxeig.general_init import (
     tridiagonal_from_dense,
 )
 from maxeig.numat import matrix_scale
-from maxeig.tridiag import compute_h, compute_initials, tridiag_rqi
+from maxeig.tridiag import compute_h, compute_initials, recover_original, tridiag_rqi
 
 from conftest import oracle_eigenvalues, oracle_min_neg, random_system
 
@@ -173,14 +173,49 @@ class TestGeneralRqi:
 
     def test_z0_fallback_flag(self, monkeypatch):
         # force the safe formula unavailable; the run falls back to the
-        # Rayleigh start and flags it
-        from maxeig import general_init as gi
-
-        def raising(phi, mu):
-            raise SafeFormulaUnavailable("forced")
-
-        monkeypatch.setattr(gi, "safe_z0", raising)
+        # Rayleigh start and flags it (tridiagonal input runs tridiag_rqi,
+        # so the patch goes on the binding that pipeline calls)
+        monkeypatch.setattr(tridiag, "safe_z0", _unavailable)
         system = models.bd_squares(5)
-        result, _ = gi.general_rqi(system.dense())
+        result, _ = general_rqi(system.dense())
         assert result.z0_fallback
         assert -result.eigenvalue == pytest.approx(oracle_min_neg(system), rel=1e-9)
+
+    def test_z0_fallback_flag_dense(self, monkeypatch):
+        # the dense route flags the same patch, and its fallback start is
+        # the efficient seed's quotient even from a uniform start vector
+        A = models.toeplitz_linear(6)
+        _, seed_trace = general_rqi(A, z0="rayleigh")
+        monkeypatch.setattr(tridiag, "safe_z0", _unavailable)
+        result, trace = general_rqi(A, v0="uniform")
+        assert result.z0_fallback
+        assert trace.zs()[0] == seed_trace.zs()[0]
+        oracle = float(np.max(oracle_eigenvalues(A).real))
+        assert result.eigenvalue == pytest.approx(oracle, rel=1e-9)
+
+    def test_tridiagonal_input_runs_the_tridiagonal_pipeline(self):
+        system = models.bd_squares(9)
+        res_g, trace_g = general_rqi(system.dense())
+        res_t, trace_t = tridiag_rqi(system, solver="generic", z0="safe")
+        assert np.array_equal(trace_g.zs(), trace_t.zs())
+        assert np.array_equal(res_g.eigenvector, recover_original(res_t).eigenvector)
+
+    @pytest.mark.parametrize("z0", general_init.Z0_POLICIES)
+    def test_accepted_z0_policies(self, z0):
+        for A in (models.bd_squares(5).dense(), models.toeplitz_linear(5)):
+            result, _ = general_rqi(A, z0=z0)
+            assert result.eigenvector_positive
+
+    def test_rejects_tridiagonal_only_policy(self):
+        with pytest.raises(ValueError):
+            general_rqi(models.bd_squares(5).dense(), z0="combination")
+
+    def test_non_positive_phi(self):
+        # reducible: nothing leads back from the last state, so phi_1 = phi_2 = 0
+        with pytest.raises(NonPositiveSequence) as exc:
+            general_rqi(np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        assert exc.value.sequence == "phi"
+
+
+def _unavailable(phi, mu):
+    raise SafeFormulaUnavailable("forced")

@@ -5,9 +5,11 @@ import pytest
 
 from maxeig import models
 from maxeig.errors import DenominatorBreakdown, MaxIterationsExceeded, NonFiniteInput
+from maxeig.iterengine import EigenpairResult
 from maxeig.linsolve import dense_solve
 from maxeig.numat import TridiagonalSystem, matrix_scale, matvec
 from maxeig.tridiag import (
+    Z0_POLICIES,
     compute_h,
     compute_initials,
     explicit_rqi_solve,
@@ -185,6 +187,12 @@ class TestTridiagRqi:
         row_sum = np.max(2.0 * (system.a + system.b) + system.c)
         assert abs(result.eigenvalue - lam) <= np.finfo(float).eps * row_sum
 
+    @pytest.mark.parametrize("z0", Z0_POLICIES)
+    def test_accepted_z0_policies(self, z0):
+        result, _ = tridiag_rqi(models.bd_squares(7), z0=z0)
+        assert result.eigenvalue == pytest.approx(0.525268, abs=5e-6)
+        assert not result.z0_fallback
+
     def test_order_two_closed_form(self):
         result, _ = tridiag_rqi(models.bd_squares(1))
         assert result.eigenvalue == pytest.approx(3.0 - np.sqrt(5.0), rel=1e-12)
@@ -221,6 +229,17 @@ class TestRecoverOriginal:
         recovered = recover_original(result)
         assert recovered.eigenvalue == pytest.approx(-result.eigenvalue)
         assert recovered.eigenvector[-1] == 1.0
+
+    def test_keeps_fields_it_does_not_remap(self):
+        result = EigenpairResult(eigenvalue=0.5, eigenvector=np.array([2.0, 1.0]), iterations=3,
+                                 residual=1e-12, h_scaling=np.array([1.0, 4.0]),
+                                 norm_tag="l2mu", z0_fallback=True)
+        recovered = recover_original(result, m=2.0)
+        assert recovered.eigenvalue == 1.5
+        assert np.array_equal(recovered.eigenvector, [0.5, 1.0])
+        assert (recovered.iterations, recovered.residual, recovered.shift_m) == (3, 1e-12, 2.0)
+        assert recovered.norm_tag == "l2mu"
+        assert recovered.z0_fallback
 
     def test_printed_eigenvector(self):
         result, _ = tridiag_rqi(models.bd_squares(7))
