@@ -16,16 +16,11 @@ off-diagonal elements (and of many more general matrices):
 __version__ = "0.1.0"
 
 from .errors import (
-    BreakdownError,
-    DenominatorBreakdown,
-    DimensionMismatch,
+    InvalidInput,
     MaxeigError,
     MaxIterationsExceeded,
-    NonFiniteInput,
-    NonPositiveIterate,
     NonPositiveSequence,
     SafeFormulaUnavailable,
-    SingularError,
     SolverBreakdown,
 )
 from .general_init import general_rqi
@@ -82,14 +77,9 @@ __all__ = [
     "algorithm1",
     "algorithm2",
     "MaxeigError",
-    "DimensionMismatch",
-    "NonFiniteInput",
-    "SolverBreakdown",
-    "BreakdownError",
-    "SingularError",
-    "DenominatorBreakdown",
+    "InvalidInput",
     "NonPositiveSequence",
-    "NonPositiveIterate",
     "SafeFormulaUnavailable",
+    "SolverBreakdown",
     "MaxIterationsExceeded",
 ]

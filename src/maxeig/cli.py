@@ -15,13 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, general_init, matrixio, models, reference, tridiag
-from .errors import (
-    MaxeigError,
-    MaxIterationsExceeded,
-    NonFiniteInput,
-    NonPositiveIterate,
-    SolverBreakdown,
-)
+from .errors import InvalidInput, MaxeigError, MaxIterationsExceeded
 from .general_init import general_rqi, tridiagonal_from_dense
 from .iterengine import algorithm1, algorithm2, power_iteration
 from .numat import TridiagonalSystem
@@ -110,13 +104,20 @@ def _parse_z0(text, method, default):
     if text in names:
         return text
     try:
-        return float(text)
+        z0 = float(text)
+        if np.isfinite(z0):
+            return z0
     except ValueError:
-        raise matrixio.parse_error(f"--z0 for --method {method} must be a number or one of "
-                                   f"{', '.join(names)}, got {text!r}")
+        pass
+    raise matrixio.parse_error(f"--z0 for --method {method} must be a finite number or one of "
+                               f"{', '.join(names)}, got {text!r}")
 
 
 def cmd_solve(args) -> int:
+    if args.method == "power" and args.z0 is not None:
+        raise matrixio.parse_error("--method power takes no --z0")
+    if args.method != "power" and args.norm is not None:
+        raise matrixio.parse_error("--norm applies to --method power only")
     matrix, descriptor = _load_input(args)
     t0 = time.perf_counter()
     opts = {
@@ -207,7 +208,7 @@ def _run_method(args, matrix, opts):
     if args.method == "rqi-tridiag":
         system = matrix if isinstance(matrix, TridiagonalSystem) else tridiagonal_from_dense(matrix)
         if system is None:
-            raise NonFiniteInput("rqi-tridiag needs tridiagonal generator input")
+            raise InvalidInput("rqi-tridiag needs tridiagonal generator input")
         z0 = _parse_z0(args.z0, args.method, "combination")
         result, trace = tridiag_rqi(system, z0=z0, v0=_start_vector(args.v0), **opts)
         recovered = recover_original(result)
@@ -290,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iter", type=int, default=100)
     solve.add_argument("--steps", type=int, default=1000, help="power-iteration step count")
     solve.add_argument("--z0", help="number, or for rqi-tridiag combination | delta1 | safe | "
-                       "rayleigh, for rqi-general safe | rayleigh, for alg1/alg2 max-ratio")
+                       "rayleigh, for rqi-general safe | rayleigh, for alg1/alg2 max-ratio; "
+                       "not for power")
     solve.add_argument("--v0", choices=("efficient", "uniform"))
-    solve.add_argument("--norm", choices=("l1", "l2", "l2mu"))
+    solve.add_argument("--norm", choices=("l1", "l2"), help="power-iteration norm (default l1)")
     solve.add_argument("--negate", action="store_true",
                        help="report lambda_min(-A) for generator-type input")
     solve.add_argument("--trace-out", help="write the iteration trace as CSV")
@@ -323,13 +325,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (matrixio.parse_error, FileNotFoundError) as exc:
+    except (matrixio.parse_error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MaxIterationsExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (NonPositiveIterate, SolverBreakdown, MaxeigError) as exc:
+    except MaxeigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -1,42 +1,27 @@
-"""Typed exceptions shared by the solver modules."""
+"""Typed exceptions shared by the solver modules.
+
+The hierarchy is no wider than its handlers need.  The CLI maps
+``matrixio.parse_error`` (an InvalidInput) to exit 2,
+MaxIterationsExceeded to exit 3 and every other MaxeigError to exit 4;
+the iteration driver catches SolverBreakdown; ``tridiag`` catches
+SafeFormulaUnavailable.  The remaining subclasses carry data.
+"""
 
 
 class MaxeigError(Exception):
     """Base class for every library-specific error."""
 
 
-class DimensionMismatch(MaxeigError, ValueError):
-    """Operand shapes do not agree."""
+class InvalidInput(MaxeigError, ValueError):
+    """An operand has the wrong shape, a non-finite or out-of-domain value, or an unknown name.
 
-
-class NonFiniteInput(MaxeigError, ValueError):
-    """A stored matrix or vector would contain NaN or Inf."""
-
-
-class SolverBreakdown(MaxeigError):
-    """A shifted solve hit an (almost) exactly singular system.
-
-    This is the normal endgame of Rayleigh quotient iteration once the
-    shift lands on an eigenvalue to machine precision; the iteration
-    driver catches it and either accepts the converged pair or perturbs
-    the shift and retries once.
+    Also raised by the max-ratio update when an iterate is not strictly
+    positive.
     """
 
 
-class BreakdownError(SolverBreakdown):
-    """Tridiagonal elimination met a pivot below the hard threshold."""
-
-
-class SingularError(SolverBreakdown):
-    """The dense LU (LAPACK gesv) met an exactly zero pivot or gave a non-finite solution."""
-
-
-class DenominatorBreakdown(SolverBreakdown):
-    """The closed-form tridiagonal solve divided by a vanishing denominator."""
-
-
-class NonPositiveSequence(MaxeigError, ValueError):
-    """One of the sequences r, h, phi or mu has a non-positive entry (invalid input).
+class NonPositiveSequence(InvalidInput):
+    """One of the sequences r, h, phi or mu has a non-positive entry.
 
     ``sequence`` names which one: "r", "h", "phi" or "mu".
     """
@@ -46,12 +31,21 @@ class NonPositiveSequence(MaxeigError, ValueError):
         self.sequence = sequence
 
 
-class NonPositiveIterate(MaxeigError):
-    """A max-ratio update met an iterate with a non-positive component."""
-
-
-class SafeFormulaUnavailable(MaxeigError):
+class SafeFormulaUnavailable(InvalidInput):
     """The safe initial-shift formula requires phi_1 < 1."""
+
+
+class SolverBreakdown(MaxeigError):
+    """A shifted solve hit an (almost) exactly singular system.
+
+    Raised by the tridiagonal elimination (pivot below the floor), the
+    dense LU (zero pivot or non-finite solution) and the closed-form
+    tridiagonal solve (vanishing denominator).  This is the normal
+    endgame of Rayleigh quotient iteration once the shift lands on an
+    eigenvalue to machine precision; the iteration driver catches it and
+    either accepts the converged pair or perturbs the shift and retries
+    once.
+    """
 
 
 class MaxIterationsExceeded(MaxeigError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import iterengine, linsolve, tridiag
-from .errors import DimensionMismatch, NonFiniteInput, NonPositiveSequence
+from .errors import InvalidInput, NonPositiveSequence
 from .numat import (
     TridiagonalSystem,
     as_square_matrix,
@@ -75,7 +75,7 @@ def h_transform_general(qc, h):
     qc = as_square_matrix(qc)
     h = as_vector(h)
     if len(h) != qc.shape[0]:
-        raise DimensionMismatch("h length must match the matrix order")
+        raise InvalidInput("h length must match the matrix order")
     return qc * (h[None, :] / h[:, None])
 
 
@@ -84,7 +84,7 @@ def jump_matrix(q_tilde):
     q_tilde = as_square_matrix(q_tilde)
     d = -np.diag(q_tilde)
     if (d <= 0).any():
-        raise NonFiniteInput("jump matrix requires strictly negative diagonal entries")
+        raise InvalidInput("jump matrix requires strictly negative diagonal entries")
     return q_tilde / d[:, None] + np.eye(q_tilde.shape[0])
 
 
@@ -116,10 +116,10 @@ def initials_general(q_tilde, phi, mu):
     return v0, tridiag._weighted_rayleigh(q_tilde, mu, v0), tridiag._safe_shift(phi, mu)
 
 
-def tridiagonal_from_dense(A, tol=0.0):
+def tridiagonal_from_dense(A):
     """Recognize a dense generator as a TridiagonalSystem, or return None.
 
-    Requires zero entries outside the three diagonals, strictly positive
+    Requires exact zeros outside the three diagonals, strictly positive
     couplings, and nonpositive row sums (the killing rates c = -row sums).
     """
     A = as_square_matrix(A)
@@ -131,7 +131,7 @@ def tridiagonal_from_dense(A, tol=0.0):
     mask[idx, idx] = False
     mask[idx[1:], idx[:-1]] = False
     mask[idx[:-1], idx[1:]] = False
-    if np.abs(A[mask]).max(initial=0.0) > tol:
+    if A[mask].any():
         return None
     a = A[idx[1:], idx[:-1]]
     b = A[idx[:-1], idx[1:]]

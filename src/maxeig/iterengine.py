@@ -3,10 +3,13 @@
 All shifted-inverse variants share one driver that records a uniform
 trace and applies the same convergence control: the iteration stops
 when the relative shift change and the relative eigen-residual are both
-below tolerance.  An exactly singular solve (the shift landed on an
+below tolerance.  Each caller hands the driver its shift update and its
+norm as functions: ``rqi`` the Rayleigh or max-ratio update in the l2
+norm, ``tridiag`` the weighted Rayleigh update in the mu-norm.  An
+exactly singular solve (SolverBreakdown: the shift landed on an
 eigenvalue to machine precision) is accepted as convergence when the
 current residual already passes, otherwise the shift is perturbed once
-and the solve retried.
+and the solve retried; a second breakdown raises SolverBreakdown.
 """
 
 from __future__ import annotations
@@ -17,14 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linsolve
-from .errors import (
-    DimensionMismatch,
-    MaxIterationsExceeded,
-    NonPositiveIterate,
-    SolverBreakdown,
-)
+from .errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from .numat import (
     TridiagonalSystem,
+    _largest_ratio,
     as_square_matrix,
     as_vector,
     is_positive_vector,
@@ -130,39 +129,34 @@ def _sign_fix(v):
     return v if pivot > 0 else -v
 
 
-def _norm_factory(norm, mu):
-    if norm == "l1":
-        return lambda v: float(np.abs(v).sum())
-    if norm == "l2":
-        return lambda v: float(np.linalg.norm(v))
-    if norm == "l2mu":
-        if mu is None:
-            raise DimensionMismatch("norm 'l2mu' requires the weight sequence mu")
-        return lambda v: float(np.sqrt((mu * np.abs(v) ** 2).sum()))
-    raise ValueError(f"unknown norm {norm!r}")
+def _l1_norm(v):
+    return float(np.abs(v).sum())
 
 
-def _update_factory(z_update, mu):
-    if z_update == "rayleigh":
-        def update(v, av):
-            z = (np.conj(v) @ av) / (np.conj(v) @ v)
-            return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
-        return update
-    if z_update == "weighted_rayleigh":
-        if mu is None:
-            raise DimensionMismatch("weighted_rayleigh requires the weight sequence mu")
-        def update(v, av):
-            z = (mu * np.conj(v) * av).sum() / (mu * np.abs(v) ** 2).sum()
-            return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
-        return update
-    if z_update == "max_ratio":
-        def update(v, av):
-            if not is_positive_vector(v):
-                raise NonPositiveIterate("max-ratio update met a non-positive iterate")
-            ratios = av / v
-            return float(ratios[int(np.argmax(ratios))])
-        return update
-    raise ValueError(f"unknown z_update {z_update!r}")
+def _l2_norm(v):
+    return float(np.linalg.norm(v))
+
+
+_POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
+
+
+def _relative_residual(norm, av, z, v, scale):
+    """||A v - z v|| / (scale ||v||) in the run's norm."""
+    return norm(av - z * v) / (scale * norm(v))
+
+
+def _rayleigh_update(v, av):
+    z = (np.conj(v) @ av) / (np.conj(v) @ v)
+    return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
+
+
+def _max_ratio_update(v, av):
+    if not is_positive_vector(v):
+        raise InvalidInput("max-ratio update met a non-positive iterate")
+    return _largest_ratio(av, v)
+
+
+_RQI_UPDATES = {"rayleigh": _rayleigh_update, "max_ratio": _max_ratio_update}
 
 
 def run_shifted_iteration(
@@ -171,9 +165,8 @@ def run_shifted_iteration(
     v0,
     z0,
     *,
-    z_update="rayleigh",
-    norm="l2",
-    mu=None,
+    z_update,
+    norm,
     scale=1.0,
     tol_z=DEFAULT_TOL_Z,
     tol_residual=DEFAULT_TOL_RESIDUAL,
@@ -184,22 +177,22 @@ def run_shifted_iteration(
     """Shared shifted-inverse driver; returns (z, v, trace).
 
     ``solve_shifted(z, v)`` must return any nonzero multiple of
-    (z I - A)^{-1} v; normalization and sign fixing happen here.  With
-    ``negate`` the recorded and returned shift values are negated
-    (reporting lambda_min(-A) for generator-type input); the arithmetic
-    path is identical either way.
+    (z I - A)^{-1} v; normalization and sign fixing happen here.
+    ``z_update(v, av)`` gives the next shift from the normalized iterate
+    v and av = A v; ``norm(v)`` normalizes the iterates and measures the
+    relative residual.  With ``negate`` the recorded and returned shift
+    values are negated (reporting lambda_min(-A) for generator-type
+    input); the arithmetic path is identical either way.
     """
-    norm_fn = _norm_factory(norm, mu)
-    update = _update_factory(z_update, mu)
     sign = -1.0 if negate else 1.0
 
     t0 = time.perf_counter()
     trace = IterationTrace(vectors=[] if store_vectors else None)
     v = as_vector(v0)
-    v = _sign_fix(v / norm_fn(v))
+    v = _sign_fix(v / norm(v))
     z = z0
     av = apply_matrix(v)
-    residual = norm_fn(av - z * v) / (scale * norm_fn(v))
+    residual = _relative_residual(norm, av, z, v, scale)
     trace.record(0, sign * z, residual, time.perf_counter() - t0, v)
 
     for k in range(1, max_iterations + 1):
@@ -215,11 +208,11 @@ def run_shifted_iteration(
                 w = solve_shifted(z_pert, v)
             except SolverBreakdown as exc:
                 trace.termination = "breakdown"
-                raise type(exc)(f"{exc} (iteration {k}, after one retry)") from exc
-        v = _sign_fix(w / norm_fn(w))
+                raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)") from exc
+        v = _sign_fix(w / norm(w))
         av = apply_matrix(v)
-        z_new = update(v, av)
-        residual = norm_fn(av - z_new * v) / (scale * norm_fn(v))
+        z_new = z_update(v, av)
+        residual = _relative_residual(norm, av, z_new, v, scale)
         trace.record(k, sign * z_new, residual, time.perf_counter() - t0, v)
         if abs(z_new - z) <= tol_z * max(1.0, abs(z_new)) and residual <= tol_residual:
             trace.termination = "converged"
@@ -233,14 +226,16 @@ def run_shifted_iteration(
 
 
 def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0, store_vectors=False):
-    """Power iteration v_k = A v_{k-1} / ||A v_{k-1}||, z_k = ||A v_k||.
+    """Power iteration v_k = A v_{k-1} / ||A v_{k-1}||, z_k = ||A v_k||, in the l1 or l2 norm.
 
     Runs exactly ``steps`` iterations, or stops early once the change in
     z falls below ``tol`` (relative).  Convergence requires the dominant
     eigenvalue to be the target; slow convergence, not divergence, is
     the failure mode.
     """
-    norm_fn = _norm_factory(norm, None)
+    if norm not in _POWER_NORMS:
+        raise InvalidInput(f"unknown norm {norm!r}")
+    norm_fn = _POWER_NORMS[norm]
     t0 = time.perf_counter()
     trace = IterationTrace(vectors=[] if store_vectors else None)
     n = A.order if isinstance(A, TridiagonalSystem) else A.shape[0]
@@ -250,12 +245,12 @@ def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0, store_vectors=Fal
 
     av = matvec(A, v)
     z = norm_fn(av)
-    trace.record(0, z, norm_fn(av - z * v) / (scale * norm_fn(v)), time.perf_counter() - t0, v)
+    trace.record(0, z, _relative_residual(norm_fn, av, z, v, scale), time.perf_counter() - t0, v)
     for k in range(1, steps + 1):
         v = av / z
         av = matvec(A, v)
         z_new = norm_fn(av)
-        residual = norm_fn(av - z_new * v) / (scale * norm_fn(v))
+        residual = _relative_residual(norm_fn, av, z_new, v, scale)
         trace.record(k, z_new, residual, time.perf_counter() - t0, v)
         if tol > 0.0 and abs(z_new - z) <= tol * max(1.0, abs(z_new)):
             z = z_new
@@ -276,26 +271,25 @@ def _dense_shifted_solver(A):
     return solve
 
 
-def rqi(A, v0, z0, z_update="rayleigh", *, mu=None, norm=None, negate=False,
+def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         tol_z=DEFAULT_TOL_Z, tol_residual=DEFAULT_TOL_RESIDUAL,
         max_iterations=DEFAULT_MAX_ITERATIONS, store_vectors=False):
-    """Rayleigh quotient iteration on a dense matrix.
+    """Rayleigh quotient iteration on a dense matrix, in the l2 norm.
 
     v_k = (z_{k-1} I - A)^{-1} v_{k-1} normalized, with the shift update
-    selected by ``z_update`` (rayleigh | weighted_rayleigh | max_ratio;
-    the last realizes shifted inverse iteration).
+    selected by ``z_update`` (rayleigh | max_ratio; the latter realizes
+    shifted inverse iteration).
     """
     A = as_square_matrix(A)
-    if norm is None:
-        norm = "l2mu" if z_update == "weighted_rayleigh" else "l2"
+    if z_update not in _RQI_UPDATES:
+        raise InvalidInput(f"unknown z_update {z_update!r}")
     z, v, trace = run_shifted_iteration(
         lambda vec: matvec(A, vec),
         _dense_shifted_solver(A),
         v0,
         z0,
-        z_update=z_update,
-        norm=norm,
-        mu=mu,
+        z_update=_RQI_UPDATES[z_update],
+        norm=_l2_norm,
         scale=matrix_scale(A),
         tol_z=tol_z,
         tol_residual=tol_residual,
@@ -308,7 +302,6 @@ def rqi(A, v0, z0, z_update="rayleigh", *, mu=None, norm=None, negate=False,
         eigenvector=v,
         iterations=trace.iterations,
         residual=trace.steps[-1].residual,
-        norm_tag=norm,
     )
     return result, trace
 
@@ -321,9 +314,7 @@ def _uniform_start(A):
         # largest row-sum real part instead
         z0 = float(A.sum(axis=1).real.max())
     else:
-        av = A @ v0
-        ratios = av / v0
-        z0 = float(ratios[int(np.argmax(ratios))])
+        z0 = _largest_ratio(A @ v0, v0)
     return v0, z0
 
 
@@ -348,8 +339,6 @@ def algorithm2(A, z0=None, negate=False, **opts):
     """
     A = as_square_matrix(A)
     if np.iscomplexobj(A):
-        raise NonPositiveIterate(
-            "the max-ratio update is undefined for complex input; use algorithm1"
-        )
+        raise InvalidInput("the max-ratio update is undefined for complex input; use algorithm1")
     v0, z0_auto = _uniform_start(A)
     return rqi(A, v0, z0_auto if z0 is None else z0, "max_ratio", negate=negate, **opts)

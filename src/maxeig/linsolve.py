@@ -11,10 +11,10 @@ Two routes, both real and complex:
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
-and must not error.  Only an exact hit on an eigenvalue raises, and the
-iteration driver handles that: a tridiagonal pivot below an absolute
-floor raises BreakdownError; a dense system raises SingularError when
-``gesv`` meets an exactly zero pivot or the solution is not finite.
+and must not error.  Only an exact hit on an eigenvalue raises
+SolverBreakdown, and the iteration driver handles that: a tridiagonal
+pivot below an absolute floor, or a dense system on which ``gesv`` meets
+an exactly zero pivot or returns a non-finite solution.
 
 ``scipy.linalg`` is deliberately not imported: numpy's ``gesv`` is the
 same routine, and importing scipy would add about 28 MiB of resident
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BreakdownError, DimensionMismatch, SingularError
+from .errors import InvalidInput, SolverBreakdown
 from .numat import as_square_matrix, as_vector
 
 __all__ = ["PIVOT_FLOOR", "dense_solve", "tridiag_solve"]
@@ -43,7 +43,7 @@ def tridiag_solve(lower, diag, upper, rhs):
     solve stable on the shifted, nearly singular systems RQI produces,
     where the pivot-free forward recurrence can fail.
 
-    Raises BreakdownError when a pivot falls below PIVOT_FLOOR.
+    Raises SolverBreakdown when a pivot falls below PIVOT_FLOOR.
     """
     diag = as_vector(diag)
     n = len(diag)
@@ -51,9 +51,9 @@ def tridiag_solve(lower, diag, upper, rhs):
     upper = as_vector(upper) if n > 1 else np.zeros(0)
     rhs = as_vector(rhs)
     if n > 1 and (len(lower) != n - 1 or len(upper) != n - 1):
-        raise DimensionMismatch("lower/upper diagonals must have length n-1")
+        raise InvalidInput("lower/upper diagonals must have length n-1")
     if len(rhs) != n:
-        raise DimensionMismatch("rhs length does not match the system order")
+        raise InvalidInput("rhs length does not match the system order")
 
     dtype = np.result_type(lower, diag, upper, rhs, np.float64)
     work = [np.array(a, dtype=dtype) for a in (lower, diag, upper, rhs, np.zeros(n))]
@@ -73,7 +73,7 @@ def tridiag_solve(lower, diag, upper, rhs):
                 s[i] = 0.0
             x[i], x[i + 1] = x[i + 1], x[i]
         if abs(d[i]) < PIVOT_FLOOR:
-            raise BreakdownError(f"tridiagonal pivot {d[i]!r} below floor at row {i}")
+            raise SolverBreakdown(f"tridiagonal pivot {d[i]!r} below floor at row {i}")
         f = l[i] / d[i]
         d[i + 1] = d[i + 1] - f * u[i]
         if i + 1 < n - 1:
@@ -81,7 +81,7 @@ def tridiag_solve(lower, diag, upper, rhs):
         x[i + 1] = x[i + 1] - f * x[i]
 
     if abs(d[n - 1]) < PIVOT_FLOOR:
-        raise BreakdownError(f"tridiagonal pivot {d[n - 1]!r} below floor at row {n - 1}")
+        raise SolverBreakdown(f"tridiagonal pivot {d[n - 1]!r} below floor at row {n - 1}")
 
     x[n - 1] = x[n - 1] / d[n - 1]
     if n > 1:
@@ -94,17 +94,17 @@ def tridiag_solve(lower, diag, upper, rhs):
 def dense_solve(A, rhs):
     """Solve A x = rhs by LU with partial pivoting (LAPACK ``gesv``).
 
-    Raises SingularError when ``gesv`` meets an exactly zero pivot or
+    Raises SolverBreakdown when ``gesv`` meets an exactly zero pivot or
     the solution is not finite.
     """
     A = as_square_matrix(A)
     rhs = as_vector(rhs)
     if len(rhs) != A.shape[0]:
-        raise DimensionMismatch("rhs length does not match the matrix order")
+        raise InvalidInput("rhs length does not match the matrix order")
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularError(f"gesv: {exc}") from exc
+        raise SolverBreakdown(f"gesv: {exc}") from exc
     if not np.isfinite(x).all():
-        raise SingularError("gesv returned a non-finite solution")
+        raise SolverBreakdown("gesv returned a non-finite solution")
     return x

@@ -18,14 +18,14 @@ import csv
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InvalidInput
 from .numat import TridiagonalSystem, as_square_matrix
 
 __all__ = ["write_matrix", "read_matrix", "write_trace_csv", "parse_error"]
 
 
-class parse_error(DimensionMismatch):
-    """Raised with a line number when a matrix file cannot be parsed."""
+class parse_error(InvalidInput):
+    """Raised when a matrix file (with a line number) or a model spec cannot be parsed."""
 
 
 def _fmt(x: float) -> str:
@@ -39,7 +39,7 @@ def write_matrix(path, matrix, fmt=None):
     with open(path, "w") as fh:
         if fmt == "tridiag":
             if not isinstance(matrix, TridiagonalSystem):
-                raise DimensionMismatch("tridiag format needs a TridiagonalSystem")
+                raise InvalidInput("tridiag format needs a TridiagonalSystem")
             fh.write(f"TRIDIAG {matrix.n_max}\n")
             fh.write(" ".join(_fmt(x) for x in matrix.a[1:]) + "\n")
             fh.write(" ".join(_fmt(x) for x in matrix.b[:-1]) + "\n")

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InvalidInput
+from .matrixio import parse_error
 from .numat import TridiagonalSystem
 
 __all__ = [
@@ -44,7 +45,7 @@ def bd_squares(N: int) -> TridiagonalSystem:
     tends to 1/4 from above.
     """
     if N < 1:
-        raise DimensionMismatch("bd_squares needs N >= 1")
+        raise InvalidInput("bd_squares needs N >= 1")
     k = np.arange(N + 1, dtype=float)
     a = k**2
     b = (k + 1.0) ** 2
@@ -59,11 +60,11 @@ def triangular_model(N: int, rule="inv_kp1") -> np.ndarray:
 
     Column 0 holds the return rates a_k, the superdiagonal holds k+1,
     and the diagonal closes each row (row N sums to -(N+1)).  ``rule``
-    names the a_k family or is a callable k -> a_k.
+    names the a_k family in TRIANGULAR_RULES.
     """
     if N < 1:
-        raise DimensionMismatch("triangular_model needs N >= 1")
-    a_of = TRIANGULAR_RULES[rule] if isinstance(rule, str) else rule
+        raise InvalidInput("triangular_model needs N >= 1")
+    a_of = TRIANGULAR_RULES[rule]
     n = N + 1
     Q = np.zeros((n, n))
     for kk in range(n):
@@ -84,9 +85,9 @@ def branching_model(N: int, alpha: float) -> np.ndarray:
     each row closes in closed form.  Subcritical iff alpha > 4/3.
     """
     if N < 2:
-        raise DimensionMismatch("branching_model needs N >= 2")
+        raise InvalidInput("branching_model needs N >= 2")
     if not 0.0 < alpha < 2.0:
-        raise DimensionMismatch("alpha must lie in (0, 2)")
+        raise InvalidInput("alpha must lie in (0, 2)")
     p0 = alpha / 2.0
     Q = np.zeros((N, N))
 
@@ -114,29 +115,28 @@ def branching_model(N: int, alpha: float) -> np.ndarray:
 def toeplitz_linear(n: int) -> np.ndarray:
     """Symmetric Toeplitz matrix with entries |i - j| + 1."""
     if n < 2:
-        raise DimensionMismatch("toeplitz_linear needs n >= 2")
+        raise InvalidInput("toeplitz_linear needs n >= 2")
     idx = np.arange(n)
     return (np.abs(idx[:, None] - idx[None, :]) + 1).astype(float)
 
 
-def poisson_block(grid: int, block_size: int | None = None,
-                  stencil_diag: float = -4.0, stencil_off: float = 1.0) -> np.ndarray:
+def poisson_block(grid: int, block_size: int | None = None) -> np.ndarray:
     """Block-tridiagonal matrix with identity off-diagonal blocks.
 
-    The diagonal blocks are tridiagonal with the given stencil; the
-    default (-4 diagonal, 1 off-diagonal) is the five-point grid
-    Laplacian with absorbing boundary, order grid * block_size.
+    The diagonal blocks are tridiagonal with -4 on the diagonal and 1
+    beside it: the five-point grid Laplacian with absorbing boundary,
+    order grid * block_size.
     """
     if grid < 2:
-        raise DimensionMismatch("poisson_block needs grid >= 2")
+        raise InvalidInput("poisson_block needs grid >= 2")
     bs = grid if block_size is None else block_size
     if bs < 2:
-        raise DimensionMismatch("poisson_block needs block_size >= 2")
+        raise InvalidInput("poisson_block needs block_size >= 2")
     blk = np.zeros((bs, bs))
     ii = np.arange(bs)
-    blk[ii, ii] = stencil_diag
-    blk[ii[:-1], ii[1:]] = stencil_off
-    blk[ii[1:], ii[:-1]] = stencil_off
+    blk[ii, ii] = -4.0
+    blk[ii[:-1], ii[1:]] = 1.0
+    blk[ii[1:], ii[:-1]] = 1.0
     n = grid * bs
     out = np.zeros((n, n))
     eye = np.eye(bs)
@@ -167,11 +167,18 @@ def complex3() -> np.ndarray:
 
 MODEL_NAMES = ("bd_squares", "poisson_block", "toeplitz", "triangular", "branching",
                "negative3", "complex3")
+# the params each model accepts besides its size
+MODEL_PARAMS = {"poisson_block": ("block_size",), "triangular": ("rule",), "branching": ("alpha",)}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A serializable description of one built-in model instance."""
+    """A serializable description of one built-in model instance.
+
+    An unknown model name raises InvalidInput.  A missing size, a
+    parameter the model does not take, or an unknown triangular rule
+    raises ``matrixio.parse_error``: the description itself is malformed.
+    """
 
     name: str
     size: int | None = None
@@ -179,7 +186,15 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
-            raise DimensionMismatch(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
+            raise InvalidInput(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
+        if self.size is None and self.name not in ("negative3", "complex3"):
+            raise parse_error(f"model {self.name!r} needs a size (--n)")
+        unknown = sorted(map(str, set(self.params) - set(MODEL_PARAMS.get(self.name, ()))))
+        if unknown:
+            raise parse_error(f"model {self.name!r} takes no parameter {', '.join(unknown)}")
+        if self.params.get("rule", "inv_kp1") not in TRIANGULAR_RULES:
+            raise parse_error(f"unknown triangular rule {self.params['rule']!r}; "
+                              f"choose from {', '.join(TRIANGULAR_RULES)}")
 
     def render(self):
         """Materialize the concrete matrix or tridiagonal system."""
@@ -202,5 +217,9 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
-        doc = json.loads(text)
-        return cls(name=doc["name"], size=doc.get("size"), params=doc.get("params") or {})
+        try:
+            doc = json.loads(text)
+            name, size, params = doc["name"], doc.get("size"), doc.get("params") or {}
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise parse_error(f"malformed model spec: {exc!r}") from None
+        return cls(name=name, size=size, params=params)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import InvalidInput
 
 __all__ = [
     "TridiagonalSystem",
@@ -32,7 +32,7 @@ __all__ = [
 
 def _require_finite(arr, what):
     if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{what} contains non-finite entries")
+        raise InvalidInput(f"{what} contains non-finite entries")
 
 
 def as_vector(values, dtype=None):
@@ -41,7 +41,7 @@ def as_vector(values, dtype=None):
     if v.dtype.kind not in "fc":
         v = v.astype(float)
     if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatch("expected a 1-D vector with at least one entry")
+        raise InvalidInput("expected a 1-D vector with at least one entry")
     _require_finite(v, "vector")
     return v
 
@@ -52,7 +52,7 @@ def as_square_matrix(values, dtype=None):
     if m.dtype.kind not in "fc":
         m = m.astype(float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, "matrix")
     return m
 
@@ -61,11 +61,11 @@ def as_measure(weights):
     """Validate a weight sequence: strictly positive with first weight 1."""
     mu = as_vector(weights)
     if mu.dtype.kind == "c":
-        raise NonFiniteInput("measure weights must be real")
+        raise InvalidInput("measure weights must be real")
     if (mu <= 0).any():
-        raise NonFiniteInput("measure weights must be strictly positive")
+        raise InvalidInput("measure weights must be strictly positive")
     if abs(mu[0] - 1.0) > 1e-14:
-        raise NonFiniteInput("measure must be normalized with first weight 1")
+        raise InvalidInput("measure must be normalized with first weight 1")
     return mu
 
 
@@ -89,13 +89,13 @@ class TridiagonalSystem:
         b = as_vector(self.b, float)
         c = as_vector(self.c, float)
         if not (len(a) == len(b) == len(c)) or len(a) < 2:
-            raise DimensionMismatch("a, b, c must share a length of at least 2")
+            raise InvalidInput("a, b, c must share a length of at least 2")
         if a[0] != 0.0 or b[-1] != 0.0:
-            raise DimensionMismatch("padding convention requires a[0] == 0 and b[N] == 0")
+            raise InvalidInput("padding convention requires a[0] == 0 and b[N] == 0")
         if (a[1:] <= 0).any() or (b[:-1] <= 0).any():
-            raise NonFiniteInput("off-diagonal rates must be strictly positive")
+            raise InvalidInput("off-diagonal rates must be strictly positive")
         if (c < 0).any():
-            raise NonFiniteInput("killing rates must be nonnegative")
+            raise InvalidInput("killing rates must be nonnegative")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -141,7 +141,7 @@ def matvec(A, v):
     v = as_vector(v)
     if isinstance(A, TridiagonalSystem):
         if len(v) != A.order:
-            raise DimensionMismatch("vector length does not match system order")
+            raise InvalidInput("vector length does not match system order")
         out = np.zeros(len(v), dtype=v.dtype)
         out[1:] = A.a[1:] * v[:-1]
         out += A.diagonal * v
@@ -149,7 +149,7 @@ def matvec(A, v):
         return out
     A = as_square_matrix(A)
     if A.shape[1] != len(v):
-        raise DimensionMismatch("matrix and vector dimensions do not agree")
+        raise InvalidInput("matrix and vector dimensions do not agree")
     return A @ v
 
 
@@ -159,7 +159,7 @@ def weighted_inner(u, v, mu):
     v = as_vector(v)
     mu = as_measure(mu)
     if not (len(u) == len(v) == len(mu)):
-        raise DimensionMismatch("weighted_inner operands must share one length")
+        raise InvalidInput("weighted_inner operands must share one length")
     return (mu * np.conj(u) * v).sum()
 
 
@@ -181,11 +181,15 @@ def max_ratio(A, v):
     """max_i (Av)_i / v_i for a strictly positive real vector v."""
     v = as_vector(v)
     if not is_positive_vector(v):
-        raise NonFiniteInput("max_ratio requires a strictly positive real vector")
+        raise InvalidInput("max_ratio requires a strictly positive real vector")
     av = matvec(A, v)
     if np.iscomplexobj(av):
-        raise NonFiniteInput("max_ratio is undefined for complex matrices")
-    # ties resolved to the lowest index by argmax, for determinism
+        raise InvalidInput("max_ratio is undefined for complex matrices")
+    return _largest_ratio(av, v)
+
+
+def _largest_ratio(av, v) -> float:
+    """max_i av_i / v_i; ties resolve to the lowest index by argmax, for determinism."""
     ratios = av / v
     return float(ratios[int(np.argmax(ratios))])
 
@@ -196,25 +200,19 @@ def row_sums(A):
     return as_square_matrix(A).sum(axis=1)
 
 
-def shift_to_qc(A, require_nonneg_offdiag=True):
+def shift_to_qc(A):
     """Shift a matrix to generator form: Qc = A - mI with m the max row sum.
 
-    Qc has nonpositive row sums with at least one zero.  Validation of
-    nonnegative off-diagonals can be relaxed for the global algorithms,
-    which accept arbitrary square input.
+    Qc has nonpositive row sums with at least one zero.  A must be real
+    with nonnegative off-diagonal entries; anything else raises
+    InvalidInput.
     """
     A = as_square_matrix(A)
-    if require_nonneg_offdiag:
-        off = A - np.diag(np.diag(A))
-        if np.iscomplexobj(off) or (off < 0).any():
-            raise NonFiniteInput(
-                "shift_to_qc requires real nonnegative off-diagonal entries "
-                "(pass require_nonneg_offdiag=False to relax)"
-            )
-    sums = A.sum(axis=1)
-    m = float(sums.real.max())
-    qc = A - m * np.eye(A.shape[0], dtype=A.dtype)
-    return qc, m
+    off = A - np.diag(np.diag(A))
+    if np.iscomplexobj(off) or (off < 0).any():
+        raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")
+    m = float(A.sum(axis=1).max())
+    return A - m * np.eye(A.shape[0], dtype=A.dtype), m
 
 
 def matrix_scale(A) -> float:

@@ -30,13 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import iterengine, linsolve
-from .errors import (
-    DenominatorBreakdown,
-    DimensionMismatch,
-    NonFiniteInput,
-    NonPositiveSequence,
-    SafeFormulaUnavailable,
-)
+from .errors import InvalidInput, NonPositiveSequence, SafeFormulaUnavailable, SolverBreakdown
 from .iterengine import EigenpairResult, run_shifted_iteration
 from .numat import TridiagonalSystem, as_vector, matrix_scale, matvec, weighted_norm
 
@@ -128,9 +122,9 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     a, b, c = transformed.a, transformed.b, transformed.c
     N = transformed.n_max
     if (c[:-1] != 0).any():
-        raise DimensionMismatch("compute_initials expects killing only at the right endpoint")
+        raise InvalidInput("compute_initials expects killing only at the right endpoint")
     if c[N] <= 0:
-        raise NonFiniteInput("the right-endpoint rate must be positive (c must not vanish)")
+        raise InvalidInput("the right-endpoint rate must be positive (c must not vanish)")
 
     b_eff = b.copy()
     b_eff[N] = c[N]
@@ -166,7 +160,7 @@ def z0_combination(delta1: float, rayleigh_quotient: float) -> float:
     tables at every size; the weighting does not vary with the order.
     """
     if delta1 <= 0:
-        raise NonFiniteInput("delta1 must be positive")
+        raise InvalidInput("delta1 must be positive")
     return (7.0 / delta1 + rayleigh_quotient) / 8.0
 
 
@@ -213,7 +207,7 @@ def _start_vector(v0, seed, mu):
 def _check_z0(z0, names):
     """Reject a z0 name outside ``names``; numbers pass."""
     if isinstance(z0, str) and z0 not in names:
-        raise ValueError(f"unknown z0 choice {z0!r}")
+        raise InvalidInput(f"unknown z0 choice {z0!r}")
 
 
 def _resolve_z0(z0, policies, seed_rayleigh):
@@ -234,19 +228,27 @@ def _resolve_z0(z0, policies, seed_rayleigh):
 
 
 def _weighted_rqi(q, solve, mu, h, start, z_start, fallback, **opts):
-    """Weighted RQI on -q from (start, z_start).
+    """Weighted RQI on -q from (start, z_start), in the mu-norm.
 
-    The result holds lambda_min(-q) and the eigenvector in the
-    h-scaled coordinates; recover_original maps it back.
+    The per-step update groups its denominator as mu*|v|^2, which
+    rounds differently from _weighted_rayleigh in the last bit.  The
+    result holds lambda_min(-q) and the eigenvector in the h-scaled
+    coordinates; recover_original maps it back.
     """
+    def update(v, av):
+        z = (mu * np.conj(v) * av).sum() / (mu * np.abs(v) ** 2).sum()
+        return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
+
+    def norm(v):
+        return float(np.sqrt((mu * np.abs(v) ** 2).sum()))
+
     z, v, trace = run_shifted_iteration(
         lambda vec: -matvec(q, vec),
         solve,
         start,
         z_start,
-        z_update="weighted_rayleigh",
-        norm="l2mu",
-        mu=mu,
+        z_update=update,
+        norm=norm,
         scale=matrix_scale(q),
         **opts,
     )
@@ -267,16 +269,16 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
 
     Uses the running-sum factorization M_{s,j} = mu_j (kappa_s -
     kappa_{j-1}) with kappa_s the prefix sums of 1/(mu_k b_k), so the
-    triangular kernel is never materialized.  Raises
-    DenominatorBreakdown when the closed-form denominator vanishes
-    (z is an eigenvalue to machine precision).
+    triangular kernel is never materialized.  Raises SolverBreakdown
+    when the closed-form denominator vanishes (z is an eigenvalue to
+    machine precision).
     """
     mu = as_vector(mu, dtype=np.float64)
     v = as_vector(v, dtype=np.float64)
     z = float(z)
     N = transformed.n_max
     if len(v) != N + 1 or len(mu) != N + 1:
-        raise DimensionMismatch("mu and v must match the system order")
+        raise InvalidInput("mu and v must match the system order")
     b_eff = transformed.b.copy()
     b_eff[N] = transformed.c[N]
 
@@ -308,7 +310,7 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     denom = mb * B_seq[N] - z * float(np.sum(mu * B_seq))
     scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
     if abs(denom) < linsolve.PIVOT_FLOOR * scale:
-        raise DenominatorBreakdown(f"closed-form denominator {denom} vanished")
+        raise SolverBreakdown(f"closed-form denominator {denom} vanished")
     x = numer / denom
     return A_seq + x * B_seq
 
@@ -326,7 +328,7 @@ def _shifted_solver(transformed: TridiagonalSystem, mu, choice):
             return linsolve.tridiag_solve(lower, base_diag - z, upper, v)
 
         return solve
-    raise ValueError(f"unknown solver {choice!r}")
+    raise InvalidInput(f"unknown solver {choice!r}")
 
 
 def tridiag_rqi(
@@ -354,7 +356,7 @@ def tridiag_rqi(
     efficient sqrt(phi) seed, "uniform", or a vector.
     """
     if (system.c == 0).all():
-        raise NonFiniteInput("tridiag_rqi requires some killing rate (c not identically zero)")
+        raise InvalidInput("tridiag_rqi requires some killing rate (c not identically zero)")
     ht = compute_h(system)
     transformed = ht.transformed
     init = compute_initials(transformed)
@@ -382,21 +384,13 @@ def tridiag_rqi(
     )
 
 
-def recover_original(result: EigenpairResult, ht=None, m=0.0, normalize="last"):
+def recover_original(result: EigenpairResult, m=0.0):
     """Map a transformed-system eigenpair back to the original matrix.
 
-    Returns the maximal pair (m - z, Diag(h) v), with the eigenvector
-    rescaled so its last component is 1 (the display convention) or to
-    unit length with ``normalize="l2"``.
+    Returns the maximal pair (m - z, Diag(h) v) with h the result's
+    ``h_scaling``, the eigenvector rescaled so its last component is 1
+    (the display convention).
     """
-    h = None
-    if ht is not None:
-        h = ht.h if isinstance(ht, HTransform) else as_vector(ht)
-    elif result.h_scaling is not None:
-        h = result.h_scaling
+    h = result.h_scaling
     g = result.eigenvector if h is None else h * result.eigenvector
-    if normalize == "last":
-        g = g / g[-1]
-    elif normalize == "l2":
-        g = g / np.linalg.norm(g)
-    return replace(result, eigenvalue=m - result.eigenvalue, eigenvector=g, shift_m=m, h_scaling=h)
+    return replace(result, eigenvalue=m - result.eigenvalue, eigenvector=g / g[-1], shift_m=m)

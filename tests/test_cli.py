@@ -7,14 +7,80 @@ import json
 import numpy as np
 import pytest
 
-from maxeig import reference
-from maxeig.cli import main
+import maxeig
+from maxeig import errors, reference
+from maxeig.cli import METHODS, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SPEC_FILES = {
+    "bd7.json": '{"name": "bd_squares", "size": 7, "params": {}}',
+    "bad.json": '{"name": "bd_squares", "size": 7',
+    "foo.json": '{"name": "poisson_block", "size": 3, "params": {"foo": 1}}',
+    "zzz.json": '{"name": "triangular", "size": 3, "params": {"rule": "zzz"}}',
+}
+BD7 = ("solve", "--model", "bd_squares", "--n", "7")
+
+# argv -> exit code; "{tmp}" is a directory holding SPEC_FILES
+EXIT_TABLE = [
+    (BD7 + ("--method", "rqi-tridiag"), 0),
+    (BD7 + ("--method", "power", "--steps", "10", "--norm", "l2"), 0),
+    (("solve", "--spec", "{tmp}/bd7.json", "--method", "rqi-tridiag"), 0),
+    (("model", "--name", "negative3"), 0),
+    (("reproduce", "e11"), 0),
+    # input errors
+    (("solve", "--model", "bd_squares", "--method", "rqi-tridiag"), 2),
+    (("model", "--name", "bd_squares"), 2),
+    (("solve", "--input", "{tmp}"), 2),
+    (("solve", "--spec", "{tmp}/bad.json"), 2),
+    (("solve", "--spec", "{tmp}/foo.json"), 2),
+    (("solve", "--spec", "{tmp}/zzz.json"), 2),
+    # flags the method cannot use
+    (BD7 + ("--method", "rqi-tridiag", "--z0", "nan"), 2),
+    (BD7 + ("--method", "rqi-tridiag", "--z0", "inf"), 2),
+    (BD7 + ("--method", "alg2", "--z0=-inf"), 2),
+    (BD7 + ("--method", "power", "--z0", "bogus"), 2),
+    (BD7 + ("--method", "power", "--z0", "0.5"), 2),
+    *[(BD7 + ("--method", m, "--norm", "l1"), 2) for m in METHODS if m != "power"],
+    (BD7 + ("--method", "power", "--norm", "l2mu"), 2),
+    # convergence failure
+    (("solve", "--model", "bd_squares", "--n", "30", "--method", "rqi-tridiag",
+      "--z0", "rayleigh", "--max-iter", "1"), 3),
+    # values the library rejects
+    (("solve", "--model", "bd_squares", "--n", "0", "--method", "rqi-tridiag"), 4),
+    (("solve", "--model", "complex3", "--method", "rqi-tridiag"), 4),
+    (("solve", "--model", "negative3", "--method", "rqi-general"), 4),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EXIT_TABLE, ids=[" ".join(a) for a, _ in EXIT_TABLE])
+def test_exit_code_table(capsys, tmp_path, argv, expected):
+    for name, text in SPEC_FILES.items():
+        (tmp_path / name).write_text(text)
+    try:
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:  # argparse rejects a choice
+        code = exc.code
+    assert code == expected
+    if expected:
+        assert "error" in capsys.readouterr().err
+
+
+def test_error_tree():
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == {"MaxeigError", "InvalidInput", "NonPositiveSequence",
+                       "SafeFormulaUnavailable", "SolverBreakdown", "MaxIterationsExceeded"}
+    assert issubclass(errors.InvalidInput, ValueError)
+    for gone in ("DimensionMismatch", "NonFiniteInput", "NonPositiveIterate", "BreakdownError",
+                 "SingularError", "DenominatorBreakdown"):
+        assert not hasattr(maxeig, gone)
+    for name in ("NonPositiveSequence", "SafeFormulaUnavailable"):
+        assert issubclass(getattr(errors, name), errors.InvalidInput)
 
 
 class TestSolve:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from maxeig import models
-from maxeig.errors import NonPositiveIterate
+from maxeig.errors import InvalidInput
 from maxeig.iterengine import (
     algorithm1,
     algorithm2,
     power_iteration,
     rqi,
-    _update_factory,
+    _max_ratio_update,
 )
 
 from conftest import oracle_eigenvalues, oracle_max_pair
@@ -47,6 +47,12 @@ class TestPowerIteration:
         assert err10 < err0 / 3.0
         assert err10 < 0.5
         assert err1000 > 10 * 1e-10
+
+    def test_norm_choices(self):
+        for norm in ("l1", "l2"):
+            assert power_iteration(np.eye(2), norm=norm, steps=1).zs()[-1] == 1.0
+        with pytest.raises(InvalidInput):
+            power_iteration(np.eye(2), norm="l2mu")
 
     def test_early_stop_tolerance(self):
         trace = power_iteration(np.diag([5.0, 1.0]), v0=[1.0, 1.0], steps=500, tol=1e-12)
@@ -86,14 +92,13 @@ class TestRqi:
         assert trace.zs()[2] == pytest.approx(0.525268, abs=5e-6)
         assert trace.stabilized_at() <= 2
 
-    def test_weighted_update_needs_mu(self):
-        with pytest.raises(Exception):
+    def test_unknown_update_rejected(self):
+        with pytest.raises(InvalidInput):
             rqi(np.eye(2), [1.0, 1.0], 0.5, "weighted_rayleigh")
 
     def test_max_ratio_update_rejects_sign_change(self):
-        update = _update_factory("max_ratio", None)
-        with pytest.raises(NonPositiveIterate):
-            update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidInput):
+            _max_ratio_update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
 
 
 class TestGlobalAlgorithms:
@@ -141,7 +146,7 @@ class TestGlobalAlgorithms:
         assert np.abs(v - printed).max() <= 1e-4
 
     def test_algorithm2_rejects_complex(self):
-        with pytest.raises(NonPositiveIterate):
+        with pytest.raises(InvalidInput):
             algorithm2(models.complex3())
 
 

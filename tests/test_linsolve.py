@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxeig import models, tridiag
-from maxeig.errors import BreakdownError, DimensionMismatch, SingularError
+from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
 
 from conftest import oracle_min_neg, random_system
@@ -117,7 +117,7 @@ class TestTridiagSolve:
         assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
 
     def test_exact_breakdown_raises(self):
-        with pytest.raises(BreakdownError):
+        with pytest.raises(SolverBreakdown):
             tridiag_solve([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
 
 
@@ -163,15 +163,15 @@ class TestDenseLu:
         assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_singular_raises(self):
-        with pytest.raises(SingularError):
+        with pytest.raises(SolverBreakdown):
             dense_solve(np.zeros((2, 2)), [1.0, 1.0])
-        with pytest.raises(SingularError):
+        with pytest.raises(SolverBreakdown):
             dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
-        with pytest.raises(SingularError):
+        with pytest.raises(SolverBreakdown):
             dense_solve(np.array([[1.0, 1j], [1j, -1.0]]), [1.0, 0.0])
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             dense_solve(np.eye(3), [1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             dense_solve(np.ones((2, 3)), [1.0, 2.0])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maxeig import models
-from maxeig.errors import DimensionMismatch
+from maxeig.errors import InvalidInput
+from maxeig.matrixio import parse_error
 
 from conftest import oracle_eigenvalues
 
@@ -70,9 +71,9 @@ class TestBranching:
         assert (off >= 0).all()
 
     def test_domain_checks(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             models.branching_model(1, 1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             models.branching_model(5, 2.5)
 
 
@@ -152,8 +153,20 @@ class TestModelSpec:
         assert models.ModelSpec("complex3").render().dtype.kind == "c"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             models.ModelSpec("mystery", 3)
+
+    def test_malformed_spec_is_a_parse_error(self):
+        with pytest.raises(parse_error):
+            models.ModelSpec("bd_squares")
+        with pytest.raises(parse_error):
+            models.ModelSpec("poisson_block", 3, {"foo": 1})
+        with pytest.raises(parse_error):
+            models.ModelSpec("triangular", 3, {"rule": "zzz"})
+        with pytest.raises(parse_error):
+            models.ModelSpec.from_json('{"name": "bd_squares"')
+        with pytest.raises(parse_error):
+            models.ModelSpec.from_json("[1]")
 
     def test_deterministic(self):
         a = models.ModelSpec("poisson_block", 3, {"block_size": 4}).render()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxeig import models
-from maxeig.errors import DenominatorBreakdown, MaxIterationsExceeded, NonFiniteInput
+from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from maxeig.iterengine import EigenpairResult
 from maxeig.linsolve import dense_solve
 from maxeig.numat import TridiagonalSystem, matrix_scale, matvec
@@ -155,7 +155,7 @@ class TestExplicitSolve:
         system = TridiagonalSystem.from_rates([1.0], [2.0], [0.0, 2.0])
         assert sorted(np.linalg.eigvals(-system.dense()).real) == [1.0, 4.0]
         init = compute_initials(system)
-        with pytest.raises(DenominatorBreakdown):
+        with pytest.raises(SolverBreakdown):
             explicit_rqi_solve(system, init.mu, 1.0, np.array([1.0, 0.0]))
 
 
@@ -206,7 +206,7 @@ class TestTridiagRqi:
     def test_requires_killing(self):
         a = [1.0, 1.0]
         b = [1.0, 1.0]
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidInput):
             tridiag_rqi(TridiagonalSystem.from_rates(a, b, np.zeros(3)))
 
     def test_iteration_budget(self):
