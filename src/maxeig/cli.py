@@ -10,14 +10,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, general_init, matrixio, models, reference, tridiag
 from .errors import InvalidInput, MaxeigError, MaxIterationsExceeded
 from .general_init import general_rqi, tridiagonal_from_dense
-from .iterengine import algorithm1, algorithm2, power_iteration
+from .iterengine import C_FLOOR, algorithm1, algorithm2, power_iteration
 from .numat import TridiagonalSystem
 from .tridiag import recover_original, tridiag_rqi
 
@@ -48,7 +48,8 @@ class RunRecord:
     version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # vars, not dataclasses.asdict: asdict deep-copies every nested list
+        return json.dumps(vars(self), indent=2)
 
 
 def _fmt(x) -> str:
@@ -62,6 +63,11 @@ def _fmt(x) -> str:
 def _scalar(x):
     x = complex(x)
     return float(x.real) if x.imag == 0 else [x.real, x.imag]
+
+
+def _vector_doc(v):
+    """JSON form of a vector: its floats, or _scalar per component when complex."""
+    return [_scalar(x) for x in v] if np.iscomplexobj(v) else v.tolist()
 
 
 def _load_input(args):
@@ -118,7 +124,13 @@ def cmd_solve(args) -> int:
         raise matrixio.parse_error("--method power takes no --z0")
     if args.method != "power" and args.norm is not None:
         raise matrixio.parse_error("--norm applies to --method power only")
+    if args.negate and args.method not in ("alg1", "alg2"):
+        raise matrixio.parse_error("--negate applies to --method alg1 and alg2 only")
+    if args.v0 is not None and args.method in ("alg1", "alg2"):
+        raise matrixio.parse_error("--v0 does not apply to --method alg1 or alg2")
     matrix, descriptor = _load_input(args)
+    if args.v0 is not None and args.method == "power" and not isinstance(matrix, TridiagonalSystem):
+        raise matrixio.parse_error("--v0 with --method power needs tridiagonal input")
     t0 = time.perf_counter()
     opts = {
         "tol_z": args.tol,
@@ -154,7 +166,8 @@ def cmd_solve(args) -> int:
         )
         if result.shift_m:
             lines.append(f"rho(A) = {_fmt(result.eigenvalue)}   (shift m = {_fmt(result.shift_m)})")
-        if not np.iscomplexobj(result.eigenvector) and not result.eigenvector_positive:
+        positive = bool(result.eigenvector_positive)
+        if not np.iscomplexobj(result.eigenvector) and not positive:
             # positivity certifies maximality only on the real path
             warn = ("WARNING: non-maximal capture -- the converged eigenvector changes sign; "
                     "the maximal pair of a generator-type matrix is strictly positive "
@@ -165,8 +178,9 @@ def cmd_solve(args) -> int:
             "iterations": trace.iterations,
             "stabilized_at": stab,
             "residual": float(trace.steps[-1].residual),
-            "eigenvector": [_scalar(x) for x in result.eigenvector],
-            "eigenvector_positive": bool(result.eigenvector_positive),
+            "tol_z": trace.tol_z,
+            "eigenvector": _vector_doc(result.eigenvector),
+            "eigenvector_positive": positive,
             "shift_m": float(result.shift_m),
         }
 
@@ -286,17 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", help="matrix file (coordinate or TRIDIAG format)")
     solve.add_argument("--spec", help="model spec JSON file")
     solve.add_argument("--method", choices=METHODS, default="alg2")
-    solve.add_argument("--tol", type=float, default=1e-10, help="relative shift-change tolerance")
+    solve.add_argument("--tol", type=float, default=1e-10,
+                       help="relative shift-change tolerance; raised to the roundoff floor "
+                       f"{C_FLOOR:g}*n*eps at order n, which exceeds the default above order 1e5")
     solve.add_argument("--res-tol", type=float, default=1e-8, help="relative residual tolerance")
     solve.add_argument("--max-iter", type=int, default=100)
     solve.add_argument("--steps", type=int, default=1000, help="power-iteration step count")
     solve.add_argument("--z0", help="number, or for rqi-tridiag combination | delta1 | safe | "
                        "rayleigh, for rqi-general safe | rayleigh, for alg1/alg2 max-ratio; "
                        "not for power")
-    solve.add_argument("--v0", choices=("efficient", "uniform"))
+    solve.add_argument("--v0", choices=("efficient", "uniform"),
+                       help="start vector for rqi-tridiag, rqi-general, and power on "
+                       "tridiagonal input")
     solve.add_argument("--norm", choices=("l1", "l2"), help="power-iteration norm (default l1)")
     solve.add_argument("--negate", action="store_true",
-                       help="report lambda_min(-A) for generator-type input")
+                       help="alg1/alg2: report lambda_min(-A) for generator-type input")
     solve.add_argument("--trace-out", help="write the iteration trace as CSV")
     solve.add_argument("--json", action="store_true", help="print the RunRecord as JSON")
     solve.set_defaults(fn=cmd_solve)

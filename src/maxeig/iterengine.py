@@ -3,13 +3,21 @@
 All shifted-inverse variants share one driver that records a uniform
 trace and applies the same convergence control: the iteration stops
 when the relative shift change and the relative eigen-residual are both
-below tolerance.  Each caller hands the driver its shift update and its
-norm as functions: ``rqi`` the Rayleigh or max-ratio update in the l2
-norm, ``tridiag`` the weighted Rayleigh update in the mu-norm.  An
-exactly singular solve (SolverBreakdown: the shift landed on an
-eigenvalue to machine precision) is accepted as convergence when the
-current residual already passes, otherwise the shift is perturbed once
-and the solve retried; a second breakdown raises SolverBreakdown.
+below tolerance.  The shift-change tolerance has a roundoff floor that
+grows with the order n: a shifted solve of order n accumulates about
+n*eps of rounding, so two converged iterates jitter by that much and a
+tighter test only passes when they land close by luck.  The driver
+stops on max(tol_z, C_FLOOR * n * eps), records it as the trace's
+``tol_z``, and so clamps a smaller tol_z up to the floor.  With the
+default tol_z = 1e-10 the floor only takes over above order 10^5.
+
+Each caller hands the driver its shift update and its norm as
+functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
+``tridiag`` the weighted Rayleigh update in the mu-norm.  An exactly
+singular solve (SolverBreakdown: the shift landed on an eigenvalue to
+machine precision) is accepted as convergence when the current
+residual already passes, otherwise the shift is perturbed once and the
+solve retried; a second breakdown raises SolverBreakdown.
 """
 
 from __future__ import annotations
@@ -44,6 +52,11 @@ __all__ = [
 DEFAULT_TOL_Z = 1e-10
 DEFAULT_TOL_RESIDUAL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
+# Roundoff floor of the shift-change test, in units of n*eps.  At orders
+# 3e5 and 1e6 (bd_squares, both tridiagonal solvers) consecutive settled
+# shifts differ by at most 1.7 n*eps; 4 leaves a margin over that and is
+# the largest integer that keeps the floor below DEFAULT_TOL_Z up to 1e5.
+C_FLOOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,7 @@ class IterationTrace:
     steps: list[TraceStep] = field(default_factory=list)
     termination: str = "running"
     vectors: list[np.ndarray] | None = None
+    tol_z: float | None = None    # the shift-change tolerance a shifted-inverse run stops on
 
     def record(self, k, z, residual, seconds, vector=None):
         self.steps.append(TraceStep(k, z, residual, seconds))
@@ -145,6 +159,11 @@ def _relative_residual(norm, av, z, v, scale):
     return norm(av - z * v) / (scale * norm(v))
 
 
+def _shift_tolerance(tol_z, n):
+    """tol_z, raised to the roundoff floor C_FLOOR * n * eps of an order-n solve."""
+    return max(tol_z, C_FLOOR * n * np.finfo(float).eps)
+
+
 def _rayleigh_update(v, av):
     z = (np.conj(v) @ av) / (np.conj(v) @ v)
     return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
@@ -180,15 +199,18 @@ def run_shifted_iteration(
     (z I - A)^{-1} v; normalization and sign fixing happen here.
     ``z_update(v, av)`` gives the next shift from the normalized iterate
     v and av = A v; ``norm(v)`` normalizes the iterates and measures the
-    relative residual.  With ``negate`` the recorded and returned shift
-    values are negated (reporting lambda_min(-A) for generator-type
-    input); the arithmetic path is identical either way.
+    relative residual.  The shift-change test uses tol_z clamped up to
+    the roundoff floor of order len(v0), recorded as ``trace.tol_z``.
+    With ``negate`` the recorded and returned shift values are negated
+    (reporting lambda_min(-A) for generator-type input); the arithmetic
+    path is identical either way.
     """
     sign = -1.0 if negate else 1.0
 
     t0 = time.perf_counter()
-    trace = IterationTrace(vectors=[] if store_vectors else None)
     v = as_vector(v0)
+    tol_z = _shift_tolerance(tol_z, len(v))
+    trace = IterationTrace(vectors=[] if store_vectors else None, tol_z=tol_z)
     v = _sign_fix(v / norm(v))
     z = z0
     av = apply_matrix(v)

@@ -175,7 +175,7 @@ MODEL_PARAMS = {"poisson_block": ("block_size",), "triangular": ("rule",), "bran
 class ModelSpec:
     """A serializable description of one built-in model instance.
 
-    An unknown model name raises InvalidInput.  A missing size, a
+    An unknown model name, a missing size or one that is not an int, a
     parameter the model does not take, or an unknown triangular rule
     raises ``matrixio.parse_error``: the description itself is malformed.
     """
@@ -186,9 +186,12 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
-            raise InvalidInput(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
+            raise parse_error(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
         if self.size is None and self.name not in ("negative3", "complex3"):
             raise parse_error(f"model {self.name!r} needs a size (--n)")
+        if self.size is not None and (isinstance(self.size, bool)
+                                      or not isinstance(self.size, int)):
+            raise parse_error(f"model size must be an integer, got {self.size!r}")
         unknown = sorted(map(str, set(self.params) - set(MODEL_PARAMS.get(self.name, ()))))
         if unknown:
             raise parse_error(f"model {self.name!r} takes no parameter {', '.join(unknown)}")

@@ -23,6 +23,9 @@ SPEC_FILES = {
     "bad.json": '{"name": "bd_squares", "size": 7',
     "foo.json": '{"name": "poisson_block", "size": 3, "params": {"foo": 1}}',
     "zzz.json": '{"name": "triangular", "size": 3, "params": {"rule": "zzz"}}',
+    "size_str.json": '{"name": "bd_squares", "size": "7"}',
+    "size_bool.json": '{"name": "bd_squares", "size": true}',
+    "mystery.json": '{"name": "mystery", "size": 3}',
 }
 BD7 = ("solve", "--model", "bd_squares", "--n", "7")
 
@@ -40,6 +43,9 @@ EXIT_TABLE = [
     (("solve", "--spec", "{tmp}/bad.json"), 2),
     (("solve", "--spec", "{tmp}/foo.json"), 2),
     (("solve", "--spec", "{tmp}/zzz.json"), 2),
+    (("solve", "--spec", "{tmp}/size_str.json", "--method", "rqi-tridiag"), 2),
+    (("solve", "--spec", "{tmp}/size_bool.json", "--method", "rqi-tridiag"), 2),
+    (("solve", "--spec", "{tmp}/mystery.json"), 2),
     # flags the method cannot use
     (BD7 + ("--method", "rqi-tridiag", "--z0", "nan"), 2),
     (BD7 + ("--method", "rqi-tridiag", "--z0", "inf"), 2),
@@ -48,6 +54,11 @@ EXIT_TABLE = [
     (BD7 + ("--method", "power", "--z0", "0.5"), 2),
     *[(BD7 + ("--method", m, "--norm", "l1"), 2) for m in METHODS if m != "power"],
     (BD7 + ("--method", "power", "--norm", "l2mu"), 2),
+    *[(BD7 + ("--method", m, "--negate"), 2) for m in METHODS if m not in ("alg1", "alg2")],
+    (BD7 + ("--method", "alg2", "--negate"), 0),
+    (("solve", "--model", "toeplitz", "--n", "3", "--method", "power", "--v0", "uniform"), 2),
+    (BD7 + ("--method", "power", "--steps", "10", "--v0", "uniform"), 0),
+    *[(BD7 + ("--method", m, "--v0", "uniform"), 2) for m in ("alg1", "alg2")],
     # convergence failure
     (("solve", "--model", "bd_squares", "--n", "30", "--method", "rqi-tridiag",
       "--z0", "rayleigh", "--max-iter", "1"), 3),
@@ -113,7 +124,16 @@ class TestSolve:
         assert doc["version"]
         assert doc["result"]["stabilized_at"] <= 2
         assert len(doc["trace"]) >= 3
+        assert doc["result"]["tol_z"] == 1e-10
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_json_record_carries_the_clamped_tolerance(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--model", "bd_squares", "--n", "5",
+                               "--method", "rqi-tridiag", "--tol", "0", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["options"]["tol_z"] == 0.0
+        assert doc["result"]["tol_z"] == 4.0 * 6 * np.finfo(float).eps
 
     def test_trace_csv_figure_shape(self, capsys, tmp_path):
         # fast initial drop, then a long plateau: still unconverged at 1000

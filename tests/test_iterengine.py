@@ -6,11 +6,14 @@ import pytest
 from maxeig import models
 from maxeig.errors import InvalidInput
 from maxeig.iterengine import (
+    C_FLOOR,
+    DEFAULT_TOL_Z,
     algorithm1,
     algorithm2,
     power_iteration,
     rqi,
     _max_ratio_update,
+    _shift_tolerance,
 )
 
 from conftest import oracle_eigenvalues, oracle_max_pair
@@ -99,6 +102,25 @@ class TestRqi:
     def test_max_ratio_update_rejects_sign_change(self):
         with pytest.raises(InvalidInput):
             _max_ratio_update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+class TestShiftTolerance:
+    def test_floor_is_tol_z_up_to_order_1e5(self):
+        for n in (1, 3, 400, 10**4, 10**5):
+            assert _shift_tolerance(DEFAULT_TOL_Z, n) == DEFAULT_TOL_Z
+
+    def test_floor_exceeds_tol_z_above_order_1e5(self):
+        eps = np.finfo(float).eps
+        for n in (2 * 10**5, 3 * 10**5, 10**6):
+            assert _shift_tolerance(DEFAULT_TOL_Z, n) == C_FLOOR * n * eps > DEFAULT_TOL_Z
+
+    def test_trace_records_the_clamped_tolerance(self):
+        A = models.negative3()
+        _, trace = algorithm2(A)
+        assert trace.tol_z == DEFAULT_TOL_Z
+        _, tight = algorithm2(A, tol_z=0.0)
+        assert tight.tol_z == C_FLOOR * 3 * np.finfo(float).eps
+        assert power_iteration(A, steps=2).tol_z is None
 
 
 class TestGlobalAlgorithms:

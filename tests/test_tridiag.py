@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maxeig import models
+from maxeig import iterengine, models
 from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from maxeig.iterengine import EigenpairResult
 from maxeig.linsolve import dense_solve
@@ -159,6 +159,29 @@ class TestExplicitSolve:
             explicit_rqi_solve(system, init.mu, 1.0, np.array([1.0, 0.0]))
 
 
+# bd_squares at order 10^6 (the t1 family): (system, result, trace), one run per solver
+@pytest.fixture(scope="module")
+def million_explicit():
+    system = models.bd_squares(10**6 - 1)
+    return (system, *tridiag_rqi(system))
+
+
+@pytest.fixture(scope="module")
+def million_generic():
+    system = models.bd_squares(10**6 - 1)
+    return (system, *tridiag_rqi(system, solver="generic"))
+
+
+def _assert_banded_oracle(system, result):
+    eigvalsh_tridiagonal = pytest.importorskip("scipy.linalg").eigvalsh_tridiagonal
+    # -Q is similar to the symmetric tridiagonal with off-diagonal sqrt(a_{i+1} b_i)
+    d = system.a + system.b + system.c
+    e = np.sqrt(system.a[1:] * system.b[:-1])
+    lam = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+    row_sum = np.max(2.0 * (system.a + system.b) + system.c)
+    assert abs(result.eigenvalue - lam) <= np.finfo(float).eps * row_sum
+
+
 class TestTridiagRqi:
     def test_rayleigh_start_two_steps(self):
         _, trace = tridiag_rqi(models.bd_squares(7), z0="rayleigh")
@@ -174,18 +197,27 @@ class TestTridiagRqi:
         assert zs[1] == pytest.approx(0.327254, abs=5e-6)
         assert zs[2] == pytest.approx(0.32724, abs=5e-5)
 
-    def test_order_million_against_banded_oracle(self):
-        eigvalsh_tridiagonal = pytest.importorskip("scipy.linalg").eigvalsh_tridiagonal
-        system = models.bd_squares(10**6 - 1)
-        result, trace = tridiag_rqi(system)
+    def test_order_million_against_banded_oracle(self, million_explicit):
+        system, result, trace = million_explicit
+        # the roundoff floor stops the run once the settled value repeats to within n*eps
         assert trace.termination == "converged"
+        assert trace.iterations <= 3
         assert result.eigenvector_positive
-        # -Q is similar to the symmetric tridiagonal with off-diagonal sqrt(a_{i+1} b_i)
-        d = system.a + system.b + system.c
-        e = np.sqrt(system.a[1:] * system.b[:-1])
-        lam = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
-        row_sum = np.max(2.0 * (system.a + system.b) + system.c)
-        assert abs(result.eigenvalue - lam) <= np.finfo(float).eps * row_sum
+        _assert_banded_oracle(system, result)
+
+    def test_order_million_generic_solver(self, million_generic):
+        system, result, trace = million_generic
+        assert trace.termination == "converged"
+        assert trace.iterations <= 3
+        assert trace.tol_z > iterengine.DEFAULT_TOL_Z
+        assert result.eigenvector_positive
+        _assert_banded_oracle(system, result)
+
+    @pytest.mark.parametrize("solver", ["explicit", "generic"])
+    def test_order_million_first_iterates(self, request, solver):
+        # z0..z2 of the t1 run at order 10^6 to six digits; the stopping rule leaves them alone
+        _, _, trace = request.getfixturevalue(f"million_{solver}")
+        assert [f"{z:.6g}" for z in trace.zs()[:3]] == ["0.295162", "0.279215", "0.279121"]
 
     @pytest.mark.parametrize("z0", Z0_POLICIES)
     def test_accepted_z0_policies(self, z0):
