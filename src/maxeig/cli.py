@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, general_init, matrixio, models, reference, tridiag
+from . import __version__, general_init, iterengine, matrixio, models, reference, tridiag
 from .errors import InvalidInput, MaxeigError, MaxIterationsExceeded
 from .general_init import general_rqi, tridiagonal_from_dense
 from .iterengine import C_FLOOR, algorithm1, algorithm2, power_iteration
@@ -22,7 +22,20 @@ from .numat import TridiagonalSystem
 from .tridiag import recover_original, tridiag_rqi
 
 METHODS = ("power", "rqi-tridiag", "rqi-general", "alg1", "alg2")
-# named --z0 policies per method; every method also takes a number
+_SHIFTED = METHODS[1:]
+# solve flags only some methods read: argparse dest -> (flag, those methods,
+# default); a flag given to any other method exits 2
+_METHOD_FLAGS = {
+    "tol_z": ("--tol", _SHIFTED, iterengine.DEFAULT_TOL_Z),
+    "tol_residual": ("--res-tol", _SHIFTED, iterengine.DEFAULT_TOL_RESIDUAL),
+    "max_iterations": ("--max-iter", _SHIFTED, iterengine.DEFAULT_MAX_ITERATIONS),
+    "z0": ("--z0", _SHIFTED, None),
+    "v0": ("--v0", ("power", "rqi-tridiag", "rqi-general"), "efficient"),
+    "steps": ("--steps", ("power",), 1000),
+    "norm": ("--norm", ("power",), "l1"),
+    "negate": ("--negate", ("alg1", "alg2"), False),
+}
+# named --z0 policies per method, the default first; every method also takes a number
 Z0_NAMES = {
     "rqi-tridiag": tridiag.Z0_POLICIES,
     "rqi-general": general_init.Z0_POLICIES,
@@ -48,8 +61,9 @@ class RunRecord:
     version: str = __version__
 
     def to_json(self) -> str:
-        # vars, not dataclasses.asdict: asdict deep-copies every nested list
-        return json.dumps(vars(self), indent=2)
+        # vars, not dataclasses.asdict: asdict deep-copies every nested list;
+        # no indent, which would force the pure-Python encoder
+        return json.dumps(vars(self), separators=(",", ":"))
 
 
 def _fmt(x) -> str:
@@ -98,15 +112,13 @@ def _model_spec(name, args):
 
 
 def _start_vector(choice):
-    if choice in (None, "efficient"):
-        return None
-    return "uniform"
+    return None if choice == "efficient" else "uniform"
 
 
-def _parse_z0(text, method, default):
-    if text is None:
-        return default
+def _parse_z0(text, method):
     names = Z0_NAMES[method]
+    if text is None:
+        return names[0]
     if text in names:
         return text
     try:
@@ -119,24 +131,32 @@ def _parse_z0(text, method, default):
                                f"{', '.join(names)}, got {text!r}")
 
 
+def _method_options(args):
+    """The _METHOD_FLAGS values the method reads, defaults filled in.
+
+    A flag given explicitly to a method that does not read it raises
+    ``parse_error``.
+    """
+    options = {}
+    for dest, (flag, methods, default) in _METHOD_FLAGS.items():
+        value = getattr(args, dest)
+        if args.method in methods:
+            options[dest] = default if value is None else value
+        elif value not in (None, False):
+            raise matrixio.parse_error(f"{flag} does not apply to --method {args.method}")
+    if "z0" in options:
+        options["z0"] = _parse_z0(options["z0"], args.method)
+    return options
+
+
 def cmd_solve(args) -> int:
-    if args.method == "power" and args.z0 is not None:
-        raise matrixio.parse_error("--method power takes no --z0")
-    if args.method != "power" and args.norm is not None:
-        raise matrixio.parse_error("--norm applies to --method power only")
-    if args.negate and args.method not in ("alg1", "alg2"):
-        raise matrixio.parse_error("--negate applies to --method alg1 and alg2 only")
-    if args.v0 is not None and args.method in ("alg1", "alg2"):
-        raise matrixio.parse_error("--v0 does not apply to --method alg1 or alg2")
+    options = _method_options(args)
     matrix, descriptor = _load_input(args)
-    if args.v0 is not None and args.method == "power" and not isinstance(matrix, TridiagonalSystem):
-        raise matrixio.parse_error("--v0 with --method power needs tridiagonal input")
+    if args.method == "power" and not isinstance(matrix, TridiagonalSystem):
+        if args.v0 is not None:
+            raise matrixio.parse_error("--v0 with --method power needs tridiagonal input")
+        del options["v0"]
     t0 = time.perf_counter()
-    opts = {
-        "tol_z": args.tol,
-        "tol_residual": args.res_tol,
-        "max_iterations": args.max_iter,
-    }
     lines = []
     warn = None
 
@@ -147,18 +167,19 @@ def cmd_solve(args) -> int:
             dense = matrix.dense()
             m = float(np.abs(np.diag(dense)).max())
             A = m * np.eye(matrix.order) + dense
-            v0 = None if _start_vector(args.v0) == "uniform" else _efficient_seed(matrix)
-            trace = power_iteration(A, v0=v0, norm=args.norm or "l1", steps=args.steps)
+            v0 = None if options["v0"] == "uniform" else _efficient_seed(matrix)
+            trace = power_iteration(A, v0=v0, norm=options["norm"], steps=options["steps"])
             for i, step in enumerate(trace.steps):
                 trace.steps[i] = type(step)(step.k, m - step.z, step.residual, step.seconds)
         else:
-            trace = power_iteration(np.asarray(matrix), norm=args.norm or "l1", steps=args.steps)
+            trace = power_iteration(np.asarray(matrix), norm=options["norm"],
+                                    steps=options["steps"])
         zfinal = trace.steps[-1].z
         lines.append(f"power iteration: z = {_fmt(zfinal)} after {trace.iterations} steps")
         result_doc = {"eigenvalue": _scalar(zfinal), "iterations": trace.iterations}
         result = None
     else:
-        result, trace, primary, label = _run_method(args, matrix, opts)
+        result, trace, primary, label = _run_method(args.method, matrix, options)
         stab = trace.stabilized_at()
         lines.append(
             f"{label} = {_fmt(primary)}   ({trace.iterations} solves, stabilized at"
@@ -188,10 +209,7 @@ def cmd_solve(args) -> int:
     record = RunRecord(
         input=descriptor,
         method=args.method,
-        options={k: v for k, v in opts.items()} | {
-            "z0": args.z0, "v0": args.v0, "norm": args.norm,
-            "negate": args.negate, "steps": args.steps,
-        },
+        options=options,
         trace=[{"k": s.k, "z": _scalar(s.z), "residual": float(s.residual),
                 "seconds": float(s.seconds)} for s in trace.steps],
         result=result_doc,
@@ -217,32 +235,31 @@ def _efficient_seed(system: TridiagonalSystem):
     return ht.h * init.v0_raw
 
 
-def _run_method(args, matrix, opts):
+def _run_method(method, matrix, options):
     """Dispatch one solve; returns (result, trace, primary_value, label)."""
-    if args.method == "rqi-tridiag":
+    opts = {k: options[k] for k in ("tol_z", "tol_residual", "max_iterations")}
+    z0 = options["z0"]
+    if method == "rqi-tridiag":
         system = matrix if isinstance(matrix, TridiagonalSystem) else tridiagonal_from_dense(matrix)
         if system is None:
             raise InvalidInput("rqi-tridiag needs tridiagonal generator input")
-        z0 = _parse_z0(args.z0, args.method, "combination")
-        result, trace = tridiag_rqi(system, z0=z0, v0=_start_vector(args.v0), **opts)
+        result, trace = tridiag_rqi(system, z0=z0, v0=_start_vector(options["v0"]), **opts)
         recovered = recover_original(result)
         return recovered, trace, result.eigenvalue, "lambda_min(-Q)"
-    if args.method == "rqi-general":
-        dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
-        z0 = _parse_z0(args.z0, args.method, "safe")
-        result, trace = general_rqi(dense, z0=z0, v0=_start_vector(args.v0), **opts)
+    dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
+    if method == "rqi-general":
+        result, trace = general_rqi(dense, z0=z0, v0=_start_vector(options["v0"]), **opts)
         primary = float(trace.steps[-1].z)  # lambda_min(-Qc) = m - rho
         return result, trace, primary, "lambda_min(-Qc)"
-    dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
-    z0 = _parse_z0(args.z0, args.method, None)
     z0 = None if z0 == "max-ratio" else z0
-    if args.method == "alg1" or np.iscomplexobj(dense):
-        if args.method == "alg2":
+    negate = options["negate"]
+    if method == "alg1" or np.iscomplexobj(dense):
+        if method == "alg2":
             print("note: complex input routes to alg1 (max-ratio undefined)", file=sys.stderr)
-        result, trace = algorithm1(dense, z0=z0, negate=args.negate, **opts)
+        result, trace = algorithm1(dense, z0=z0, negate=negate, **opts)
     else:
-        result, trace = algorithm2(dense, z0=z0, negate=args.negate, **opts)
-    label = "lambda_min(-A)" if args.negate else "rho(A)"
+        result, trace = algorithm2(dense, z0=z0, negate=negate, **opts)
+    label = "lambda_min(-A)" if negate else "rho(A)"
     return result, trace, result.eigenvalue, label
 
 
@@ -300,12 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", help="matrix file (coordinate or TRIDIAG format)")
     solve.add_argument("--spec", help="model spec JSON file")
     solve.add_argument("--method", choices=METHODS, default="alg2")
-    solve.add_argument("--tol", type=float, default=1e-10,
-                       help="relative shift-change tolerance; raised to the roundoff floor "
-                       f"{C_FLOOR:g}*n*eps at order n, which exceeds the default above order 1e5")
-    solve.add_argument("--res-tol", type=float, default=1e-8, help="relative residual tolerance")
-    solve.add_argument("--max-iter", type=int, default=100)
-    solve.add_argument("--steps", type=int, default=1000, help="power-iteration step count")
+    default = {dest: spec[2] for dest, spec in _METHOD_FLAGS.items()}
+    solve.add_argument("--tol", dest="tol_z", type=float, metavar="TOL",
+                       help=f"relative shift-change tolerance (default {default['tol_z']:g}); "
+                       f"raised to the roundoff floor {C_FLOOR:g}*n*eps at order n, which "
+                       "exceeds the default above order 1e5; not for power")
+    solve.add_argument("--res-tol", dest="tol_residual", type=float, metavar="TOL",
+                       help=f"relative residual tolerance (default {default['tol_residual']:g}); "
+                       "not for power")
+    solve.add_argument("--max-iter", dest="max_iterations", type=int, metavar="N",
+                       help=f"iteration budget (default {default['max_iterations']}); "
+                       "not for power")
+    solve.add_argument("--steps", type=int,
+                       help=f"power-iteration step count (default {default['steps']}); power only")
     solve.add_argument("--z0", help="number, or for rqi-tridiag combination | delta1 | safe | "
                        "rayleigh, for rqi-general safe | rayleigh, for alg1/alg2 max-ratio; "
                        "not for power")

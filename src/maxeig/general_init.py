@@ -16,8 +16,9 @@ and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
 formula with a 1/(1 - phi_1) correction.  Tridiagonal input is handed
 to ``tridiag.tridiag_rqi`` with the banded solver and the safe shift,
 which keeps those runs O(N); the results agree with the dense route to
-roundoff.  Both routes share the start vector, initial-shift policy,
-weighted Rayleigh quotient and recovery of the tridiagonal pipeline.
+roundoff.  The dense route hands h, phi and mu to the same body that
+runs the tridiagonal pipeline's start vector, initial shift and
+weighted RQI (``tridiag._efficient_rqi``), and to its recovery.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ import numpy as np
 
 from . import iterengine, linsolve, tridiag
 from .errors import InvalidInput, NonPositiveSequence
-from .numat import (
-    TridiagonalSystem,
-    as_square_matrix,
-    as_vector,
-    matrix_scale,
-    shift_to_qc,
-    weighted_norm,
-)
+from .numat import TridiagonalSystem, as_square_matrix, as_vector, matrix_scale, shift_to_qc
 from .tridiag import safe_z0
 
 __all__ = [
@@ -41,7 +35,6 @@ __all__ = [
     "h_transform_general",
     "solve_phi_general",
     "solve_mu_general",
-    "initials_general",
     "safe_z0",
     "general_rqi",
     "tridiagonal_from_dense",
@@ -101,21 +94,6 @@ def solve_mu_general(q_tilde):
     return _solve_with_unit_head(q_tilde.T[:-1, :], "mu", "invariant measure mu")
 
 
-def initials_general(q_tilde, phi, mu):
-    """Seed vector and both initial-shift candidates from phi and mu.
-
-    Returns (v0, z0_rayleigh, z0_safe); z0_safe is None when phi_1 >= 1.
-    """
-    q_tilde = as_square_matrix(q_tilde)
-    phi = as_vector(phi)
-    mu = as_vector(mu)
-    if (phi <= 0).any():
-        raise NonPositiveSequence("phi", "phi must be strictly positive")
-    v0 = np.sqrt(phi)
-    v0 = v0 / weighted_norm(v0, mu)
-    return v0, tridiag._weighted_rayleigh(q_tilde, mu, v0), tridiag._safe_shift(phi, mu)
-
-
 def tridiagonal_from_dense(A):
     """Recognize a dense generator as a TridiagonalSystem, or return None.
 
@@ -152,7 +130,6 @@ def general_rqi(
     tol_z=iterengine.DEFAULT_TOL_Z,
     tol_residual=iterengine.DEFAULT_TOL_RESIDUAL,
     max_iterations=50,
-    store_vectors=False,
 ):
     """Maximal eigenpair of a real matrix with nonnegative off-diagonals.
 
@@ -168,25 +145,17 @@ def general_rqi(
     "rayleigh", or a number.
     """
     tridiag._check_z0(z0, Z0_POLICIES)
-    opts = {"tol_z": tol_z, "tol_residual": tol_residual,
-            "max_iterations": max_iterations, "store_vectors": store_vectors}
+    opts = {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
     A = as_square_matrix(A)
     qc, m = shift_to_qc(A)
     system = tridiagonal_from_dense(qc)
     if system is not None:
         result, trace = tridiag.tridiag_rqi(system, solver="generic", z0=z0, v0=v0, **opts)
-        return tridiag.recover_original(result, m=m), trace
-
-    h = solve_h_general(qc)
-    q_tilde = h_transform_general(qc, h)
-    phi = solve_phi_general(q_tilde)
-    mu = solve_mu_general(q_tilde)
-    seed, seed_rayleigh, z_safe = initials_general(q_tilde, phi, mu)
-    start = tridiag._start_vector(v0, seed, mu)
-    z_start, fallback = tridiag._resolve_z0(z0, {
-        "safe": lambda: z_safe,
-        "rayleigh": lambda: tridiag._weighted_rayleigh(q_tilde, mu, start),
-    }, lambda: seed_rayleigh)
-    solve = iterengine._dense_shifted_solver(-q_tilde)
-    result, trace = tridiag._weighted_rqi(q_tilde, solve, mu, h, start, z_start, fallback, **opts)
+    else:
+        h = solve_h_general(qc)
+        q_tilde = h_transform_general(qc, h)
+        phi = solve_phi_general(q_tilde)
+        mu = solve_mu_general(q_tilde)
+        solve = iterengine._dense_shifted_solver(-q_tilde)
+        result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, z0, v0, {}, **opts)
     return tridiag.recover_original(result, m=m), trace

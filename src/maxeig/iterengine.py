@@ -73,13 +73,10 @@ class IterationTrace:
 
     steps: list[TraceStep] = field(default_factory=list)
     termination: str = "running"
-    vectors: list[np.ndarray] | None = None
     tol_z: float | None = None    # the shift-change tolerance a shifted-inverse run stops on
 
-    def record(self, k, z, residual, seconds, vector=None):
+    def record(self, k, z, residual, seconds):
         self.steps.append(TraceStep(k, z, residual, seconds))
-        if self.vectors is not None and vector is not None:
-            self.vectors.append(vector.copy())
 
     def zs(self) -> np.ndarray:
         return np.array([s.z for s in self.steps])
@@ -118,7 +115,6 @@ class EigenpairResult:
     residual: float
     shift_m: float = 0.0
     h_scaling: np.ndarray | None = None
-    norm_tag: str = "l2"
     z0_fallback: bool = False
 
     @property
@@ -191,7 +187,6 @@ def run_shifted_iteration(
     tol_residual=DEFAULT_TOL_RESIDUAL,
     max_iterations=DEFAULT_MAX_ITERATIONS,
     negate=False,
-    store_vectors=False,
 ):
     """Shared shifted-inverse driver; returns (z, v, trace).
 
@@ -210,12 +205,12 @@ def run_shifted_iteration(
     t0 = time.perf_counter()
     v = as_vector(v0)
     tol_z = _shift_tolerance(tol_z, len(v))
-    trace = IterationTrace(vectors=[] if store_vectors else None, tol_z=tol_z)
+    trace = IterationTrace(tol_z=tol_z)
     v = _sign_fix(v / norm(v))
     z = z0
     av = apply_matrix(v)
     residual = _relative_residual(norm, av, z, v, scale)
-    trace.record(0, sign * z, residual, time.perf_counter() - t0, v)
+    trace.record(0, sign * z, residual, time.perf_counter() - t0)
 
     for k in range(1, max_iterations + 1):
         try:
@@ -235,7 +230,7 @@ def run_shifted_iteration(
         av = apply_matrix(v)
         z_new = z_update(v, av)
         residual = _relative_residual(norm, av, z_new, v, scale)
-        trace.record(k, sign * z_new, residual, time.perf_counter() - t0, v)
+        trace.record(k, sign * z_new, residual, time.perf_counter() - t0)
         if abs(z_new - z) <= tol_z * max(1.0, abs(z_new)) and residual <= tol_residual:
             trace.termination = "converged"
             return sign * z_new, v, trace
@@ -247,7 +242,7 @@ def run_shifted_iteration(
     )
 
 
-def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0, store_vectors=False):
+def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0):
     """Power iteration v_k = A v_{k-1} / ||A v_{k-1}||, z_k = ||A v_k||, in the l1 or l2 norm.
 
     Runs exactly ``steps`` iterations, or stops early once the change in
@@ -259,7 +254,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0, store_vectors=Fal
         raise InvalidInput(f"unknown norm {norm!r}")
     norm_fn = _POWER_NORMS[norm]
     t0 = time.perf_counter()
-    trace = IterationTrace(vectors=[] if store_vectors else None)
+    trace = IterationTrace()
     n = A.order if isinstance(A, TridiagonalSystem) else A.shape[0]
     v = as_vector(v0) if v0 is not None else np.ones(n)
     v = v / norm_fn(v)
@@ -267,13 +262,13 @@ def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0, store_vectors=Fal
 
     av = matvec(A, v)
     z = norm_fn(av)
-    trace.record(0, z, _relative_residual(norm_fn, av, z, v, scale), time.perf_counter() - t0, v)
+    trace.record(0, z, _relative_residual(norm_fn, av, z, v, scale), time.perf_counter() - t0)
     for k in range(1, steps + 1):
         v = av / z
         av = matvec(A, v)
         z_new = norm_fn(av)
         residual = _relative_residual(norm_fn, av, z_new, v, scale)
-        trace.record(k, z_new, residual, time.perf_counter() - t0, v)
+        trace.record(k, z_new, residual, time.perf_counter() - t0)
         if tol > 0.0 and abs(z_new - z) <= tol * max(1.0, abs(z_new)):
             z = z_new
             trace.termination = "converged"
@@ -295,7 +290,7 @@ def _dense_shifted_solver(A):
 
 def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         tol_z=DEFAULT_TOL_Z, tol_residual=DEFAULT_TOL_RESIDUAL,
-        max_iterations=DEFAULT_MAX_ITERATIONS, store_vectors=False):
+        max_iterations=DEFAULT_MAX_ITERATIONS):
     """Rayleigh quotient iteration on a dense matrix, in the l2 norm.
 
     v_k = (z_{k-1} I - A)^{-1} v_{k-1} normalized, with the shift update
@@ -317,7 +312,6 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         tol_residual=tol_residual,
         max_iterations=max_iterations,
         negate=negate,
-        store_vectors=store_vectors,
     )
     result = EigenpairResult(
         eigenvalue=z,

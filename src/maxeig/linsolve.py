@@ -1,13 +1,12 @@
 """Linear-system solvers backing the inverse/RQI iterations.
 
-Two routes, both real and complex:
+Two routes:
 
-- ``tridiag_solve``, a banded elimination for tridiagonal systems.  Its
-  O(N) loop indexes plain Python floats through memoryviews of float64
-  buffers (complex input runs the same loop over lists), so no step
-  boxes a numpy scalar.
+- ``tridiag_solve``, a banded elimination for real tridiagonal systems.
+  Its O(N) loop indexes plain Python floats through memoryviews of
+  float64 buffers, so no step boxes a numpy scalar.
 - ``dense_solve``, LAPACK ``gesv`` (LU with partial pivoting) through
-  ``numpy.linalg.solve`` and numpy's bundled LAPACK.
+  ``numpy.linalg.solve`` and numpy's bundled LAPACK, real or complex.
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
@@ -43,7 +42,8 @@ def tridiag_solve(lower, diag, upper, rhs):
     solve stable on the shifted, nearly singular systems RQI produces,
     where the pivot-free forward recurrence can fail.
 
-    Raises SolverBreakdown when a pivot falls below PIVOT_FLOOR.
+    Raises InvalidInput for complex input and SolverBreakdown when a
+    pivot falls below PIVOT_FLOOR.
     """
     diag = as_vector(diag)
     n = len(diag)
@@ -55,12 +55,10 @@ def tridiag_solve(lower, diag, upper, rhs):
     if len(rhs) != n:
         raise InvalidInput("rhs length does not match the system order")
 
-    dtype = np.result_type(lower, diag, upper, rhs, np.float64)
-    work = [np.array(a, dtype=dtype) for a in (lower, diag, upper, rhs, np.zeros(n))]
-    if dtype == np.float64:
-        l, d, u, x, s = map(memoryview, work)  # s: fill-in second super-diagonal
-    else:  # memoryview cannot index complex items
-        l, d, u, x, s = (a.tolist() for a in work)
+    if any(np.iscomplexobj(a) for a in (lower, diag, upper, rhs)):
+        raise InvalidInput("tridiag_solve takes real input only")
+    work = [np.array(a, dtype=np.float64) for a in (lower, diag, upper, rhs, np.zeros(n))]
+    l, d, u, x, s = map(memoryview, work)  # s: fill-in second super-diagonal
 
     for i in range(n - 1):
         if abs(l[i]) > abs(d[i]):
@@ -88,7 +86,7 @@ def tridiag_solve(lower, diag, upper, rhs):
         x[n - 2] = (x[n - 2] - u[n - 2] * x[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (x[i] - u[i] * x[i + 1] - s[i] * x[i + 2]) / d[i]
-    return work[3] if dtype == np.float64 else np.array(x, dtype=dtype)
+    return work[3]
 
 
 def dense_solve(A, rhs):

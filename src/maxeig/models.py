@@ -169,6 +169,13 @@ MODEL_NAMES = ("bd_squares", "poisson_block", "toeplitz", "triangular", "branchi
                "negative3", "complex3")
 # the params each model accepts besides its size
 MODEL_PARAMS = {"poisson_block": ("block_size",), "triangular": ("rule",), "branching": ("alpha",)}
+# the type each param must have (never bool), and its name in messages
+PARAM_TYPES = {"block_size": (int, "an integer"), "rule": (str, "a string"),
+               "alpha": ((int, float), "a real number")}
+
+
+def _has_type(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -176,8 +183,9 @@ class ModelSpec:
     """A serializable description of one built-in model instance.
 
     An unknown model name, a missing size or one that is not an int, a
-    parameter the model does not take, or an unknown triangular rule
-    raises ``matrixio.parse_error``: the description itself is malformed.
+    parameter the model does not take or of the wrong type (see
+    PARAM_TYPES), or an unknown triangular rule raises
+    ``matrixio.parse_error``: the description itself is malformed.
     """
 
     name: str
@@ -189,12 +197,15 @@ class ModelSpec:
             raise parse_error(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
         if self.size is None and self.name not in ("negative3", "complex3"):
             raise parse_error(f"model {self.name!r} needs a size (--n)")
-        if self.size is not None and (isinstance(self.size, bool)
-                                      or not isinstance(self.size, int)):
+        if self.size is not None and not _has_type(self.size, int):
             raise parse_error(f"model size must be an integer, got {self.size!r}")
         unknown = sorted(map(str, set(self.params) - set(MODEL_PARAMS.get(self.name, ()))))
         if unknown:
             raise parse_error(f"model {self.name!r} takes no parameter {', '.join(unknown)}")
+        for key, value in self.params.items():
+            kind, what = PARAM_TYPES[key]
+            if not _has_type(value, kind):
+                raise parse_error(f"model parameter {key} must be {what}, got {value!r}")
         if self.params.get("rule", "inv_kp1") not in TRIANGULAR_RULES:
             raise parse_error(f"unknown triangular rule {self.params['rule']!r}; "
                               f"choose from {', '.join(TRIANGULAR_RULES)}")

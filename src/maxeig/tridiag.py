@@ -15,8 +15,9 @@ identically zero:
 4. recovery of the original eigenpair by undoing the h-scaling.
 
 ``general_init.general_rqi`` hands tridiagonal input to this pipeline
-(banded solver, safe shift) and runs its dense route through the same
-start-vector, initial-shift and weighted-RQI helpers defined here.
+(banded solver, safe shift) and its dense route, with h, phi and mu from
+three linear solves, to the same body ``_efficient_rqi``: start vector,
+initial shift, weighted RQI with one weighted Rayleigh quotient.
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -108,17 +109,30 @@ class InitialData:
 
     mu: np.ndarray
     phi: np.ndarray
-    v0_raw: np.ndarray
-    v0: np.ndarray
     delta1: float
+
+    @property
+    def v0_raw(self) -> np.ndarray:
+        """The efficient seed sqrt(phi)."""
+        return np.sqrt(self.phi)
+
+    @property
+    def v0(self) -> np.ndarray:
+        """The efficient seed scaled to unit mu-norm."""
+        return _unit(self.v0_raw, self.mu)
 
     @property
     def z0(self) -> float:
         return 1.0 / self.delta1
 
 
+def _unit(v, mu):
+    """v scaled to unit mu-norm."""
+    return v / weighted_norm(v, mu)
+
+
 def compute_initials(transformed: TridiagonalSystem) -> InitialData:
-    """Compute mu, phi, the seed vector, and delta_1 for a transformed system."""
+    """Compute mu, phi and delta_1 for a transformed system; the seed derives from phi."""
     a, b, c = transformed.a, transformed.b, transformed.c
     N = transformed.n_max
     if (c[:-1] != 0).any():
@@ -135,9 +149,7 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     inv = 1.0 / (mu * b_eff)
     phi = np.cumsum(inv[::-1])[::-1]
 
-    v0_raw = np.sqrt(phi)
-    v0 = v0_raw / weighted_norm(v0_raw, mu)
-    return InitialData(mu=mu, phi=phi, v0_raw=v0_raw, v0=v0, delta1=_delta1_peak(phi, mu))
+    return InitialData(mu=mu, phi=phi, delta1=_delta1_peak(phi, mu))
 
 
 def _delta1_peak(phi, mu) -> float:
@@ -186,69 +198,61 @@ def _safe_shift(phi, mu):
         return None
 
 
-def _weighted_rayleigh(q, mu, v) -> float:
-    """Weighted Rayleigh quotient <v, -q v>_mu / <v, v>_mu of a real vector v."""
-    av = -matvec(q, v)
-    return float((mu * v * av).sum() / (mu * v * v).sum())
-
-
-def _start_vector(v0, seed, mu):
-    """The run's start vector for ``v0``.
-
-    None keeps the efficient ``seed`` (already normalised); "uniform" or
-    a given vector is scaled to unit mu-norm.
-    """
-    if v0 is None:
-        return seed
-    v = np.ones(len(mu)) if isinstance(v0, str) and v0 == "uniform" else as_vector(v0)
-    return v / weighted_norm(v, mu)
-
-
 def _check_z0(z0, names):
     """Reject a z0 name outside ``names``; numbers pass."""
     if isinstance(z0, str) and z0 not in names:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
 
 
-def _resolve_z0(z0, policies, seed_rayleigh):
-    """Initial shift and fallback flag for a number or a policy name.
+def _efficient_rqi(q, solve, h, mu, phi, z0, v0, policies, **opts):
+    """Start vector, initial shift and weighted RQI on -q, in the mu-norm.
 
-    ``policies`` maps each accepted name to a callable, so only the
-    chosen shift is computed.  A policy that returns None (the safe
-    shift when phi_1 >= 1) falls back to ``seed_rayleigh()``, the
-    Rayleigh quotient of the efficient seed, and flags the run.
-    """
-    _check_z0(z0, policies)
-    if not isinstance(z0, str):
-        return float(z0), False
-    z = policies[z0]()
-    if z is None:
-        return seed_rayleigh(), True
-    return z, False
+    The start is the efficient seed sqrt(phi) scaled to unit mu-norm
+    when ``v0`` is None, else "uniform" or the given vector scaled the
+    same way.  ``z0`` is a number, "safe", "rayleigh" (the start's
+    weighted Rayleigh quotient), or a name in ``policies``, which maps
+    each route-only policy to a function of that quotient.  When
+    phi_1 >= 1 rules out the safe shift, the run starts from the seed's
+    quotient and is flagged.
 
-
-def _weighted_rqi(q, solve, mu, h, start, z_start, fallback, **opts):
-    """Weighted RQI on -q from (start, z_start), in the mu-norm.
-
-    The per-step update groups its denominator as mu*|v|^2, which
-    rounds differently from _weighted_rayleigh in the last bit.  The
-    result holds lambda_min(-q) and the eigenvector in the h-scaled
+    The result holds lambda_min(-q) and the eigenvector in the h-scaled
     coordinates; recover_original maps it back.
     """
-    def update(v, av):
-        z = (mu * np.conj(v) * av).sum() / (mu * np.abs(v) ** 2).sum()
-        return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
+    policies = {"rayleigh": lambda rq: rq, **policies}
+    _check_z0(z0, (*policies, "safe"))
 
-    def norm(v):
-        return float(np.sqrt((mu * np.abs(v) ** 2).sum()))
+    def rayleigh(v, av):
+        return float((mu * v * av).sum() / (mu * (v * v)).sum())
+
+    def start_rayleigh(v):
+        return rayleigh(v, -matvec(q, v))
+
+    # scaled here although run_shifted_iteration normalises again: the roundings
+    # differ, and starting from bare sqrt(phi) loses some interior-killing runs
+    seed = _unit(np.sqrt(phi), mu)
+    if v0 is None:
+        start = seed
+    else:
+        v = np.ones(len(mu)) if isinstance(v0, str) and v0 == "uniform" else as_vector(v0)
+        start = _unit(v, mu)
+    fallback = False
+    if not isinstance(z0, str):
+        z_start = float(z0)
+    elif z0 == "safe":
+        z_start = _safe_shift(phi, mu)
+        fallback = z_start is None
+        if fallback:
+            z_start = start_rayleigh(seed)
+    else:
+        z_start = policies[z0](start_rayleigh(start))
 
     z, v, trace = run_shifted_iteration(
         lambda vec: -matvec(q, vec),
         solve,
         start,
         z_start,
-        z_update=update,
-        norm=norm,
+        z_update=rayleigh,
+        norm=lambda vec: float(np.sqrt((mu * (vec * vec)).sum())),
         scale=matrix_scale(q),
         **opts,
     )
@@ -258,7 +262,6 @@ def _weighted_rqi(q, solve, mu, h, start, z_start, fallback, **opts):
         iterations=trace.iterations,
         residual=trace.steps[-1].residual,
         h_scaling=h,
-        norm_tag="l2mu",
         z0_fallback=fallback,
     )
     return result, trace
@@ -340,7 +343,6 @@ def tridiag_rqi(
     tol_z=iterengine.DEFAULT_TOL_Z,
     tol_residual=iterengine.DEFAULT_TOL_RESIDUAL,
     max_iterations=50,
-    store_vectors=False,
 ):
     """Full pipeline: transform, initials, weighted RQI on the transformed system.
 
@@ -360,27 +362,19 @@ def tridiag_rqi(
     ht = compute_h(system)
     transformed = ht.transformed
     init = compute_initials(transformed)
-    mu = init.mu
-    start = _start_vector(v0, init.v0, mu)
-    rayleigh = lambda vec: _weighted_rayleigh(transformed, mu, vec)
-    z_start, fallback = _resolve_z0(z0, {
-        "combination": lambda: z0_combination(init.delta1, rayleigh(start)),
-        "delta1": lambda: init.z0,
-        "safe": lambda: _safe_shift(init.phi, mu),
-        "rayleigh": lambda: rayleigh(start),
-    }, lambda: rayleigh(init.v0))
-    return _weighted_rqi(
+    return _efficient_rqi(
         transformed,
-        _shifted_solver(transformed, mu, solver),
-        mu,
+        _shifted_solver(transformed, init.mu, solver),
         ht.h,
-        start,
-        z_start,
-        fallback,
+        init.mu,
+        init.phi,
+        z0,
+        v0,
+        {"combination": lambda rq: z0_combination(init.delta1, rq),
+         "delta1": lambda rq: init.z0},
         tol_z=tol_z,
         tol_residual=tol_residual,
         max_iterations=max_iterations,
-        store_vectors=store_vectors,
     )
 
 

@@ -26,6 +26,8 @@ SPEC_FILES = {
     "size_str.json": '{"name": "bd_squares", "size": "7"}',
     "size_bool.json": '{"name": "bd_squares", "size": true}',
     "mystery.json": '{"name": "mystery", "size": 3}',
+    "alpha_str.json": '{"name": "branching", "size": 50, "params": {"alpha": "x"}}',
+    "block_float.json": '{"name": "poisson_block", "size": 4, "params": {"block_size": 2.5}}',
 }
 BD7 = ("solve", "--model", "bd_squares", "--n", "7")
 
@@ -46,6 +48,8 @@ EXIT_TABLE = [
     (("solve", "--spec", "{tmp}/size_str.json", "--method", "rqi-tridiag"), 2),
     (("solve", "--spec", "{tmp}/size_bool.json", "--method", "rqi-tridiag"), 2),
     (("solve", "--spec", "{tmp}/mystery.json"), 2),
+    (("solve", "--spec", "{tmp}/alpha_str.json"), 2),
+    (("solve", "--spec", "{tmp}/block_float.json"), 2),
     # flags the method cannot use
     (BD7 + ("--method", "rqi-tridiag", "--z0", "nan"), 2),
     (BD7 + ("--method", "rqi-tridiag", "--z0", "inf"), 2),
@@ -58,6 +62,9 @@ EXIT_TABLE = [
     (BD7 + ("--method", "alg2", "--negate"), 0),
     (("solve", "--model", "toeplitz", "--n", "3", "--method", "power", "--v0", "uniform"), 2),
     (BD7 + ("--method", "power", "--steps", "10", "--v0", "uniform"), 0),
+    *[(BD7 + ("--method", "power", flag, value), 2)
+      for flag, value in (("--tol", "0.5"), ("--res-tol", "0.5"), ("--max-iter", "1"))],
+    *[(BD7 + ("--method", m, "--steps", "5"), 2) for m in METHODS if m != "power"],
     *[(BD7 + ("--method", m, "--v0", "uniform"), 2) for m in ("alg1", "alg2")],
     # convergence failure
     (("solve", "--model", "bd_squares", "--n", "30", "--method", "rqi-tridiag",
@@ -134,6 +141,17 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["options"]["tol_z"] == 0.0
         assert doc["result"]["tol_z"] == 4.0 * 6 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("method, keys", [
+        ("power", {"steps", "norm", "v0"}),
+        ("rqi-tridiag", {"tol_z", "tol_residual", "max_iterations", "z0", "v0"}),
+        ("alg2", {"tol_z", "tol_residual", "max_iterations", "z0", "negate"}),
+    ])
+    def test_json_record_lists_the_options_the_method_read(self, capsys, method, keys):
+        code, out, _ = run_cli(capsys, "solve", "--model", "bd_squares", "--n", "5",
+                               "--method", method, "--json")
+        assert code == 0
+        assert set(json.loads(out)["options"]) == keys
 
     def test_trace_csv_figure_shape(self, capsys, tmp_path):
         # fast initial drop, then a long plateau: still unconverged at 1000

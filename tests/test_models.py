@@ -167,6 +167,13 @@ class TestModelSpec:
             models.ModelSpec.from_json('{"name": "bd_squares"')
         with pytest.raises(parse_error):
             models.ModelSpec.from_json("[1]")
+        for name, params in (("branching", {"alpha": "x"}), ("branching", {"alpha": True}),
+                             ("poisson_block", {"block_size": 2.5}),
+                             ("poisson_block", {"block_size": False}),
+                             ("triangular", {"rule": ["one"]})):
+            with pytest.raises(parse_error):
+                models.ModelSpec(name, 50, params)
+        assert models.ModelSpec("branching", 50, {"alpha": 1}).params == {"alpha": 1}
 
     def test_deterministic(self):
         a = models.ModelSpec("poisson_block", 3, {"block_size": 4}).render()

@@ -265,12 +265,11 @@ class TestRecoverOriginal:
     def test_keeps_fields_it_does_not_remap(self):
         result = EigenpairResult(eigenvalue=0.5, eigenvector=np.array([2.0, 1.0]), iterations=3,
                                  residual=1e-12, h_scaling=np.array([1.0, 4.0]),
-                                 norm_tag="l2mu", z0_fallback=True)
+                                 z0_fallback=True)
         recovered = recover_original(result, m=2.0)
         assert recovered.eigenvalue == 1.5
         assert np.array_equal(recovered.eigenvector, [0.5, 1.0])
         assert (recovered.iterations, recovered.residual, recovered.shift_m) == (3, 1e-12, 2.0)
-        assert recovered.norm_tag == "l2mu"
         assert recovered.z0_fallback
 
     def test_printed_eigenvector(self):
