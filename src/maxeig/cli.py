@@ -43,6 +43,9 @@ Z0_NAMES = {
     "alg2": ("max-ratio",),
 }
 
+# model parameter flags (argparse dest = ModelSpec param name)
+_MODEL_PARAMS = ("alpha", "rule", "block_size")
+
 EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_DOMAIN = 4
@@ -89,6 +92,8 @@ def _load_input(args):
     sources = sum(1 for s in (args.model, args.input, args.spec) if s)
     if sources != 1:
         raise matrixio.parse_error("exactly one of --model, --input, --spec is required")
+    if not args.model and any(getattr(args, key) is not None for key in ("n", *_MODEL_PARAMS)):
+        raise matrixio.parse_error("--n, --alpha, --rule and --block-size apply only to --model")
     if args.input:
         return matrixio.read_matrix(args.input), f"file:{args.input}"
     if args.spec:
@@ -100,14 +105,8 @@ def _load_input(args):
 
 
 def _model_spec(name, args):
-    """ModelSpec of a built-in model from the size and parameter flags."""
-    params = {}
-    if name == "triangular":
-        params["rule"] = args.rule
-    if name == "branching":
-        params["alpha"] = args.alpha
-    if name == "poisson_block" and args.block_size:
-        params["block_size"] = args.block_size
+    """ModelSpec of a built-in model from the size and the parameter flags given."""
+    params = {key: getattr(args, key) for key in _MODEL_PARAMS if getattr(args, key) is not None}
     return models.ModelSpec(name=name, size=args.n, params=params)
 
 
@@ -307,13 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="compute the maximal eigenpair of a model or matrix file")
+    # the size and parameter flags of a built-in model; a flag the model
+    # does not take exits 2
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--n", type=int, help="model size parameter")
+    model_flags.add_argument("--alpha", type=float, help="branching offspring parameter "
+                             f"(default {models.branching_model.__defaults__[0]:g})")
+    model_flags.add_argument("--rule", choices=sorted(models.TRIANGULAR_RULES),
+                             help="triangular-model rate rule "
+                             f"(default {models.triangular_model.__defaults__[0]})")
+    model_flags.add_argument("--block-size", type=int,
+                             help="poisson_block block size (default: the grid size)")
+
+    solve = sub.add_parser("solve", parents=[model_flags],
+                           help="compute the maximal eigenpair of a model or matrix file")
     solve.add_argument("--model", choices=models.MODEL_NAMES)
-    solve.add_argument("--n", type=int, help="model size parameter")
-    solve.add_argument("--alpha", type=float, default=1.75, help="branching offspring parameter")
-    solve.add_argument("--rule", default="inv_kp1", choices=sorted(models.TRIANGULAR_RULES),
-                       help="triangular-model rate rule")
-    solve.add_argument("--block-size", type=int, help="poisson_block block size (defaults to grid)")
     solve.add_argument("--input", help="matrix file (coordinate or TRIDIAG format)")
     solve.add_argument("--spec", help="model spec JSON file")
     solve.add_argument("--method", choices=METHODS, default="alg2")
@@ -343,12 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--json", action="store_true", help="print the RunRecord as JSON")
     solve.set_defaults(fn=cmd_solve)
 
-    model = sub.add_parser("model", help="render a built-in model to a matrix file")
+    model = sub.add_parser("model", parents=[model_flags],
+                           help="render a built-in model to a matrix file")
     model.add_argument("--name", required=True, choices=models.MODEL_NAMES)
-    model.add_argument("--n", type=int)
-    model.add_argument("--alpha", type=float, default=1.75)
-    model.add_argument("--rule", default="inv_kp1", choices=sorted(models.TRIANGULAR_RULES))
-    model.add_argument("--block-size", type=int)
     model.add_argument("--emit", help="output matrix path")
     model.add_argument("--format", choices=("coord", "tridiag"),
                        help="matrix format (default: natural for the model)")

@@ -242,11 +242,10 @@ def run_shifted_iteration(
     )
 
 
-def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0):
+def power_iteration(A, v0=None, norm="l1", steps=100):
     """Power iteration v_k = A v_{k-1} / ||A v_{k-1}||, z_k = ||A v_k||, in the l1 or l2 norm.
 
-    Runs exactly ``steps`` iterations, or stops early once the change in
-    z falls below ``tol`` (relative).  Convergence requires the dominant
+    Runs exactly ``steps`` iterations.  Convergence requires the dominant
     eigenvalue to be the target; slow convergence, not divergence, is
     the failure mode.
     """
@@ -266,14 +265,8 @@ def power_iteration(A, v0=None, norm="l1", steps=100, tol=0.0):
     for k in range(1, steps + 1):
         v = av / z
         av = matvec(A, v)
-        z_new = norm_fn(av)
-        residual = _relative_residual(norm_fn, av, z_new, v, scale)
-        trace.record(k, z_new, residual, time.perf_counter() - t0)
-        if tol > 0.0 and abs(z_new - z) <= tol * max(1.0, abs(z_new)):
-            z = z_new
-            trace.termination = "converged"
-            return trace
-        z = z_new
+        z = norm_fn(av)
+        trace.record(k, z, _relative_residual(norm_fn, av, z, v, scale), time.perf_counter() - t0)
     trace.termination = "steps_exhausted"
     return trace
 

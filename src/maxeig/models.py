@@ -77,7 +77,7 @@ def triangular_model(N: int, rule="inv_kp1") -> np.ndarray:
     return Q
 
 
-def branching_model(N: int, alpha: float) -> np.ndarray:
+def branching_model(N: int, alpha: float = 1.75) -> np.ndarray:
     """Truncated branching generator on states 1..N (order N).
 
     Offspring law p_0 = alpha/2, p_1 = 0, p_n = (2-alpha)/2^n; the last
@@ -165,13 +165,18 @@ def complex3() -> np.ndarray:
     ])
 
 
-MODEL_NAMES = ("bd_squares", "poisson_block", "toeplitz", "triangular", "branching",
-               "negative3", "complex3")
-# the params each model accepts besides its size
-MODEL_PARAMS = {"poisson_block": ("block_size",), "triangular": ("rule",), "branching": ("alpha",)}
-# the type each param must have (never bool), and its name in messages
-PARAM_TYPES = {"block_size": (int, "an integer"), "rule": (str, "a string"),
-               "alpha": ((int, float), "a real number")}
+# name -> (constructor, whether its first argument is the size, the
+# keyword parameters it takes: name -> (type, the type's name in messages))
+_MODELS = {
+    "bd_squares": (bd_squares, True, {}),
+    "poisson_block": (poisson_block, True, {"block_size": (int, "an integer")}),
+    "toeplitz": (toeplitz_linear, True, {}),
+    "triangular": (triangular_model, True, {"rule": (str, "a string")}),
+    "branching": (branching_model, True, {"alpha": ((int, float), "a real number")}),
+    "negative3": (negative3, False, {}),
+    "complex3": (complex3, False, {}),
+}
+MODEL_NAMES = tuple(_MODELS)
 
 
 def _has_type(value, kind) -> bool:
@@ -182,10 +187,12 @@ def _has_type(value, kind) -> bool:
 class ModelSpec:
     """A serializable description of one built-in model instance.
 
-    An unknown model name, a missing size or one that is not an int, a
-    parameter the model does not take or of the wrong type (see
-    PARAM_TYPES), or an unknown triangular rule raises
-    ``matrixio.parse_error``: the description itself is malformed.
+    ``params`` holds only the parameters that were given; the constructor's
+    own defaults fill in the rest.  Raises ``matrixio.parse_error`` (the
+    description itself is malformed) for an unknown model name; a size
+    that is missing, not an int, or given to a model that takes none;
+    params that are not a dict; a parameter the model does not take or
+    of the wrong type (see ``_MODELS``); or an unknown triangular rule.
     """
 
     name: str
@@ -193,38 +200,32 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in MODEL_NAMES:
+        if self.name not in _MODELS:
             raise parse_error(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
-        if self.size is None and self.name not in ("negative3", "complex3"):
+        _, sized, takes = _MODELS[self.name]
+        if sized and self.size is None:
             raise parse_error(f"model {self.name!r} needs a size (--n)")
+        if not sized and self.size is not None:
+            raise parse_error(f"model {self.name!r} takes no size, got {self.size!r}")
         if self.size is not None and not _has_type(self.size, int):
             raise parse_error(f"model size must be an integer, got {self.size!r}")
-        unknown = sorted(map(str, set(self.params) - set(MODEL_PARAMS.get(self.name, ()))))
+        if not isinstance(self.params, dict):
+            raise parse_error(f"model params must be an object, got {self.params!r}")
+        unknown = sorted(map(str, set(self.params) - set(takes)))
         if unknown:
             raise parse_error(f"model {self.name!r} takes no parameter {', '.join(unknown)}")
         for key, value in self.params.items():
-            kind, what = PARAM_TYPES[key]
+            kind, what = takes[key]
             if not _has_type(value, kind):
                 raise parse_error(f"model parameter {key} must be {what}, got {value!r}")
-        if self.params.get("rule", "inv_kp1") not in TRIANGULAR_RULES:
+        if "rule" in self.params and self.params["rule"] not in TRIANGULAR_RULES:
             raise parse_error(f"unknown triangular rule {self.params['rule']!r}; "
                               f"choose from {', '.join(TRIANGULAR_RULES)}")
 
     def render(self):
         """Materialize the concrete matrix or tridiagonal system."""
-        if self.name == "bd_squares":
-            return bd_squares(self.size)
-        if self.name == "poisson_block":
-            return poisson_block(self.size, **self.params)
-        if self.name == "toeplitz":
-            return toeplitz_linear(self.size)
-        if self.name == "triangular":
-            return triangular_model(self.size, self.params.get("rule", "inv_kp1"))
-        if self.name == "branching":
-            return branching_model(self.size, self.params.get("alpha", 1.75))
-        if self.name == "negative3":
-            return negative3()
-        return complex3()
+        make, sized, _ = _MODELS[self.name]
+        return make(self.size, **self.params) if sized else make()
 
     def to_json(self) -> str:
         return json.dumps({"name": self.name, "size": self.size, "params": self.params})

@@ -1,8 +1,10 @@
-"""Reproduction runners for the bundled reference tables.
+"""Reproduction of the bundled reference tables.
 
-Each table id maps to a runner that recomputes the comparable cells
-with this library and pairs them with the bundled reference values.
-Gated cells decide the exit status of ``maxeig reproduce``; ungated
+Each table id has one entry in ``_TABLES``: given a row's size it
+recomputes that row with this library and returns a function from cell
+id to computed value (None when the library has no such value).
+``run_table`` picks the rows, calls the entry once per row and pairs
+each cell with its bundled reference value, in file order.  Gated cells decide the exit status of ``maxeig reproduce``; ungated
 cells are shown for side-by-side comparison only (initial shifts that
 depend on policy, traces of variant algorithms, and rows the source
 printed before stabilizing).
@@ -21,9 +23,7 @@ from .general_init import general_rqi
 from .iterengine import algorithm1, algorithm2, rqi
 from .tridiag import recover_original, tridiag_rqi
 
-__all__ = ["CellReport", "TABLE_IDS", "load_reference", "run_table", "default_max_size"]
-
-TABLE_IDS = ("t1", "t3", "t4", "t5", "t6", "t7", "e11", "e12", "e13")
+__all__ = ["CellReport", "TABLE_IDS", "load_reference", "run_table"]
 
 _reference_cache = None
 
@@ -34,10 +34,6 @@ def load_reference() -> dict:
         text = resources.files("maxeig").joinpath("data/reference_tables.json").read_text()
         _reference_cache = json.loads(text)
     return _reference_cache
-
-
-def default_max_size(table: str) -> int | None:
-    return load_reference()["tables"][table].get("default_max_size")
 
 
 @dataclass(frozen=True)
@@ -92,112 +88,45 @@ def _trace_value(zs, cell_id):
     return complex(val) if np.iscomplexobj(zs) else float(val)
 
 
-def _rows(table, max_size):
-    doc = load_reference()["tables"][table]
-    limit = max_size if max_size is not None else doc.get("default_max_size")
-    for row in doc["rows"]:
-        if limit is None or row["size"] <= limit:
-            yield row
+def _trace_table(solve):
+    """Entry of a table of shift traces: the cells of solve(size)'s trace."""
+
+    def row(size):
+        zs = solve(size)[1].zs()
+        return lambda cid: _trace_value(zs, cid)
+
+    return row
 
 
-def _run_trace_table(table, max_size, compute_trace):
-    reports = []
-    for row in _rows(table, max_size):
-        zs = compute_trace(row["size"])
-        label = f"size={row['size']}"
-        for cell in row["cells"]:
-            reports.append(_pair(table, label, cell, _trace_value(zs, cell["id"])))
-    return reports
-
-
-def _run_t1(max_size):
-    def compute(size):
-        _, trace = tridiag_rqi(models.bd_squares(size - 1))
-        return trace.zs()
-
-    return _run_trace_table("t1", max_size, compute)
-
-
-def _run_t3(max_size):
-    def compute(size):
-        _, trace = general_rqi(models.toeplitz_linear(size))
-        return trace.zs()
-
-    return _run_trace_table("t3", max_size, compute)
-
-
-def _run_t4(max_size):
-    def compute(size):
-        _, trace = algorithm2(models.triangular_model(size - 1, "inv_kp1"), negate=True)
-        return trace.zs()
-
-    return _run_trace_table("t4", max_size, compute)
-
-
-def _run_t5(max_size):
-    def compute(size):
-        _, trace = algorithm2(models.branching_model(size, 7.0 / 4.0), negate=True)
-        return trace.zs()
-
-    return _run_trace_table("t5", max_size, compute)
-
-
-def _run_t6(max_size):
+def _t6_row(size):
     A = models.negative3()
-    _, trace1 = algorithm1(A)
-    _, trace2 = algorithm2(A)
-    traces = {"alg1": trace1.zs(), "alg2": trace2.zs()}
-    reports = []
-    for row in _rows("t6", max_size):
-        for cell in row["cells"]:
-            which, zid = cell["id"].split(".")
-            reports.append(_pair("t6", "size=3", cell, _trace_value(traces[which], zid)))
-    return reports
+    traces = {"alg1": algorithm1(A)[1].zs(), "alg2": algorithm2(A)[1].zs()}
+
+    def value(cid):
+        which, zid = cid.split(".")
+        return _trace_value(traces[which], zid)
+
+    return value
 
 
-def _run_t7(max_size):
-    A = models.complex3()
-    result, _ = algorithm1(A)
+def _t7_row(size):
+    result, _ = algorithm1(models.complex3())
     g = result.eigenvector / np.linalg.norm(result.eigenvector)
-    reports = []
-    for row in _rows("t7", max_size):
-        for cell in row["cells"]:
-            cid = cell["id"]
-            if cid in ("eigenvalue", "eigenvalue_nominal"):
-                computed = complex(result.eigenvalue)
-            elif cid.startswith("g"):
-                computed = complex(g[int(cid[1])])
-            else:
-                computed = None  # the y-trace comes from an undefined variant
-            reports.append(_pair("t7", "size=3", cell, computed))
-    return reports
+    lam = complex(result.eigenvalue)
+    # no y<k> entry: the y-trace comes from an undefined variant, so it reads None
+    return {"eigenvalue": lam, "eigenvalue_nominal": lam,
+            **{f"g{i}": complex(x) for i, x in enumerate(g)}}.get
 
 
-def _run_e11(max_size):
-    result, _ = tridiag_rqi(models.bd_squares(7))
-    recovered = recover_original(result)
-    reports = []
-    for row in _rows("e11", max_size):
-        for cell in row["cells"]:
-            cid = cell["id"]
-            if cid == "eigenvalue":
-                computed = float(result.eigenvalue)
-            else:
-                computed = float(recovered.eigenvector[int(cid[1])])
-            reports.append(_pair("e11", "size=8", cell, computed))
-    return reports
+def _e11_row(size):
+    result, _ = tridiag_rqi(models.bd_squares(size - 1))
+    g = recover_original(result).eigenvector
+    return {"eigenvalue": float(result.eigenvalue),
+            **{f"g{i}": float(x) for i, x in enumerate(g)}}.get
 
 
-def _run_e12(max_size):
-    def compute(size):
-        _, trace = tridiag_rqi(models.bd_squares(size - 1), z0="rayleigh")
-        return trace.zs()
-
-    return _run_trace_table("e12", max_size, compute)
-
-
-def _run_e13(max_size):
-    system = models.bd_squares(7)
+def _e13_row(size):
+    system = models.bd_squares(size - 1)
     neg_q = -system.dense()
     n = neg_q.shape[0]
     v0 = np.ones(n) / np.sqrt(n)
@@ -208,32 +137,47 @@ def _run_e13(max_size):
         abs(result.eigenvalue - safe.eigenvalue) > 1e-3 * abs(safe.eigenvalue)
     )
     zs = trace.zs()
-    reports = []
-    for row in _rows("e13", max_size):
-        for cell in row["cells"]:
-            if cell["id"] == "non_maximal_flagged":
-                computed = 1.0 if flagged else 0.0
-            else:
-                computed = _trace_value(zs, cell["id"])
-            reports.append(_pair("e13", "size=8", cell, computed))
-    return reports
+
+    def value(cid):
+        if cid == "non_maximal_flagged":
+            return 1.0 if flagged else 0.0
+        return _trace_value(zs, cid)
+
+    return value
 
 
-_RUNNERS = {
-    "t1": _run_t1,
-    "t3": _run_t3,
-    "t4": _run_t4,
-    "t5": _run_t5,
-    "t6": _run_t6,
-    "t7": _run_t7,
-    "e11": _run_e11,
-    "e12": _run_e12,
-    "e13": _run_e13,
+# table id -> entry: row size -> (cell id -> computed value).  The lambdas
+# look the solvers up at call time, so a patched module binding takes effect.
+_TABLES = {
+    "t1": _trace_table(lambda size: tridiag_rqi(models.bd_squares(size - 1))),
+    "t3": _trace_table(lambda size: general_rqi(models.toeplitz_linear(size))),
+    "t4": _trace_table(lambda size: algorithm2(models.triangular_model(size - 1, "inv_kp1"),
+                                               negate=True)),
+    "t5": _trace_table(lambda size: algorithm2(models.branching_model(size, 7.0 / 4.0),
+                                               negate=True)),
+    "t6": _t6_row,
+    "t7": _t7_row,
+    "e11": _e11_row,
+    "e12": _trace_table(lambda size: tridiag_rqi(models.bd_squares(size - 1), z0="rayleigh")),
+    "e13": _e13_row,
 }
+TABLE_IDS = tuple(_TABLES)
 
 
 def run_table(table: str, max_size=None) -> list[CellReport]:
-    """Recompute one reference table; deterministic cell order."""
-    if table not in _RUNNERS:
+    """Recompute one reference table; deterministic cell order.
+
+    Rows larger than ``max_size`` (default: the table's
+    ``default_max_size``, else every row) are skipped.
+    """
+    if table not in _TABLES:
         raise KeyError(f"unknown table {table!r}; choose from {TABLE_IDS}")
-    return _RUNNERS[table](max_size)
+    doc = load_reference()["tables"][table]
+    limit = doc.get("default_max_size") if max_size is None else max_size
+    reports = []
+    for row in doc["rows"]:
+        if limit is None or row["size"] <= limit:
+            value = _TABLES[table](row["size"])
+            reports += [_pair(table, f"size={row['size']}", cell, value(cell["id"]))
+                        for cell in row["cells"]]
+    return reports

@@ -28,6 +28,8 @@ SPEC_FILES = {
     "mystery.json": '{"name": "mystery", "size": 3}',
     "alpha_str.json": '{"name": "branching", "size": 50, "params": {"alpha": "x"}}',
     "block_float.json": '{"name": "poisson_block", "size": 4, "params": {"block_size": 2.5}}',
+    "params_int.json": '{"name": "bd_squares", "size": 3, "params": 5}',
+    "params_list.json": '{"name": "branching", "size": 3, "params": [["alpha", 2]]}',
 }
 BD7 = ("solve", "--model", "bd_squares", "--n", "7")
 
@@ -50,6 +52,14 @@ EXIT_TABLE = [
     (("solve", "--spec", "{tmp}/mystery.json"), 2),
     (("solve", "--spec", "{tmp}/alpha_str.json"), 2),
     (("solve", "--spec", "{tmp}/block_float.json"), 2),
+    (("solve", "--spec", "{tmp}/params_int.json"), 2),
+    (("solve", "--spec", "{tmp}/params_list.json"), 2),
+    (("model", "--name", "negative3", "--n", "5"), 2),
+    # model flags the model (or a non-model input) does not take
+    (BD7 + ("--alpha", "1.9", "--rule", "k2", "--block-size", "5"), 2),
+    *[(BD7 + (flag, value), 2)
+      for flag, value in (("--alpha", "1.9"), ("--rule", "k2"), ("--block-size", "5"))],
+    (("solve", "--spec", "{tmp}/bd7.json", "--n", "7", "--method", "rqi-tridiag"), 2),
     # flags the method cannot use
     (BD7 + ("--method", "rqi-tridiag", "--z0", "nan"), 2),
     (BD7 + ("--method", "rqi-tridiag", "--z0", "inf"), 2),
@@ -71,6 +81,7 @@ EXIT_TABLE = [
       "--z0", "rayleigh", "--max-iter", "1"), 3),
     # values the library rejects
     (("solve", "--model", "bd_squares", "--n", "0", "--method", "rqi-tridiag"), 4),
+    (("solve", "--model", "poisson_block", "--n", "3", "--block-size", "0", "--method", "alg2"), 4),
     (("solve", "--model", "complex3", "--method", "rqi-tridiag"), 4),
     (("solve", "--model", "negative3", "--method", "rqi-general"), 4),
 ]
@@ -254,6 +265,12 @@ class TestModelCommand:
         A = read_matrix(mpath)
         spec = ModelSpec.from_json(spath.read_text())
         assert np.array_equal(A, spec.render())
+
+    def test_spec_records_only_the_parameters_given(self, capsys):
+        _, out, _ = run_cli(capsys, "model", "--name", "branching", "--n", "5")
+        assert json.loads(out.split("  (")[0]) == {"name": "branching", "size": 5, "params": {}}
+        _, out, _ = run_cli(capsys, "model", "--name", "branching", "--n", "5", "--alpha", "1.5")
+        assert '"params": {"alpha": 1.5}' in out
 
     def test_complex_round_trip(self, capsys, tmp_path):
         from maxeig.matrixio import read_matrix

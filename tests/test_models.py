@@ -151,6 +151,11 @@ class TestModelSpec:
         assert models.ModelSpec("toeplitz", 4).render().shape == (4, 4)
         assert models.ModelSpec("negative3").render().shape == (3, 3)
         assert models.ModelSpec("complex3").render().dtype.kind == "c"
+        # a parameter left out takes the constructor's default
+        assert np.array_equal(models.ModelSpec("branching", 50).render(),
+                              models.branching_model(50, 1.75))
+        assert np.array_equal(models.ModelSpec("triangular", 5).render(),
+                              models.triangular_model(5, "inv_kp1"))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInput):
@@ -167,6 +172,11 @@ class TestModelSpec:
             models.ModelSpec.from_json('{"name": "bd_squares"')
         with pytest.raises(parse_error):
             models.ModelSpec.from_json("[1]")
+        for params in (5, [["alpha", 2]]):
+            with pytest.raises(parse_error):
+                models.ModelSpec("branching", 50, params)
+        with pytest.raises(parse_error):
+            models.ModelSpec("negative3", 5)
         for name, params in (("branching", {"alpha": "x"}), ("branching", {"alpha": True}),
                              ("poisson_block", {"block_size": 2.5}),
                              ("poisson_block", {"block_size": False}),
