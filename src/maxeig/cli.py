@@ -145,6 +145,8 @@ def _method_options(args):
             raise matrixio.parse_error(f"{flag} does not apply to --method {args.method}")
     if "z0" in options:
         options["z0"] = _parse_z0(options["z0"], args.method)
+    if options.get("steps", 0) < 0:
+        raise matrixio.parse_error(f"--steps must be nonnegative, got {options['steps']}")
     return options
 
 
@@ -280,6 +282,9 @@ def cmd_model(args) -> int:
 
 def cmd_reproduce(args) -> int:
     reports = reference.run_table(args.table, max_size=args.max_size)
+    if not reports:
+        # a reproduction that compared nothing must not read as a pass
+        raise matrixio.parse_error(f"--max-size {args.max_size} selects no row of {args.table}")
     gated_pass = gated_fail = 0
     for rep in reports:
         computed = "n/a" if rep.computed is None else _fmt(rep.computed)

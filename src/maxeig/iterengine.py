@@ -251,6 +251,8 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     """
     if norm not in _POWER_NORMS:
         raise InvalidInput(f"unknown norm {norm!r}")
+    if steps < 0:
+        raise InvalidInput(f"steps must be nonnegative, got {steps}")
     norm_fn = _POWER_NORMS[norm]
     t0 = time.perf_counter()
     trace = IterationTrace()

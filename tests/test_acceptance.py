@@ -65,20 +65,23 @@ def test_example_1_1_eigenpair():
 
 
 def test_table1_two_step_convergence():
-    for size, cells in TABLE1.items():
-        _, trace = tridiag_rqi(models.bd_squares(size - 1))
-        zs = trace.zs()
-        for k, expect in enumerate(cells):
-            ok = abs(zs[k] - expect) <= 5e-6 * abs(expect)
-            report(f"table 1 size {size}: z{k} = {expect}", ok, f"computed {zs[k]:.6f}")
-        stab = trace.stabilized_at()
-        report(f"table 1 size {size}: stabilized by the second iterate", stab <= 2,
-               f"stabilized at {stab}, {trace.iterations} solves")
+    # the banded default and the paper's closed form must both reproduce the table
+    for solver in ("generic", "explicit"):
+        for size, cells in TABLE1.items():
+            _, trace = tridiag_rqi(models.bd_squares(size - 1), solver=solver)
+            zs = trace.zs()
+            for k, expect in enumerate(cells):
+                ok = abs(zs[k] - expect) <= 5e-6 * abs(expect)
+                report(f"table 1 size {size} ({solver}): z{k} = {expect}", ok,
+                       f"computed {zs[k]:.6f}")
+            stab = trace.stabilized_at()
+            report(f"table 1 size {size} ({solver}): stabilized by the second iterate",
+                   stab <= 2, f"stabilized at {stab}, {trace.iterations} solves")
 
 
 def test_table1_order_ten_thousand():
     t0 = time.perf_counter()
-    _, trace = tridiag_rqi(models.bd_squares(9999))
+    _, trace = tridiag_rqi(models.bd_squares(9999), solver="explicit")
     elapsed = time.perf_counter() - t0
     z2 = trace.zs()[2]
     report(

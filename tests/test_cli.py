@@ -55,6 +55,8 @@ EXIT_TABLE = [
     (("solve", "--spec", "{tmp}/params_int.json"), 2),
     (("solve", "--spec", "{tmp}/params_list.json"), 2),
     (("model", "--name", "negative3", "--n", "5"), 2),
+    (BD7 + ("--method", "power", "--steps", "-3"), 2),
+    (("reproduce", "t1", "--max-size", "-5"), 2),
     # model flags the model (or a non-model input) does not take
     (BD7 + ("--alpha", "1.9", "--rule", "k2", "--block-size", "5"), 2),
     *[(BD7 + (flag, value), 2)

@@ -60,6 +60,11 @@ class TestPowerIteration:
         with pytest.raises(InvalidInput):
             power_iteration(np.eye(2), norm="l2mu")
 
+    def test_negative_steps_rejected(self):
+        assert power_iteration(np.eye(2), steps=0).iterations == 0
+        with pytest.raises(InvalidInput):
+            power_iteration(np.eye(2), steps=-3)
+
 
 class TestRqi:
     def test_invariant_subspace_single_step(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maxeig import models, tridiag
+from maxeig import linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
 
@@ -50,8 +50,8 @@ class TestTridiagSolve:
             upper = rng.normal(size=n - 1)
             diag = rng.normal(size=n) + 4.0  # diagonally dominant
             rhs = rng.normal(size=n)
-            x = tridiag_solve(lower, diag, upper, rhs)
             dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+            x = tridiag_solve(lower, diag, upper, rhs)
             y = dense_solve(dense, rhs)
             worst = max(worst, np.abs(x - y).max() / max(1.0, np.abs(y).max()))
         assert worst <= 1e-9
@@ -99,8 +99,8 @@ class TestTridiagSolve:
             for _ in range(5):
                 lower, upper = rng.normal(size=n - 1), rng.normal(size=n - 1)
                 diag, rhs = rng.normal(size=n), rng.normal(size=n)
-                x = tridiag_solve(lower, diag, upper, rhs)
                 dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+                x = tridiag_solve(lower, diag, upper, rhs)
                 assert np.abs(x - dense_solve(dense, rhs)).max() <= 1e-12 * np.abs(x).max()
 
     def test_strided_input_equals_contiguous(self, rng):
@@ -112,12 +112,68 @@ class TestTridiagSolve:
         kept = [a.copy() for a in inputs]
         contiguous = [np.ascontiguousarray(a) for a in inputs]
         assert np.array_equal(tridiag_solve(*inputs), tridiag_solve(*contiguous))
-        # the solve works on copies and leaves its inputs untouched
+        # strided diagonals are copied before use as work space; rhs always is
         assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+        assert np.array_equal(contiguous[3], kept[3])
 
     def test_exact_breakdown_raises(self):
         with pytest.raises(SolverBreakdown):
             tridiag_solve([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
+
+    def test_tiny_pivot_or_overflow_raises(self):
+        with pytest.raises(SolverBreakdown):
+            tridiag_solve([1.0], [1e-40, 1.0], [0.0], [1.0, 1.0])
+        with pytest.raises(SolverBreakdown):
+            tridiag_solve([], [1e-29], [], [1e300])
+
+
+# the LAPACK routine found at import, kept before any test forces the fallback
+LAPACK_DGTSV = linsolve._dgtsv
+
+
+def shifted_systems(rng):
+    """Random real shifted tridiagonal systems, orders 1 to 5000, as (lower, diag, upper, rhs)."""
+    for n in (1, 2, 3, 4, 7, 16, 64, 500, 5000):
+        for with_killing in ("last", "all") if n > 1 else ():
+            system = random_system(rng, n - 1, with_killing=with_killing)
+            # shifts below, inside and above the spectrum's low end
+            for z in (0.0, *rng.uniform(0.0, 4.0, 3)):
+                yield (*shifted_coeffs(system, z), rng.normal(size=n))
+        # no structure at all: pivots of either sign and many row swaps
+        yield (rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1),
+               rng.normal(size=n))
+
+
+class TestTridiagSolveLoop(TestTridiagSolve):
+    """Every TestTridiagSolve case again, on the Python loop that stands in
+    when numpy's LAPACK exports no dgtsv."""
+
+    @pytest.fixture(autouse=True)
+    def without_lapack(self, monkeypatch):
+        monkeypatch.setattr(linsolve, "_dgtsv", None)
+
+    @staticmethod
+    def lapack_solve(*args):
+        if LAPACK_DGTSV is None:
+            pytest.skip("numpy's LAPACK exports no dgtsv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linsolve, "_dgtsv", LAPACK_DGTSV)
+            return tridiag_solve(*args)
+
+    def compare(self, args):
+        # each solve overwrites the diagonals it is given, so each gets its own
+        loop = tridiag_solve(*(a.copy() for a in args))
+        assert loop.tobytes() == self.lapack_solve(*args).tobytes()
+
+    def test_bitwise_equal_to_lapack_on_random_shifted_systems(self, rng):
+        for args in shifted_systems(rng):
+            self.compare(args)
+
+    def test_bitwise_equal_to_lapack_on_t1(self):
+        system = models.bd_squares(10**5 - 1)
+        rhs = np.ones(system.order)
+        for z in (0.25, 0.29, 0.5):
+            self.compare((*shifted_coeffs(system, z), rhs))
 
 
 class TestDenseLu:

@@ -163,7 +163,7 @@ class TestExplicitSolve:
 @pytest.fixture(scope="module")
 def million_explicit():
     system = models.bd_squares(10**6 - 1)
-    return (system, *tridiag_rqi(system))
+    return (system, *tridiag_rqi(system, solver="explicit"))
 
 
 @pytest.fixture(scope="module")
