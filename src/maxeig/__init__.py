@@ -20,7 +20,6 @@ from .errors import (
     MaxeigError,
     MaxIterationsExceeded,
     NonPositiveSequence,
-    SafeFormulaUnavailable,
     SolverBreakdown,
 )
 from .general_init import general_rqi
@@ -79,7 +78,6 @@ __all__ = [
     "MaxeigError",
     "InvalidInput",
     "NonPositiveSequence",
-    "SafeFormulaUnavailable",
     "SolverBreakdown",
     "MaxIterationsExceeded",
 ]

@@ -110,10 +110,6 @@ def _model_spec(name, args):
     return models.ModelSpec(name=name, size=args.n, params=params)
 
 
-def _start_vector(choice):
-    return None if choice == "efficient" else "uniform"
-
-
 def _parse_z0(text, method):
     names = Z0_NAMES[method]
     if text is None:
@@ -145,8 +141,11 @@ def _method_options(args):
             raise matrixio.parse_error(f"{flag} does not apply to --method {args.method}")
     if "z0" in options:
         options["z0"] = _parse_z0(options["z0"], args.method)
-    if options.get("steps", 0) < 0:
-        raise matrixio.parse_error(f"--steps must be nonnegative, got {options['steps']}")
+    # a tolerance or budget that can never be met; NaN fails the comparison too
+    for dest, least in (("tol_z", 0), ("tol_residual", 0), ("max_iterations", 1), ("steps", 0)):
+        if dest in options and not options[dest] >= least:
+            raise matrixio.parse_error(
+                f"{_METHOD_FLAGS[dest][0]} must be at least {least}, got {options[dest]}")
     return options
 
 
@@ -162,19 +161,9 @@ def cmd_solve(args) -> int:
     warn = None
 
     if args.method == "power":
-        if isinstance(matrix, TridiagonalSystem):
-            # shift to a nonnegative matrix so the maximal pair dominates;
-            # presented values are m - z_k, the decay-rate estimates
-            dense = matrix.dense()
-            m = float(np.abs(np.diag(dense)).max())
-            A = m * np.eye(matrix.order) + dense
-            v0 = None if options["v0"] == "uniform" else _efficient_seed(matrix)
-            trace = power_iteration(A, v0=v0, norm=options["norm"], steps=options["steps"])
-            for i, step in enumerate(trace.steps):
-                trace.steps[i] = type(step)(step.k, m - step.z, step.residual, step.seconds)
-        else:
-            trace = power_iteration(np.asarray(matrix), norm=options["norm"],
-                                    steps=options["steps"])
+        # tridiagonal input is iterated shifted; the trace holds decay-rate estimates
+        v0 = _efficient_seed(matrix) if options.get("v0") == "efficient" else None
+        trace = power_iteration(matrix, v0=v0, norm=options["norm"], steps=options["steps"])
         zfinal = trace.steps[-1].z
         lines.append(f"power iteration: z = {_fmt(zfinal)} after {trace.iterations} steps")
         result_doc = {"eigenvalue": _scalar(zfinal), "iterations": trace.iterations}
@@ -229,11 +218,8 @@ def cmd_solve(args) -> int:
 
 
 def _efficient_seed(system: TridiagonalSystem):
-    from .tridiag import compute_h, compute_initials
-
-    ht = compute_h(system)
-    init = compute_initials(ht.transformed)
-    return ht.h * init.v0_raw
+    ht = tridiag.compute_h(system)
+    return ht.h * tridiag.compute_initials(ht.transformed).v0_raw
 
 
 def _run_method(method, matrix, options):
@@ -244,12 +230,12 @@ def _run_method(method, matrix, options):
         system = matrix if isinstance(matrix, TridiagonalSystem) else tridiagonal_from_dense(matrix)
         if system is None:
             raise InvalidInput("rqi-tridiag needs tridiagonal generator input")
-        result, trace = tridiag_rqi(system, z0=z0, v0=_start_vector(options["v0"]), **opts)
+        result, trace = tridiag_rqi(system, z0=z0, v0=options["v0"], **opts)
         recovered = recover_original(result)
         return recovered, trace, result.eigenvalue, "lambda_min(-Q)"
     dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
     if method == "rqi-general":
-        result, trace = general_rqi(dense, z0=z0, v0=_start_vector(options["v0"]), **opts)
+        result, trace = general_rqi(dense, z0=z0, v0=options["v0"], **opts)
         primary = float(trace.steps[-1].z)  # lambda_min(-Qc) = m - rho
         return result, trace, primary, "lambda_min(-Qc)"
     z0 = None if z0 == "max-ratio" else z0
@@ -345,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--z0", help="number, or for rqi-tridiag combination | delta1 | safe | "
                        "rayleigh, for rqi-general safe | rayleigh, for alg1/alg2 max-ratio; "
                        "not for power")
-    solve.add_argument("--v0", choices=("efficient", "uniform"),
+    solve.add_argument("--v0", choices=tridiag.V0_CHOICES,
                        help="start vector for rqi-tridiag, rqi-general, and power on "
                        "tridiagonal input")
     solve.add_argument("--norm", choices=("l1", "l2"), help="power-iteration norm (default l1)")

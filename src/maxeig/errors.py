@@ -3,8 +3,8 @@
 The hierarchy is no wider than its handlers need.  The CLI maps
 ``matrixio.parse_error`` (an InvalidInput) to exit 2,
 MaxIterationsExceeded to exit 3 and every other MaxeigError to exit 4;
-the iteration driver catches SolverBreakdown; ``tridiag`` catches
-SafeFormulaUnavailable.  The remaining subclasses carry data.
+the iteration driver catches SolverBreakdown.  The remaining
+subclasses carry data.
 """
 
 
@@ -29,10 +29,6 @@ class NonPositiveSequence(InvalidInput):
     def __init__(self, sequence, message):
         super().__init__(message)
         self.sequence = sequence
-
-
-class SafeFormulaUnavailable(InvalidInput):
-    """The safe initial-shift formula requires phi_1 < 1."""
 
 
 class SolverBreakdown(MaxeigError):

@@ -13,12 +13,15 @@ from one linear system on the shifted generator Qc = A - mI:
 
 sqrt(phi) seeds the initial vector exactly as in the tridiagonal case,
 and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
-formula with a 1/(1 - phi_1) correction.  Tridiagonal input is handed
+formula with a 1/(1 - phi_1) correction.  Where phi_1 >= phi_0 rules
+that shift out, the run starts from the seed's Rayleigh quotient and
+the result is flagged (``z0_fallback``).  Tridiagonal input is handed
 to ``tridiag.tridiag_rqi`` with the banded solver and the safe shift,
 which keeps those runs O(N); the results agree with the dense route to
 roundoff.  The dense route hands h, phi and mu to the same body that
 runs the tridiagonal pipeline's start vector, initial shift and
-weighted RQI (``tridiag._efficient_rqi``), and to its recovery.
+weighted RQI (``tridiag._efficient_rqi``), and to its recovery; it has
+no delta_1, so it takes only the "safe" and "rayleigh" policies.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def general_rqi(
     A,
     *,
     z0="safe",
-    v0=None,
+    v0="efficient",
     tol_z=iterengine.DEFAULT_TOL_Z,
     tol_residual=iterengine.DEFAULT_TOL_RESIDUAL,
     max_iterations=50,
@@ -141,21 +144,23 @@ def general_rqi(
     Tridiagonal input runs ``tridiag_rqi`` with the banded solver.
 
     ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
-    efficient seed, with the result flagged, when phi_1 >= 1),
-    "rayleigh", or a number.
+    efficient seed, with the result flagged, when phi_1 >= phi_0),
+    "rayleigh", or a number.  ``v0``: "efficient" (the seed sqrt(phi),
+    default) or "uniform".
     """
-    tridiag._check_z0(z0, Z0_POLICIES)
+    if isinstance(z0, str) and z0 not in Z0_POLICIES:
+        raise InvalidInput(f"unknown z0 choice {z0!r}")
     opts = {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
     A = as_square_matrix(A)
     qc, m = shift_to_qc(A)
     system = tridiagonal_from_dense(qc)
     if system is not None:
-        result, trace = tridiag.tridiag_rqi(system, solver="generic", z0=z0, v0=v0, **opts)
+        result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
         h = solve_h_general(qc)
         q_tilde = h_transform_general(qc, h)
         phi = solve_phi_general(q_tilde)
         mu = solve_mu_general(q_tilde)
         solve = iterengine._dense_shifted_solver(-q_tilde)
-        result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, z0, v0, {}, **opts)
+        result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, None, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

@@ -198,8 +198,13 @@ def run_shifted_iteration(
     the roundoff floor of order len(v0), recorded as ``trace.tol_z``.
     With ``negate`` the recorded and returned shift values are negated
     (reporting lambda_min(-A) for generator-type input); the arithmetic
-    path is identical either way.
+    path is identical either way.  A NaN or negative tolerance, or a
+    budget below one iteration, can never be met and raises InvalidInput.
     """
+    if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
+        raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
+                           f"got tol_z={tol_z}, tol_residual={tol_residual}, "
+                           f"max_iterations={max_iterations}")
     sign = -1.0 if negate else 1.0
 
     t0 = time.perf_counter()
@@ -247,7 +252,10 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
 
     Runs exactly ``steps`` iterations.  Convergence requires the dominant
     eigenvalue to be the target; slow convergence, not divergence, is
-    the failure mode.
+    the failure mode.  A TridiagonalSystem Q is iterated as m I + Q with
+    m = max(a + b + c), a nonnegative matrix whose dominant pair is Q's
+    maximal pair, without forming it; the trace then records the
+    decay-rate estimates m - z_k in O(N) memory.
     """
     if norm not in _POWER_NORMS:
         raise InvalidInput(f"unknown norm {norm!r}")
@@ -256,19 +264,34 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     norm_fn = _POWER_NORMS[norm]
     t0 = time.perf_counter()
     trace = IterationTrace()
-    n = A.order if isinstance(A, TridiagonalSystem) else A.shape[0]
+    if isinstance(A, TridiagonalSystem):
+        m = float((A.a + A.b + A.c).max())
+        n, scale = A.order, m - float(A.c.min())   # max absolute row sum of m I + Q
+
+        def apply(vec):
+            return m * vec + matvec(A, vec)
+
+        def record(k, z, residual):
+            trace.record(k, m - z, residual, time.perf_counter() - t0)
+    else:
+        n, scale = A.shape[0], matrix_scale(A)
+
+        def apply(vec):
+            return matvec(A, vec)
+
+        def record(k, z, residual):
+            trace.record(k, z, residual, time.perf_counter() - t0)
     v = as_vector(v0) if v0 is not None else np.ones(n)
     v = v / norm_fn(v)
-    scale = matrix_scale(A)
 
-    av = matvec(A, v)
+    av = apply(v)
     z = norm_fn(av)
-    trace.record(0, z, _relative_residual(norm_fn, av, z, v, scale), time.perf_counter() - t0)
+    record(0, z, _relative_residual(norm_fn, av, z, v, scale))
     for k in range(1, steps + 1):
         v = av / z
-        av = matvec(A, v)
+        av = apply(v)
         z = norm_fn(av)
-        trace.record(k, z, _relative_residual(norm_fn, av, z, v, scale), time.perf_counter() - t0)
+        record(k, z, _relative_residual(norm_fn, av, z, v, scale))
     trace.termination = "steps_exhausted"
     return trace
 

@@ -9,7 +9,7 @@ identically zero:
 2. the weight sequence mu and the decreasing tail sequence phi, whose
    square root seeds the initial vector; the variational quantity
    delta_1 seeds the initial shift from below, directly or through the
-   safe shift of the general case;
+   safe shift of the general case, which needs phi_1 < phi_0;
 3. weighted RQI, where every shifted system is solved either by the
    generic banded solver (LAPACK ``dgtsv``, the default) or by the
    paper's closed-form O(N) representation;
@@ -18,7 +18,10 @@ identically zero:
 ``general_init.general_rqi`` hands tridiagonal input to this pipeline
 (banded solver, safe shift) and its dense route, with h, phi and mu from
 three linear solves, to the same body ``_efficient_rqi``: start vector,
-initial shift, weighted RQI with one weighted Rayleigh quotient.
+initial shift, weighted RQI with one weighted Rayleigh quotient.  The
+body picks the start from its name (``v0``: "efficient" or "uniform")
+and the initial shift from its name or value (``z0``) and the route's
+delta_1, which the dense route does not have.
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -32,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import iterengine, linsolve
-from .errors import InvalidInput, NonPositiveSequence, SafeFormulaUnavailable, SolverBreakdown
+from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from .iterengine import EigenpairResult, run_shifted_iteration
 from .numat import TridiagonalSystem, as_vector, matrix_scale, matvec, weighted_norm
 
@@ -48,8 +51,9 @@ __all__ = [
     "recover_original",
 ]
 
-# initial-shift policies tridiag_rqi accepts besides a number
+# initial-shift policies tridiag_rqi accepts besides a number, and the start vectors
 Z0_POLICIES = ("combination", "delta1", "safe", "rayleigh")
+V0_CHOICES = ("efficient", "uniform")
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ class InitialData:
 
     After the transform the right-endpoint killing rate plays the role
     of b_N, so the effective exit-rate sequence is b_0..b_{N-1}, c_N.
-    z0 here is the reciprocal of delta_1; see z0_combination for the
+    1/delta_1 is the "delta1" initial shift; see z0_combination for the
     blend used by the reproduction tables.
     """
 
@@ -121,10 +125,6 @@ class InitialData:
     def v0(self) -> np.ndarray:
         """The efficient seed scaled to unit mu-norm."""
         return _unit(self.v0_raw, self.mu)
-
-    @property
-    def z0(self) -> float:
-        return 1.0 / self.delta1
 
 
 def _unit(v, mu):
@@ -183,69 +183,56 @@ def safe_z0(phi, mu):
     z0^{-1} = 1/(1 - phi_1) * max_n [ sqrt(phi_n) sum_{k<=n} mu_k sqrt(phi_k)
               + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ],
     the delta_1 peak of compute_initials with a 1/(1 - phi_1) correction.
+    Raises InvalidInput when phi_1 >= 1.
     """
     phi = as_vector(phi)
     mu = as_vector(mu)
     if len(phi) < 2 or phi[1] >= 1.0:
-        raise SafeFormulaUnavailable(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
+        raise InvalidInput(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
     return (1.0 - float(phi[1])) / _delta1_peak(phi, mu)
 
 
-def _safe_shift(phi, mu):
-    """safe_z0 of phi rescaled to phi_0 = 1, or None when phi_1 >= 1 rules it out."""
-    try:
-        return safe_z0(phi / phi[0], mu)
-    except SafeFormulaUnavailable:
-        return None
-
-
-def _check_z0(z0, names):
-    """Reject a z0 name outside ``names``; numbers pass."""
-    if isinstance(z0, str) and z0 not in names:
-        raise InvalidInput(f"unknown z0 choice {z0!r}")
-
-
-def _efficient_rqi(q, solve, h, mu, phi, z0, v0, policies, **opts):
+def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
     """Start vector, initial shift and weighted RQI on -q, in the mu-norm.
 
-    The start is the efficient seed sqrt(phi) scaled to unit mu-norm
-    when ``v0`` is None, else "uniform" or the given vector scaled the
-    same way.  ``z0`` is a number, "safe", "rayleigh" (the start's
-    weighted Rayleigh quotient), or a name in ``policies``, which maps
-    each route-only policy to a function of that quotient.  When
-    phi_1 >= 1 rules out the safe shift, the run starts from the seed's
-    quotient and is flagged.
+    ``v0`` is "efficient", the seed sqrt(phi), or "uniform"; either is
+    scaled to unit mu-norm.  ``z0`` is a number, "safe", "rayleigh" (the
+    start's weighted Rayleigh quotient), or, where the route has a
+    ``delta1``, "delta1" (1/delta1) or "combination" (z0_combination of
+    delta1 and that quotient).  The dense route passes delta1 None, and
+    general_rqi admits only "safe", "rayleigh" or a number there.  When
+    phi_1 >= phi_0 rules out the safe shift, the run starts from the
+    seed's quotient and is flagged.
 
     The result holds lambda_min(-q) and the eigenvector in the h-scaled
     coordinates; recover_original maps it back.
     """
-    policies = {"rayleigh": lambda rq: rq, **policies}
-    _check_z0(z0, (*policies, "safe"))
+    if isinstance(z0, str) and z0 not in Z0_POLICIES:
+        raise InvalidInput(f"unknown z0 choice {z0!r}")
+    if not (isinstance(v0, str) and v0 in V0_CHOICES):
+        raise InvalidInput(f"unknown v0 choice {v0!r}")
 
     def rayleigh(v, av):
         return float((mu * v * av).sum() / (mu * (v * v)).sum())
 
-    def start_rayleigh(v):
-        return rayleigh(v, -matvec(q, v))
-
     # scaled here although run_shifted_iteration normalises again: the roundings
     # differ, and starting from bare sqrt(phi) loses some interior-killing runs
     seed = _unit(np.sqrt(phi), mu)
-    if v0 is None:
-        start = seed
-    else:
-        v = np.ones(len(mu)) if isinstance(v0, str) and v0 == "uniform" else as_vector(v0)
-        start = _unit(v, mu)
+    start = seed if v0 == "efficient" else _unit(np.ones(len(mu)), mu)
     fallback = False
     if not isinstance(z0, str):
         z_start = float(z0)
-    elif z0 == "safe":
-        z_start = _safe_shift(phi, mu)
-        fallback = z_start is None
-        if fallback:
-            z_start = start_rayleigh(seed)
+    elif z0 == "safe" and phi[1] < phi[0]:
+        z_start = safe_z0(phi / phi[0], mu)
+    elif z0 == "delta1":
+        z_start = 1.0 / delta1
     else:
-        z_start = policies[z0](start_rayleigh(start))
+        # the safe shift's fallback takes the seed's quotient whatever the start
+        fallback = z0 == "safe"
+        v = seed if fallback else start
+        z_start = rayleigh(v, -matvec(q, v))
+        if z0 == "combination":
+            z_start = z0_combination(delta1, z_start)
 
     z, v, trace = run_shifted_iteration(
         lambda vec: -matvec(q, vec),
@@ -355,7 +342,7 @@ def tridiag_rqi(
     *,
     solver="generic",
     z0="combination",
-    v0=None,
+    v0="efficient",
     tol_z=iterengine.DEFAULT_TOL_Z,
     tol_residual=iterengine.DEFAULT_TOL_RESIDUAL,
     max_iterations=50,
@@ -374,8 +361,9 @@ def tridiag_rqi(
     ``z0`` is "combination" (the table initial), "delta1" (its
     reciprocal-bound part alone), "safe" (general_rqi's default; falls
     back to the seed's Rayleigh quotient with the result flagged when
-    phi_1 >= 1), "rayleigh", or a number.  ``v0`` is None for the
-    efficient sqrt(phi) seed, "uniform", or a vector.
+    phi_1 >= phi_0, which a tridiagonal phi, strictly decreasing, meets
+    only through rounding), "rayleigh", or a number.  ``v0`` is
+    "efficient", the sqrt(phi) seed, or "uniform".
     """
     if (system.c == 0).all():
         raise InvalidInput("tridiag_rqi requires some killing rate (c not identically zero)")
@@ -388,10 +376,9 @@ def tridiag_rqi(
         ht.h,
         init.mu,
         init.phi,
+        init.delta1,
         z0,
         v0,
-        {"combination": lambda rq: z0_combination(init.delta1, rq),
-         "delta1": lambda rq: init.z0},
         tol_z=tol_z,
         tol_residual=tol_residual,
         max_iterations=max_iterations,

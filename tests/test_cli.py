@@ -56,6 +56,11 @@ EXIT_TABLE = [
     (("solve", "--spec", "{tmp}/params_list.json"), 2),
     (("model", "--name", "negative3", "--n", "5"), 2),
     (BD7 + ("--method", "power", "--steps", "-3"), 2),
+    # tolerances and budgets that can never be met
+    *[(BD7 + ("--method", m, flag, value), 2) for m in ("rqi-tridiag", "alg2")
+      for flag, value in (("--tol", "nan"), ("--tol", "-1"), ("--res-tol", "-1"),
+                          ("--res-tol", "nan"), ("--max-iter", "-1"), ("--max-iter", "0"))],
+    (BD7 + ("--method", "rqi-tridiag", "--tol", "0", "--max-iter", "1"), 3),
     (("reproduce", "t1", "--max-size", "-5"), 2),
     # model flags the model (or a non-model input) does not take
     (BD7 + ("--alpha", "1.9", "--rule", "k2", "--block-size", "5"), 2),
@@ -74,6 +79,7 @@ EXIT_TABLE = [
     (BD7 + ("--method", "alg2", "--negate"), 0),
     (("solve", "--model", "toeplitz", "--n", "3", "--method", "power", "--v0", "uniform"), 2),
     (BD7 + ("--method", "power", "--steps", "10", "--v0", "uniform"), 0),
+    (("solve", "--model", "bd_squares", "--n", "99999", "--method", "power", "--steps", "10"), 0),
     *[(BD7 + ("--method", "power", flag, value), 2)
       for flag, value in (("--tol", "0.5"), ("--res-tol", "0.5"), ("--max-iter", "1"))],
     *[(BD7 + ("--method", m, "--steps", "5"), 2) for m in METHODS if m != "power"],
@@ -105,13 +111,12 @@ def test_exit_code_table(capsys, tmp_path, argv, expected):
 def test_error_tree():
     defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
     assert defined == {"MaxeigError", "InvalidInput", "NonPositiveSequence",
-                       "SafeFormulaUnavailable", "SolverBreakdown", "MaxIterationsExceeded"}
+                       "SolverBreakdown", "MaxIterationsExceeded"}
     assert issubclass(errors.InvalidInput, ValueError)
     for gone in ("DimensionMismatch", "NonFiniteInput", "NonPositiveIterate", "BreakdownError",
-                 "SingularError", "DenominatorBreakdown"):
+                 "SingularError", "DenominatorBreakdown", "SafeFormulaUnavailable"):
         assert not hasattr(maxeig, gone)
-    for name in ("NonPositiveSequence", "SafeFormulaUnavailable"):
-        assert issubclass(getattr(errors, name), errors.InvalidInput)
+    assert issubclass(errors.NonPositiveSequence, errors.InvalidInput)
 
 
 class TestSolve:
@@ -181,6 +186,14 @@ class TestSolve:
         err1000 = abs(float(rows[1000]["z"]) - lam)
         assert err10 < min(0.5, err0 / 3.0)
         assert err1000 > 10 * 1e-10
+
+    # the uniform start is still short of the maximal pair's 0.525268 after 1000 steps
+    @pytest.mark.parametrize("v0, value", [("efficient", "0.525268"), ("uniform", "0.52527")])
+    def test_power_on_tridiagonal_input_reports_the_decay_rate(self, capsys, v0, value):
+        code, out, _ = run_cli(capsys, *BD7, "--method", "power", "--steps", "1000",
+                               "--v0", v0)
+        assert code == 0
+        assert out == f"power iteration: z = {value} after 1000 steps\n"
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "m.txt"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from maxeig import general_init, models, tridiag
-from maxeig.errors import NonPositiveSequence, SafeFormulaUnavailable, SolverBreakdown
+from maxeig import general_init, models
+from maxeig.errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from maxeig.general_init import (
     general_rqi,
     h_transform_general,
@@ -18,7 +18,7 @@ from maxeig.general_init import (
 from maxeig.numat import matrix_scale, weighted_norm
 from maxeig.tridiag import compute_h, compute_initials, recover_original, tridiag_rqi
 
-from conftest import oracle_eigenvalues, oracle_min_neg, random_system
+from conftest import oracle_eigenvalues, random_system
 
 
 class TestSolveH:
@@ -129,7 +129,7 @@ class TestInitials:
         assert 0.0 < z_near < z_far
 
     def test_safe_shift_unavailable(self):
-        with pytest.raises(SafeFormulaUnavailable):
+        with pytest.raises(InvalidInput):
             safe_z0([1.0, 1.0, 1.0], np.ones(3))
 
 
@@ -169,27 +169,26 @@ class TestGeneralRqi:
         assert trace.zs()[-1] == pytest.approx(5.91867, abs=5e-5)
         assert not result.eigenvector_positive
 
-    def test_z0_fallback_flag(self, monkeypatch):
-        # force the safe formula unavailable; the run falls back to the
-        # Rayleigh start and flags it (tridiagonal input runs tridiag_rqi,
-        # so the patch goes on the binding that pipeline calls)
-        monkeypatch.setattr(tridiag, "safe_z0", _unavailable)
-        system = models.bd_squares(5)
-        result, _ = general_rqi(system.dense())
-        assert result.z0_fallback
-        assert -result.eigenvalue == pytest.approx(oracle_min_neg(system), rel=1e-9)
+    # state 1 jumps only to state 0, so phi = [1, 1, 0.6] rules out the safe
+    # shift.  A tridiagonal phi decreases strictly, so this dense input stands
+    # in for the fallback both routes share.
+    FALLBACK = np.array([[-3.0, 1.0, 2.0], [1.0, -1.0, 0.0], [1.5, 0.0, -2.5]])
 
-    def test_z0_fallback_flag_dense(self, monkeypatch):
-        # the dense route flags the same patch, and its fallback start is
-        # the efficient seed's quotient even from a uniform start vector
-        A = models.toeplitz_linear(6)
-        _, seed_trace = general_rqi(A, z0="rayleigh")
-        monkeypatch.setattr(tridiag, "safe_z0", _unavailable)
-        result, trace = general_rqi(A, v0="uniform")
-        assert result.z0_fallback
-        assert trace.zs()[0] == seed_trace.zs()[0]
+    def test_z0_fallback_flag(self):
+        A = self.FALLBACK
+        assert np.array_equal(solve_phi_general(A), [1.0, 1.0, 0.6])
         oracle = float(np.max(oracle_eigenvalues(A).real))
-        assert result.eigenvalue == pytest.approx(oracle, rel=1e-9)
+        for v0 in ("efficient", "uniform"):
+            result, _ = general_rqi(A, v0=v0)
+            assert result.z0_fallback
+            assert result.eigenvalue == pytest.approx(oracle, abs=1e-9)
+
+    def test_z0_fallback_flag_dense(self):
+        # the fallback starts from the efficient seed's quotient whichever the start vector
+        _, seed_trace = general_rqi(self.FALLBACK, z0="rayleigh")
+        for v0 in ("efficient", "uniform"):
+            _, trace = general_rqi(self.FALLBACK, v0=v0)
+            assert trace.zs()[0] == seed_trace.zs()[0]
 
     def test_tridiagonal_input_runs_the_tridiagonal_pipeline(self):
         system = models.bd_squares(9)
@@ -204,6 +203,12 @@ class TestGeneralRqi:
             result, _ = general_rqi(A, z0=z0)
             assert result.eigenvector_positive
 
+    @pytest.mark.parametrize("v0", ["bogus", None])
+    def test_rejects_unknown_start(self, v0):
+        for A in (models.bd_squares(5).dense(), models.toeplitz_linear(5)):
+            with pytest.raises(InvalidInput):
+                general_rqi(A, v0=v0)
+
     def test_rejects_tridiagonal_only_policy(self):
         with pytest.raises(ValueError):
             general_rqi(models.bd_squares(5).dense(), z0="combination")
@@ -214,6 +219,3 @@ class TestGeneralRqi:
             general_rqi(np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]))
         assert exc.value.sequence == "phi"
 
-
-def _unavailable(phi, mu):
-    raise SafeFormulaUnavailable("forced")

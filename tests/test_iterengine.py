@@ -54,6 +54,19 @@ class TestPowerIteration:
         assert err10 < 0.5
         assert err1000 > 10 * 1e-10
 
+    def test_tridiagonal_input_runs_shifted_without_densifying(self):
+        # Q is iterated as m I + Q: the dense shifted run's estimates, read as m - z_k
+        system = models.bd_squares(7)
+        m = float((system.a + system.b + system.c).max())
+        seed = np.linspace(1.0, 2.0, 8)
+        for norm in ("l1", "l2"):
+            trace = power_iteration(system, v0=seed, norm=norm, steps=200)
+            dense = power_iteration(m * np.eye(8) + system.dense(), v0=seed, norm=norm, steps=200)
+            assert np.allclose(trace.zs(), m - dense.zs(), rtol=1e-12, atol=1e-12 * m)
+            assert np.allclose(trace.residuals(), dense.residuals(), rtol=1e-9, atol=1e-15)
+        # the maximal pair, not the largest decay rate (155.7) that plain Q would give
+        assert power_iteration(system, steps=1000).zs()[-1] == pytest.approx(0.525268, abs=5e-6)
+
     def test_norm_choices(self):
         for norm in ("l1", "l2"):
             assert power_iteration(np.eye(2), norm=norm, steps=1).zs()[-1] == 1.0
@@ -67,6 +80,15 @@ class TestPowerIteration:
 
 
 class TestRqi:
+    @pytest.mark.parametrize("opts", [{"tol_z": -1.0}, {"tol_z": np.nan}, {"tol_residual": -1e-8},
+                                      {"tol_residual": np.nan}, {"max_iterations": 0},
+                                      {"max_iterations": -1}])
+    def test_unreachable_tolerances_and_budgets_rejected(self, opts):
+        A = np.diag([2.0, 1.0])
+        with pytest.raises(InvalidInput):
+            rqi(A, [1.0, 0.5], 2.5, **opts)
+
+
     def test_invariant_subspace_single_step(self):
         result, trace = rqi(np.diag([3.0, 1.0]), [1.0, 0.0], 2.9)
         assert trace.zs()[1] == 3.0

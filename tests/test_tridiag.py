@@ -225,6 +225,11 @@ class TestTridiagRqi:
         assert result.eigenvalue == pytest.approx(0.525268, abs=5e-6)
         assert not result.z0_fallback
 
+    @pytest.mark.parametrize("v0", ["bogus", None, np.ones(8)])
+    def test_rejects_unknown_start(self, v0):
+        with pytest.raises(InvalidInput):
+            tridiag_rqi(models.bd_squares(7), v0=v0)
+
     def test_order_two_closed_form(self):
         result, _ = tridiag_rqi(models.bd_squares(1))
         assert result.eigenvalue == pytest.approx(3.0 - np.sqrt(5.0), rel=1e-12)
