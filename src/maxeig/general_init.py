@@ -106,16 +106,10 @@ def tridiagonal_from_dense(A):
     A = as_square_matrix(A)
     if np.iscomplexobj(A) or A.shape[0] < 2:
         return None
-    n = A.shape[0]
-    mask = np.ones((n, n), dtype=bool)
-    idx = np.arange(n)
-    mask[idx, idx] = False
-    mask[idx[1:], idx[:-1]] = False
-    mask[idx[:-1], idx[1:]] = False
-    if A[mask].any():
+    a, d, b = (np.diagonal(A, k) for k in (-1, 0, 1))
+    # an entry outside the band is nonzero exactly when A has more nonzeros than its band
+    if np.count_nonzero(A) != sum(np.count_nonzero(x) for x in (a, d, b)):
         return None
-    a = A[idx[1:], idx[:-1]]
-    b = A[idx[:-1], idx[1:]]
     if (a <= 0).any() or (b <= 0).any():
         return None
     c = -A.sum(axis=1)

@@ -31,12 +31,14 @@ from . import linsolve
 from .errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from .numat import (
     TridiagonalSystem,
+    _apply,
+    _check_length,
     _largest_ratio,
+    _require_finite,
+    _scale,
     as_square_matrix,
     as_vector,
     is_positive_vector,
-    matrix_scale,
-    matvec,
 )
 
 __all__ = [
@@ -199,7 +201,14 @@ def run_shifted_iteration(
     With ``negate`` the recorded and returned shift values are negated
     (reporting lambda_min(-A) for generator-type input); the arithmetic
     path is identical either way.  A NaN or negative tolerance, or a
-    budget below one iteration, can never be met and raises InvalidInput.
+    budget below one iteration, can never be met and raises InvalidInput;
+    so does a non-finite z0.
+
+    The driver checks v0 and z0 once, here, and each new iterate and
+    shift once, where it is made, so ``apply_matrix`` and
+    ``solve_shifted`` are only ever given finite values and need not
+    check them again.  The caller vouches that v0's length fits the
+    matrix those two apply.
     """
     if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
         raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
@@ -209,9 +218,12 @@ def run_shifted_iteration(
 
     t0 = time.perf_counter()
     v = as_vector(v0)
+    if not np.isfinite(z0):
+        raise InvalidInput(f"z0 must be finite, got {z0!r}")
     tol_z = _shift_tolerance(tol_z, len(v))
     trace = IterationTrace(tol_z=tol_z)
     v = _sign_fix(v / norm(v))
+    _require_finite(v, "vector")
     z = z0
     av = apply_matrix(v)
     residual = _relative_residual(norm, av, z, v, scale)
@@ -232,8 +244,11 @@ def run_shifted_iteration(
                 trace.termination = "breakdown"
                 raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)") from exc
         v = _sign_fix(w / norm(w))
+        _require_finite(v, "vector")
         av = apply_matrix(v)
         z_new = z_update(v, av)
+        if not np.isfinite(z_new):
+            raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
         residual = _relative_residual(norm, av, z_new, v, scale)
         trace.record(k, sign * z_new, residual, time.perf_counter() - t0)
         if abs(z_new - z) <= tol_z * max(1.0, abs(z_new)) and residual <= tol_residual:
@@ -269,26 +284,30 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
         n, scale = A.order, m - float(A.c.min())   # max absolute row sum of m I + Q
 
         def apply(vec):
-            return m * vec + matvec(A, vec)
+            return m * vec + _apply(A, vec)
 
         def record(k, z, residual):
             trace.record(k, m - z, residual, time.perf_counter() - t0)
     else:
-        n, scale = A.shape[0], matrix_scale(A)
+        A = as_square_matrix(A)
+        n, scale = A.shape[0], _scale(A)
 
         def apply(vec):
-            return matvec(A, vec)
+            return A @ vec
 
         def record(k, z, residual):
             trace.record(k, z, residual, time.perf_counter() - t0)
     v = as_vector(v0) if v0 is not None else np.ones(n)
+    _check_length(A, v)
     v = v / norm_fn(v)
+    _require_finite(v, "vector")
 
     av = apply(v)
     z = norm_fn(av)
     record(0, z, _relative_residual(norm_fn, av, z, v, scale))
     for k in range(1, steps + 1):
         v = av / z
+        _require_finite(v, "vector")
         av = apply(v)
         z = norm_fn(av)
         record(k, z, _relative_residual(norm_fn, av, z, v, scale))
@@ -301,7 +320,7 @@ def _dense_shifted_solver(A):
     eye = np.eye(n, dtype=A.dtype)
 
     def solve(z, v):
-        return linsolve.dense_solve(z * eye - A, v)
+        return linsolve._gesv(z * eye - A, v)
 
     return solve
 
@@ -318,14 +337,16 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
     A = as_square_matrix(A)
     if z_update not in _RQI_UPDATES:
         raise InvalidInput(f"unknown z_update {z_update!r}")
+    v0 = as_vector(v0)
+    _check_length(A, v0)
     z, v, trace = run_shifted_iteration(
-        lambda vec: matvec(A, vec),
+        lambda vec: A @ vec,
         _dense_shifted_solver(A),
         v0,
         z0,
         z_update=_RQI_UPDATES[z_update],
         norm=_l2_norm,
-        scale=matrix_scale(A),
+        scale=_scale(A),
         tol_z=tol_z,
         tol_residual=tol_residual,
         max_iterations=max_iterations,

@@ -21,6 +21,13 @@ pivot below an absolute floor or a non-finite tridiagonal solution, or a
 dense system on which ``gesv`` meets an exactly zero pivot or returns a
 non-finite solution.
 
+Validate once, at the public boundary: ``tridiag_solve`` and
+``dense_solve`` check their inputs and then call the private kernels
+``_gtsv`` and ``_gesv``.  Iteration loops that build their own
+systems from already-checked data call the kernels directly; the
+kernels keep every breakdown check (pivot floor, zero pivot,
+non-finite solution) and skip only the input checks.
+
 ``scipy.linalg`` is deliberately not imported: numpy's LAPACK has the
 same routines, and importing scipy would add about 28 MiB of resident
 memory and a third of a second to every process that solves a system.
@@ -154,7 +161,16 @@ def tridiag_solve(lower, diag, upper, rhs):
 
     if any(np.iscomplexobj(a) for a in (lower, diag, upper, rhs)):
         raise InvalidInput("tridiag_solve takes real input only")
-    dl, d, du = (np.require(a, np.float64, "CW") for a in (lower, diag, upper))
+    return _gtsv(*(np.require(a, np.float64, "CW") for a in (lower, diag, upper)), rhs)
+
+
+def _gtsv(dl, d, du, rhs):
+    """tridiag_solve without its input checks; raises SolverBreakdown as it does.
+
+    ``dl``, ``d`` and ``du`` are contiguous, writable float64 arrays of
+    lengths n-1, n, n-1 and are overwritten; ``rhs``, finite and real of
+    length n, is copied.
+    """
     x = np.array(rhs, dtype=np.float64)
     info = (_dgtsv or _gtsv_loop)(dl, d, du, x)
     if info:
@@ -178,6 +194,11 @@ def dense_solve(A, rhs):
     rhs = as_vector(rhs)
     if len(rhs) != A.shape[0]:
         raise InvalidInput("rhs length does not match the matrix order")
+    return _gesv(A, rhs)
+
+
+def _gesv(A, rhs):
+    """dense_solve without its input checks, for a finite square A and a fitting rhs."""
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:

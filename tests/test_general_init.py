@@ -149,6 +149,20 @@ class TestGeneralRqi:
         assert tridiagonal_from_dense(models.toeplitz_linear(5)) is None
         assert tridiagonal_from_dense(models.negative3()) is None
 
+    def test_one_entry_outside_the_band_is_not_tridiagonal(self):
+        Q = models.bd_squares(5).dense()
+        Q[0, 0] -= 1e-3
+        Q[0, 3] = 1e-3    # row sums unchanged, so only the band test can refuse it
+        assert tridiagonal_from_dense(Q) is None
+
+    def test_negative_zero_outside_the_band_is_zero(self):
+        Q = models.bd_squares(5).dense()
+        expected = tridiagonal_from_dense(Q)
+        Q[4, 0] = -0.0
+        got = tridiagonal_from_dense(Q)
+        for x, y in ((got.a, expected.a), (got.b, expected.b), (got.c, expected.c)):
+            assert np.array_equal(x, y)
+
     def test_recovered_pair_residual(self, rng):
         for n in (6, 12):
             A = models.toeplitz_linear(n)

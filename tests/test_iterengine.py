@@ -5,6 +5,7 @@ import pytest
 
 from maxeig import models
 from maxeig.errors import InvalidInput
+from maxeig.general_init import general_rqi
 from maxeig.iterengine import (
     C_FLOOR,
     DEFAULT_TOL_Z,
@@ -12,9 +13,13 @@ from maxeig.iterengine import (
     algorithm2,
     power_iteration,
     rqi,
+    run_shifted_iteration,
+    _l2_norm,
     _max_ratio_update,
+    _rayleigh_update,
     _shift_tolerance,
 )
+from maxeig.tridiag import tridiag_rqi
 
 from conftest import oracle_eigenvalues, oracle_max_pair
 
@@ -78,6 +83,22 @@ class TestPowerIteration:
         with pytest.raises(InvalidInput):
             power_iteration(np.eye(2), steps=-3)
 
+    def test_list_input_equals_ndarray_input(self):
+        A = [[1.0, 2.0], [3.0, 4.0]]
+        from_list, from_array = (power_iteration(M, steps=20) for M in (A, np.array(A)))
+        assert np.array_equal(from_list.zs(), from_array.zs())
+        assert np.array_equal(from_list.residuals(), from_array.residuals())
+
+    def test_non_square_list_rejected(self):
+        with pytest.raises(InvalidInput, match="square"):
+            power_iteration([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_start_of_the_wrong_length_rejected(self):
+        with pytest.raises(InvalidInput, match="dimensions"):
+            power_iteration(np.eye(3), v0=[1.0, 1.0])
+        with pytest.raises(InvalidInput, match="system order"):
+            power_iteration(models.bd_squares(3), v0=[1.0, 1.0])
+
 
 class TestRqi:
     @pytest.mark.parametrize("opts", [{"tol_z": -1.0}, {"tol_z": np.nan}, {"tol_residual": -1e-8},
@@ -127,6 +148,39 @@ class TestRqi:
     def test_max_ratio_update_rejects_sign_change(self):
         with pytest.raises(InvalidInput):
             _max_ratio_update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+
+
+_Z0_ENTRY_POINTS = {
+    "tridiag_rqi": lambda z0: tridiag_rqi(models.bd_squares(7), z0=z0),
+    "general_rqi": lambda z0: general_rqi(models.toeplitz_linear(6), z0=z0),  # dense route
+    "rqi": lambda z0: rqi(np.diag([2.0, 1.0]), [1.0, 0.5], z0),
+    "algorithm1": lambda z0: algorithm1(models.negative3(), z0=z0),
+    "algorithm2": lambda z0: algorithm2(models.negative3(), z0=z0),
+}
+
+
+@pytest.mark.parametrize("z0", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(_Z0_ENTRY_POINTS))
+def test_non_finite_z0_rejected_before_any_solve(entry, z0):
+    # rejected by name at the driver's entry, with no numpy warning on the way
+    with pytest.raises(InvalidInput, match="z0 must be finite"):
+        _Z0_ENTRY_POINTS[entry](z0)
+
+
+class TestDriverChecksEachIterate:
+    A = np.diag([2.0, 1.0])
+
+    def run(self, solve, z_update=_rayleigh_update):
+        return run_shifted_iteration(lambda v: self.A @ v, solve, [1.0, 0.5], 2.5,
+                                     z_update=z_update, norm=_l2_norm)
+
+    def test_non_finite_iterate_rejected(self):
+        with pytest.raises(InvalidInput, match="vector contains non-finite entries"):
+            self.run(lambda z, v: np.array([np.nan, 1.0]))
+
+    def test_non_finite_shift_update_rejected(self):
+        with pytest.raises(InvalidInput, match="non-finite z at iteration 1"):
+            self.run(lambda z, v: v, z_update=lambda v, av: np.inf)
 
 
 class TestShiftTolerance:

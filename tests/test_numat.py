@@ -44,6 +44,15 @@ class TestValidation:
         with pytest.raises(InvalidInput):
             TridiagonalSystem.from_rates([1.0], [1.0], [0.0, -1.0])  # c must be >= 0
 
+    def test_diagonal_is_cached_and_every_array_read_only(self):
+        system = models.bd_squares(3)
+        d = system.diagonal
+        assert system.diagonal is d
+        assert np.array_equal(d, -(system.a + system.b + system.c))
+        for array in (d, system.a, system.b, system.c):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
     def test_real_kind_is_preserved(self):
         system = models.bd_squares(3)
         out = matvec(system, np.ones(4))

@@ -1,5 +1,7 @@
 """The tridiagonal pipeline: transform, initials, closed-form solver, RQI."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ class TestComputeH:
             ht = compute_h(system)
             rows = (system.dense() @ ht.h)[:-1]
             assert np.abs(rows).max() <= 1e-10 * matrix_scale(system) * np.abs(ht.h).max()
+
+    def test_ratios_equal_a_plain_loop(self, rng):
+        # the docstring's recurrence, one numpy scalar at a time
+        for order in range(8, 65, 4):
+            system = random_system(rng, order - 1, with_killing="all")
+            a, b, c = system.a, system.b, system.c
+            r = np.ones(order - 1)
+            r[0] = 1.0 + c[0] / b[0]
+            for n in range(1, order - 1):
+                r[n] = 1.0 + (a[n] + c[n]) / b[n] - a[n] / (b[n] * r[n - 1])
+            assert np.array_equal(compute_h(system).r, r)
 
 
 class TestComputeInitials:
@@ -299,3 +312,55 @@ class TestRecoverOriginal:
             system = random_system(rng, 12, with_killing="all")
             result, _ = tridiag_rqi(system)
             assert result.eigenvalue == pytest.approx(oracle_min_neg(system), rel=1e-9)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Exact bits of the tridiagonal route, as first recorded.
+
+    The route runs no BLAS kernel (LAPACK dgtsv is scalar code, and the
+    Python fallback loop is bitwise the same), so the bits do not depend
+    on the CPU.  A change here means some arithmetic changed: say why,
+    and record the new values.
+    """
+
+    # name -> (eigenvalue as float.hex, iterations, sha256 of trace z, residuals, eigenvector)
+    RQI = {
+        "bd_squares order=10000": (
+            "0x1.35d27f90a2d4dp-2", 3,
+            "41df8c5f409cfc8d9a775288131163499af7df7c5f1cea5b5259856a51b8fc36"),
+        "killing-at-last seed=1 order=16": (
+            "0x1.18fd674022556p-7", 3,
+            "c8cd8ae98b617e068728a6f425a59ba16d4d25d71ea84159d316bc8549263691"),
+        "killing-at-last seed=2 order=64": (
+            "0x1.79f4b6f0aac32p-20", 2,
+            "665971c81069b1fb371a5d00519a4662f2827a46a8f2225654e4077ea7ba0e6a"),
+        "killing-at-last seed=3 order=256": (
+            "0x1.8739d80570abbp-31", 1,
+            "acb601992e8596d5c8b7f74c5def8668c98dd7edafb9d6d06969fc1c326dd09c"),
+    }
+
+    @staticmethod
+    def system(name):
+        if name.startswith("bd_squares"):
+            return models.bd_squares(9999)
+        seed, order = (int(part.split("=")[1]) for part in name.split()[1:])
+        return random_system(np.random.default_rng(seed), order - 1)
+
+    @pytest.mark.parametrize("name", sorted(RQI))
+    def test_tridiag_rqi(self, name):
+        result, trace = tridiag_rqi(self.system(name))
+        got = (float(result.eigenvalue).hex(), trace.iterations,
+               _digest(trace.zs(), trace.residuals(), result.eigenvector))
+        assert got == self.RQI[name]
+
+    def test_power_iteration_on_a_tridiagonal_system(self):
+        trace = iterengine.power_iteration(models.bd_squares(7), steps=200)
+        assert _digest(trace.zs(), trace.residuals()) == (
+            "bd24ff5ffbbe64f8ed2164ba762e0cbcdd1a99eb436fd1aed4dad88cc57f42c2")
