@@ -30,7 +30,7 @@ import numpy as np
 
 from . import iterengine, linsolve, tridiag
 from .errors import InvalidInput, NonPositiveSequence
-from .numat import TridiagonalSystem, as_square_matrix, as_vector, matrix_scale, shift_to_qc
+from .numat import TridiagonalSystem, _scale, _shift_to_qc, as_square_matrix, as_vector
 from .tridiag import safe_z0
 
 __all__ = [
@@ -48,11 +48,15 @@ Z0_POLICIES = ("safe", "rayleigh")
 
 
 def _solve_with_unit_head(rows, sequence, what):
-    """Solve rows @ x = 0 for x with x_0 = 1; raise NonPositiveSequence if any x_i <= 0."""
+    """Solve rows @ x = 0 for x with x_0 = 1; raise NonPositiveSequence if any x_i <= 0.
+
+    ``rows`` is a slice of an already-checked matrix; the solve takes
+    dgbsv when its band pays, as a banded matrix's slices are banded too.
+    """
     n = rows.shape[1]
     x = np.ones(n)
     if n > 1:
-        x[1:] = linsolve.dense_solve(rows[:, 1:], -rows[:, 0])
+        x[1:] = linsolve._solve(rows[:, 1:], -rows[:, 0])
     if (x <= 0).any():
         raise NonPositiveSequence(
             sequence, f"{what} has non-positive components (min {x.min():.3g}); "
@@ -60,9 +64,17 @@ def _solve_with_unit_head(rows, sequence, what):
     return x
 
 
+# Each public helper checks its input once and calls a private body;
+# general_rqi checks its matrix once and calls the bodies, apart from
+# h_transform_general, whose check costs a seventh of its product.
+
+
 def solve_h_general(qc):
     """Harmonic vector of Qc away from the right endpoint, h_0 = 1."""
-    qc = as_square_matrix(qc)
+    return _solve_h(as_square_matrix(qc))
+
+
+def _solve_h(qc):
     return _solve_with_unit_head(qc[:-1, :], "h", "harmonic vector h")
 
 
@@ -77,7 +89,10 @@ def h_transform_general(qc, h):
 
 def jump_matrix(q_tilde):
     """P = Diag((-q_ii)^-1) Q + I, the embedded jump chain of the generator."""
-    q_tilde = as_square_matrix(q_tilde)
+    return _jump_matrix(as_square_matrix(q_tilde))
+
+
+def _jump_matrix(q_tilde):
     d = -np.diag(q_tilde)
     if (d <= 0).any():
         raise InvalidInput("jump matrix requires strictly negative diagonal entries")
@@ -86,14 +101,21 @@ def jump_matrix(q_tilde):
 
 def solve_phi_general(q_tilde):
     """Tail sequence: rows 1..N of (I - P) phi = 0 with phi_0 = 1."""
-    p = jump_matrix(q_tilde)
+    return _solve_phi(as_square_matrix(q_tilde))
+
+
+def _solve_phi(q_tilde):
+    p = _jump_matrix(q_tilde)
     rows = (np.eye(p.shape[0]) - p)[1:, :]
     return _solve_with_unit_head(rows, "phi", "tail sequence phi")
 
 
 def solve_mu_general(q_tilde):
     """Invariant weighting: first N rows of Q^T mu = 0 with mu_0 = 1."""
-    q_tilde = as_square_matrix(q_tilde)
+    return _solve_mu(as_square_matrix(q_tilde))
+
+
+def _solve_mu(q_tilde):
     return _solve_with_unit_head(q_tilde.T[:-1, :], "mu", "invariant measure mu")
 
 
@@ -103,7 +125,10 @@ def tridiagonal_from_dense(A):
     Requires exact zeros outside the three diagonals, strictly positive
     couplings, and nonpositive row sums (the killing rates c = -row sums).
     """
-    A = as_square_matrix(A)
+    return _tridiagonal(as_square_matrix(A))
+
+
+def _tridiagonal(A):
     if np.iscomplexobj(A) or A.shape[0] < 2:
         return None
     a, d, b = (np.diagonal(A, k) for k in (-1, 0, 1))
@@ -113,7 +138,7 @@ def tridiagonal_from_dense(A):
     if (a <= 0).any() or (b <= 0).any():
         return None
     c = -A.sum(axis=1)
-    if (c < -1e-12 * matrix_scale(A)).any():
+    if (c < -1e-12 * _scale(A)).any():
         return None
     c = np.where(c < 0, 0.0, c)
     return TridiagonalSystem.from_rates(a, b, c)
@@ -145,16 +170,15 @@ def general_rqi(
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
     opts = {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
-    A = as_square_matrix(A)
-    qc, m = shift_to_qc(A)
-    system = tridiagonal_from_dense(qc)
+    qc, m = _shift_to_qc(as_square_matrix(A))
+    system = _tridiagonal(qc)
     if system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
-        h = solve_h_general(qc)
+        h = _solve_h(qc)
         q_tilde = h_transform_general(qc, h)
-        phi = solve_phi_general(q_tilde)
-        mu = solve_mu_general(q_tilde)
-        solve = iterengine._dense_shifted_solver(-q_tilde)
+        phi = _solve_phi(q_tilde)
+        mu = _solve_mu(q_tilde)
+        solve = linsolve._shifted_solver(-q_tilde)
         result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, None, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

@@ -315,16 +315,6 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     return trace
 
 
-def _dense_shifted_solver(A):
-    n = A.shape[0]
-    eye = np.eye(n, dtype=A.dtype)
-
-    def solve(z, v):
-        return linsolve._gesv(z * eye - A, v)
-
-    return solve
-
-
 def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         tol_z=DEFAULT_TOL_Z, tol_residual=DEFAULT_TOL_RESIDUAL,
         max_iterations=DEFAULT_MAX_ITERATIONS):
@@ -341,7 +331,7 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
     _check_length(A, v0)
     z, v, trace = run_shifted_iteration(
         lambda vec: A @ vec,
-        _dense_shifted_solver(A),
+        linsolve._shifted_solver(A),
         v0,
         z0,
         z_update=_RQI_UPDATES[z_update],

@@ -5,12 +5,12 @@ precision; the dtype (float64 vs complex128) is the real/complex kind
 tag and is never promoted silently.  Tridiagonal systems get a small
 dataclass because their diagonal is implicit.
 
-Validate once, at the public boundary: ``matvec`` and
-``matrix_scale`` check their operands at entry and then call the
-private kernels ``_apply`` and ``_scale``.  Iteration loops that apply
-one already-checked operand many times call the kernels directly and
-check each new iterate themselves, once per step, so no check is
-skipped and none repeats.
+Validate once, at the public boundary: ``matvec``, ``matrix_scale``
+and ``shift_to_qc`` check their operands at entry and then call the
+private kernels ``_apply``, ``_scale`` and ``_shift_to_qc``.
+Iteration loops that apply one already-checked operand many times call
+the kernels directly and check each new iterate themselves, once per
+step, so no check is skipped and none repeats.
 """
 
 from __future__ import annotations
@@ -119,7 +119,12 @@ class TridiagonalSystem:
 
     @classmethod
     def from_rates(cls, a, b, c):
-        """Build from the natural index ranges a_1..a_N, b_0..b_{N-1}, c_0..c_N."""
+        """Build from the natural index ranges a_1..a_N, b_0..b_{N-1}, c_0..c_N.
+
+        ``a`` and ``b`` are copied into their padded arrays, but a float64
+        ``c`` is kept by reference (as a read-only view): the caller must
+        not modify it afterwards.
+        """
         a = np.concatenate([[0.0], np.asarray(a, float)])
         b = np.concatenate([np.asarray(b, float), [0.0]])
         return cls(a, b, np.asarray(c, float))
@@ -232,7 +237,11 @@ def shift_to_qc(A):
     with nonnegative off-diagonal entries; anything else raises
     InvalidInput.
     """
-    A = as_square_matrix(A)
+    return _shift_to_qc(as_square_matrix(A))
+
+
+def _shift_to_qc(A):
+    """shift_to_qc without its finiteness check, for a matrix that already passed it."""
     off = A - np.diag(np.diag(A))
     if np.iscomplexobj(off) or (off < 0).any():
         raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")

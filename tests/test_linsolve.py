@@ -1,9 +1,9 @@
-"""Tridiagonal elimination and the dense LAPACK solve."""
+"""Tridiagonal elimination, the banded and the dense LAPACK solves."""
 
 import numpy as np
 import pytest
 
-from maxeig import linsolve, models, tridiag
+from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
 
@@ -230,3 +230,226 @@ class TestDenseLu:
             dense_solve(np.eye(3), [1.0, 2.0])
         with pytest.raises(InvalidInput):
             dense_solve(np.ones((2, 3)), [1.0, 2.0])
+
+
+# the LAPACK routine found at import, kept before any test forces the fallback
+LAPACK_DGBSV = linsolve._dgbsv
+
+BANDS = ((0, 0), (0, 3), (2, 0), (1, 1), (20, 20))
+
+
+def random_band(rng, n, kl, ku, symmetric=False):
+    """A random real n x n matrix with kl sub- and ku super-diagonals, diagonally dominant."""
+    A = rng.normal(size=(n, n))
+    if symmetric:
+        A = A + A.T
+    A = np.triu(np.tril(A, ku), -kl)
+    return A + np.diag(np.abs(A).sum(axis=1) + 1.0)
+
+
+def gesv(A, rhs):
+    return np.linalg.solve(A, rhs)
+
+
+class TestBandedSolve:
+    """dense_solve and the dense shifted solver on banded input, against gesv.
+
+    The band's fixed and packing costs are set to zero here, so that the
+    band route is open at every order the flop rule allows, orders 1 and
+    2 included.
+    """
+
+    band = True   # whether the band route is expected to run
+
+    @pytest.fixture(autouse=True)
+    def band_at_every_order(self, monkeypatch):
+        monkeypatch.setattr(linsolve, "_BAND_FIXED", 0)
+        monkeypatch.setattr(linsolve, "_BAND_ENTRY", 0)
+
+    def assert_route(self, A, reverse=None):
+        route = linsolve._band_route(A, 1)
+        assert (route is not None) == self.band
+        if self.band and reverse is not None:
+            assert route[2] == reverse
+
+    def test_bandwidths_of_edge_cases(self):
+        assert linsolve._bandwidths(np.zeros((1, 1))) == (0, 0)
+        assert linsolve._bandwidths(np.ones((1, 1))) == (0, 0)
+        assert linsolve._bandwidths(np.zeros((2, 2))) == (0, 0)
+        assert linsolve._bandwidths(np.array([[0.0, 1.0], [0.0, 0.0]])) == (0, 1)
+        assert linsolve._bandwidths(np.ones((5, 5))) == (4, 4)
+        A = np.diag(np.ones(6)) + np.diag(np.ones(3), -3) + np.diag(np.ones(4), 2)
+        A[2] = 0.0   # a zero row widens nothing
+        assert linsolve._bandwidths(A) == (3, 2)
+
+    def test_random_bands_agree_with_gesv(self, rng):
+        for n in (1, 2, 5, 17, 80, 200):
+            for kl, ku in BANDS:
+                if max(kl, ku) >= n:
+                    continue
+                A = random_band(rng, n, kl, ku)
+                rhs = rng.normal(size=n)
+                x, y = dense_solve(A, rhs), gesv(A, rhs)
+                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+        self.assert_route(random_band(rng, 80, 20, 20))
+
+    def test_nearly_singular_shifts_agree_with_gesv(self, rng):
+        n = 80
+        for kl, ku in BANDS:
+            A = random_band(rng, n, kl, ku, symmetric=kl == ku)
+            lam = np.linalg.eigvals(A).real.min()   # real: triangular or symmetric
+            z = lam * (1.0 - 1e-9)
+            solve = linsolve._shifted_solver(A)
+            rhs = rng.normal(size=n)
+            x, y = solve(z, rhs), gesv(z * np.eye(n) - A, rhs)
+            # the direction is what RQI uses; the length carries the condition
+            # number, about 1e9 here, times eps
+            assert np.abs(x / np.linalg.norm(x) - y / np.linalg.norm(y)).max() <= 1e-12
+            assert np.abs(x - y).max() <= 1e-6 * np.abs(y).max()
+            self.assert_route(A)
+
+    def test_hessenberg_runs_reversed_when_lower(self, rng):
+        n = 60
+        upper = np.triu(rng.uniform(0.1, 1.0, (n, n)), -1) + n * np.eye(n)
+        for A, reverse in ((upper, False), (upper.T.copy(), True)):
+            self.assert_route(A, reverse)
+            if self.band:
+                assert linsolve._band_route(A, 1)[:2] == (1, n - 1)
+            rhs = rng.normal(size=n)
+            x, y = dense_solve(A, rhs), gesv(A, rhs)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+            for z in (0.0, 2.5):
+                x, y = linsolve._shifted_solver(A)(z, rhs), gesv(z * np.eye(n) - A, rhs)
+                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+    def test_orders_one_and_two(self):
+        assert dense_solve([[4.0]], [2.0])[0] == 0.5
+        x = dense_solve([[2.0, 1.0], [0.0, 4.0]], [3.0, 4.0])
+        assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-15)
+        self.assert_route(np.array([[2.0, 1.0], [0.0, 4.0]]), reverse=False)
+        self.assert_route(np.array([[2.0, 0.0], [1.0, 4.0]]), reverse=True)
+        with pytest.raises(SolverBreakdown):
+            dense_solve([[0.0]], [1.0])
+        with pytest.raises(SolverBreakdown):
+            dense_solve(np.zeros((2, 2)), [1.0, 1.0])
+
+    def test_exact_singular_shift_raises(self):
+        n = 50
+        A = np.diag(np.arange(1.0, n + 1.0)) + np.diag(np.ones(n - 1), 1)
+        self.assert_route(A)
+        solve = linsolve._shifted_solver(A)
+        with pytest.raises(SolverBreakdown):
+            solve(7.0, np.ones(n))
+        # the work band is refilled: the next shift solves cleanly
+        x = solve(7.5, np.ones(n))
+        assert np.abs((7.5 * np.eye(n) - A) @ x - 1.0).max() <= 1e-12
+
+    def test_full_and_complex_input_stay_on_gesv(self, rng):
+        n = 60
+        assert linsolve._band_route(rng.normal(size=(n, n)), 1) is None
+        assert linsolve._band_route(models.toeplitz_linear(n), 1) is None
+        C = random_band(rng, n, 1, 1) + 1j * np.diag(rng.normal(size=n))
+        assert linsolve._band_route(C, 1) is None
+        rhs = rng.normal(size=n).astype(complex)
+        assert np.abs(C @ dense_solve(C, rhs) - rhs).max() <= 1e-12 * n
+
+    def test_complex_rhs_or_shift_on_a_real_band(self, rng):
+        # the band holds real numbers: a complex right-hand side or shift
+        # takes gesv, and loses no imaginary part
+        n = 60
+        for A in (random_band(rng, n, 2, 3), np.triu(random_band(rng, n, n - 1, n - 1), -1).T):
+            self.assert_route(A)
+            rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x, y = dense_solve(A, rhs), gesv(A, rhs)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+            solve = linsolve._shifted_solver(A)
+            for z, v in ((0.5 + 2j, rhs.real.copy()), (0.5, rhs), (0.5 + 2j, rhs)):
+                x, y = solve(z, v), gesv(z * np.eye(n) - A, v)
+                assert np.iscomplexobj(x)
+                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+            # the band is intact for the next real shift
+            x, y = solve(0.5, rhs.real.copy()), gesv(0.5 * np.eye(n) - A, rhs.real)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+    def test_rqi_from_a_complex_shift_on_a_real_band(self, rng):
+        # a complex z0 or v0 on real banded input runs as on gesv
+        n = 80
+        A = random_band(rng, n, 2, 2, symmetric=True)
+        self.assert_route(A)
+        lam = np.linalg.eigvalsh(A)
+        v0 = np.ones(n)
+        for z0, start in ((lam[0] + 0.1j, v0), (lam[0] + 0.1, v0 + 0.5j)):
+            result, _ = iterengine.rqi(A, start, z0)
+            assert abs(result.eigenvalue - lam[np.abs(lam - result.eigenvalue).argmin()]) <= 1e-10 * abs(lam).max()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linsolve, "_dgbsv", None)
+                reference, _ = iterengine.rqi(A, start, z0)
+            assert abs(result.eigenvalue - reference.eigenvalue) <= 1e-12 * abs(reference.eigenvalue)
+
+
+class TestBandedSolveFallback(TestBandedSolve):
+    """Every TestBandedSolve case again, on the gesv route that runs when
+    numpy's LAPACK exports no dgbsv."""
+
+    band = False
+
+    @pytest.fixture(autouse=True)
+    def without_lapack(self, monkeypatch):
+        monkeypatch.setattr(linsolve, "_dgbsv", None)
+
+
+def tridiagonal(n):
+    return np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+def upper_hessenberg(n):
+    return np.triu(np.ones((n, n)), -1) + n * np.eye(n)
+
+
+def test_band_rule_takes_small_orders_to_gesv():
+    # a run of shifted solves (_RUN_SOLVES) shares the packing, so it takes
+    # the band at lower orders than a single solve
+    runs = linsolve._RUN_SOLVES
+    for A in (tridiagonal(3), tridiagonal(43), models.poisson_block(8),
+              upper_hessenberg(159), models.triangular_model(158)):
+        assert linsolve._band_route(A, runs) is None
+    for A in (tridiagonal(54), models.poisson_block(11), upper_hessenberg(607)):
+        assert linsolve._band_route(A, 1) is None
+    if LAPACK_DGBSV is not None:
+        assert linsolve._band_route(tridiagonal(44), runs) == (1, 1, False)
+        assert linsolve._band_route(tridiagonal(55), 1) == (1, 1, False)
+        assert linsolve._band_route(models.poisson_block(9), runs) == (9, 9, False)
+        assert linsolve._band_route(models.poisson_block(12), 1) == (12, 12, False)
+        assert linsolve._band_route(models.triangular_model(159), runs) == (1, 159, True)
+        assert linsolve._band_route(models.branching_model(160), runs) == (1, 159, False)
+        assert linsolve._band_route(upper_hessenberg(608), 1) == (1, 607, False)
+
+
+def test_shifted_runs_take_the_band_sooner_than_single_solves(monkeypatch):
+    if LAPACK_DGBSV is None:
+        pytest.skip("numpy's LAPACK exports no dgbsv")
+    gbsv, bands = linsolve._gbsv, []
+    monkeypatch.setattr(linsolve, "_gbsv", lambda ab, kl, ku, rhs: bands.append((kl, ku)) or gbsv(ab, kl, ku, rhs))
+    A, rhs = models.branching_model(160), np.ones(160)
+    dense_solve(A, rhs)
+    assert bands == []
+    linsolve._shifted_solver(A)(0.5, rhs)
+    assert bands == [(1, 159)]
+
+
+@pytest.mark.parametrize("name", ["triangular", "branching", "grid"])
+def test_dgbsv_and_gesv_paths_give_one_eigenvalue(name, monkeypatch):
+    # at order 400 the triangular paths differ by 2.6e-12, within tol_z: the
+    # reversed pivot order changes the rounding, and dgbsv's value lies nearer
+    # the eig oracle's
+    if LAPACK_DGBSV is None:
+        pytest.skip("numpy's LAPACK exports no dgbsv")
+    run = {
+        "triangular": lambda: iterengine.algorithm2(models.triangular_model(199), negate=True),
+        "branching": lambda: iterengine.algorithm2(models.branching_model(200), negate=True),
+        "grid": lambda: general_init.general_rqi(models.poisson_block(15)),
+    }[name]
+    band = run()[0].eigenvalue
+    monkeypatch.setattr(linsolve, "_dgbsv", None)
+    full = run()[0].eigenvalue
+    assert abs(band - full) <= 1e-12 * abs(full)
