@@ -35,10 +35,10 @@ from .numat import (
     _check_length,
     _largest_ratio,
     _require_finite,
-    _scale,
     as_square_matrix,
     as_vector,
     is_positive_vector,
+    matrix_scale,
 )
 
 __all__ = [
@@ -290,7 +290,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
             trace.record(k, m - z, residual, time.perf_counter() - t0)
     else:
         A = as_square_matrix(A)
-        n, scale = A.shape[0], _scale(A)
+        n, scale = A.shape[0], matrix_scale(A)
 
         def apply(vec):
             return A @ vec
@@ -336,7 +336,7 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         z0,
         z_update=_RQI_UPDATES[z_update],
         norm=_l2_norm,
-        scale=_scale(A),
+        scale=matrix_scale(A),
         tol_z=tol_z,
         tol_residual=tol_residual,
         max_iterations=max_iterations,

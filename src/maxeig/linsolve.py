@@ -38,13 +38,13 @@ dense or banded system on which ``gesv`` or ``dgbsv`` meets an exactly
 zero pivot or returns a non-finite solution.
 
 Validate once, at the public boundary: ``tridiag_solve`` and
-``dense_solve`` check their inputs and then call the private kernels
-``_gtsv`` and ``_solve`` (which picks ``_gbsv`` or ``_gesv``).
-Iteration loops that build their own systems from already-checked data
-call the kernels directly, and the dense shifted-inverse iterations take
-their solver from ``_shifted_solver``, which picks the route once per
-run; the kernels keep every breakdown check (pivot floor, zero pivot,
-non-finite solution) and skip only the input checks.
+``dense_solve`` check their inputs, and a caller that solves one system
+calls them.  Only iteration loops, which build their own systems from
+already-checked data, call the private kernels: ``_gtsv`` for a
+tridiagonal system, and ``_shifted_solver``, which picks the dense route
+once per run (``_band_solver`` packing the band for ``_gbsv``, or
+``_gesv``).  The kernels keep every breakdown check (pivot floor, zero
+pivot, non-finite solution) and skip only the input checks.
 
 ``scipy.linalg`` is deliberately not imported: numpy's LAPACK has the
 same routines, and importing scipy would add about 28 MiB of resident
@@ -255,11 +255,14 @@ def dense_solve(A, rhs):
     rhs = as_vector(rhs)
     if len(rhs) != A.shape[0]:
         raise InvalidInput("rhs length does not match the matrix order")
-    return _solve(A, rhs)
+    band_solve = None if np.iscomplexobj(rhs) else _band_solver(A, 1)
+    if band_solve is None:
+        return _gesv(A, rhs)
+    return band_solve(0.0, rhs)
 
 
 def _gesv(A, rhs):
-    """_solve's gesv route, for a finite square A, real or complex, and a fitting rhs."""
+    """dense_solve's gesv route, for a finite square A, real or complex, and a fitting rhs."""
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -366,14 +369,6 @@ def _band_solver(A, solves):
         return _gbsv(work, kl, ku, v[::step])[::step]
 
     return solve
-
-
-def _solve(A, rhs):
-    """dense_solve without its input checks: dgbsv when A's band pays, else gesv."""
-    band_solve = None if np.iscomplexobj(rhs) else _band_solver(A, 1)
-    if band_solve is None:
-        return _gesv(A, rhs)
-    return band_solve(0.0, rhs)
 
 
 def _shifted_solver(A):

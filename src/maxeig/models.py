@@ -89,26 +89,19 @@ def branching_model(N: int, alpha: float = 1.75) -> np.ndarray:
     if not 0.0 < alpha < 2.0:
         raise InvalidInput("alpha must lie in (0, 2)")
     p0 = alpha / 2.0
+    # p[k] = (2-alpha)/2^k, exact powers of two (2.0**k overflows from k = 1024,
+    # and p underflows to 0 instead); the tail sum from m >= 2 is p[m-1]
+    p = np.ldexp(2.0 - alpha, -np.arange(N + 1))
     Q = np.zeros((N, N))
-
-    def p(kk):
-        return (2.0 - alpha) / 2.0**kk
-
-    def tail(m):  # sum_{k >= m} p_k, closed form for m >= 2
-        return (2.0 - alpha) / 2.0 ** (m - 1)
-
-    for i in range(1, N + 1):
+    for i in range(1, N):
         row = i - 1
-        if i == N:
-            Q[row, row - 1] = N * p0
-            Q[row, row] = -N * p0
-            continue
         if i >= 2:
             Q[row, row - 1] = i * p0
         Q[row, row] = -float(i)
-        for kk in range(2, N - i + 1):
-            Q[row, i + kk - 2] += i * p(kk)
-        Q[row, N - 1] += i * tail(N - i + 1)
+        Q[row, i:N - 1] = i * p[2:N - i + 1]   # k = 2..N-i offspring: state i to i + k - 1
+        Q[row, N - 1] = i * p[N - i]           # k > N - i offspring: truncated to state N
+    Q[N - 1, N - 2] = N * p0
+    Q[N - 1, N - 1] = -N * p0
     return Q
 
 

@@ -5,12 +5,13 @@ precision; the dtype (float64 vs complex128) is the real/complex kind
 tag and is never promoted silently.  Tridiagonal systems get a small
 dataclass because their diagonal is implicit.
 
-Validate once, at the public boundary: ``matvec``, ``matrix_scale``
-and ``shift_to_qc`` check their operands at entry and then call the
-private kernels ``_apply``, ``_scale`` and ``_shift_to_qc``.
-Iteration loops that apply one already-checked operand many times call
-the kernels directly and check each new iterate themselves, once per
-step, so no check is skipped and none repeats.
+Validate once, at the public boundary.  Every public function checks
+its operands at entry.  Only iteration loops, which apply one
+already-checked operand many times, call private kernels: ``_apply``
+(matvec's arithmetic), ``_check_length``, ``_require_finite`` and
+``_largest_ratio``; they check each new iterate themselves, once per
+step, so no check is skipped and none repeats.  Functions called once
+per run have no private twin.
 """
 
 from __future__ import annotations
@@ -121,13 +122,12 @@ class TridiagonalSystem:
     def from_rates(cls, a, b, c):
         """Build from the natural index ranges a_1..a_N, b_0..b_{N-1}, c_0..c_N.
 
-        ``a`` and ``b`` are copied into their padded arrays, but a float64
-        ``c`` is kept by reference (as a read-only view): the caller must
-        not modify it afterwards.
+        All three are copied (``a`` and ``b`` into their padded arrays),
+        so the caller may change its arrays afterwards.
         """
         a = np.concatenate([[0.0], np.asarray(a, float)])
         b = np.concatenate([np.asarray(b, float), [0.0]])
-        return cls(a, b, np.asarray(c, float))
+        return cls(a, b, np.array(c, float))
 
     @property
     def order(self) -> int:
@@ -237,27 +237,18 @@ def shift_to_qc(A):
     with nonnegative off-diagonal entries; anything else raises
     InvalidInput.
     """
-    return _shift_to_qc(as_square_matrix(A))
-
-
-def _shift_to_qc(A):
-    """shift_to_qc without its finiteness check, for a matrix that already passed it."""
-    off = A - np.diag(np.diag(A))
-    if np.iscomplexobj(off) or (off < 0).any():
+    A = as_square_matrix(A)
+    qc = A.copy()
+    np.fill_diagonal(qc, 0.0)   # the sign check reads the off-diagonal entries only
+    if np.iscomplexobj(qc) or qc.min() < 0:
         raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")
     m = float(A.sum(axis=1).max())
-    return A - m * np.eye(A.shape[0], dtype=A.dtype), m
+    np.fill_diagonal(qc, np.diagonal(A) - m)
+    return qc, m
 
 
 def matrix_scale(A) -> float:
     """Max absolute row sum; the scale used in relative residuals."""
-    if not isinstance(A, TridiagonalSystem):
-        A = as_square_matrix(A)
-    return _scale(A)
-
-
-def _scale(A) -> float:
-    """matrix_scale without its checks, for an operand that already passed them."""
     if isinstance(A, TridiagonalSystem):
         return float((A.a + A.b + A.c + np.abs(A.diagonal)).max())
-    return float(np.abs(A).sum(axis=1).max())
+    return float(np.abs(as_square_matrix(A)).sum(axis=1).max())

@@ -37,7 +37,7 @@ import numpy as np
 from . import iterengine, linsolve
 from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from .iterengine import EigenpairResult, run_shifted_iteration
-from .numat import TridiagonalSystem, _apply, _scale, as_vector, weighted_norm
+from .numat import TridiagonalSystem, _apply, as_vector, matrix_scale, weighted_norm
 
 __all__ = [
     "HTransform",
@@ -245,7 +245,7 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
         z_start,
         z_update=rayleigh,
         norm=lambda vec: float(np.sqrt((mu * (vec * vec)).sum())),
-        scale=_scale(q),
+        scale=matrix_scale(q),
         **opts,
     )
     result = EigenpairResult(

@@ -8,14 +8,13 @@ from maxeig.errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from maxeig.general_init import (
     general_rqi,
     h_transform_general,
-    jump_matrix,
     safe_z0,
     solve_h_general,
     solve_mu_general,
     solve_phi_general,
     tridiagonal_from_dense,
 )
-from maxeig.numat import matrix_scale, weighted_norm
+from maxeig.numat import matrix_scale, shift_to_qc, weighted_norm
 from maxeig.tridiag import compute_h, compute_initials, recover_original, tridiag_rqi
 
 from conftest import oracle_eigenvalues, random_system
@@ -67,19 +66,39 @@ class TestHTransform:
             assert sums[-1] < 0
 
 
+def phi_from_jump_chain(qt):
+    """phi as the paper defines it: rows 1..N of (I - P) phi = 0, P = D^-1 Q~ + I."""
+    n = qt.shape[0]
+    p = qt / -np.diag(qt)[:, None] + np.eye(n)
+    rows = (np.eye(n) - p)[1:, :]
+    return np.concatenate([[1.0], np.linalg.solve(rows[:, 1:], -rows[:, 0])])
+
+
+def random_transformed_generator(rng, n):
+    """Q~ of a random dense matrix with positive entries: Qc = A - mI, h-transformed."""
+    qc, _ = shift_to_qc(rng.uniform(0.01, 1.0, (n, n)))
+    return h_transform_general(qc, solve_h_general(qc))
+
+
 class TestSolvePhiMu:
     def test_two_state_jump_chain(self):
         qt = np.array([[-1.0, 1.0], [1.0, -5.0]])
-        p = jump_matrix(qt)
-        assert np.array_equal(p, [[0.0, 1.0], [0.2, 0.0]])
         assert solve_phi_general(qt) == pytest.approx([1.0, 0.2])
 
-    def test_jump_rows_stochastic_where_conservative(self, rng):
-        system = random_system(rng, 7)
-        qt = compute_h(system).transformed.dense()
-        p = jump_matrix(qt)
-        sums = p.sum(axis=1)
-        assert np.abs(sums[:-1] - 1.0).max() <= 1e-12
+    def test_phi_from_generator_rows_equals_phi_from_jump_chain(self, rng):
+        for n in (2, 3, 8, 40, 120):
+            qt = random_transformed_generator(rng, n)
+            phi, expected = solve_phi_general(qt), phi_from_jump_chain(qt)
+            assert np.abs(phi - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_phi_needs_negative_diagonal_below_the_first_row(self):
+        # state 1 is absorbing: P is undefined on its row, and phi with it
+        with pytest.raises(InvalidInput, match="strictly negative diagonal"):
+            solve_phi_general(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(InvalidInput, match="strictly negative diagonal"):
+            general_rqi(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+        # the first row is not among phi's equations
+        assert solve_phi_general(np.array([[0.0, 0.0], [1.0, -2.0]])) == pytest.approx([1.0, 0.5])
 
     def test_phi_matches_tail_formula(self):
         system = models.bd_squares(7)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maxeig import models
+from maxeig import iterengine, models
 from maxeig.errors import InvalidInput
 from maxeig.matrixio import parse_error
 
@@ -69,6 +69,37 @@ class TestBranching:
         Q = models.branching_model(9, 1.2)
         off = Q - np.diag(np.diag(Q))
         assert (off >= 0).all()
+
+    @staticmethod
+    def loop_model(N, alpha):
+        """The model filled entry by entry with 2.0**k, as first written (N <= 1024)."""
+        Q = np.zeros((N, N))
+        for i in range(1, N):
+            row = i - 1
+            if i >= 2:
+                Q[row, row - 1] = i * (alpha / 2.0)
+            Q[row, row] = -float(i)
+            for kk in range(2, N - i + 1):
+                Q[row, i + kk - 2] += i * ((2.0 - alpha) / 2.0**kk)
+            Q[row, N - 1] += i * ((2.0 - alpha) / 2.0 ** (N - i))
+        Q[N - 1, N - 2] = N * (alpha / 2.0)
+        Q[N - 1, N - 1] = -N * (alpha / 2.0)
+        return Q
+
+    @pytest.mark.parametrize("N, alphas", [(2, (1.75, 0.5, 1.9)), (3, (1.75, 0.5, 1.9)),
+                                           (5, (1.75, 0.5, 1.9)), (50, (1.75, 0.5, 1.9)),
+                                           (400, (1.75, 0.5, 1.9)), (1024, (1.75,))])
+    def test_bitwise_equal_to_the_entry_loop(self, N, alphas):
+        for alpha in alphas:
+            assert models.branching_model(N, alpha).tobytes() == self.loop_model(N, alpha).tobytes()
+
+    def test_builds_past_order_1024(self):
+        # 2.0**1024 overflows; the tail probabilities underflow to 0 instead
+        Q = models.branching_model(1100)
+        assert np.isfinite(Q).all()
+        assert (Q - np.diag(np.diag(Q)) >= 0).all()
+        _, trace = iterengine.algorithm2(Q, negate=True)
+        assert abs(trace.zs()[-1] - 0.625) <= 1e-6
 
     def test_domain_checks(self):
         with pytest.raises(InvalidInput):

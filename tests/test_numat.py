@@ -53,6 +53,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
+    def test_from_rates_copies_every_sequence(self):
+        a, b, c = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([0.0, 0.0, 1.0])
+        system = TridiagonalSystem.from_rates(a, b, c)
+        expected = [x.copy() for x in (system.c, system.diagonal, matvec(system, np.ones(3)))]
+        for x in (a, b, c):
+            x[0] = -5.0
+        assert np.array_equal(system.c, expected[0])
+        assert np.array_equal(system.diagonal, expected[1])
+        assert np.array_equal(matvec(system, np.ones(3)), expected[2])
+
     def test_real_kind_is_preserved(self):
         system = models.bd_squares(3)
         out = matvec(system, np.ones(4))
@@ -173,6 +183,24 @@ class TestShiftToQc:
     def test_validation_flag(self):
         with pytest.raises(InvalidInput):
             shift_to_qc(models.negative3())  # has negative off-diagonal entries
+
+    def test_equals_subtracting_m_times_identity(self, rng):
+        for A in (rng.uniform(0.0, 1.0, (7, 7)) - 3.0 * np.eye(7),   # negative diagonal
+                  models.poisson_block(4),                            # m < 0, zeros off the band
+                  models.triangular_model(9), np.array([[2.5]])):
+            before = A.copy()
+            qc, m = shift_to_qc(A)
+            assert m == float(A.sum(axis=1).max())
+            assert qc.tobytes() == (A - m * np.eye(A.shape[0])).tobytes()
+            assert np.array_equal(A, before)   # the input is not changed
+
+    def test_rejects_complex_and_negative_off_diagonals(self):
+        with pytest.raises(InvalidInput):
+            shift_to_qc(np.eye(2, dtype=complex))
+        with pytest.raises(InvalidInput):
+            shift_to_qc([[-1.0, 1.0], [-1e-300, -1.0]])
+        qc, m = shift_to_qc([[-5.0, 1.0], [2.0, -7.0]])   # a negative diagonal is allowed
+        assert m == -4.0 and np.array_equal(qc, [[-1.0, 1.0], [2.0, -3.0]])
 
     def test_row_sums(self):
         assert np.array_equal(row_sums(models.bd_squares(3)), [0.0, 0.0, 0.0, -16.0])
