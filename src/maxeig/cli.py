@@ -233,11 +233,11 @@ def _run_method(method, matrix, options):
         result, trace = tridiag_rqi(system, z0=z0, v0=options["v0"], **opts)
         recovered = recover_original(result)
         return recovered, trace, result.eigenvalue, "lambda_min(-Q)"
-    dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
     if method == "rqi-general":
-        result, trace = general_rqi(dense, z0=z0, v0=options["v0"], **opts)
+        result, trace = general_rqi(matrix, z0=z0, v0=options["v0"], **opts)
         primary = float(trace.steps[-1].z)  # lambda_min(-Qc) = m - rho
         return result, trace, primary, "lambda_min(-Qc)"
+    dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
     z0 = None if z0 == "max-ratio" else z0
     negate = options["negate"]
     if method == "alg1" or np.iscomplexobj(dense):

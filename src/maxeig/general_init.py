@@ -16,13 +16,15 @@ sqrt(phi) seeds the initial vector exactly as in the tridiagonal case,
 and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
 formula with a 1/(1 - phi_1) correction.  Where phi_1 >= phi_0 rules
 that shift out, the run starts from the seed's Rayleigh quotient and
-the result is flagged (``z0_fallback``).  Tridiagonal input is handed
-to ``tridiag.tridiag_rqi`` with the banded solver and the safe shift,
-which keeps those runs O(N); the results agree with the dense route to
-roundoff.  The dense route hands h, phi and mu to the same body that
-runs the tridiagonal pipeline's start vector, initial shift and
-weighted RQI (``tridiag._efficient_rqi``), and to its recovery; it has
-no delta_1, so it takes only the "safe" and "rayleigh" policies.
+the result is flagged (``z0_fallback``).  Tridiagonal input, a
+``TridiagonalSystem`` (shifted in its rates, never densified) or a dense
+matrix recognised as one, is handed to ``tridiag.tridiag_rqi`` with the
+banded solver and the safe shift, which keeps those runs O(N); the
+results agree with the dense route to roundoff.  The dense route hands
+h, phi, mu and ``linsolve``'s shifted solve of Q~ itself to the same
+body that runs the tridiagonal pipeline's start vector, initial shift
+and weighted RQI (``tridiag._efficient_rqi``), and to its recovery; it
+has no delta_1, so it takes only the "safe" and "rayleigh" policies.
 
 Each step is a public function that checks its own input, and
 ``general_rqi`` calls them in turn: ``numat.shift_to_qc``,
@@ -145,7 +147,10 @@ def general_rqi(
     h-scaling (eigenvector normalized to last component 1).  The trace
     records the internal shifts, i.e. estimates of lambda_min(-Qc) =
     m - rho(A), the scale on which the reproduction tables print.
-    Tridiagonal input runs ``tridiag_rqi`` with the banded solver.
+    Tridiagonal input runs ``tridiag_rqi`` with the banded solver: a
+    dense matrix recognised as tridiagonal, or a TridiagonalSystem Q,
+    which is shifted by m = -min(c) in its rates, (a, b, c - min(c)),
+    in O(N) memory.
 
     ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
     efficient seed, with the result flagged, when phi_1 >= phi_0),
@@ -155,8 +160,12 @@ def general_rqi(
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
     opts = {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
-    qc, m = shift_to_qc(A)
-    system = tridiagonal_from_dense(qc)
+    if isinstance(A, TridiagonalSystem):
+        # Qc = Q - m I, m = -min(c) the max row sum; +0.0, not -0.0, when min(c) is 0
+        m, system = 0.0 - float(A.c.min()), TridiagonalSystem(A.a, A.b, A.c - A.c.min())
+    else:
+        qc, m = shift_to_qc(A)
+        system = tridiagonal_from_dense(qc)
     if system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
@@ -164,6 +173,6 @@ def general_rqi(
         q_tilde = h_transform_general(qc, h)
         phi = solve_phi_general(q_tilde)
         mu = solve_mu_general(q_tilde)
-        solve = linsolve._shifted_solver(-q_tilde)
+        solve = linsolve._shifted_solver(q_tilde)
         result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, None, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

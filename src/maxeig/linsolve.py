@@ -2,8 +2,9 @@
 
 Three routes:
 
-- ``tridiag_solve``, LAPACK ``dgtsv`` (elimination with partial
-  pivoting between adjacent rows) for real tridiagonal systems.  When
+- LAPACK ``dgtsv`` (elimination with partial pivoting between adjacent
+  rows) for real tridiagonal systems: ``tridiag_solve``, and the shifted
+  solves of a ``TridiagonalSystem``.  When
   the LAPACK library exports no ``dgtsv``, GTSV_SYMBOL is None and a
   Python loop with the same arithmetic takes its place: bitwise the
   same solutions, 20-50 times more slowly from order 10^3 up.
@@ -39,12 +40,15 @@ zero pivot or returns a non-finite solution.
 
 Validate once, at the public boundary: ``tridiag_solve`` and
 ``dense_solve`` check their inputs, and a caller that solves one system
-calls them.  Only iteration loops, which build their own systems from
-already-checked data, call the private kernels: ``_gtsv`` for a
-tridiagonal system, and ``_shifted_solver``, which picks the dense route
-once per run (``_band_solver`` packing the band for ``_gbsv``, or
-``_gesv``).  The kernels keep every breakdown check (pivot floor, zero
-pivot, non-finite solution) and skip only the input checks.
+calls them.  Iteration loops, which solve (z I - A) x = v for many
+shifts z with one already-checked A, take their solve from
+``_shifted_solver``, the one factory for every shifted solve: for a
+``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
+solve for ``_gtsv``, and for a dense matrix it picks the route once per
+run (``_band_solver`` packing the band for ``_gbsv``, or ``_gesv``).  No
+other module calls a kernel or holds a LAPACK work array.  The kernels
+keep every breakdown check (pivot floor, zero pivot, non-finite
+solution) and skip only the input checks.
 
 ``scipy.linalg`` is deliberately not imported: numpy's LAPACK has the
 same routines, and importing scipy would add about 28 MiB of resident
@@ -58,7 +62,7 @@ import ctypes
 import numpy as np
 
 from .errors import InvalidInput, SolverBreakdown
-from .numat import as_square_matrix, as_vector
+from .numat import TridiagonalSystem, as_square_matrix, as_vector
 
 __all__ = ["GBSV_SYMBOL", "GTSV_SYMBOL", "PIVOT_FLOOR", "dense_solve", "tridiag_solve"]
 
@@ -198,12 +202,8 @@ def tridiag_solve(lower, diag, upper, rhs):
     second super-diagonal; this keeps the solve stable on the shifted,
     nearly singular systems RQI produces, where the pivot-free forward
     recurrence can fail.  The solve is LAPACK ``dgtsv`` (see the module
-    docstring) and returns a new array.
-
-    The three diagonals are ``dgtsv``'s work space: contiguous, writable
-    float64 arrays are overwritten, so a caller that solves many systems
-    refills one set of arrays; any other input is copied first.  ``rhs``
-    is always copied.
+    docstring) on copies of the input and returns a new array; the
+    arguments are left as they are.
 
     Raises InvalidInput for complex input or mismatched lengths, and
     SolverBreakdown when a pivot falls below PIVOT_FLOOR or the solution
@@ -221,7 +221,7 @@ def tridiag_solve(lower, diag, upper, rhs):
 
     if any(np.iscomplexobj(a) for a in (lower, diag, upper, rhs)):
         raise InvalidInput("tridiag_solve takes real input only")
-    return _gtsv(*(np.require(a, np.float64, "CW") for a in (lower, diag, upper)), rhs)
+    return _gtsv(*(np.array(a, np.float64) for a in (lower, diag, upper)), rhs)
 
 
 def _gtsv(dl, d, du, rhs):
@@ -372,14 +372,28 @@ def _band_solver(A, solves):
 
 
 def _shifted_solver(A):
-    """solve(z, v) = (z I - A)^{-1} v for a checked square A.
+    """solve(z, v) = (z I - A)^{-1} v for a TridiagonalSystem or a checked square A.
 
-    The route is chosen once, for a run of solves.  On the band route a
-    complex z or v, which the real band cannot hold, takes gesv; the band
-    solves (A - z I) x = v and returns -x, the same bits as solving
-    (z I - A) x = v, since negating a matrix negates its factor U and
-    nothing else in the elimination.
+    The route is chosen once, for a run of solves.  A TridiagonalSystem
+    takes dgtsv, which overwrites its diagonals: the run allocates one
+    set of work arrays and refills them before each solve, the
+    diagonal as z minus A's, for real z and v.
+
+    For a dense A on the band route a complex z or v, which the real
+    band cannot hold, takes gesv; the band solves (A - z I) x = v and
+    returns -x, the same bits as solving (z I - A) x = v, since negating
+    a matrix negates its factor U and nothing else in the elimination.
     """
+    if isinstance(A, TridiagonalSystem):
+        dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
+
+        def solve_tridiagonal(z, v):
+            np.negative(A.a[1:], out=dl)
+            np.negative(A.b[:-1], out=du)
+            np.subtract(z, A.diagonal, out=d)
+            return _gtsv(dl, d, du, v)
+
+        return solve_tridiagonal
     n = A.shape[0]
     band_solve = _band_solver(A, _RUN_SOLVES)
     if band_solve is None:

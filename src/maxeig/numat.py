@@ -43,22 +43,29 @@ def _require_finite(arr, what):
         raise InvalidInput(f"{what} contains non-finite entries")
 
 
+def _numeric(values, dtype, what):
+    """values as a float or complex numpy array; InvalidInput when it holds no numbers."""
+    if isinstance(values, TridiagonalSystem):
+        raise InvalidInput(f"expected a {what}, got a TridiagonalSystem; pass its .dense()")
+    try:
+        arr = np.asarray(values, dtype=dtype)
+        return arr if arr.dtype.kind in "fc" else arr.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"expected a numeric {what}: {exc}") from None
+
+
 def as_vector(values, dtype=None):
     """Validate and return a 1-D finite numpy vector of length >= 1."""
-    v = np.asarray(values, dtype=dtype)
-    if v.dtype.kind not in "fc":
-        v = v.astype(float)
+    v = _numeric(values, dtype, "vector")
     if v.ndim != 1 or v.size < 1:
         raise InvalidInput("expected a 1-D vector with at least one entry")
     _require_finite(v, "vector")
     return v
 
 
-def as_square_matrix(values, dtype=None):
+def as_square_matrix(values):
     """Validate and return a square finite numpy matrix."""
-    m = np.asarray(values, dtype=dtype)
-    if m.dtype.kind not in "fc":
-        m = m.astype(float)
+    m = _numeric(values, None, "square matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, "matrix")

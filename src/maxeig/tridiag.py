@@ -11,8 +11,9 @@ identically zero:
    delta_1 seeds the initial shift from below, directly or through the
    safe shift of the general case, which needs phi_1 < phi_0;
 3. weighted RQI, where every shifted system is solved either by the
-   generic banded solver (LAPACK ``dgtsv``, the default) or by the
-   paper's closed-form O(N) representation;
+   generic banded solver (LAPACK ``dgtsv``, the default, which
+   ``linsolve._shifted_solver`` builds for the transformed system) or by
+   the paper's closed-form O(N) representation;
 4. recovery of the original eigenpair by undoing the h-scaling.
 
 ``general_init.general_rqi`` hands tridiagonal input to this pipeline
@@ -21,7 +22,9 @@ three linear solves, to the same body ``_efficient_rqi``: start vector,
 initial shift, weighted RQI with one weighted Rayleigh quotient.  The
 body picks the start from its name (``v0``: "efficient" or "uniform")
 and the initial shift from its name or value (``z0``) and the route's
-delta_1, which the dense route does not have.
+delta_1, which the dense route does not have.  Both routes pass the
+body a solve of (z I - q) for their system q as ``linsolve`` builds it;
+this module only chooses between that solve and the closed form.
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -208,8 +211,12 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
     seed's quotient and is flagged.
 
     ``q`` is a TridiagonalSystem or a dense matrix the route has already
-    validated.  The result holds lambda_min(-q) and the eigenvector in
-    the h-scaled coordinates; recover_original maps it back.
+    validated, and ``solve(z, v)`` gives (z I - q)^{-1} v, as
+    ``linsolve._shifted_solver(q)`` does.  The run shifts -q, so the
+    driver's shift z is solved as solve(-z, v): the negation is exact,
+    and a perturb-and-retry still moves the decay rate up.  The result
+    holds lambda_min(-q) and the eigenvector in the h-scaled
+    coordinates; recover_original maps it back.
     """
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
@@ -240,7 +247,7 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
 
     z, v, trace = run_shifted_iteration(
         lambda vec: -_apply(q, vec),
-        solve,
+        lambda z, vec: solve(-z, vec),
         start,
         z_start,
         z_update=rayleigh,
@@ -320,28 +327,6 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     return A_seq + x * B_seq
 
 
-def _shifted_solver(transformed: TridiagonalSystem, mu, choice):
-    """Return solve(z, v) giving a multiple of (z I - (-Q))^{-1} v."""
-    if choice == "explicit":
-        return lambda z, v: explicit_rqi_solve(transformed, mu, z, v)
-    if choice == "generic":
-        a, b, diag = transformed.a, transformed.b, transformed.diagonal
-        # dgtsv overwrites its diagonals: one set of work arrays per run,
-        # refilled before each solve
-        dl, d, du = np.empty(len(a) - 1), np.empty(len(a)), np.empty(len(a) - 1)
-
-        def solve(z, v):
-            np.negative(a[1:], out=dl)
-            np.negative(b[:-1], out=du)
-            # -(diag + z) is (a + b + c) - z rounded, negation being exact
-            np.add(diag, z, out=d)
-            np.negative(d, out=d)
-            return linsolve._gtsv(dl, d, du, v)
-
-        return solve
-    raise InvalidInput(f"unknown solver {choice!r}")
-
-
 def tridiag_rqi(
     system: TridiagonalSystem,
     *,
@@ -370,6 +355,8 @@ def tridiag_rqi(
     only through rounding), "rayleigh", or a number.  ``v0`` is
     "efficient", the sqrt(phi) seed, or "uniform".
     """
+    if solver not in ("generic", "explicit"):
+        raise InvalidInput(f"unknown solver {solver!r}")
     if (system.c == 0).all():
         raise InvalidInput("tridiag_rqi requires some killing rate (c not identically zero)")
     ht = compute_h(system)
@@ -377,7 +364,8 @@ def tridiag_rqi(
     init = compute_initials(transformed)
     return _efficient_rqi(
         transformed,
-        _shifted_solver(transformed, init.mu, solver),
+        linsolve._shifted_solver(transformed) if solver == "generic"
+        else lambda z, v: explicit_rqi_solve(transformed, init.mu, -z, v),
         ht.h,
         init.mu,
         init.phi,

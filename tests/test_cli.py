@@ -10,6 +10,7 @@ import pytest
 import maxeig
 from maxeig import errors, reference
 from maxeig.cli import METHODS, main
+from maxeig.numat import TridiagonalSystem
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +205,17 @@ class TestSolve:
                                "--method", "rqi-tridiag")
         assert code == 0
         assert "0.763932" in out
+
+    def test_rqi_general_solves_a_tridiag_file_without_densifying(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        path = tmp_path / "q.tridiag"
+        code, _, _ = run_cli(capsys, "model", "--name", "bd_squares", "--n", "9999",
+                             "--emit", str(path))
+        assert code == 0
+        monkeypatch.setattr(TridiagonalSystem, "dense", lambda self: pytest.fail("densified"))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "rqi-general")
+        assert code == 0
+        assert "lambda_min(-Qc) = 0.302561" in out
 
     def test_spec_file_input(self, capsys, tmp_path):
         spath = tmp_path / "spec.json"

@@ -14,7 +14,7 @@ from maxeig.general_init import (
     solve_phi_general,
     tridiagonal_from_dense,
 )
-from maxeig.numat import matrix_scale, shift_to_qc, weighted_norm
+from maxeig.numat import TridiagonalSystem, matrix_scale, shift_to_qc, weighted_norm
 from maxeig.tridiag import compute_h, compute_initials, recover_original, tridiag_rqi
 
 from conftest import oracle_eigenvalues, random_system
@@ -229,6 +229,35 @@ class TestGeneralRqi:
         res_t, trace_t = tridiag_rqi(system, solver="generic", z0="safe")
         assert np.array_equal(trace_g.zs(), trace_t.zs())
         assert np.array_equal(res_g.eigenvector, recover_original(res_t).eigenvector)
+
+    @pytest.mark.parametrize("z0, v0", [("safe", "efficient"), ("rayleigh", "uniform")])
+    def test_a_tridiagonal_system_runs_as_its_dense_matrix(self, z0, v0):
+        system = models.bd_squares(7)
+        res_s, trace_s = general_rqi(system, z0=z0, v0=v0)
+        res_d, trace_d = general_rqi(system.dense(), z0=z0, v0=v0)
+        assert np.array_equal(trace_s.zs(), trace_d.zs())
+        assert np.array_equal(res_s.eigenvector, res_d.eigenvector)
+        assert res_s.eigenvalue == res_d.eigenvalue
+        assert np.copysign(1.0, res_s.shift_m) == 1.0    # m = +0.0 when min(c) = 0
+
+    def test_a_tridiagonal_system_agrees_with_its_dense_matrix(self, rng):
+        # with killing everywhere m = -min(c) > 0, and the two routes round apart;
+        # only killing at the last state is checked against the oracle, as killing
+        # everywhere can lose the maximal pair on both routes alike
+        for killing in ("last", "all"):
+            for _ in range(16):
+                system = random_system(rng, int(rng.integers(7, 64)), with_killing=killing)
+                res_s, res_d = (general_rqi(A)[0] for A in (system, system.dense()))
+                assert res_s.eigenvalue == pytest.approx(res_d.eigenvalue, rel=1e-10)
+                if killing == "last":
+                    assert res_s.eigenvalue == pytest.approx(
+                        float(np.max(oracle_eigenvalues(system).real)), rel=1e-8)
+
+    def test_uniform_killing_is_rejected_on_both_routes(self):
+        system = TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5))
+        for A in (system, system.dense()):
+            with pytest.raises(InvalidInput, match="killing"):
+                general_rqi(A)
 
     @pytest.mark.parametrize("z0", general_init.Z0_POLICIES)
     def test_accepted_z0_policies(self, z0):

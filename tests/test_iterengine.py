@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from maxeig import models
-from maxeig.errors import InvalidInput
+from maxeig import iterengine, linsolve, models
+from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.general_init import general_rqi
 from maxeig.iterengine import (
     C_FLOOR,
     DEFAULT_TOL_Z,
+    IterationTrace,
     algorithm1,
     algorithm2,
     power_iteration,
@@ -181,6 +182,71 @@ class TestDriverChecksEachIterate:
     def test_non_finite_shift_update_rejected(self):
         with pytest.raises(InvalidInput, match="non-finite z at iteration 1"):
             self.run(lambda z, v: v, z_update=lambda v, av: np.inf)
+
+
+class TestPerturbAndRetry:
+    """An exactly singular solve: accepted at tolerance, else retried once at a
+    shift moved up by 1e-12 (1 + |z|)."""
+
+    A = np.diag([2.0, 1.0])
+
+    def run(self, breakdowns, v0=(1.0, 0.5), z0=2.5):
+        """Run the driver with a solve that raises on its first ``breakdowns``
+        calls; returns the result and the shifts the solve was given."""
+        shifts = []
+
+        def solve(z, v):
+            shifts.append(z)
+            if len(shifts) <= breakdowns:
+                raise SolverBreakdown("forced")
+            return np.linalg.solve(z * np.eye(2) - self.A, v)
+
+        return run_shifted_iteration(lambda v: self.A @ v, solve, list(v0), z0,
+                                     z_update=_rayleigh_update, norm=_l2_norm), shifts
+
+    def test_one_breakdown_retries_at_the_perturbed_shift(self):
+        (z, _, trace), shifts = self.run(1)
+        assert shifts[:2] == [2.5, 2.5 + 1e-12 * (1.0 + 2.5)]
+        assert trace.termination == "converged" and z == pytest.approx(2.0)
+
+    def test_a_second_breakdown_raises(self, monkeypatch):
+        # SolverBreakdown carries no trace, so the run's trace is kept as it is made
+        traces = []
+
+        def kept_trace(**fields):
+            traces.append(IterationTrace(**fields))
+            return traces[-1]
+
+        monkeypatch.setattr(iterengine, "IterationTrace", kept_trace)
+        with pytest.raises(SolverBreakdown, match="after one retry"):
+            self.run(2)
+        assert traces[-1].termination == "breakdown"
+
+    def test_a_breakdown_at_tolerance_converges_without_retry(self):
+        (z, _, trace), shifts = self.run(1, v0=(1.0, 0.0), z0=2.0)
+        assert shifts == [2.0] and z == 2.0
+        assert trace.termination == "converged" and trace.iterations == 0
+
+    def test_tridiag_rqi_retries_at_a_higher_decay_rate(self, monkeypatch):
+        # the run shifts -q, so the dgtsv solve sees the decay rate negated
+        make, shifts = linsolve._shifted_solver, []
+
+        def singular_once(q):
+            solve = make(q)
+
+            def wrapped(z, v):
+                shifts.append(z)
+                if len(shifts) == 1:
+                    raise SolverBreakdown("forced")
+                return solve(z, v)
+
+            return wrapped
+
+        monkeypatch.setattr(linsolve, "_shifted_solver", singular_once)
+        _, trace = tridiag_rqi(models.bd_squares(7))
+        lam = trace.zs()[0]
+        assert shifts[:2] == [-lam, -(lam + 1e-12 * (1.0 + lam))]
+        assert trace.termination == "converged"
 
 
 class TestShiftTolerance:

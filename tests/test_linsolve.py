@@ -6,6 +6,7 @@ import pytest
 from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
+from maxeig.numat import TridiagonalSystem
 
 from conftest import oracle_min_neg, random_system
 
@@ -112,9 +113,9 @@ class TestTridiagSolve:
         kept = [a.copy() for a in inputs]
         contiguous = [np.ascontiguousarray(a) for a in inputs]
         assert np.array_equal(tridiag_solve(*inputs), tridiag_solve(*contiguous))
-        # strided diagonals are copied before use as work space; rhs always is
+        # the solve works on copies: no argument is overwritten, contiguous or not
         assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-        assert np.array_equal(contiguous[3], kept[3])
+        assert all(np.array_equal(a, b) for a, b in zip(contiguous, kept))
 
     def test_exact_breakdown_raises(self):
         with pytest.raises(SolverBreakdown):
@@ -161,9 +162,7 @@ class TestTridiagSolveLoop(TestTridiagSolve):
             return tridiag_solve(*args)
 
     def compare(self, args):
-        # each solve overwrites the diagonals it is given, so each gets its own
-        loop = tridiag_solve(*(a.copy() for a in args))
-        assert loop.tobytes() == self.lapack_solve(*args).tobytes()
+        assert tridiag_solve(*args).tobytes() == self.lapack_solve(*args).tobytes()
 
     def test_bitwise_equal_to_lapack_on_random_shifted_systems(self, rng):
         for args in shifted_systems(rng):
@@ -174,6 +173,32 @@ class TestTridiagSolveLoop(TestTridiagSolve):
         rhs = np.ones(system.order)
         for z in (0.25, 0.29, 0.5):
             self.compare((*shifted_coeffs(system, z), rhs))
+
+
+def shifted_tridiagonal(system, z, rhs):
+    """tridiag_solve of (z I - Q) x = rhs, with the diagonals built from Q's rates."""
+    return tridiag_solve(-system.a[1:], z - system.diagonal, -system.b[:-1], rhs)
+
+
+class TestShiftedTridiagonalSolver:
+    """linsolve._shifted_solver on a TridiagonalSystem: one set of dgtsv work
+    arrays per run, refilled before each solve."""
+
+    def test_equals_tridiag_solve_bitwise_over_repeated_shifts(self, rng):
+        for system in (random_system(rng, 49, with_killing="all"), models.bd_squares(99)):
+            solve = linsolve._shifted_solver(system)
+            rhs = rng.normal(size=system.order)
+            for z in (0.3, 1.7, 0.3, -0.2, 0.3):
+                assert solve(z, rhs).tobytes() == shifted_tridiagonal(system, z, rhs).tobytes()
+
+    def test_a_breakdown_leaves_the_next_shift_clean(self, rng):
+        # unit rates and no killing: at z = 0 the last pivot is exactly zero
+        system = TridiagonalSystem.from_rates(np.ones(4), np.ones(4), np.zeros(5))
+        solve = linsolve._shifted_solver(system)
+        rhs = rng.normal(size=system.order)
+        with pytest.raises(SolverBreakdown):
+            solve(0.0, rhs)
+        assert solve(0.5, rhs).tobytes() == shifted_tridiagonal(system, 0.5, rhs).tobytes()
 
 
 class TestDenseLu:

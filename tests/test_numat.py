@@ -5,6 +5,8 @@ import pytest
 
 from maxeig import models
 from maxeig.errors import InvalidInput
+from maxeig.iterengine import algorithm2
+from maxeig.linsolve import dense_solve
 from maxeig.numat import (
     TridiagonalSystem,
     as_measure,
@@ -30,6 +32,18 @@ class TestValidation:
     def test_rejects_empty_vector(self):
         with pytest.raises(InvalidInput):
             as_vector([])
+
+    def test_non_numeric_input_is_invalid(self):
+        for bad in (["a"], [[1.0, 2.0], [3.0]], [1.0, "x"]):
+            with pytest.raises(InvalidInput):
+                as_vector(bad)
+        with pytest.raises(InvalidInput):
+            dense_solve([["a"]], [1.0])
+        # a TridiagonalSystem is not a dense matrix; the message names the way to one
+        with pytest.raises(InvalidInput, match=r"\.dense\(\)"):
+            as_vector(models.bd_squares(3))
+        with pytest.raises(InvalidInput, match=r"\.dense\(\)"):
+            algorithm2(models.bd_squares(7))
 
     def test_measure_checks(self):
         as_measure([1.0, 2.0, 0.5])
