@@ -35,10 +35,7 @@ from .numat import (
     TridiagonalSystem,
     matvec,
     max_ratio,
-    row_sums,
     shift_to_qc,
-    weighted_inner,
-    weighted_norm,
 )
 from .tridiag import (
     HTransform,
@@ -60,10 +57,7 @@ __all__ = [
     "InitialData",
     "matvec",
     "max_ratio",
-    "row_sums",
     "shift_to_qc",
-    "weighted_inner",
-    "weighted_norm",
     "compute_h",
     "compute_initials",
     "explicit_rqi_solve",

@@ -40,8 +40,13 @@ class SolverBreakdown(MaxeigError):
     endgame of Rayleigh quotient iteration once the shift lands on an
     eigenvalue to machine precision; the iteration driver catches it and
     either accepts the converged pair or perturbs the shift and retries
-    once.
+    once.  A breakdown the driver could not handle carries the run's
+    ``trace`` (termination "breakdown").
     """
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class MaxIterationsExceeded(MaxeigError):

@@ -165,6 +165,8 @@ def general_rqi(
         m, system = 0.0 - float(A.c.min()), TridiagonalSystem(A.a, A.b, A.c - A.c.min())
     else:
         qc, m = shift_to_qc(A)
+        if qc.shape[0] < 2:
+            raise InvalidInput("general_rqi needs a matrix of order at least 2")
         system = tridiagonal_from_dense(qc)
     if system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)

@@ -17,7 +17,8 @@ functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
 singular solve (SolverBreakdown: the shift landed on an eigenvalue to
 machine precision) is accepted as convergence when the current
 residual already passes, otherwise the shift is perturbed once and the
-solve retried; a second breakdown raises SolverBreakdown.
+solve retried; a second breakdown raises SolverBreakdown, carrying the
+run's trace as MaxIterationsExceeded does.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
 
 
 def _relative_residual(norm, av, z, v, scale):
-    """||A v - z v|| / (scale ||v||) in the run's norm."""
-    return norm(av - z * v) / (scale * norm(v))
+    """||A v - z v|| / (scale ||v||) in the run's norm; absolute for a zero matrix, scale 0."""
+    return norm(av - z * v) / ((scale or 1.0) * norm(v))
 
 
 def _shift_tolerance(tol_z, n):
@@ -242,7 +243,8 @@ def run_shifted_iteration(
                 w = solve_shifted(z_pert, v)
             except SolverBreakdown as exc:
                 trace.termination = "breakdown"
-                raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)") from exc
+                raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)",
+                                      trace=trace) from exc
         v = _sign_fix(w / norm(w))
         _require_finite(v, "vector")
         av = apply_matrix(v)
@@ -306,6 +308,8 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     z = norm_fn(av)
     record(0, z, _relative_residual(norm_fn, av, z, v, scale))
     for k in range(1, steps + 1):
+        if z == 0:
+            raise InvalidInput(f"A v_{k - 1} = 0 at step {k - 1}: power iteration cannot go on")
         v = av / z
         _require_finite(v, "vector")
         av = apply(v)

@@ -33,22 +33,23 @@ symbols found.
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
 and must not error.  Only an exact hit on an eigenvalue raises
-SolverBreakdown, and the iteration driver handles that: a tridiagonal
-pivot below an absolute floor or a non-finite tridiagonal solution, or a
-dense or banded system on which ``gesv`` or ``dgbsv`` meets an exactly
-zero pivot or returns a non-finite solution.
+SolverBreakdown, and the iteration driver handles that.  One check,
+``_checked``, serves all three routines: an exactly zero pivot or a
+non-finite solution raises SolverBreakdown naming ``dgtsv``, ``dgbsv``
+or ``gesv``; ``dgtsv`` also raises for a pivot below an absolute floor.
 
 Validate once, at the public boundary: ``tridiag_solve`` and
 ``dense_solve`` check their inputs, and a caller that solves one system
 calls them.  Iteration loops, which solve (z I - A) x = v for many
 shifts z with one already-checked A, take their solve from
-``_shifted_solver``, the one factory for every shifted solve: for a
-``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
-solve for ``_gtsv``, and for a dense matrix it picks the route once per
-run (``_band_solver`` packing the band for ``_gbsv``, or ``_gesv``).  No
-other module calls a kernel or holds a LAPACK work array.  The kernels
-keep every breakdown check (pivot floor, zero pivot, non-finite
-solution) and skip only the input checks.
+``_shifted_solver``, the one factory for every shifted solve.  Every
+route it builds solves (z I - A) x = v as it is written, with no
+negation after the solve: for a ``TridiagonalSystem`` it refills one set
+of ``dgtsv`` work arrays per solve for ``_gtsv``, and for a dense matrix
+it picks the route once per run (``_band_solver`` packing the band of -A
+for ``_gbsv``, or ``_gesv``).  No other module calls a kernel or holds a
+LAPACK work array.  The kernels keep every breakdown check and skip only
+the input checks.
 
 ``scipy.linalg`` is deliberately not imported: numpy's LAPACK has the
 same routines, and importing scipy would add about 28 MiB of resident
@@ -224,6 +225,16 @@ def tridiag_solve(lower, diag, upper, rhs):
     return _gtsv(*(np.array(a, np.float64) for a in (lower, diag, upper)), rhs)
 
 
+def _checked(routine, info, x):
+    """x, the solution ``routine`` returned with LAPACK's ``info``; the one
+    place a zero pivot (info > 0) or a non-finite solution raises SolverBreakdown."""
+    if info:
+        raise SolverBreakdown(f"{routine}: pivot at row {info - 1} is exactly zero")
+    if not np.isfinite(x).all():
+        raise SolverBreakdown(f"{routine} returned a non-finite solution")
+    return x
+
+
 def _gtsv(dl, d, du, rhs):
     """tridiag_solve without its input checks; raises SolverBreakdown as it does.
 
@@ -233,15 +244,12 @@ def _gtsv(dl, d, du, rhs):
     """
     x = np.array(rhs, dtype=np.float64)
     info = (_dgtsv or _gtsv_loop)(dl, d, du, x)
-    if info:
-        raise SolverBreakdown(f"tridiagonal pivot at row {info - 1} is exactly zero")
-    pivots = np.abs(d, out=d)  # U's diagonal; d is work space
-    if pivots.min() < PIVOT_FLOOR:
-        row = int(pivots.argmin())
-        raise SolverBreakdown(f"tridiagonal pivot {pivots[row]!r} below floor at row {row}")
-    if not np.isfinite(x).all():
-        raise SolverBreakdown("tridiagonal solve returned a non-finite solution")
-    return x
+    if not info:
+        pivots = np.abs(d, out=d)  # U's diagonal; d is work space
+        if pivots.min() < PIVOT_FLOOR:
+            row = int(pivots.argmin())
+            raise SolverBreakdown(f"dgtsv: pivot {float(pivots[row])!r} below floor at row {row}")
+    return _checked("dgtsv", info, x)
 
 
 def dense_solve(A, rhs):
@@ -258,7 +266,7 @@ def dense_solve(A, rhs):
     band_solve = None if np.iscomplexobj(rhs) else _band_solver(A, 1)
     if band_solve is None:
         return _gesv(A, rhs)
-    return band_solve(0.0, rhs)
+    return -band_solve(0.0, rhs)
 
 
 def _gesv(A, rhs):
@@ -267,9 +275,7 @@ def _gesv(A, rhs):
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverBreakdown(f"gesv: {exc}") from exc
-    if not np.isfinite(x).all():
-        raise SolverBreakdown("gesv returned a non-finite solution")
-    return x
+    return _checked("gesv", 0, x)
 
 
 def _bandwidths(A):
@@ -335,37 +341,32 @@ def _gbsv(ab, kl, ku, rhs):
     """Solve the banded system held in ``ab`` (see _band_storage) by LAPACK ``dgbsv``.
 
     ``ab`` is overwritten with the factors; ``rhs``, finite and real, is
-    copied.  Raises SolverBreakdown on an exactly zero pivot or a
-    non-finite solution, as _gesv does.
+    copied.
     """
     x = np.array(rhs, dtype=np.float64)
-    info = _dgbsv(kl, ku, ab, x)
-    if info:
-        raise SolverBreakdown(f"gbsv: pivot at row {info - 1} is exactly zero")
-    if not np.isfinite(x).all():
-        raise SolverBreakdown("gbsv returned a non-finite solution")
-    return x
+    return _checked("dgbsv", _dgbsv(kl, ku, ab, x), x)
 
 
 def _band_solver(A, solves):
-    """solve(z, v) = (A - z I)^{-1} v by dgbsv for real z and v, or None
+    """solve(z, v) = (z I - A)^{-1} v by dgbsv for real z and v, or None
     when gesv pays for ``solves`` solves with the checked square A.
 
-    This is the one function that knows the band layout: it packs A
+    This is the one function that knows the band layout: it packs -A
     once, and as dgbsv overwrites its band, each solve refills one work
-    band and subtracts z from its diagonal row.
+    band and adds z to its diagonal row.
     """
     route = _band_route(A, solves)
     if route is None:
         return None
     kl, ku, reverse = route
     band = _band_storage(A, kl, ku, reverse)
+    np.negative(band, out=band)
     work = np.empty_like(band)   # its first kl rows are fill-in space dgbsv need not find set
     step = -1 if reverse else 1
 
     def solve(z, v):
         np.copyto(work[kl:], band[kl:])
-        work[kl + ku] -= z
+        work[kl + ku] += z
         return _gbsv(work, kl, ku, v[::step])[::step]
 
     return solve
@@ -377,12 +378,9 @@ def _shifted_solver(A):
     The route is chosen once, for a run of solves.  A TridiagonalSystem
     takes dgtsv, which overwrites its diagonals: the run allocates one
     set of work arrays and refills them before each solve, the
-    diagonal as z minus A's, for real z and v.
-
-    For a dense A on the band route a complex z or v, which the real
-    band cannot hold, takes gesv; the band solves (A - z I) x = v and
-    returns -x, the same bits as solving (z I - A) x = v, since negating
-    a matrix negates its factor U and nothing else in the elimination.
+    diagonal as z minus A's, for real z and v.  A dense A takes the
+    band route when it pays, where a complex z or v, which the real
+    band cannot hold, takes gesv.
     """
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
@@ -403,6 +401,6 @@ def _shifted_solver(A):
     def solve(z, v):
         if np.iscomplexobj(z) or np.iscomplexobj(v):
             return _gesv(z * np.eye(n) - A, v)
-        return -band_solve(z, v)
+        return band_solve(z, v)
 
     return solve

@@ -45,7 +45,11 @@ def write_matrix(path, matrix, fmt=None):
             fh.write(" ".join(_fmt(x) for x in matrix.b[:-1]) + "\n")
             fh.write(" ".join(_fmt(x) for x in matrix.c) + "\n")
             return
-        dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else as_square_matrix(matrix)
+        if isinstance(matrix, TridiagonalSystem):
+            fh.write(f"coordinate {matrix.order} {3 * matrix.n_max + 1} real\n")
+            fh.writelines(f"{i} {j} {_fmt(v)}\n" for i, j, v in _tridiagonal_entries(matrix))
+            return
+        dense = as_square_matrix(matrix)
         order = dense.shape[0]
         complex_field = bool(np.iscomplexobj(dense))
         rows, cols = np.nonzero(dense)
@@ -58,6 +62,19 @@ def write_matrix(path, matrix, fmt=None):
                 fh.write(f"{i} {j} {_fmt(v)}\n")
 
 
+def _tridiagonal_entries(system):
+    """(i, j, value) for each of a TridiagonalSystem's 3N+1 entries, row by row
+    in column order: np.nonzero's order on its dense form, as all are nonzero."""
+    a, d, b = (x.tolist() for x in (system.a, system.diagonal, system.b))
+    N = system.n_max
+    for i in range(N + 1):
+        if i > 0:
+            yield i, i - 1, a[i]
+        yield i, i, d[i]
+        if i < N:
+            yield i, i + 1, b[i]
+
+
 def read_matrix(path):
     """Read a coordinate or TRIDIAG matrix file."""
     with open(path) as fh:
@@ -65,6 +82,8 @@ def read_matrix(path):
     if not lines:
         raise parse_error(f"{path}: empty file")
     head = lines[0].split()
+    if not head:
+        raise parse_error(f"{path}:1: blank header line")
     if head[0].upper() == "TRIDIAG":
         return _read_tridiag(path, head, lines)
     if head[0].lower() == "coordinate":
@@ -79,6 +98,8 @@ def _read_tridiag(path, head, lines):
         N = int(head[1])
     except ValueError:
         raise parse_error(f"{path}:1: bad size {head[1]!r}") from None
+    if N < 1:
+        raise parse_error(f"{path}:1: TRIDIAG size must be at least 1, got {N}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != 3:
         raise parse_error(f"{path}: TRIDIAG body needs 3 data lines, found {len(body)}")
@@ -101,6 +122,9 @@ def _read_coordinate(path, head, lines):
         order, count = int(head[1]), int(head[2])
     except ValueError:
         raise parse_error(f"{path}:1: bad order/count") from None
+    if order < 1 or count < 0:
+        raise parse_error(f"{path}:1: order must be at least 1 and count nonnegative, "
+                          f"got {order} and {count}")
     field = head[3].lower()
     if field not in ("real", "complex"):
         raise parse_error(f"{path}:1: field must be real or complex, got {head[3]!r}")

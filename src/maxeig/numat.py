@@ -12,6 +12,10 @@ already-checked operand many times, call private kernels: ``_apply``
 ``_largest_ratio``; they check each new iterate themselves, once per
 step, so no check is skipped and none repeats.  Functions called once
 per run have no private twin.
+
+The mu-weighted inner product and norm of the RQI runs are not here:
+``tridiag`` owns them, as the weighted Rayleigh quotient and mu-norm
+it hands the iteration driver and ``tridiag._unit`` for the start.
 """
 
 from __future__ import annotations
@@ -26,12 +30,8 @@ __all__ = [
     "TridiagonalSystem",
     "as_vector",
     "as_square_matrix",
-    "as_measure",
     "matvec",
-    "weighted_inner",
-    "weighted_norm",
     "max_ratio",
-    "row_sums",
     "shift_to_qc",
     "matrix_scale",
     "is_positive_vector",
@@ -70,18 +70,6 @@ def as_square_matrix(values):
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, "matrix")
     return m
-
-
-def as_measure(weights):
-    """Validate a weight sequence: strictly positive with first weight 1."""
-    mu = as_vector(weights)
-    if mu.dtype.kind == "c":
-        raise InvalidInput("measure weights must be real")
-    if (mu <= 0).any():
-        raise InvalidInput("measure weights must be strictly positive")
-    if abs(mu[0] - 1.0) > 1e-14:
-        raise InvalidInput("measure must be normalized with first weight 1")
-    return mu
 
 
 @dataclass(frozen=True)
@@ -190,20 +178,6 @@ def _apply(A, v):
     return A @ v
 
 
-def weighted_inner(u, v, mu):
-    """Weighted inner product sum_i mu_i * conj(u_i) * v_i."""
-    u = as_vector(u)
-    v = as_vector(v)
-    mu = as_measure(mu)
-    if not (len(u) == len(v) == len(mu)):
-        raise InvalidInput("weighted_inner operands must share one length")
-    return (mu * np.conj(u) * v).sum()
-
-
-def weighted_norm(v, mu):
-    return float(np.sqrt(weighted_inner(v, v, mu).real))
-
-
 def is_positive_vector(v, imag_tol=0.0) -> bool:
     """True when every entry has positive real part and (near) zero imaginary part."""
     v = np.asarray(v)
@@ -229,12 +203,6 @@ def _largest_ratio(av, v) -> float:
     """max_i av_i / v_i; ties resolve to the lowest index by argmax, for determinism."""
     ratios = av / v
     return float(ratios[int(np.argmax(ratios))])
-
-
-def row_sums(A):
-    if isinstance(A, TridiagonalSystem):
-        return -A.c.copy()
-    return as_square_matrix(A).sum(axis=1)
 
 
 def shift_to_qc(A):

@@ -24,7 +24,10 @@ body picks the start from its name (``v0``: "efficient" or "uniform")
 and the initial shift from its name or value (``z0``) and the route's
 delta_1, which the dense route does not have.  Both routes pass the
 body a solve of (z I - q) for their system q as ``linsolve`` builds it;
-this module only chooses between that solve and the closed form.
+this module only chooses between that solve and the closed form, which
+``_closed_form_solver`` builds once per run in the same orientation.
+The module owns the mu-weighting: the weighted Rayleigh quotient, the
+mu-norm the driver normalises in, and ``_unit`` for the start vectors.
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -40,7 +43,7 @@ import numpy as np
 from . import iterengine, linsolve
 from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from .iterengine import EigenpairResult, run_shifted_iteration
-from .numat import TridiagonalSystem, _apply, as_vector, matrix_scale, weighted_norm
+from .numat import TridiagonalSystem, _apply, as_vector, matrix_scale
 
 __all__ = [
     "HTransform",
@@ -134,8 +137,8 @@ class InitialData:
 
 
 def _unit(v, mu):
-    """v scaled to unit mu-norm."""
-    return v / weighted_norm(v, mu)
+    """Real v scaled to unit mu-norm; the one place the start vectors are weighted."""
+    return v / float(np.sqrt((mu * v * v).sum()))
 
 
 def compute_initials(transformed: TridiagonalSystem) -> InitialData:
@@ -269,11 +272,28 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
 def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     """Closed-form O(N) solve of (-Q - z I) w = v for a transformed system.
 
+    Checks its operands and runs the closed form once; see
+    _closed_form_solver for the method and its accuracy limit.  Raises
+    SolverBreakdown when the closed-form denominator vanishes (z is an
+    eigenvalue to machine precision).
+    """
+    mu = as_vector(mu, dtype=np.float64)
+    v = as_vector(v, dtype=np.float64)
+    z = float(z)
+    if len(v) != transformed.order or len(mu) != transformed.order:
+        raise InvalidInput("mu and v must match the system order")
+    return _closed_form_solver(transformed, mu)(-z, v)
+
+
+def _closed_form_solver(transformed, mu):
+    """solve(z, v) = (z I - Q)^{-1} v by the paper's closed form, for a
+    transformed system Q and its weights mu, both already checked.
+
     Uses the running-sum factorization M_{s,j} = mu_j (kappa_s -
     kappa_{j-1}) with kappa_s the prefix sums of 1/(mu_k b_k), so the
-    triangular kernel is never materialized.  Raises SolverBreakdown
-    when the closed-form denominator vanishes (z is an eigenvalue to
-    machine precision).
+    triangular kernel is never materialized; kappa is summed once per
+    run.  Each solve raises SolverBreakdown when the closed-form
+    denominator vanishes.
 
     Accuracy limit: the running sums cancel, so the error grows with
     the span max(mu) / min(mu), and more for shifts near an eigenvalue.
@@ -285,46 +305,45 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     2e-12.
     On t1 (bd_squares) mu is constant.
     """
-    mu = as_vector(mu, dtype=np.float64)
-    v = as_vector(v, dtype=np.float64)
-    z = float(z)
     N = transformed.n_max
-    if len(v) != N + 1 or len(mu) != N + 1:
-        raise InvalidInput("mu and v must match the system order")
     b_eff = transformed.b.copy()
     b_eff[N] = transformed.c[N]
-
     kappa = np.cumsum(1.0 / (mu * b_eff))
-    A_seq = np.zeros(N + 1)
-    B_seq = np.zeros(N + 1)
-    B_seq[0] = 1.0
-    # The loop reads and writes plain Python floats through memoryviews, so
-    # no step boxes a numpy scalar.  a_s, b_s carry A_seq[s-1], B_seq[s-1]
-    # and km1 is kappa_{j-1}, j = s-1; sa*, sb* are running sums over
-    # j <= s-1 of mu_j * (term_j) and mu_j * kappa_{j-1} * (term_j).
-    A_out, B_out = memoryview(A_seq), memoryview(B_seq)
-    a_s, b_s, km1 = 0.0, 1.0, 0.0
-    sa1 = sa2 = sb1 = sb2 = 0.0
-    terms = zip(memoryview(mu), memoryview(v), memoryview(kappa)[:N])
-    for s, (mu_j, v_j, k_j) in enumerate(terms, 1):
-        ta = mu_j * (v_j + z * a_s)
-        tb = mu_j * b_s
-        sa1 += ta
-        sa2 += km1 * ta
-        sb1 += tb
-        sb2 += km1 * tb
-        a_s = A_out[s] = -(k_j * sa1 - sa2)
-        b_s = B_out[s] = 1.0 - z * (k_j * sb1 - sb2)
-        km1 = k_j
-
     mb = mu[N] * b_eff[N]
-    numer = float(np.sum(mu * (v + z * A_seq))) - mb * A_seq[N]
-    denom = mb * B_seq[N] - z * float(np.sum(mu * B_seq))
-    scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
-    if abs(denom) < linsolve.PIVOT_FLOOR * scale:
-        raise SolverBreakdown(f"closed-form denominator {denom} vanished")
-    x = numer / denom
-    return A_seq + x * B_seq
+
+    def solve(z, v):
+        z = -float(z)   # the closed form is written for (-Q - z I) w = v
+        A_seq = np.zeros(N + 1)
+        B_seq = np.zeros(N + 1)
+        B_seq[0] = 1.0
+        # The loop reads and writes plain Python floats through memoryviews, so
+        # no step boxes a numpy scalar.  a_s, b_s carry A_seq[s-1], B_seq[s-1]
+        # and km1 is kappa_{j-1}, j = s-1; sa*, sb* are running sums over
+        # j <= s-1 of mu_j * (term_j) and mu_j * kappa_{j-1} * (term_j).
+        A_out, B_out = memoryview(A_seq), memoryview(B_seq)
+        a_s, b_s, km1 = 0.0, 1.0, 0.0
+        sa1 = sa2 = sb1 = sb2 = 0.0
+        terms = zip(memoryview(mu), memoryview(v), memoryview(kappa)[:N])
+        for s, (mu_j, v_j, k_j) in enumerate(terms, 1):
+            ta = mu_j * (v_j + z * a_s)
+            tb = mu_j * b_s
+            sa1 += ta
+            sa2 += km1 * ta
+            sb1 += tb
+            sb2 += km1 * tb
+            a_s = A_out[s] = -(k_j * sa1 - sa2)
+            b_s = B_out[s] = 1.0 - z * (k_j * sb1 - sb2)
+            km1 = k_j
+
+        numer = float(np.sum(mu * (v + z * A_seq))) - mb * A_seq[N]
+        denom = mb * B_seq[N] - z * float(np.sum(mu * B_seq))
+        scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
+        if abs(denom) < linsolve.PIVOT_FLOOR * scale:
+            raise SolverBreakdown(f"closed-form denominator {denom} vanished")
+        x = numer / denom
+        return A_seq + x * B_seq
+
+    return solve
 
 
 def tridiag_rqi(
@@ -365,7 +384,7 @@ def tridiag_rqi(
     return _efficient_rqi(
         transformed,
         linsolve._shifted_solver(transformed) if solver == "generic"
-        else lambda z, v: explicit_rqi_solve(transformed, init.mu, -z, v),
+        else _closed_form_solver(transformed, init.mu),
         ht.h,
         init.mu,
         init.phi,

@@ -31,6 +31,12 @@ SPEC_FILES = {
     "block_float.json": '{"name": "poisson_block", "size": 4, "params": {"block_size": 2.5}}',
     "params_int.json": '{"name": "bd_squares", "size": 3, "params": 5}',
     "params_list.json": '{"name": "branching", "size": 3, "params": [["alpha", 2]]}',
+    "order1.coord": "coordinate 1 1 real\n0 0 2.0\n",
+    "zeros.coord": "coordinate 3 0 real\n",
+    "nilpotent.coord": "coordinate 2 1 real\n0 1 1.0\n",
+    "blank_header.coord": "\ncoordinate 2 0 real\n",
+    "negative_order.coord": "coordinate -2 0 real\n",
+    "order0.coord": "coordinate 0 0 real\n",
 }
 BD7 = ("solve", "--model", "bd_squares", "--n", "7")
 
@@ -57,6 +63,8 @@ EXIT_TABLE = [
     (("solve", "--spec", "{tmp}/params_list.json"), 2),
     (("model", "--name", "negative3", "--n", "5"), 2),
     (BD7 + ("--method", "power", "--steps", "-3"), 2),
+    *[(("solve", "--input", f"{{tmp}}/{name}.coord"), 2)
+      for name in ("blank_header", "negative_order", "order0")],
     # tolerances and budgets that can never be met
     *[(BD7 + ("--method", m, flag, value), 2) for m in ("rqi-tridiag", "alg2")
       for flag, value in (("--tol", "nan"), ("--tol", "-1"), ("--res-tol", "-1"),
@@ -93,6 +101,11 @@ EXIT_TABLE = [
     (("solve", "--model", "poisson_block", "--n", "3", "--block-size", "0", "--method", "alg2"), 4),
     (("solve", "--model", "complex3", "--method", "rqi-tridiag"), 4),
     (("solve", "--model", "negative3", "--method", "rqi-general"), 4),
+    *[(("solve", "--input", "{tmp}/order1.coord", "--method", "rqi-general", "--z0", z0), 4)
+      for z0 in ("safe", "rayleigh")],
+    *[(("solve", "--input", "{tmp}/zeros.coord", "--method", m), 0) for m in ("alg1", "alg2")],
+    *[(("solve", "--input", f"{{tmp}}/{name}.coord", "--method", "power"), 4)
+      for name in ("zeros", "nilpotent")],
 ]
 
 

@@ -14,7 +14,7 @@ from maxeig.general_init import (
     solve_phi_general,
     tridiagonal_from_dense,
 )
-from maxeig.numat import TridiagonalSystem, matrix_scale, shift_to_qc, weighted_norm
+from maxeig.numat import TridiagonalSystem, matrix_scale, shift_to_qc
 from maxeig.tridiag import compute_h, compute_initials, recover_original, tridiag_rqi
 
 from conftest import oracle_eigenvalues, random_system
@@ -131,7 +131,7 @@ class TestInitials:
         init = compute_initials(transformed)
         qt = transformed.dense()
         v0 = np.sqrt(solve_phi_general(qt))
-        v0 = v0 / weighted_norm(v0, solve_mu_general(qt))
+        v0 = v0 / np.sqrt((solve_mu_general(qt) * v0 * v0).sum())
         assert np.abs(v0 - init.v0).max() <= 1e-10
 
     def test_safe_shift_specializes_to_delta1(self):
@@ -258,6 +258,11 @@ class TestGeneralRqi:
         for A in (system, system.dense()):
             with pytest.raises(InvalidInput, match="killing"):
                 general_rqi(A)
+
+    @pytest.mark.parametrize("z0", general_init.Z0_POLICIES)
+    def test_order_one_is_invalid(self, z0):
+        with pytest.raises(InvalidInput, match="order at least 2"):
+            general_rqi([[2.0]], z0=z0)
 
     @pytest.mark.parametrize("z0", general_init.Z0_POLICIES)
     def test_accepted_z0_policies(self, z0):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from maxeig import iterengine, linsolve, models
+from maxeig import linsolve, models
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.general_init import general_rqi
 from maxeig.iterengine import (
     C_FLOOR,
     DEFAULT_TOL_Z,
-    IterationTrace,
     algorithm1,
     algorithm2,
     power_iteration,
@@ -78,6 +77,12 @@ class TestPowerIteration:
             assert power_iteration(np.eye(2), norm=norm, steps=1).zs()[-1] == 1.0
         with pytest.raises(InvalidInput):
             power_iteration(np.eye(2), norm="l2mu")
+
+    def test_a_vanishing_iterate_is_invalid_before_any_division(self):
+        # A v_1 = 0 for the nilpotent matrix; the zero matrix already at step 0
+        for A, step in (([[0.0, 1.0], [0.0, 0.0]], 1), (np.zeros((3, 3)), 0)):
+            with pytest.raises(InvalidInput, match=f"A v_{step} = 0 at step {step}"):
+                power_iteration(A)
 
     def test_negative_steps_rejected(self):
         assert power_iteration(np.eye(2), steps=0).iterations == 0
@@ -209,18 +214,12 @@ class TestPerturbAndRetry:
         assert shifts[:2] == [2.5, 2.5 + 1e-12 * (1.0 + 2.5)]
         assert trace.termination == "converged" and z == pytest.approx(2.0)
 
-    def test_a_second_breakdown_raises(self, monkeypatch):
-        # SolverBreakdown carries no trace, so the run's trace is kept as it is made
-        traces = []
-
-        def kept_trace(**fields):
-            traces.append(IterationTrace(**fields))
-            return traces[-1]
-
-        monkeypatch.setattr(iterengine, "IterationTrace", kept_trace)
-        with pytest.raises(SolverBreakdown, match="after one retry"):
+    def test_a_second_breakdown_raises(self):
+        with pytest.raises(SolverBreakdown, match="after one retry") as exc:
             self.run(2)
-        assert traces[-1].termination == "breakdown"
+        trace = exc.value.trace
+        assert trace.termination == "breakdown"
+        assert trace.iterations == 0 and trace.zs().tolist() == [2.5]
 
     def test_a_breakdown_at_tolerance_converges_without_retry(self):
         (z, _, trace), shifts = self.run(1, v0=(1.0, 0.0), z0=2.0)
@@ -315,6 +314,13 @@ class TestGlobalAlgorithms:
     def test_algorithm2_rejects_complex(self):
         with pytest.raises(InvalidInput):
             algorithm2(models.complex3())
+
+
+@pytest.mark.parametrize("method", [algorithm1, algorithm2])
+def test_the_zero_matrix_converges_at_once_with_an_absolute_residual(method):
+    result, trace = method(np.zeros((3, 3)))
+    assert result.eigenvalue == 0.0 and result.residual == 0.0
+    assert trace.iterations == 0 and trace.termination == "converged"
 
 
 class TestEngineInvariants:

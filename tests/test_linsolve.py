@@ -201,6 +201,38 @@ class TestShiftedTridiagonalSolver:
         assert solve(0.5, rhs).tobytes() == shifted_tridiagonal(system, 0.5, rhs).tobytes()
 
 
+
+def _tridiagonal_with_zero_column(n=60):
+    A = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    A[:, n // 2] = 0.0
+    return A
+
+
+BREAKDOWNS = [
+    (lambda: tridiag_solve([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]),
+     r"^dgtsv: pivot at row 1 is exactly zero$"),
+    (lambda: tridiag_solve([0.0], [1e-31, 1.0], [0.0], [1.0, 1.0]),
+     r"^dgtsv: pivot 1e-31 below floor at row 0$"),
+    (lambda: tridiag_solve([0.0], [1e-20, 1.0], [0.0], [1e300, 1.0]),
+     r"^dgtsv returned a non-finite solution$"),
+    (lambda: dense_solve(_tridiagonal_with_zero_column(), np.ones(60)),
+     r"^dgbsv: pivot at row 30 is exactly zero$"),
+    (lambda: dense_solve(np.diag([1e-20] + [1.0] * 59), np.r_[1e300, np.ones(59)]),
+     r"^dgbsv returned a non-finite solution$"),
+    (lambda: dense_solve(np.zeros((3, 3)), np.ones(3)), r"^gesv: Singular matrix$"),
+    (lambda: dense_solve(np.diag([1e-20, 1.0, 1.0]), [1e300, 1.0, 1.0]),
+     r"^gesv returned a non-finite solution$"),
+]
+
+
+@pytest.mark.parametrize("solve, message", BREAKDOWNS, ids=[m.strip("^$") for _, m in BREAKDOWNS])
+def test_each_breakdown_names_its_routine(solve, message):
+    if "dgbsv" in message and linsolve.GBSV_SYMBOL is None:
+        pytest.skip("numpy's LAPACK exports no dgbsv")
+    with pytest.raises(SolverBreakdown, match=message):
+        solve()
+
+
 class TestDenseLu:
     def test_identity(self):
         rhs = np.array([1.0, 2.0, 3.0])

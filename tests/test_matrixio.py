@@ -19,6 +19,20 @@ class TestCoordinateFormat:
         back = read_matrix(path)
         assert np.array_equal(back, [[-1.0, 1.0], [1.0, -5.0]])
 
+    def test_a_tridiagonal_system_writes_the_bytes_of_its_dense_form(self, tmp_path, rng,
+                                                                     monkeypatch):
+        systems = [TridiagonalSystem.from_rates(rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N),
+                                                rng.uniform(0.0, 2.0, N + 1)) for N in (1, 2, 9)]
+        expected = []
+        for system in systems:
+            write_matrix(tmp_path / "d.txt", system.dense(), fmt="coord")
+            expected.append((tmp_path / "d.txt").read_bytes())
+        # written without the O(N^2) dense form
+        monkeypatch.setattr(TridiagonalSystem, "dense", None)
+        for system, want in zip(systems, expected):
+            write_matrix(tmp_path / "s.txt", system, fmt="coord")
+            assert (tmp_path / "s.txt").read_bytes() == want
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         A = rng.normal(size=(7, 7))
         A[rng.uniform(size=(7, 7)) < 0.3] = 0.0
@@ -47,6 +61,11 @@ class TestCoordinateFormat:
         p.write_text("who knows\n")
         with pytest.raises(parse_error, match="unknown header"):
             read_matrix(p)
+        for header in ("\ncoordinate 2 0 real", "   ", "coordinate -2 0 real",
+                       "coordinate 0 0 real", "coordinate 2 -1 real"):
+            p.write_text(header + "\n")
+            with pytest.raises(parse_error, match=":1:"):
+                read_matrix(p)
 
 
 class TestTridiagFormat:
@@ -71,6 +90,9 @@ class TestTridiagFormat:
             read_matrix(p)
         p.write_text("TRIDIAG 2\n1.0 x\n1.0 1.0\n0.0 0.0 4.0\n")
         with pytest.raises(parse_error, match="non-numeric"):
+            read_matrix(p)
+        p.write_text("TRIDIAG 0\n\n\n4.0\n")
+        with pytest.raises(parse_error, match=":1: TRIDIAG size"):
             read_matrix(p)
 
 

@@ -9,14 +9,10 @@ from maxeig.iterengine import algorithm2
 from maxeig.linsolve import dense_solve
 from maxeig.numat import (
     TridiagonalSystem,
-    as_measure,
     as_vector,
     matvec,
     max_ratio,
-    row_sums,
     shift_to_qc,
-    weighted_inner,
-    weighted_norm,
 )
 
 from conftest import oracle_max_pair, random_system
@@ -44,13 +40,6 @@ class TestValidation:
             as_vector(models.bd_squares(3))
         with pytest.raises(InvalidInput, match=r"\.dense\(\)"):
             algorithm2(models.bd_squares(7))
-
-    def test_measure_checks(self):
-        as_measure([1.0, 2.0, 0.5])
-        with pytest.raises(InvalidInput):
-            as_measure([1.0, -1.0])
-        with pytest.raises(InvalidInput):
-            as_measure([2.0, 1.0])  # first weight must be 1
 
     def test_system_invariants(self):
         with pytest.raises(InvalidInput):
@@ -128,28 +117,6 @@ class TestMatvec:
                 assert acc == got[i]
 
 
-class TestWeightedInner:
-    def test_plain_sum(self):
-        assert weighted_inner([1.0, 1.0], [1.0, 1.0], [1.0, 1.0]) == 2.0
-
-    def test_orthogonality(self):
-        assert weighted_inner([1.0, 0.0], [0.0, 1.0], [1.0, 3.0]) == 0.0
-
-    def test_norm_squared(self):
-        assert weighted_inner([1.0, 2.0], [1.0, 2.0], [1.0, 3.0]) == 13.0
-        assert weighted_norm([1.0, 2.0], [1.0, 3.0]) == pytest.approx(np.sqrt(13.0))
-
-    def test_conjugate_symmetric_positive_definite(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 8))
-            mu = np.concatenate([[1.0], rng.uniform(0.1, 3.0, n - 1)]) if n > 1 else np.ones(1)
-            u = rng.normal(size=n) + 1j * rng.normal(size=n)
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            assert weighted_inner(u, v, mu) == pytest.approx(np.conj(weighted_inner(v, u, mu)))
-            assert weighted_inner(u, u, mu).real > 0
-            assert abs(weighted_inner(u, u, mu).imag) < 1e-12
-
-
 class TestMaxRatio:
     def test_row_sums_of_example(self):
         assert max_ratio(models.negative3(), np.ones(3)) == 24.0
@@ -217,5 +184,9 @@ class TestShiftToQc:
         assert m == -4.0 and np.array_equal(qc, [[-1.0, 1.0], [2.0, -3.0]])
 
     def test_row_sums(self):
-        assert np.array_equal(row_sums(models.bd_squares(3)), [0.0, 0.0, 0.0, -16.0])
-        assert np.array_equal(row_sums(np.ones((2, 2))), [2.0, 2.0])
+        # Qc's row sums are nonpositive, and zero on the rows of the largest row sum
+        for A, sums in ((models.bd_squares(3).dense(), [0.0, 0.0, 0.0, -16.0]),
+                        (np.ones((2, 2)), [0.0, 0.0]),
+                        (models.poisson_block(3), [-2, -1, -2, -1, 0, -1, -2, -1, -2])):
+            qc, _ = shift_to_qc(A)
+            assert np.array_equal(qc.sum(axis=1), sums)

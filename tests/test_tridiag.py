@@ -12,6 +12,7 @@ from maxeig.linsolve import dense_solve
 from maxeig.numat import TridiagonalSystem, matrix_scale, matvec
 from maxeig.tridiag import (
     Z0_POLICIES,
+    _closed_form_solver,
     compute_h,
     compute_initials,
     explicit_rqi_solve,
@@ -170,6 +171,28 @@ class TestExplicitSolve:
         init = compute_initials(system)
         with pytest.raises(SolverBreakdown):
             explicit_rqi_solve(system, init.mu, 1.0, np.array([1.0, 0.0]))
+
+
+    def test_the_run_solver_equals_explicit_rqi_solve_bitwise(self, rng):
+        # one solver per run, in the (z I - Q) orientation: the closed form's shift is -z
+        for system in (random_system(rng, 40), models.bd_squares(20)):
+            init = compute_initials(system)
+            solve = _closed_form_solver(system, init.mu)
+            v = rng.normal(size=system.order)
+            for z in (0.3, 0.1, 0.3, 0.45, -0.2):
+                assert solve(-z, v).tobytes() == explicit_rqi_solve(system, init.mu, z, v).tobytes()
+
+    def test_a_vanishing_denominator_leaves_the_next_shift_clean(self):
+        system = TridiagonalSystem.from_rates([1.0], [2.0], [0.0, 2.0])   # eigenvalues {1, 4}
+        init = compute_initials(system)
+        solve = _closed_form_solver(system, init.mu)
+        v = np.array([1.0, 0.0])
+        for z in (0.5, 1.0, 0.25):
+            if z == 1.0:
+                with pytest.raises(SolverBreakdown, match="denominator"):
+                    solve(-z, v)
+            else:
+                assert solve(-z, v).tobytes() == explicit_rqi_solve(system, init.mu, z, v).tobytes()
 
 
 # bd_squares at order 10^6 (the t1 family): (system, result, trace), one run per solver
