@@ -1,8 +1,9 @@
 """Efficient initials for general irreducible matrices with nonnegative off-diagonals.
 
 The three sequences that drive the tridiagonal pipeline carry over to
-the general case through their probabilistic meaning, each obtained
-from one linear system on the shifted generator Qc = A - mI:
+the general case through their probabilistic meaning, each defined by
+one linear system on the shifted generator Qc = A - mI with one
+equation dropped:
 
 * h  -- harmonic for every row but the last (h_0 = 1); its diagonal
   similarity transform pushes all killing to the right endpoint;
@@ -11,6 +12,16 @@ from one linear system on the shifted generator Qc = A - mI:
   rows of the transformed generator Q~ (phi_0 = 1);
 * mu -- the invariant weighting, fixed by all columns but the last
   (mu_0 = 1).
+
+The public ``solve_h_general``, ``solve_phi_general`` and
+``solve_mu_general`` solve these bordered systems as written.  When some
+row of Qc has killing beyond roundoff, -Qc is a nonsingular M-matrix,
+and all three sequences are columns of its inverse, the chain's Green's
+function: h ~ Qc^-1 e_N, phi ~ H^-1 Qc^-1 e_0 and mu ~ H Qc^-T e_N,
+H = Diag(h).  ``general_rqi`` then takes them from one LU of Qc
+(``_initials``), where the bordered systems took three; they agree to
+roundoff.  Conservative Qc, with no killing, is singular, and there
+``general_rqi`` runs the bordered systems.
 
 sqrt(phi) seeds the initial vector exactly as in the tridiagonal case,
 and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
@@ -26,14 +37,12 @@ body that runs the tridiagonal pipeline's start vector, initial shift
 and weighted RQI (``tridiag._efficient_rqi``), and to its recovery; it
 has no delta_1, so it takes only the "safe" and "rayleigh" policies.
 
-Each step is a public function that checks its own input, and
-``general_rqi`` calls them in turn: ``numat.shift_to_qc``,
-``tridiagonal_from_dense``, then ``solve_h_general``,
-``h_transform_general``, ``solve_phi_general`` and
-``solve_mu_general``.  Their checks sweep an order-400 matrix for
-non-finite entries ten times per call, about 0.6 ms of a 25-35 ms call
-(2-core Xeon, one BLAS thread), so none of them has a private twin; only
-the iteration loop below them calls unchecked kernels.
+``general_rqi`` calls public functions that check their own input:
+``numat.shift_to_qc``, ``tridiagonal_from_dense``, ``h_transform_general``,
+and on conservative input the three ``solve_*_general``.  Their checks
+sweep an order-400 matrix with killing for non-finite entries five times
+per call, about 0.3 ms of a 14-20 ms call (2-core Xeon, one BLAS thread);
+only the iteration loop below them calls unchecked kernels.
 """
 
 from __future__ import annotations
@@ -58,22 +67,39 @@ __all__ = [
 # initial-shift policies general_rqi accepts besides a number
 Z0_POLICIES = ("safe", "rayleigh")
 
+# row-sum roundoff, relative to matrix_scale: a row sum beyond it is killing
+# (or, positive, a negative killing rate)
+_ROUNDOFF = 1e-12
+
+
+def _unit_head(x, sequence, what):
+    """x / x_0; raise NonPositiveSequence unless every entry is positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):   # x_0 = 0 fails below
+        x = x / x[0]
+    if not (x > 0).all():
+        raise NonPositiveSequence(
+            sequence, f"{what} has non-positive components (min {x.min():.3g}); "
+            "input is not irreducible with the assumed structure")
+    return x
+
 
 def _solve_with_unit_head(rows, sequence, what):
     """Solve rows @ x = 0 for x with x_0 = 1; raise NonPositiveSequence if any x_i <= 0.
 
-    ``rows`` is a slice of a matrix; the solve takes dgbsv when its band
-    pays, as a banded matrix's slices are banded too.
+    ``rows`` is a slice of a matrix; the solve takes the band LU when its
+    band pays, as a banded matrix's slices are banded too.
     """
     n = rows.shape[1]
     x = np.ones(n)
     if n > 1:
         x[1:] = linsolve.dense_solve(rows[:, 1:], -rows[:, 0])
-    if (x <= 0).any():
-        raise NonPositiveSequence(
-            sequence, f"{what} has non-positive components (min {x.min():.3g}); "
-            "input is not irreducible with the assumed structure")
-    return x
+    return _unit_head(x, sequence, what)
+
+
+def _require_phi_diagonal(q_tilde):
+    """phi's jump chain needs q~_ii < 0 in rows 1..N."""
+    if (np.diagonal(q_tilde)[1:] >= 0).any():
+        raise InvalidInput("phi requires strictly negative diagonal entries in rows 1..N")
 
 
 def solve_h_general(qc):
@@ -98,15 +124,48 @@ def solve_phi_general(q_tilde):
     equations, and phi is solved without forming P.  As P needs it,
     q~_ii < 0 is required in those rows.
     """
-    rows = as_square_matrix(q_tilde)[1:, :]
-    if (np.diagonal(rows, 1) >= 0).any():
-        raise InvalidInput("phi requires strictly negative diagonal entries in rows 1..N")
-    return _solve_with_unit_head(rows, "phi", "tail sequence phi")
+    q_tilde = as_square_matrix(q_tilde)
+    _require_phi_diagonal(q_tilde)
+    return _solve_with_unit_head(q_tilde[1:, :], "phi", "tail sequence phi")
 
 
 def solve_mu_general(q_tilde):
     """Invariant weighting: first N rows of Q^T mu = 0 with mu_0 = 1."""
     return _solve_with_unit_head(as_square_matrix(q_tilde).T[:-1, :], "mu", "invariant measure mu")
+
+
+def _initials(qc):
+    """h, Q~, phi and mu of the checked Qc, with the checks of the public steps.
+
+    When some row of Qc has killing beyond roundoff, -Qc (irreducible) is
+    a nonsingular M-matrix, and its inverse, the chain's Green's function,
+    holds all three sequences: h is Qc^-1 e_N, phi is H^-1 Qc^-1 e_0 and
+    mu is H Qc^-T e_N, H = Diag(h), each scaled to a unit head.  One LU of
+    Qc gives them.  A column of the inverse spans as many orders of
+    magnitude as h does, and the LU resolves its small entries only to
+    eps times its largest; one step of iterative refinement on the same
+    LU resolves each entry to working accuracy.  Conservative Qc is
+    singular; there the three bordered systems of solve_h_general,
+    solve_phi_general and solve_mu_general run, each with one equation
+    dropped.
+    """
+    if not (qc.sum(axis=1) < -_ROUNDOFF * matrix_scale(qc)).any():
+        h = solve_h_general(qc)
+        q_tilde = h_transform_general(qc, h)
+        return h, q_tilde, solve_phi_general(q_tilde), solve_mu_general(q_tilde)
+    _require_phi_diagonal(qc)    # the transform keeps the diagonal
+    n = qc.shape[0]
+    solve = linsolve._lu_solver(qc, 3)
+    ends = np.zeros((n, 2))
+    ends[-1, 0] = ends[0, 1] = 1.0
+    columns = solve(ends)
+    columns += solve(ends - qc @ columns)
+    row = solve(ends[:, 0], transpose=True)
+    row += solve(ends[:, 0] - qc.T @ row, transpose=True)
+    h = _unit_head(columns[:, 0], "h", "harmonic vector h")
+    phi = _unit_head(columns[:, 1] / h, "phi", "tail sequence phi")
+    mu = _unit_head(h * row, "mu", "invariant measure mu")
+    return h, h_transform_general(qc, h), phi, mu
 
 
 def tridiagonal_from_dense(A):
@@ -125,7 +184,7 @@ def tridiagonal_from_dense(A):
     if (a <= 0).any() or (b <= 0).any():
         return None
     c = -A.sum(axis=1)
-    if (c < -1e-12 * matrix_scale(A)).any():
+    if (c < -_ROUNDOFF * matrix_scale(A)).any():
         return None
     c = np.where(c < 0, 0.0, c)
     return TridiagonalSystem.from_rates(a, b, c)
@@ -171,10 +230,7 @@ def general_rqi(
     if system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
-        h = solve_h_general(qc)
-        q_tilde = h_transform_general(qc, h)
-        phi = solve_phi_general(q_tilde)
-        mu = solve_mu_general(q_tilde)
+        h, q_tilde, phi, mu = _initials(qc)
         solve = linsolve._shifted_solver(q_tilde)
         result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, None, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

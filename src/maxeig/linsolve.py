@@ -4,50 +4,61 @@ Three routes:
 
 - LAPACK ``dgtsv`` (elimination with partial pivoting between adjacent
   rows) for real tridiagonal systems: ``tridiag_solve``, and the shifted
-  solves of a ``TridiagonalSystem``.  When
-  the LAPACK library exports no ``dgtsv``, GTSV_SYMBOL is None and a
-  Python loop with the same arithmetic takes its place: bitwise the
-  same solutions, 20-50 times more slowly from order 10^3 up.
-- ``dense_solve`` on a real system whose matrix has its nonzeros in a
-  narrow enough band: LAPACK ``dgbsv`` (banded LU with partial
-  pivoting).  The band (kl sub- and ku super-diagonals) is read from the
-  nonzeros once per matrix; when reversing the order, P A P, lowers kl,
-  the solve runs on the reversed system, which turns lower Hessenberg
-  into upper Hessenberg.  The band is taken when a cost rule says it
-  pays (see _BAND_FIXED).  The rule counts packing the band once per
-  matrix, so a run of shifted solves takes it sooner than a single
-  solve: tridiagonal matrices from order 44 (single solves from 55), the
-  grid Laplacian (kl = ku = sqrt(n)) from 81 (144) and Hessenberg ones
-  from 160 (608).  Full matrices, complex ones or complex right-hand
-  sides and shifts, small matrices, and every system when the library
-  exports no ``dgbsv`` (GBSV_SYMBOL is None) take the next route, which
-  gives the same numbers to roundoff.
-- ``dense_solve`` otherwise: LAPACK ``gesv`` (LU with partial pivoting)
-  through ``numpy.linalg.solve``, real or complex.
+  solves of a ``TridiagonalSystem``.  When the LAPACK library exports no
+  ``dgtsv``, GTSV_SYMBOL is None and a Python loop with the same
+  arithmetic takes its place: bitwise the same solutions, 20-50 times
+  more slowly from order 10^3 up.
+- Real dense systems: LU with partial pivoting, factored once and then
+  solved, by LAPACK's pairs ``dgbtrf``/``dgbtrs`` on a band and
+  ``dgetrf``/``dgetrs`` on a full matrix.  ``_lu_solver(A, solves)``
+  factors A once and returns solve(rhs, transpose), so solves with A and
+  with A^T share one factorisation (``general_rqi`` draws its three
+  sequences from one LU of Qc); ``dense_solve`` makes one solve with it.
+  The band (kl sub- and ku super-diagonals) is read from the nonzeros once
+  per matrix; when reversing the order, P A P, lowers kl, the LU runs on
+  the reversed system, which turns lower Hessenberg into upper
+  Hessenberg.  The band is taken when a cost rule says it pays (see
+  _BAND_FIXED).  The rule counts packing the band once per matrix, so a
+  run of shifted solves takes it sooner than a single solve: tridiagonal
+  matrices from order 44 (single solves from 55), the grid Laplacian
+  (kl = ku = sqrt(n)) from 81 (144) and Hessenberg ones from 160 (608).
+  Without ``dgbtrf``/``dgbtrs`` every matrix takes the full pair, and
+  without ``dgetrf``/``dgetrs`` the full pair is replaced by ``gesv``,
+  one LU per solve; the numbers agree to roundoff.  With one BLAS thread
+  ``dgetrf`` and ``dgetrs`` give the bits of numpy's ``gesv``; with more,
+  OpenBLAS threads the two from different orders, and orders 100-141
+  round apart.
+- ``gesv`` (LU with partial pivoting) through ``numpy.linalg.solve`` for
+  complex matrices, right-hand sides and shifts.
 
-``dgtsv`` and ``dgbsv`` are called through ``ctypes`` from the LAPACK
-library numpy's own ``linalg`` is linked against, looked up once at
-import by one loader; ``GTSV_SYMBOL`` and ``GBSV_SYMBOL`` name the
-symbols found.
+``dgtsv``, ``dgetrf``, ``dgetrs``, ``dgbtrf`` and ``dgbtrs`` are called
+through ``ctypes`` from the LAPACK library numpy's own ``linalg`` is
+linked against, looked up once at import by one loader; ``GTSV_SYMBOL``,
+``GETRF_SYMBOL``, ``GETRS_SYMBOL``, ``GBTRF_SYMBOL`` and ``GBTRS_SYMBOL``
+name the symbols found (``scipy_dgetrf_64_`` and so on in numpy's bundled
+OpenBLAS), or are None.
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
 and must not error.  Only an exact hit on an eigenvalue raises
 SolverBreakdown, and the iteration driver handles that.  One check,
-``_checked``, serves all three routines: an exactly zero pivot or a
-non-finite solution raises SolverBreakdown naming ``dgtsv``, ``dgbsv``
-or ``gesv``; ``dgtsv`` also raises for a pivot below an absolute floor.
+``_checked``, serves every routine: an exactly zero pivot or a
+non-finite solution raises SolverBreakdown naming ``dgtsv``,
+``dgetrf``, ``dgetrs``, ``dgbtrf``, ``dgbtrs`` or ``gesv``; ``dgtsv``
+also raises for a pivot below an absolute floor.
 
 Validate once, at the public boundary: ``tridiag_solve`` and
 ``dense_solve`` check their inputs, and a caller that solves one system
-calls them.  Iteration loops, which solve (z I - A) x = v for many
-shifts z with one already-checked A, take their solve from
-``_shifted_solver``, the one factory for every shifted solve.  Every
-route it builds solves (z I - A) x = v as it is written, with no
-negation after the solve: for a ``TridiagonalSystem`` it refills one set
-of ``dgtsv`` work arrays per solve for ``_gtsv``, and for a dense matrix
-it picks the route once per run (``_band_solver`` packing the band of -A
-for ``_gbsv``, or ``_gesv``).  No other module calls a kernel or holds a
+calls them.  Other modules take their solves from two factories, given
+an already-checked matrix.  Iteration loops, which solve (z I - A) x = v
+for many shifts z, take theirs from ``_shifted_solver``, the one factory
+for every shifted solve.  Every route it builds solves (z I - A) x = v as
+it is written, with no negation after the solve: for a
+``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
+solve for ``_gtsv``, and for a real dense matrix it packs -A once, on its
+band or in full, and refills one work array per solve, adding z to its
+diagonal before the LU.  ``general_rqi``'s initials take solves with Qc
+and Qc^T from ``_lu_solver``.  No other module calls a kernel or holds a
 LAPACK work array.  The kernels keep every breakdown check and skip only
 the input checks.
 
@@ -65,22 +76,32 @@ import numpy as np
 from .errors import InvalidInput, SolverBreakdown
 from .numat import TridiagonalSystem, as_square_matrix, as_vector
 
-__all__ = ["GBSV_SYMBOL", "GTSV_SYMBOL", "PIVOT_FLOOR", "dense_solve", "tridiag_solve"]
+__all__ = [
+    "GBTRF_SYMBOL",
+    "GBTRS_SYMBOL",
+    "GETRF_SYMBOL",
+    "GETRS_SYMBOL",
+    "GTSV_SYMBOL",
+    "PIVOT_FLOOR",
+    "dense_solve",
+    "tridiag_solve",
+]
 
 # Far below any legitimate pivot at desk scale; signals an exact eigenvalue hit.
 PIVOT_FLOOR = 1e-30
 
-# The band route's rule, in flops with gesv's 2n^3/3 doubled to n^3, so
-# that the band must cost at most half of gesv: dgbsv's elimination costs
-# 6n kl (kl + ku) flops and each call a fixed _BAND_FIXED, half an order-40
-# gesv.  On top, _BAND_ENTRY per band entry, n (kl + ku + 1) of them,
-# charged once per matrix: it covers packing the band and, as fitted,
-# dgbsv's memory traffic on wide bands, which the flop count misses.  A
-# shifted run shares that charge among its solves
-# (_RUN_SOLVES; runs made 4.5 solves per problem on perfbench's `tiny`
-# workload and 5.5 on `dense`).  The constants were fitted, with one BLAS
-# thread, to where single solves and whole runs measured even (README,
-# "Shifted solves").
+# The band route's rule, in flops with the full LU's 2n^3/3 doubled to n^3,
+# so that the band must cost at most half of it: the band LU's elimination
+# costs 6n kl (kl + ku) flops and each factorisation a fixed _BAND_FIXED,
+# half an order-40 full LU.  On top, _BAND_ENTRY per band entry,
+# n (kl + ku + 1) of them, charged once per matrix: it covers packing the
+# band and, as fitted, the band LU's memory traffic on wide bands, which
+# the flop count misses.  Solves that share the packing share that charge
+# (_RUN_SOLVES for a shifted run; runs made 4.5 solves per problem on
+# perfbench's `tiny` workload and 5.5 on `dense`).  The constants were
+# fitted, with one BLAS thread, against dgbsv and gesv, to where single
+# solves and whole runs measured even (README, "Shifted solves"); dgbtrf
+# then dgbtrs give dgbsv's bits, and dgetrf then dgetrs gesv's.
 _BAND_FIXED = 40**3
 _BAND_ENTRY = 600
 _RUN_SOLVES = 4
@@ -126,30 +147,92 @@ def _bind_dgtsv(fn, int_t):
     return dgtsv
 
 
-def _bind_dgbsv(fn, int_t):
-    """dgbsv(kl, ku, ab, b) -> info, overwriting the band ``ab`` and ``b``."""
-    fn.argtypes = [ctypes.c_void_p] * 10
+def _bind_trf(fn, int_t):
+    """trf(a, *band) -> (factor, ipiv) for LAPACK's LU with partial pivoting.
+
+    ``a`` is a float64 Fortran-order square matrix for dgetrf, or, with
+    ``band`` = (kl, ku), a band in _band_storage's layout for dgbtrf.
+    factor() overwrites ``a`` with the LU of what it holds, and ``ipiv``
+    with the pivots, and returns LAPACK's info; a run of shifted solves
+    refills ``a`` and calls it again.
+    """
     ipiv_dtype = np.dtype(int_t)
 
-    def dgbsv(kl, ku, ab, b):
-        ldab, n = ab.shape
-        # LAPACK reads and writes through these pointers unchecked
-        if not (ab.flags.f_contiguous and ab.dtype == b.dtype == np.float64
-                and b.flags.c_contiguous and len(b) == n and ldab > 2 * kl + ku):
-            raise ValueError("dgbsv needs a float64 Fortran-order band of 2kl+ku+1 rows "
-                             "and a contiguous float64 rhs of its order")
-        ipiv = np.empty(n, ipiv_dtype)
-        n_, kl_, ku_, nrhs, ldab_, info = map(int_t, (n, kl, ku, 1, ldab, 0))
-        fn(ctypes.byref(n_), ctypes.byref(kl_), ctypes.byref(ku_), ctypes.byref(nrhs),
-           ab.ctypes.data, ctypes.byref(ldab_), ipiv.ctypes.data, b.ctypes.data,
-           ctypes.byref(n_), ctypes.byref(info))
-        return info.value
+    def trf(a, *band):
+        ld, n = a.shape
+        _check_layout(a, n, band)
+        ipiv, info = np.empty(n, ipiv_dtype), int_t(0)
+        args = (*_refs(int_t, n, n, *band), _ptr(a), *_refs(int_t, ld), _ptr(ipiv),
+                ctypes.byref(info))
+        fn.argtypes = [ctypes.c_void_p] * len(args)   # 6 for dgetrf, 8 for dgbtrf
 
-    return dgbsv
+        def factor():
+            fn(*args)
+            return info.value
+
+        return factor, ipiv
+
+    return trf
+
+
+def _bind_trs(fn, int_t):
+    """trs(a, ipiv, b, transpose, *band) -> solve for LAPACK's solve from trf's factors.
+
+    solve() overwrites ``b``, a float64 Fortran-order vector or matrix of
+    right-hand sides, with the solution of A x = b, or of A^T x = b with
+    ``transpose``, where ``a`` and ``ipiv`` hold trf's factors of A, and
+    returns LAPACK's info.
+    """
+    ipiv_dtype = np.dtype(int_t)
+
+    def trs(a, ipiv, b, transpose, *band):
+        ld, n = a.shape
+        _check_layout(a, n, band)
+        if not (b.flags.f_contiguous and b.dtype == np.float64 and len(b) == n
+                and ipiv.dtype == ipiv_dtype and len(ipiv) == n):
+            raise ValueError("LAPACK trs needs a contiguous float64 rhs and pivots of the order")
+        info = int_t(0)
+        args = (b"T" if transpose else b"N", *_refs(int_t, n, *band, b.size // n), _ptr(a),
+                *_refs(int_t, ld), _ptr(ipiv), _ptr(b), *_refs(int_t, n), ctypes.byref(info),
+                1)
+        # the last is the hidden length of the character argument
+        fn.argtypes = [ctypes.c_void_p] * (len(args) - 1) + [ctypes.c_size_t]
+
+        def solve():
+            fn(*args)
+            return info.value
+
+        return solve
+
+    return trs
+
+
+def _refs(int_t, *values):
+    """Each value by reference as LAPACK's integer type."""
+    return [ctypes.byref(int_t(v)) for v in values]
+
+
+def _ptr(array):
+    """The data pointer of ``array``, typed so ctypes passes all 64 bits; it
+    keeps the array alive."""
+    return array.ctypes.data_as(ctypes.c_void_p)
+
+
+def _check_layout(a, n, band):
+    """LAPACK reads and writes through its pointers unchecked: refuse a
+    factor array that is not float64 in Fortran order, or a band with too
+    few rows for its fill-in."""
+    rows = 2 * band[0] + band[1] + 1 if band else n
+    if not (a.flags.f_contiguous and a.dtype == np.float64 and a.shape[0] >= max(rows, 1)):
+        raise ValueError("LAPACK LU needs a float64 Fortran-order matrix, or a band "
+                         "of 2kl+ku+1 rows")
 
 
 GTSV_SYMBOL, _dgtsv = _load_lapack("dgtsv", _bind_dgtsv)
-GBSV_SYMBOL, _dgbsv = _load_lapack("dgbsv", _bind_dgbsv)
+GETRF_SYMBOL, _dgetrf = _load_lapack("dgetrf", _bind_trf)
+GETRS_SYMBOL, _dgetrs = _load_lapack("dgetrs", _bind_trs)
+GBTRF_SYMBOL, _dgbtrf = _load_lapack("dgbtrf", _bind_trf)
+GBTRS_SYMBOL, _dgbtrs = _load_lapack("dgbtrs", _bind_trs)
 
 
 def _gtsv_loop(dl, d, du, b):
@@ -225,12 +308,13 @@ def tridiag_solve(lower, diag, upper, rhs):
     return _gtsv(*(np.array(a, np.float64) for a in (lower, diag, upper)), rhs)
 
 
-def _checked(routine, info, x):
-    """x, the solution ``routine`` returned with LAPACK's ``info``; the one
-    place a zero pivot (info > 0) or a non-finite solution raises SolverBreakdown."""
+def _checked(routine, info, x=None):
+    """x, the solution ``routine`` returned with LAPACK's ``info`` (None after a
+    factorisation); the one place a zero pivot (info > 0) or a non-finite
+    solution raises SolverBreakdown."""
     if info:
         raise SolverBreakdown(f"{routine}: pivot at row {info - 1} is exactly zero")
-    if not np.isfinite(x).all():
+    if x is not None and not np.isfinite(x).all():
         raise SolverBreakdown(f"{routine} returned a non-finite solution")
     return x
 
@@ -253,8 +337,9 @@ def _gtsv(dl, d, du, rhs):
 
 
 def dense_solve(A, rhs):
-    """Solve A x = rhs by LU with partial pivoting: LAPACK ``dgbsv`` when A is
-    banded enough to pay (see the module docstring), ``gesv`` otherwise.
+    """Solve A x = rhs by LU with partial pivoting: LAPACK ``dgbtrf``/``dgbtrs``
+    when A is banded enough to pay, ``dgetrf``/``dgetrs`` otherwise, and
+    ``gesv`` for complex input (see the module docstring).
 
     Raises SolverBreakdown when the elimination meets an exactly zero
     pivot or the solution is not finite.
@@ -263,14 +348,14 @@ def dense_solve(A, rhs):
     rhs = as_vector(rhs)
     if len(rhs) != A.shape[0]:
         raise InvalidInput("rhs length does not match the matrix order")
-    band_solve = None if np.iscomplexobj(rhs) else _band_solver(A, 1)
-    if band_solve is None:
+    if np.iscomplexobj(A) or np.iscomplexobj(rhs):
         return _gesv(A, rhs)
-    return -band_solve(0.0, rhs)
+    return _lu_solver(A, 1)(rhs)
 
 
 def _gesv(A, rhs):
-    """dense_solve's gesv route, for a finite square A, real or complex, and a fitting rhs."""
+    """The gesv route, ``numpy.linalg.solve``, for a finite square A and a
+    fitting rhs: complex input, and real input without LAPACK's LU pair."""
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -298,8 +383,8 @@ def _bandwidths(A):
 
 
 def _band_route(A, solves):
-    """(kl, ku, reverse) when dgbsv pays for ``solves`` solves with the
-    square matrix A, or None for gesv.
+    """(kl, ku, reverse) when the band LU pays for ``solves`` solves with the
+    square matrix A, or None for the full one.
 
     ``reverse`` means the solve runs on P A P, A with its order reversed,
     whose bandwidths (kl, ku) are A's swapped: this turns lower Hessenberg
@@ -312,7 +397,7 @@ def _band_route(A, solves):
         return band <= n**3
 
     # the rule for a diagonal first, so small input skips the probe
-    if _dgbsv is None or np.iscomplexobj(A) or not pays(0, 0):
+    if _dgbtrf is None or _dgbtrs is None or np.iscomplexobj(A) or not pays(0, 0):
         return None
     kl, ku = _bandwidths(A)
     reverse = ku < kl
@@ -322,7 +407,7 @@ def _band_route(A, solves):
 
 
 def _band_storage(A, kl, ku, reverse):
-    """A, or P A P with ``reverse``, in dgbsv's band storage.
+    """A, or P A P with ``reverse``, in LAPACK's band storage for dgbtrf.
 
     Fortran order, 2kl+ku+1 rows: row kl+ku+i-j of column j holds entry
     (i, j), so the diagonal is row kl+ku, and the first kl rows are
@@ -337,37 +422,49 @@ def _band_storage(A, kl, ku, reverse):
     return ab
 
 
-def _gbsv(ab, kl, ku, rhs):
-    """Solve the banded system held in ``ab`` (see _band_storage) by LAPACK ``dgbsv``.
-
-    ``ab`` is overwritten with the factors; ``rhs``, finite and real, is
-    copied.
-    """
-    x = np.array(rhs, dtype=np.float64)
-    return _checked("dgbsv", _dgbsv(kl, ku, ab, x), x)
+def _lu_routines(band):
+    """(trf, trs, the prefix of their names): the band pair when ``band`` is
+    (kl, ku), the full pair when it is ()."""
+    return (_dgbtrf, _dgbtrs, "dgb") if band else (_dgetrf, _dgetrs, "dge")
 
 
-def _band_solver(A, solves):
-    """solve(z, v) = (z I - A)^{-1} v by dgbsv for real z and v, or None
-    when gesv pays for ``solves`` solves with the checked square A.
+def _packed(A, solves):
+    """(a, band, step): a copy of the checked square A that its LU takes,
+    or None where gesv takes A.
 
-    This is the one function that knows the band layout: it packs -A
-    once, and as dgbsv overwrites its band, each solve refills one work
-    band and adds z to its diagonal row.
+    ``a`` holds A on its band, with ``band`` = (kl, ku) and ``step`` -1
+    when the order is reversed, when _band_route says the band pays for
+    ``solves`` solves; otherwise A in Fortran order, with ``band`` = ()
+    and ``step`` 1.  Complex A, and real A where LAPACK's dgetrf or dgetrs
+    is missing, take gesv.
     """
     route = _band_route(A, solves)
-    if route is None:
+    if route is not None:
+        kl, ku, reverse = route
+        return _band_storage(A, kl, ku, reverse), (kl, ku), -1 if reverse else 1
+    if np.iscomplexobj(A) or _dgetrf is None or _dgetrs is None:
         return None
-    kl, ku, reverse = route
-    band = _band_storage(A, kl, ku, reverse)
-    np.negative(band, out=band)
-    work = np.empty_like(band)   # its first kl rows are fill-in space dgbsv need not find set
-    step = -1 if reverse else 1
+    return np.array(A, dtype=np.float64, order="F"), (), 1
 
-    def solve(z, v):
-        np.copyto(work[kl:], band[kl:])
-        work[kl + ku] += z
-        return _gbsv(work, kl, ku, v[::step])[::step]
+
+def _lu_solver(A, solves):
+    """solve(rhs, transpose=False) = A^{-1} rhs, or A^{-T} rhs, from one LU of
+    the checked real square A, factored here (see _packed), or from gesv on
+    A or A^T for each solve where LAPACK's dgetrf or dgetrs is missing.
+
+    ``rhs`` is a finite real vector or matrix of right-hand sides, copied.
+    """
+    packed = _packed(A, solves)
+    if packed is None:
+        return lambda rhs, transpose=False: _gesv(A.T if transpose else A, rhs)
+    a, band, step = packed
+    trf, trs, kind = _lu_routines(band)
+    factor, ipiv = trf(a, *band)
+    _checked(kind + "trf", factor())
+
+    def solve(rhs, transpose=False):
+        x = np.array(rhs[::step], dtype=np.float64, order="F")
+        return _checked(kind + "trs", trs(a, ipiv, x, transpose, *band)(), x)[::step]
 
     return solve
 
@@ -375,12 +472,15 @@ def _band_solver(A, solves):
 def _shifted_solver(A):
     """solve(z, v) = (z I - A)^{-1} v for a TridiagonalSystem or a checked square A.
 
-    The route is chosen once, for a run of solves.  A TridiagonalSystem
-    takes dgtsv, which overwrites its diagonals: the run allocates one
-    set of work arrays and refills them before each solve, the
-    diagonal as z minus A's, for real z and v.  A dense A takes the
-    band route when it pays, where a complex z or v, which the real
-    band cannot hold, takes gesv.
+    The route is chosen once, for a run of solves.  Each LAPACK route
+    overwrites its arrays, so the run allocates one set of work arrays and
+    refills them before each solve.  A TridiagonalSystem takes dgtsv, its
+    diagonal refilled as z minus A's.  A real dense A is packed as -A once
+    (_packed), and each solve copies it to the work array, adds z to the
+    diagonal and factors and solves in place, for real z and v.  A complex
+    A, z or v, which the real work array cannot hold, takes gesv on
+    z I - A, as every dense solve does where LAPACK's dgetrf or dgetrs is
+    missing.
     """
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
@@ -393,14 +493,33 @@ def _shifted_solver(A):
 
         return solve_tridiagonal
     n = A.shape[0]
-    band_solve = _band_solver(A, _RUN_SOLVES)
-    if band_solve is None:
-        eye = np.eye(n, dtype=A.dtype)
-        return lambda z, v: _gesv(z * eye - A, v)
+
+    def solve_complex(z, v):
+        return _gesv(z * np.eye(n, dtype=A.dtype) - A, v)
+
+    packed = _packed(A, _RUN_SOLVES)
+    if packed is None:
+        return solve_complex
+    packed, band, step = packed
+    np.negative(packed, out=packed)
+    work = np.empty_like(packed)
+    if band:
+        kl = band[0]     # the first kl rows are fill-in space dgbtrf need not find set
+        diagonal = work[sum(band)]
+    else:
+        kl, diagonal = 0, work.ravel(order="F")[::n + 1]
+    trf, trs, kind = _lu_routines(band)
+    factor, ipiv = trf(work, *band)
+    x = np.empty(n)
+    solve_x = trs(work, ipiv, x, False, *band)
 
     def solve(z, v):
         if np.iscomplexobj(z) or np.iscomplexobj(v):
-            return _gesv(z * np.eye(n) - A, v)
-        return band_solve(z, v)
+            return solve_complex(z, v)
+        np.copyto(work[kl:], packed[kl:])
+        np.add(diagonal, z, out=diagonal)
+        _checked(kind + "trf", factor())
+        x[:] = v[::step]
+        return _checked(kind + "trs", solve_x(), x)[::step].copy()
 
     return solve

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maxeig import general_init, models
+from maxeig import general_init, linsolve, models
 from maxeig.errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from maxeig.general_init import (
     general_rqi,
@@ -286,3 +287,99 @@ class TestGeneralRqi:
             general_rqi(np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]))
         assert exc.value.sequence == "phi"
 
+
+def bordered_sequences(qc):
+    """h, phi and mu from their defining systems, each with one equation
+    dropped, solved with one step of iterative refinement."""
+    def unit_head(rows):
+        A, b = rows[:, 1:], -rows[:, 0]
+        x = np.linalg.solve(A, b)
+        return np.r_[1.0, x + np.linalg.solve(A, b - A @ x)]
+
+    h = unit_head(qc[:-1])
+    qt = qc * (h[None, :] / h[:, None])
+    return h, unit_head(qt[1:]), unit_head(qt.T[:-1])
+
+
+@st.composite
+def killed_matrices(draw, everywhere):
+    """A random irreducible dense matrix with nonnegative off-diagonals and
+    rates from 1e-3 to 1e3, shifted to Qc; killing at one state, or at
+    every state before the shift."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = 10.0 ** rng.uniform(-3, 3, (n, n))
+    rates *= rng.uniform(size=(n, n)) < 0.5
+    cycle = np.arange(n)
+    rates[cycle, np.roll(cycle, -1)] = 10.0 ** rng.uniform(-3, 3, n)   # irreducible
+    np.fill_diagonal(rates, 0.0)
+    killing = np.zeros(n)
+    if everywhere:
+        killing[:] = 10.0 ** rng.uniform(-3, 3, n)
+    else:
+        killing[draw(st.integers(0, n - 1))] = 10.0 ** rng.uniform(-3, 3)
+    return shift_to_qc(rates - np.diag(rates.sum(axis=1) + killing))[0]
+
+
+def assert_one_lu_matches_bordered(qc):
+    h, qt, phi, mu = general_init._initials(qc)
+    assert np.array_equal(qt, h_transform_general(qc, h))
+    for got, expected in zip((h, phi, mu), bordered_sequences(qc)):
+        assert (got > 0).all()
+        assert np.abs(got / expected - 1.0).max() <= 1e-10
+
+
+class TestOneLuInitials:
+    """general_rqi's h, phi and mu from one LU of Qc against their bordered definitions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(killed_matrices(everywhere=False))
+    def test_killing_at_one_state(self, qc):
+        assert_one_lu_matches_bordered(qc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(killed_matrices(everywhere=True))
+    def test_killing_everywhere(self, qc):
+        assert_one_lu_matches_bordered(qc)
+
+    def test_grid_laplacian_factors_on_the_band(self):
+        qc, _ = shift_to_qc(models.poisson_block(12))
+        assert linsolve._band_route(qc, 3) == (12, 12, False)
+        assert_one_lu_matches_bordered(qc)
+
+    def test_conservative_input_takes_the_bordered_systems(self, rng, monkeypatch):
+        # no killing: Qc is singular, and h = 1
+        rates = rng.uniform(0.01, 1.0, (8, 8))
+        qc, _ = shift_to_qc(rates - np.diag(rates.sum(axis=1)))
+        lu_solver, orders = linsolve._lu_solver, []
+        monkeypatch.setattr(linsolve, "_lu_solver",
+                            lambda A, solves: orders.append(len(A)) or lu_solver(A, solves))
+        h, qt, phi, mu = general_init._initials(qc)
+        assert orders == [7, 7, 7]   # three bordered systems, no LU of Qc
+        assert np.abs(h - 1.0).max() <= 1e-12
+        assert np.array_equal(phi, solve_phi_general(qt))
+        assert np.array_equal(mu, solve_mu_general(qt))
+
+    def test_phi_diagonal_is_checked_before_the_lu(self):
+        # state 1 absorbs, which rules phi out and makes Qc singular
+        with pytest.raises(InvalidInput, match="strictly negative diagonal"):
+            general_init._initials(np.array([[-2.0, 1.0], [0.0, 0.0]]))
+
+
+def test_branching_model_matches_the_oracle_or_fails_visibly():
+    # with killing only at the left end h spans 1e10 at order 50, 6e19 at 100
+    # and 3e27 at 140; one LU of Qc with a refinement step resolves it up to
+    # order 140 (the bordered solves lost its sign at 120 and 140).  Beyond
+    # that h may lose its sign (NonPositiveSequence) or, positive but wrong,
+    # start the run at a non-maximal pair, which the result flags
+    for n in (50, 100, 120, 140, 160, 180, 200, 400):
+        A = models.branching_model(n)
+        try:
+            result, _ = general_rqi(A)
+        except NonPositiveSequence as exc:
+            assert n > 140 and exc.sequence == "h"
+            continue
+        assert result.eigenvector_positive or n > 140
+        if result.eigenvector_positive:
+            oracle = float(np.max(oracle_eigenvalues(A).real))
+            assert result.eigenvalue == pytest.approx(oracle, rel=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
-from maxeig.numat import TridiagonalSystem
+from maxeig.numat import TridiagonalSystem, shift_to_qc
 
 from conftest import oracle_min_neg, random_system
 
@@ -202,6 +202,92 @@ class TestShiftedTridiagonalSolver:
 
 
 
+class TestShiftedFullSolver:
+    """linsolve._shifted_solver on a full real matrix: -A packed once, one
+    work array refilled, shifted and factored by dgetrf/dgetrs per solve."""
+
+    @pytest.fixture(autouse=True)
+    def needs_lapack(self):
+        if linsolve.GETRF_SYMBOL is None or linsolve.GETRS_SYMBOL is None:
+            pytest.skip("numpy's LAPACK exports no dgetrf/dgetrs")
+
+    @pytest.mark.parametrize("n", [3, 40, 400])
+    def test_equals_numpy_solve_bitwise(self, rng, n):
+        A = rng.uniform(0.01, 1.0, (n, n))
+        assert linsolve._band_route(A, linsolve._RUN_SOLVES) is None
+        solve = linsolve._shifted_solver(A)
+        v = rng.normal(size=n)
+        for z in (0.3, -2.5, 0.3, float(n)):
+            assert solve(z, v).tobytes() == np.linalg.solve(z * np.eye(n) - A, v).tobytes()
+
+    def test_complex_shift_or_vector(self, rng):
+        n = 40
+        A = rng.uniform(0.01, 1.0, (n, n))
+        solve = linsolve._shifted_solver(A)
+        v = rng.normal(size=n)
+        for z, rhs in ((0.5 + 2j, v), (0.5, v + 1j), (0.5 + 2j, v + 1j)):
+            x = solve(z, rhs)
+            assert np.iscomplexobj(x)
+            assert np.abs((z * np.eye(n) - A) @ x - rhs).max() <= 1e-12 * np.abs(rhs).max() * n
+        assert solve(0.5, v).tobytes() == np.linalg.solve(0.5 * np.eye(n) - A, v).tobytes()
+
+    def test_exact_singular_shift_raises_and_the_next_shift_solves(self):
+        # rank one: z I - A at z = 0 meets an exactly zero second pivot
+        n = 50
+        A = np.ones((n, n))
+        solve = linsolve._shifted_solver(A)
+        with pytest.raises(SolverBreakdown, match=r"^dgetrf: pivot at row 1 is exactly zero$"):
+            solve(0.0, np.ones(n))
+        x = solve(1.0, np.ones(n))
+        assert np.abs((np.eye(n) - A) @ x - 1.0).max() <= 1e-12 * n
+
+
+class TestLuSolver:
+    """linsolve._lu_solver: one factorisation, solves with A and with A^T."""
+
+    def matrices(self, rng):
+        n = 300
+        upper = np.triu(rng.uniform(0.1, 1.0, (n, n)), -1) + n * np.eye(n)
+        return (rng.uniform(0.01, 1.0, (80, 80)) + 80 * np.eye(80),   # full
+                models.poisson_block(15) - 10 * np.eye(225),           # band
+                upper.T.copy())                                        # band, reversed
+
+    def test_solves_with_a_and_its_transpose(self, rng):
+        for A in self.matrices(rng):
+            n = len(A)
+            solve = linsolve._lu_solver(A, 3)
+            rhs = rng.normal(size=(n, 2))
+            for transpose, M in ((False, A), (True, A.T)):
+                x, y = solve(rhs, transpose), np.linalg.solve(M, rhs)
+                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+                x = solve(rhs[:, 0], transpose)
+                assert np.abs(x - y[:, 0]).max() <= 1e-12 * np.abs(y).max()
+
+    def test_routes(self, rng):
+        full, band, reversed_band = self.matrices(rng)
+        assert linsolve._band_route(full, 3) is None
+        if linsolve.GBTRF_SYMBOL is not None:
+            assert linsolve._band_route(band, 3) == (15, 15, False)
+            assert linsolve._band_route(reversed_band, 3) == (1, 299, True)
+
+    def test_numpy_takes_the_place_of_missing_symbols(self, rng, monkeypatch):
+        # the same sequences, to roundoff, from gesv: two LUs, one of them on Qc^T
+        matrices = (models.toeplitz_linear(60), rng.uniform(0.01, 1.0, (50, 50)),
+                    models.poisson_block(12))
+        qcs = [shift_to_qc(A)[0] for A in matrices]
+        expected = [general_init._initials(qc) for qc in qcs]
+        for name in ("_dgetrf", "_dgetrs", "_dgbtrf", "_dgbtrs"):
+            monkeypatch.setattr(linsolve, name, None)
+        assert linsolve._band_route(qcs[2], 3) is None
+        for qc, sequences in zip(qcs, expected):
+            for got, want in zip(general_init._initials(qc), sequences):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            n = len(qc)
+            v = rng.normal(size=n)
+            assert linsolve._shifted_solver(qc)(0.25, v).tobytes() == \
+                np.linalg.solve(0.25 * np.eye(n) - qc, v).tobytes()
+
+
 def _tridiagonal_with_zero_column(n=60):
     A = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
     A[:, n // 2] = 0.0
@@ -216,19 +302,24 @@ BREAKDOWNS = [
     (lambda: tridiag_solve([0.0], [1e-20, 1.0], [0.0], [1e300, 1.0]),
      r"^dgtsv returned a non-finite solution$"),
     (lambda: dense_solve(_tridiagonal_with_zero_column(), np.ones(60)),
-     r"^dgbsv: pivot at row 30 is exactly zero$"),
+     r"^dgbtrf: pivot at row 30 is exactly zero$"),
     (lambda: dense_solve(np.diag([1e-20] + [1.0] * 59), np.r_[1e300, np.ones(59)]),
-     r"^dgbsv returned a non-finite solution$"),
-    (lambda: dense_solve(np.zeros((3, 3)), np.ones(3)), r"^gesv: Singular matrix$"),
+     r"^dgbtrs returned a non-finite solution$"),
+    (lambda: dense_solve(np.zeros((3, 3)), np.ones(3)), r"^dgetrf: pivot at row 0 is exactly zero$"),
     (lambda: dense_solve(np.diag([1e-20, 1.0, 1.0]), [1e300, 1.0, 1.0]),
+     r"^dgetrs returned a non-finite solution$"),
+    # gesv serves complex input
+    (lambda: dense_solve(np.zeros((3, 3), complex), np.ones(3)), r"^gesv: Singular matrix$"),
+    (lambda: dense_solve(np.diag([1e-20, 1.0, 1.0]), [1e300, 1.0, 1j]),
      r"^gesv returned a non-finite solution$"),
 ]
 
 
 @pytest.mark.parametrize("solve, message", BREAKDOWNS, ids=[m.strip("^$") for _, m in BREAKDOWNS])
 def test_each_breakdown_names_its_routine(solve, message):
-    if "dgbsv" in message and linsolve.GBSV_SYMBOL is None:
-        pytest.skip("numpy's LAPACK exports no dgbsv")
+    symbol = {"^dgb": linsolve.GBTRF_SYMBOL, "^dge": linsolve.GETRF_SYMBOL}.get(message[:4], "")
+    if symbol is None:
+        pytest.skip("numpy's LAPACK exports no " + message[1:7])
     with pytest.raises(SolverBreakdown, match=message):
         solve()
 
@@ -289,8 +380,8 @@ class TestDenseLu:
             dense_solve(np.ones((2, 3)), [1.0, 2.0])
 
 
-# the LAPACK routine found at import, kept before any test forces the fallback
-LAPACK_DGBSV = linsolve._dgbsv
+# the LAPACK band LU found at import, kept before any test forces the fallback
+LAPACK_DGBTRF = linsolve._dgbtrf
 
 BANDS = ((0, 0), (0, 3), (2, 0), (1, 1), (20, 20))
 
@@ -439,20 +530,20 @@ class TestBandedSolve:
             result, _ = iterengine.rqi(A, start, z0)
             assert abs(result.eigenvalue - lam[np.abs(lam - result.eigenvalue).argmin()]) <= 1e-10 * abs(lam).max()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(linsolve, "_dgbsv", None)
+                mp.setattr(linsolve, "_dgbtrf", None)
                 reference, _ = iterengine.rqi(A, start, z0)
             assert abs(result.eigenvalue - reference.eigenvalue) <= 1e-12 * abs(reference.eigenvalue)
 
 
 class TestBandedSolveFallback(TestBandedSolve):
-    """Every TestBandedSolve case again, on the gesv route that runs when
-    numpy's LAPACK exports no dgbsv."""
+    """Every TestBandedSolve case again, on the full LU that runs when
+    numpy's LAPACK exports no dgbtrf."""
 
     band = False
 
     @pytest.fixture(autouse=True)
     def without_lapack(self, monkeypatch):
-        monkeypatch.setattr(linsolve, "_dgbsv", None)
+        monkeypatch.setattr(linsolve, "_dgbtrf", None)
 
 
 def tridiagonal(n):
@@ -472,7 +563,7 @@ def test_band_rule_takes_small_orders_to_gesv():
         assert linsolve._band_route(A, runs) is None
     for A in (tridiagonal(54), models.poisson_block(11), upper_hessenberg(607)):
         assert linsolve._band_route(A, 1) is None
-    if LAPACK_DGBSV is not None:
+    if LAPACK_DGBTRF is not None:
         assert linsolve._band_route(tridiagonal(44), runs) == (1, 1, False)
         assert linsolve._band_route(tridiagonal(55), 1) == (1, 1, False)
         assert linsolve._band_route(models.poisson_block(9), runs) == (9, 9, False)
@@ -483,10 +574,11 @@ def test_band_rule_takes_small_orders_to_gesv():
 
 
 def test_shifted_runs_take_the_band_sooner_than_single_solves(monkeypatch):
-    if LAPACK_DGBSV is None:
-        pytest.skip("numpy's LAPACK exports no dgbsv")
-    gbsv, bands = linsolve._gbsv, []
-    monkeypatch.setattr(linsolve, "_gbsv", lambda ab, kl, ku, rhs: bands.append((kl, ku)) or gbsv(ab, kl, ku, rhs))
+    if LAPACK_DGBTRF is None:
+        pytest.skip("numpy's LAPACK exports no dgbtrf")
+    storage, bands = linsolve._band_storage, []
+    monkeypatch.setattr(linsolve, "_band_storage",
+                        lambda A, kl, ku, reverse: bands.append((kl, ku)) or storage(A, kl, ku, reverse))
     A, rhs = models.branching_model(160), np.ones(160)
     dense_solve(A, rhs)
     assert bands == []
@@ -497,16 +589,16 @@ def test_shifted_runs_take_the_band_sooner_than_single_solves(monkeypatch):
 @pytest.mark.parametrize("name", ["triangular", "branching", "grid"])
 def test_dgbsv_and_gesv_paths_give_one_eigenvalue(name, monkeypatch):
     # at order 400 the triangular paths differ by 2.6e-12, within tol_z: the
-    # reversed pivot order changes the rounding, and dgbsv's value lies nearer
-    # the eig oracle's
-    if LAPACK_DGBSV is None:
-        pytest.skip("numpy's LAPACK exports no dgbsv")
+    # reversed pivot order changes the rounding, and the band's value lies
+    # nearer the eig oracle's
+    if LAPACK_DGBTRF is None:
+        pytest.skip("numpy's LAPACK exports no dgbtrf")
     run = {
         "triangular": lambda: iterengine.algorithm2(models.triangular_model(199), negate=True),
         "branching": lambda: iterengine.algorithm2(models.branching_model(200), negate=True),
         "grid": lambda: general_init.general_rqi(models.poisson_block(15)),
     }[name]
     band = run()[0].eigenvalue
-    monkeypatch.setattr(linsolve, "_dgbsv", None)
+    monkeypatch.setattr(linsolve, "_dgbtrf", None)
     full = run()[0].eigenvalue
     assert abs(band - full) <= 1e-12 * abs(full)
