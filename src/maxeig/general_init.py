@@ -14,20 +14,23 @@ equation dropped:
   (mu_0 = 1).
 
 The public ``solve_h_general``, ``solve_phi_general`` and
-``solve_mu_general`` solve these bordered systems as written.  When some
-row of Qc has killing beyond roundoff, -Qc is a nonsingular M-matrix,
-and all three sequences are columns of its inverse, the chain's Green's
-function: h ~ Qc^-1 e_N, phi ~ H^-1 Qc^-1 e_0 and mu ~ H Qc^-T e_N,
-H = Diag(h).  ``general_rqi`` then takes them from one LU of Qc
-(``_initials``), where the bordered systems took three; they agree to
-roundoff.  Conservative Qc, with no killing, is singular, and there
-``general_rqi`` runs the bordered systems.
+``solve_mu_general`` solve these bordered systems as written, each from
+one LU with one step of iterative refinement.  When some row of Qc has
+killing beyond roundoff, -Qc is a nonsingular M-matrix, and all three
+sequences are columns of its inverse, the chain's Green's function:
+h ~ Qc^-1 e_N, phi ~ H^-1 Qc^-1 e_0 and mu ~ H Qc^-T e_N, H = Diag(h).
+``general_rqi`` then takes them from one LU of -Qc (``_initials``),
+where the bordered systems took three; they agree to roundoff.
+Conservative Qc, with no killing, is singular, and there
+``general_rqi`` runs the bordered systems.  Every LU here comes from
+``linsolve._lu`` at z = 0, which factors minus its matrix.
 
 sqrt(phi) seeds the initial vector exactly as in the tridiagonal case,
 and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
-formula with a 1/(1 - phi_1) correction.  Where phi_1 >= phi_0 rules
-that shift out, the run starts from the seed's Rayleigh quotient and
-the result is flagged (``z0_fallback``).  Tridiagonal input, a
+formula with a 1/(1 - phi_1) correction.  Where phi_1 is not below
+phi_0 by more than roundoff, which rules that shift out, the run starts
+from the seed's Rayleigh quotient and the result is flagged
+(``z0_fallback``).  Tridiagonal input, a
 ``TridiagonalSystem`` (shifted in its rates, never densified) or a dense
 matrix recognised as one, is handed to ``tridiag.tridiag_rqi`` with the
 banded solver and the safe shift, which keeps those runs O(N); the
@@ -86,13 +89,20 @@ def _unit_head(x, sequence, what):
 def _solve_with_unit_head(rows, sequence, what):
     """Solve rows @ x = 0 for x with x_0 = 1; raise NonPositiveSequence if any x_i <= 0.
 
-    ``rows`` is a slice of a matrix; the solve takes the band LU when its
-    band pays, as a banded matrix's slices are banded too.
+    ``rows`` is a real slice of a checked matrix: x_1.. solve the square
+    system -B x = c, B = rows[:, 1:] and c = rows[:, 0], from one LU
+    (the band LU when its band pays, as a banded matrix's slices are
+    banded too) with one step of iterative refinement, as in _initials.
     """
+    if np.iscomplexobj(rows):
+        raise InvalidInput(f"{what} needs a real matrix")
     n = rows.shape[1]
     x = np.ones(n)
     if n > 1:
-        x[1:] = linsolve.dense_solve(rows[:, 1:], -rows[:, 0])
+        B, c = rows[:, 1:], rows[:, 0]
+        solve = linsolve._lu(B, 2)(0.0)
+        y = solve(c)
+        x[1:] = y + solve(c + B @ y)
     return _unit_head(x, sequence, what)
 
 
@@ -155,13 +165,13 @@ def _initials(qc):
         return h, q_tilde, solve_phi_general(q_tilde), solve_mu_general(q_tilde)
     _require_phi_diagonal(qc)    # the transform keeps the diagonal
     n = qc.shape[0]
-    solve = linsolve._lu_solver(qc, 3)
+    solve = linsolve._lu(qc, 3)(0.0)    # with -Qc; the unit heads cancel the sign
     ends = np.zeros((n, 2))
     ends[-1, 0] = ends[0, 1] = 1.0
     columns = solve(ends)
-    columns += solve(ends - qc @ columns)
+    columns += solve(ends + qc @ columns)
     row = solve(ends[:, 0], transpose=True)
-    row += solve(ends[:, 0] - qc.T @ row, transpose=True)
+    row += solve(ends[:, 0] + qc.T @ row, transpose=True)
     h = _unit_head(columns[:, 0], "h", "harmonic vector h")
     phi = _unit_head(columns[:, 1] / h, "phi", "tail sequence phi")
     mu = _unit_head(h * row, "mu", "invariant measure mu")
@@ -212,7 +222,8 @@ def general_rqi(
     in O(N) memory.
 
     ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
-    efficient seed, with the result flagged, when phi_1 >= phi_0),
+    efficient seed, with the result flagged, when phi_1 is not below
+    phi_0 by more than roundoff),
     "rayleigh", or a number.  ``v0``: "efficient" (the seed sqrt(phi),
     default) or "uniform".
     """

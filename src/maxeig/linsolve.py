@@ -4,39 +4,39 @@ Three routes:
 
 - LAPACK ``dgtsv`` (elimination with partial pivoting between adjacent
   rows) for real tridiagonal systems: ``tridiag_solve``, and the shifted
-  solves of a ``TridiagonalSystem``.  When the LAPACK library exports no
-  ``dgtsv``, GTSV_SYMBOL is None and a Python loop with the same
-  arithmetic takes its place: bitwise the same solutions, 20-50 times
-  more slowly from order 10^3 up.
+  solves of a ``TridiagonalSystem``.  Without LAPACK a Python loop with
+  the same arithmetic, ``_gtsv_loop``, takes its place: bitwise the same
+  solutions, 20-50 times more slowly from order 10^3 up.
 - Real dense systems: LU with partial pivoting, factored once and then
   solved, by LAPACK's pairs ``dgbtrf``/``dgbtrs`` on a band and
-  ``dgetrf``/``dgetrs`` on a full matrix.  ``_lu_solver(A, solves)``
-  factors A once and returns solve(rhs, transpose), so solves with A and
-  with A^T share one factorisation (``general_rqi`` draws its three
-  sequences from one LU of Qc); ``dense_solve`` makes one solve with it.
-  The band (kl sub- and ku super-diagonals) is read from the nonzeros once
-  per matrix; when reversing the order, P A P, lowers kl, the LU runs on
-  the reversed system, which turns lower Hessenberg into upper
-  Hessenberg.  The band is taken when a cost rule says it pays (see
-  _BAND_FIXED).  The rule counts packing the band once per matrix, so a
-  run of shifted solves takes it sooner than a single solve: tridiagonal
-  matrices from order 44 (single solves from 55), the grid Laplacian
-  (kl = ku = sqrt(n)) from 81 (144) and Hessenberg ones from 160 (608).
-  Without ``dgbtrf``/``dgbtrs`` every matrix takes the full pair, and
-  without ``dgetrf``/``dgetrs`` the full pair is replaced by ``gesv``,
-  one LU per solve; the numbers agree to roundoff.  With one BLAS thread
-  ``dgetrf`` and ``dgetrs`` give the bits of numpy's ``gesv``; with more,
-  OpenBLAS threads the two from different orders, and orders 100-141
-  round apart.
+  ``dgetrf``/``dgetrs`` on a full matrix.  One factory, ``_lu(A,
+  solves)``, builds every such solve: it packs -A once and returns
+  refactor(z), which factors z I - A and returns solve(rhs, transpose),
+  so solves with z I - A and with its transpose share one
+  factorisation.  The band (kl sub- and ku super-diagonals) is read from
+  the nonzeros once per matrix; when reversing the order, P A P, lowers
+  kl, the LU runs on the reversed system, which turns lower Hessenberg
+  into upper Hessenberg.  The band is taken when a cost rule says it pays
+  for the caller's number of solves (see _BAND_FIXED).  The rule counts
+  packing the band once per matrix, so a run of shifted solves takes it
+  sooner than a single solve: tridiagonal matrices from order 44 (single
+  solves from 55), the grid Laplacian (kl = ku = sqrt(n)) from 81 (144)
+  and Hessenberg ones from 160 (608).  Without LAPACK ``gesv`` takes the
+  place of both pairs, one LU per solve; the numbers agree to roundoff.
+  With one BLAS thread ``dgetrf`` and ``dgetrs`` give the bits of
+  numpy's ``gesv``; with more, OpenBLAS threads the two from different
+  orders, and orders 100-141 round apart.
 - ``gesv`` (LU with partial pivoting) through ``numpy.linalg.solve`` for
   complex matrices, right-hand sides and shifts.
 
-``dgtsv``, ``dgetrf``, ``dgetrs``, ``dgbtrf`` and ``dgbtrs`` are called
-through ``ctypes`` from the LAPACK library numpy's own ``linalg`` is
-linked against, looked up once at import by one loader; ``GTSV_SYMBOL``,
-``GETRF_SYMBOL``, ``GETRS_SYMBOL``, ``GBTRF_SYMBOL`` and ``GBTRS_SYMBOL``
-name the symbols found (``scipy_dgetrf_64_`` and so on in numpy's bundled
-OpenBLAS), or are None.
+The five routines are called through ``ctypes`` from the LAPACK library
+numpy's own ``linalg`` is linked against.  One loader looks them up once,
+at import, all from the first export family that has all five;
+``LAPACK_EXPORT`` names that family's pattern (``scipy_{}_64_`` in
+numpy's bundled OpenBLAS), or is None when no family has all five, and
+then every solve takes the fallbacks above.  One binder, ``_prepare``,
+converts a call's arguments once, so a run of shifted solves repeats
+prepared calls.
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
@@ -55,12 +55,12 @@ for many shifts z, take theirs from ``_shifted_solver``, the one factory
 for every shifted solve.  Every route it builds solves (z I - A) x = v as
 it is written, with no negation after the solve: for a
 ``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
-solve for ``_gtsv``, and for a real dense matrix it packs -A once, on its
-band or in full, and refills one work array per solve, adding z to its
-diagonal before the LU.  ``general_rqi``'s initials take solves with Qc
-and Qc^T from ``_lu_solver``.  No other module calls a kernel or holds a
-LAPACK work array.  The kernels keep every breakdown check and skip only
-the input checks.
+solve for ``_gtsv``, and for a real dense matrix it refactors ``_lu``'s
+work array at each z.  ``general_init`` takes its solves with -Qc, its
+transpose and the bordered systems from ``_lu`` at z = 0, and
+``dense_solve`` negates the solution it gets there.  No other module
+calls a kernel or holds a LAPACK work array.  The kernels keep every
+breakdown check and skip only the input checks.
 
 ``scipy.linalg`` is deliberately not imported: numpy's LAPACK has the
 same routines, and importing scipy would add about 28 MiB of resident
@@ -77,11 +77,7 @@ from .errors import InvalidInput, SolverBreakdown
 from .numat import TridiagonalSystem, as_square_matrix, as_vector
 
 __all__ = [
-    "GBTRF_SYMBOL",
-    "GBTRS_SYMBOL",
-    "GETRF_SYMBOL",
-    "GETRS_SYMBOL",
-    "GTSV_SYMBOL",
+    "LAPACK_EXPORT",
     "PIVOT_FLOOR",
     "dense_solve",
     "tridiag_solve",
@@ -106,15 +102,18 @@ _BAND_FIXED = 40**3
 _BAND_ENTRY = 600
 _RUN_SOLVES = 4
 
-# LAPACK exports tried in turn for a routine, with their integer type:
-# numpy's bundled OpenBLAS (ILP64, prefixed and suffixed), an older ILP64
-# OpenBLAS, then a plain LP64 LAPACK
+# LAPACK exports tried in turn, with their integer type: numpy's bundled
+# OpenBLAS (ILP64, prefixed and suffixed), an older ILP64 OpenBLAS, then a
+# plain LP64 LAPACK
 _LAPACK_EXPORTS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int32))
+_ROUTINES = ("dgtsv", "dgetrf", "dgetrs", "dgbtrf", "dgbtrs")
 
 
-def _load_lapack(name, bind):
-    """(symbol, bind(routine, integer type)) for LAPACK ``name``, or (None, None).
+def _load_lapack():
+    """(the export pattern, (routines by name, integer type)) for the first
+    family of _LAPACK_EXPORTS that exports every one of _ROUTINES, or
+    (None, None).
 
     Opening numpy's ``linalg`` extension by its path reaches the LAPACK
     library it links, and symbol lookup through that handle searches
@@ -126,96 +125,37 @@ def _load_lapack(name, bind):
     except (ImportError, OSError, AttributeError):
         return None, None
     for pattern, int_t in _LAPACK_EXPORTS:
-        symbol = pattern.format(name)
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            fn.restype = None
-            return symbol, bind(fn, int_t)
+        routines = {name: getattr(lib, pattern.format(name), None) for name in _ROUTINES}
+        if None not in routines.values():
+            return pattern, (routines, int_t)
     return None, None
 
 
-def _bind_dgtsv(fn, int_t):
-    """dgtsv(dl, d, du, b) -> info, overwriting all four arrays."""
-    fn.argtypes = [ctypes.c_void_p] * 8
+def _prepare(lapack, name, *args):
+    """call() -> info: LAPACK routine ``name`` of ``lapack`` on ``args``,
+    converted once, so that a run can repeat the call on refilled arrays.
 
-    def dgtsv(dl, d, du, b):
-        n, nrhs, info = int_t(len(d)), int_t(1), int_t(0)
-        fn(ctypes.byref(n), ctypes.byref(nrhs), dl.ctypes.data, d.ctypes.data,
-           du.ctypes.data, b.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+    Arrays pass by their data pointer, bytes (a character flag such as
+    b"N") by pointer with its hidden length after ``info``, and integers
+    by reference in LAPACK's integer type.  The call keeps the arrays
+    alive; their sizes must already be checked.
+    """
+    routines, int_t = lapack
+    fn, info = routines[name], int_t(0)
+    pointers = [a.ctypes.data if isinstance(a, np.ndarray) else
+                a if isinstance(a, bytes) else ctypes.byref(int_t(a)) for a in args]
+    lengths = [1 for a in args if isinstance(a, bytes)]
+    if fn.argtypes is None:     # every call of a routine passes as many arguments
+        fn.restype = None
+        fn.argtypes = [ctypes.c_void_p] * (len(args) + 1) + [ctypes.c_size_t] * len(lengths)
+    pointers += [ctypes.byref(info), *lengths]
+
+    def call():
+        fn(*pointers)
         return info.value
 
-    return dgtsv
-
-
-def _bind_trf(fn, int_t):
-    """trf(a, *band) -> (factor, ipiv) for LAPACK's LU with partial pivoting.
-
-    ``a`` is a float64 Fortran-order square matrix for dgetrf, or, with
-    ``band`` = (kl, ku), a band in _band_storage's layout for dgbtrf.
-    factor() overwrites ``a`` with the LU of what it holds, and ``ipiv``
-    with the pivots, and returns LAPACK's info; a run of shifted solves
-    refills ``a`` and calls it again.
-    """
-    ipiv_dtype = np.dtype(int_t)
-
-    def trf(a, *band):
-        ld, n = a.shape
-        _check_layout(a, n, band)
-        ipiv, info = np.empty(n, ipiv_dtype), int_t(0)
-        args = (*_refs(int_t, n, n, *band), _ptr(a), *_refs(int_t, ld), _ptr(ipiv),
-                ctypes.byref(info))
-        fn.argtypes = [ctypes.c_void_p] * len(args)   # 6 for dgetrf, 8 for dgbtrf
-
-        def factor():
-            fn(*args)
-            return info.value
-
-        return factor, ipiv
-
-    return trf
-
-
-def _bind_trs(fn, int_t):
-    """trs(a, ipiv, b, transpose, *band) -> solve for LAPACK's solve from trf's factors.
-
-    solve() overwrites ``b``, a float64 Fortran-order vector or matrix of
-    right-hand sides, with the solution of A x = b, or of A^T x = b with
-    ``transpose``, where ``a`` and ``ipiv`` hold trf's factors of A, and
-    returns LAPACK's info.
-    """
-    ipiv_dtype = np.dtype(int_t)
-
-    def trs(a, ipiv, b, transpose, *band):
-        ld, n = a.shape
-        _check_layout(a, n, band)
-        if not (b.flags.f_contiguous and b.dtype == np.float64 and len(b) == n
-                and ipiv.dtype == ipiv_dtype and len(ipiv) == n):
-            raise ValueError("LAPACK trs needs a contiguous float64 rhs and pivots of the order")
-        info = int_t(0)
-        args = (b"T" if transpose else b"N", *_refs(int_t, n, *band, b.size // n), _ptr(a),
-                *_refs(int_t, ld), _ptr(ipiv), _ptr(b), *_refs(int_t, n), ctypes.byref(info),
-                1)
-        # the last is the hidden length of the character argument
-        fn.argtypes = [ctypes.c_void_p] * (len(args) - 1) + [ctypes.c_size_t]
-
-        def solve():
-            fn(*args)
-            return info.value
-
-        return solve
-
-    return trs
-
-
-def _refs(int_t, *values):
-    """Each value by reference as LAPACK's integer type."""
-    return [ctypes.byref(int_t(v)) for v in values]
-
-
-def _ptr(array):
-    """The data pointer of ``array``, typed so ctypes passes all 64 bits; it
-    keeps the array alive."""
-    return array.ctypes.data_as(ctypes.c_void_p)
+    call.arrays = args
+    return call
 
 
 def _check_layout(a, n, band):
@@ -228,11 +168,7 @@ def _check_layout(a, n, band):
                          "of 2kl+ku+1 rows")
 
 
-GTSV_SYMBOL, _dgtsv = _load_lapack("dgtsv", _bind_dgtsv)
-GETRF_SYMBOL, _dgetrf = _load_lapack("dgetrf", _bind_trf)
-GETRS_SYMBOL, _dgetrs = _load_lapack("dgetrs", _bind_trs)
-GBTRF_SYMBOL, _dgbtrf = _load_lapack("dgbtrf", _bind_trf)
-GBTRS_SYMBOL, _dgbtrs = _load_lapack("dgbtrs", _bind_trs)
+LAPACK_EXPORT, _lapack = _load_lapack()
 
 
 def _gtsv_loop(dl, d, du, b):
@@ -324,10 +260,15 @@ def _gtsv(dl, d, du, rhs):
 
     ``dl``, ``d`` and ``du`` are contiguous, writable float64 arrays of
     lengths n-1, n, n-1 and are overwritten; ``rhs``, finite and real of
-    length n, is copied.
+    length n, is copied.  The solution is a new array, so a run of solves
+    holds no solution buffer between them.
     """
     x = np.array(rhs, dtype=np.float64)
-    info = (_dgtsv or _gtsv_loop)(dl, d, du, x)
+    n, lapack = len(d), _lapack
+    if x.shape != d.shape:
+        raise ValueError("dgtsv needs a right-hand side of the system's order")
+    info = (_prepare(lapack, "dgtsv", n, 1, dl, d, du, x, n)() if lapack
+            else _gtsv_loop(dl, d, du, x))
     if not info:
         pivots = np.abs(d, out=d)  # U's diagonal; d is work space
         if pivots.min() < PIVOT_FLOOR:
@@ -350,12 +291,12 @@ def dense_solve(A, rhs):
         raise InvalidInput("rhs length does not match the matrix order")
     if np.iscomplexobj(A) or np.iscomplexobj(rhs):
         return _gesv(A, rhs)
-    return _lu_solver(A, 1)(rhs)
+    return -_lu(A, 1)(0.0)(rhs)     # -A^{-1} rhs, negated exactly
 
 
 def _gesv(A, rhs):
     """The gesv route, ``numpy.linalg.solve``, for a finite square A and a
-    fitting rhs: complex input, and real input without LAPACK's LU pair."""
+    fitting rhs: complex input, and real input without LAPACK."""
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -397,7 +338,7 @@ def _band_route(A, solves):
         return band <= n**3
 
     # the rule for a diagonal first, so small input skips the probe
-    if _dgbtrf is None or _dgbtrs is None or np.iscomplexobj(A) or not pays(0, 0):
+    if np.iscomplexobj(A) or not pays(0, 0):
         return None
     kl, ku = _bandwidths(A)
     reverse = ku < kl
@@ -422,51 +363,65 @@ def _band_storage(A, kl, ku, reverse):
     return ab
 
 
-def _lu_routines(band):
-    """(trf, trs, the prefix of their names): the band pair when ``band`` is
-    (kl, ku), the full pair when it is ()."""
-    return (_dgbtrf, _dgbtrs, "dgb") if band else (_dgetrf, _dgetrs, "dge")
+def _lu(A, solves):
+    """refactor(z) -> solve(rhs, transpose=False), from LU factorisations of
+    z I - A for the checked real square A.
 
-
-def _packed(A, solves):
-    """(a, band, step): a copy of the checked square A that its LU takes,
-    or None where gesv takes A.
-
-    ``a`` holds A on its band, with ``band`` = (kl, ku) and ``step`` -1
-    when the order is reversed, when _band_route says the band pays for
-    ``solves`` solves; otherwise A in Fortran order, with ``band`` = ()
-    and ``step`` 1.  Complex A, and real A where LAPACK's dgetrf or dgetrs
-    is missing, take gesv.
+    refactor(z) factors z I - A, in place of the previous factorisation,
+    and returns solve, which gives (z I - A)^{-1} rhs, or (z I - A)^{-T}
+    rhs with ``transpose``, for a finite real vector or matrix of
+    right-hand sides (copied), until the next refactor.  ``solves``, the
+    number of solves the caller expects to make, enters only the choice
+    of the band (see _band_route).  -A is packed once: on its band when
+    _band_route says the band pays for ``solves`` solves, with the order
+    reversed where it says so, and in full Fortran order otherwise.  Each
+    refactor refills one work array from it and adds z to its diagonal.
+    The factorisation and the solve of one vector are prepared once.
+    Without LAPACK, solve is gesv on z I - A or its transpose.
     """
+    n, lapack = A.shape[0], _lapack
+    if lapack is None:
+        def refactor_gesv(z):
+            shifted = z * np.eye(n) - A
+            return lambda rhs, transpose=False: _gesv(shifted.T if transpose else shifted, rhs)
+
+        return refactor_gesv
     route = _band_route(A, solves)
-    if route is not None:
+    if route is None:
+        kl, band, step, trf, trs = 0, (), 1, "dgetrf", "dgetrs"
+        packed = np.array(A, dtype=np.float64, order="F")
+    else:
         kl, ku, reverse = route
-        return _band_storage(A, kl, ku, reverse), (kl, ku), -1 if reverse else 1
-    if np.iscomplexobj(A) or _dgetrf is None or _dgetrs is None:
-        return None
-    return np.array(A, dtype=np.float64, order="F"), (), 1
-
-
-def _lu_solver(A, solves):
-    """solve(rhs, transpose=False) = A^{-1} rhs, or A^{-T} rhs, from one LU of
-    the checked real square A, factored here (see _packed), or from gesv on
-    A or A^T for each solve where LAPACK's dgetrf or dgetrs is missing.
-
-    ``rhs`` is a finite real vector or matrix of right-hand sides, copied.
-    """
-    packed = _packed(A, solves)
-    if packed is None:
-        return lambda rhs, transpose=False: _gesv(A.T if transpose else A, rhs)
-    a, band, step = packed
-    trf, trs, kind = _lu_routines(band)
-    factor, ipiv = trf(a, *band)
-    _checked(kind + "trf", factor())
+        band, step, trf, trs = (kl, ku), -1 if reverse else 1, "dgbtrf", "dgbtrs"
+        packed = _band_storage(A, kl, ku, reverse)
+    np.negative(packed, out=packed)
+    work = np.empty_like(packed)
+    _check_layout(work, n, band)
+    ld = len(work)
+    diagonal = work[sum(band)] if band else work.ravel(order="F")[::n + 1]
+    ipiv, x = np.empty(n, lapack[1]), np.empty(n)
+    factor = _prepare(lapack, trf, n, n, *band, work, ld, ipiv)
+    solve_x = _prepare(lapack, trs, b"N", n, *band, 1, work, ld, ipiv, x, n)
 
     def solve(rhs, transpose=False):
-        x = np.array(rhs[::step], dtype=np.float64, order="F")
-        return _checked(kind + "trs", trs(a, ipiv, x, transpose, *band)(), x)[::step]
+        if len(rhs) != n:
+            raise ValueError("the right-hand side does not match the factored order")
+        if rhs.ndim == 1 and not transpose:
+            x[:] = rhs[::step]
+            return _checked(trs, solve_x(), x)[::step].copy()
+        b = np.array(rhs[::step], dtype=np.float64, order="F")
+        call = _prepare(lapack, trs, b"T" if transpose else b"N", n, *band, b.size // n,
+                        work, ld, ipiv, b, n)
+        return _checked(trs, call(), b)[::step]
 
-    return solve
+    def refactor(z):
+        # the first kl rows of a band are fill-in space dgbtrf need not find set
+        np.copyto(work[kl:], packed[kl:])
+        np.add(diagonal, z, out=diagonal)
+        _checked(trf, factor())
+        return solve
+
+    return refactor
 
 
 def _shifted_solver(A):
@@ -475,12 +430,9 @@ def _shifted_solver(A):
     The route is chosen once, for a run of solves.  Each LAPACK route
     overwrites its arrays, so the run allocates one set of work arrays and
     refills them before each solve.  A TridiagonalSystem takes dgtsv, its
-    diagonal refilled as z minus A's.  A real dense A is packed as -A once
-    (_packed), and each solve copies it to the work array, adds z to the
-    diagonal and factors and solves in place, for real z and v.  A complex
-    A, z or v, which the real work array cannot hold, takes gesv on
-    z I - A, as every dense solve does where LAPACK's dgetrf or dgetrs is
-    missing.
+    diagonal refilled as z minus A's.  A real dense A takes _lu, refactored
+    at each real z and solved for a real v.  A complex A, z or v, which the
+    real work array cannot hold, takes gesv on z I - A.
     """
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
@@ -497,29 +449,13 @@ def _shifted_solver(A):
     def solve_complex(z, v):
         return _gesv(z * np.eye(n, dtype=A.dtype) - A, v)
 
-    packed = _packed(A, _RUN_SOLVES)
-    if packed is None:
+    if np.iscomplexobj(A):
         return solve_complex
-    packed, band, step = packed
-    np.negative(packed, out=packed)
-    work = np.empty_like(packed)
-    if band:
-        kl = band[0]     # the first kl rows are fill-in space dgbtrf need not find set
-        diagonal = work[sum(band)]
-    else:
-        kl, diagonal = 0, work.ravel(order="F")[::n + 1]
-    trf, trs, kind = _lu_routines(band)
-    factor, ipiv = trf(work, *band)
-    x = np.empty(n)
-    solve_x = trs(work, ipiv, x, False, *band)
+    refactor = _lu(A, _RUN_SOLVES)
 
     def solve(z, v):
         if np.iscomplexobj(z) or np.iscomplexobj(v):
             return solve_complex(z, v)
-        np.copyto(work[kl:], packed[kl:])
-        np.add(diagonal, z, out=diagonal)
-        _checked(kind + "trf", factor())
-        x[:] = v[::step]
-        return _checked(kind + "trs", solve_x(), x)[::step].copy()
+        return refactor(z)(v)
 
     return solve

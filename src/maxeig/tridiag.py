@@ -61,6 +61,11 @@ __all__ = [
 Z0_POLICIES = ("combination", "delta1", "safe", "rayleigh")
 V0_CHOICES = ("efficient", "uniform")
 
+# the safe shift needs phi_1 below phi_0 by more than roundoff, relative to
+# phi_0: at a tie (phi_1 = phi_0 in exact arithmetic) the last bit would
+# decide, and the shift, (1 - phi_1) / peak, would carry no information
+_PHI_TIE = 32 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class HTransform:
@@ -210,8 +215,9 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
     ``delta1``, "delta1" (1/delta1) or "combination" (z0_combination of
     delta1 and that quotient).  The dense route passes delta1 None, and
     general_rqi admits only "safe", "rayleigh" or a number there.  When
-    phi_1 >= phi_0 rules out the safe shift, the run starts from the
-    seed's quotient and is flagged.
+    phi_1 is not below phi_0 by more than roundoff (_PHI_TIE), the safe
+    shift is ruled out: the run starts from the seed's quotient and is
+    flagged.
 
     ``q`` is a TridiagonalSystem or a dense matrix the route has already
     validated, and ``solve(z, v)`` gives (z I - q)^{-1} v, as
@@ -236,7 +242,7 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
     fallback = False
     if not isinstance(z0, str):
         z_start = float(z0)
-    elif z0 == "safe" and phi[1] < phi[0]:
+    elif z0 == "safe" and phi[1] < (1.0 - _PHI_TIE) * phi[0]:
         z_start = safe_z0(phi / phi[0], mu)
     elif z0 == "delta1":
         z_start = 1.0 / delta1
@@ -370,8 +376,9 @@ def tridiag_rqi(
     ``z0`` is "combination" (the table initial), "delta1" (its
     reciprocal-bound part alone), "safe" (general_rqi's default; falls
     back to the seed's Rayleigh quotient with the result flagged when
-    phi_1 >= phi_0, which a tridiagonal phi, strictly decreasing, meets
-    only through rounding), "rayleigh", or a number.  ``v0`` is
+    phi_1 is not below phi_0 by more than roundoff, which a tridiagonal
+    phi, strictly decreasing, meets only through rounding), "rayleigh",
+    or a number.  ``v0`` is
     "efficient", the sqrt(phi) seed, or "uniform".
     """
     if solver not in ("generic", "explicit"):

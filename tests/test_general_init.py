@@ -1,5 +1,6 @@
 """Initials for general matrices via the three linear systems."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,21 @@ class TestGeneralRqi:
             assert result.z0_fallback
             assert result.eigenvalue == pytest.approx(oracle, abs=1e-9)
 
+    def test_z0_fallback_one_ulp_below_the_tie(self, monkeypatch):
+        # phi_1 one ulp below phi_0 is a tie to roundoff: the safe shift,
+        # (1 - phi_1) / peak, would be about 1e-16 / peak
+        initials = general_init._initials
+
+        def below_the_tie(qc):
+            h, q_tilde, _, mu = initials(qc)
+            return h, q_tilde, np.array([1.0, np.nextafter(1.0, 0.0), 0.6]), mu
+
+        monkeypatch.setattr(general_init, "_initials", below_the_tie)
+        result, _ = general_rqi(self.FALLBACK)
+        assert result.z0_fallback
+        assert result.eigenvalue == pytest.approx(float(np.max(oracle_eigenvalues(self.FALLBACK).real)),
+                                                  abs=1e-9)
+
     def test_z0_fallback_flag_dense(self):
         # the fallback starts from the efficient seed's quotient whichever the start vector
         _, seed_trace = general_rqi(self.FALLBACK, z0="rayleigh")
@@ -351,9 +367,8 @@ class TestOneLuInitials:
         # no killing: Qc is singular, and h = 1
         rates = rng.uniform(0.01, 1.0, (8, 8))
         qc, _ = shift_to_qc(rates - np.diag(rates.sum(axis=1)))
-        lu_solver, orders = linsolve._lu_solver, []
-        monkeypatch.setattr(linsolve, "_lu_solver",
-                            lambda A, solves: orders.append(len(A)) or lu_solver(A, solves))
+        lu, orders = linsolve._lu, []
+        monkeypatch.setattr(linsolve, "_lu", lambda A, solves: orders.append(len(A)) or lu(A, solves))
         h, qt, phi, mu = general_init._initials(qc)
         assert orders == [7, 7, 7]   # three bordered systems, no LU of Qc
         assert np.abs(h - 1.0).max() <= 1e-12
@@ -364,6 +379,38 @@ class TestOneLuInitials:
         # state 1 absorbs, which rules phi out and makes Qc singular
         with pytest.raises(InvalidInput, match="strictly negative diagonal"):
             general_init._initials(np.array([[-2.0, 1.0], [0.0, 0.0]]))
+
+
+def mp_unit_head(rows):
+    """x with x_0 = 1 and rows @ x = 0, to 60 digits: float64 corrections of
+    residuals taken in 60-digit mpmath, until a correction is below 1e-30
+    relative."""
+    to_mp = np.vectorize(mpmath.mpf, otypes=[object])
+    B, c = rows[:, 1:], -rows[:, 0]
+    B_mp, c_mp, y = to_mp(B), to_mp(c), to_mp(np.zeros(len(c)))
+    with mpmath.workdps(60):
+        for _ in range(30):
+            dy = np.linalg.solve(B, (c_mp - B_mp @ y).astype(float))
+            y = y + to_mp(dy)
+            if np.abs(dy).max() <= 1e-30 * np.abs(y.astype(float)).max():
+                return np.r_[1.0, y.astype(float)]
+    raise AssertionError("the mpmath reference did not converge")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(killed_matrices(everywhere=True))
+def test_bordered_solves_resolve_every_entry(qc):
+    # one refinement step on the one LU: each entry within 45 eps of the
+    # bordered system's exact solution (unrefined: up to 1.2e-13 here)
+    h = solve_h_general(qc)
+    qt = h_transform_general(qc, h)
+    for got, rows in ((h, qc[:-1]), (solve_phi_general(qt), qt[1:]), (solve_mu_general(qt), qt.T[:-1])):
+        assert np.abs(got / mp_unit_head(rows) - 1.0).max() <= 1e-14
+
+
+def test_bordered_solves_take_real_input_only():
+    with pytest.raises(InvalidInput, match="real"):
+        solve_h_general(np.array([[-2.0, 1j], [1.0, -1.0]]))
 
 
 def test_branching_model_matches_the_oracle_or_fails_visibly():

@@ -1,7 +1,12 @@
 """Tridiagonal elimination, the banded and the dense LAPACK solves."""
 
+import ctypes
+import math
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
@@ -128,8 +133,8 @@ class TestTridiagSolve:
             tridiag_solve([], [1e-29], [], [1e300])
 
 
-# the LAPACK routine found at import, kept before any test forces the fallback
-LAPACK_DGTSV = linsolve._dgtsv
+# the LAPACK routines found at import, kept before any test forces the fallback
+LAPACK = linsolve._lapack
 
 
 def shifted_systems(rng):
@@ -147,18 +152,18 @@ def shifted_systems(rng):
 
 class TestTridiagSolveLoop(TestTridiagSolve):
     """Every TestTridiagSolve case again, on the Python loop that stands in
-    when numpy's LAPACK exports no dgtsv."""
+    when no LAPACK library was found."""
 
     @pytest.fixture(autouse=True)
     def without_lapack(self, monkeypatch):
-        monkeypatch.setattr(linsolve, "_dgtsv", None)
+        monkeypatch.setattr(linsolve, "_lapack", None)
 
     @staticmethod
     def lapack_solve(*args):
-        if LAPACK_DGTSV is None:
-            pytest.skip("numpy's LAPACK exports no dgtsv")
+        if LAPACK is None:
+            pytest.skip("no LAPACK library was found")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linsolve, "_dgtsv", LAPACK_DGTSV)
+            mp.setattr(linsolve, "_lapack", LAPACK)
             return tridiag_solve(*args)
 
     def compare(self, args):
@@ -208,8 +213,8 @@ class TestShiftedFullSolver:
 
     @pytest.fixture(autouse=True)
     def needs_lapack(self):
-        if linsolve.GETRF_SYMBOL is None or linsolve.GETRS_SYMBOL is None:
-            pytest.skip("numpy's LAPACK exports no dgetrf/dgetrs")
+        if LAPACK is None:
+            pytest.skip("no LAPACK library was found")
 
     @pytest.mark.parametrize("n", [3, 40, 400])
     def test_equals_numpy_solve_bitwise(self, rng, n):
@@ -242,8 +247,29 @@ class TestShiftedFullSolver:
         assert np.abs((np.eye(n) - A) @ x - 1.0).max() <= 1e-12 * n
 
 
+@st.composite
+def lu_cases(draw):
+    """(A, z, rhs, transpose, route) for linsolve._lu: -A diagonally dominant,
+    so z I - A is well conditioned for z >= 0; ``route`` is "full", "band"
+    (a band of at most 3 sub- and super-diagonals) or "reversed" (more
+    sub- than super-diagonals, run on the reversed order)."""
+    route = draw(st.sampled_from(["full", "band", "reversed"]))
+    n = draw(st.integers(2, 60) if route == "full" else st.integers(8, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    if route != "full":
+        ku = draw(st.integers(0, 2))
+        kl = draw(st.integers(ku + 1, 3) if route == "reversed" else st.integers(0, ku))
+        A = np.triu(np.tril(A, ku), -kl)
+    np.fill_diagonal(A, 0.0)
+    A -= np.diag(np.abs(A).sum(axis=1) + 1.0)
+    z = draw(st.sampled_from([0.0, 2.5]))
+    rhs = rng.normal(size=n if draw(st.booleans()) else (n, 2))
+    return A, z, rhs, draw(st.booleans()), route
+
+
 class TestLuSolver:
-    """linsolve._lu_solver: one factorisation, solves with A and with A^T."""
+    """linsolve._lu: one factorisation of z I - A, solves with it and its transpose."""
 
     def matrices(self, rng):
         n = 300
@@ -253,32 +279,51 @@ class TestLuSolver:
                 upper.T.copy())                                        # band, reversed
 
     def test_solves_with_a_and_its_transpose(self, rng):
+        # at z = 0 the solves are with -A
         for A in self.matrices(rng):
             n = len(A)
-            solve = linsolve._lu_solver(A, 3)
+            solve = linsolve._lu(A, 3)(0.0)
             rhs = rng.normal(size=(n, 2))
             for transpose, M in ((False, A), (True, A.T)):
-                x, y = solve(rhs, transpose), np.linalg.solve(M, rhs)
+                x, y = solve(rhs, transpose), np.linalg.solve(-M, rhs)
                 assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
                 x = solve(rhs[:, 0], transpose)
                 assert np.abs(x - y[:, 0]).max() <= 1e-12 * np.abs(y).max()
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lu_cases())
+    def test_matches_numpy_solve(self, case):
+        # bitwise on the full route without transpose: dgetrf then dgetrs is
+        # numpy's gesv (orders below 100, where OpenBLAS threads neither)
+        A, z, rhs, transpose, route = case
+        with pytest.MonkeyPatch.context() as mp:
+            # the band route at every order the flop rule allows
+            mp.setattr(linsolve, "_BAND_FIXED", 0)
+            mp.setattr(linsolve, "_BAND_ENTRY", 0)
+            taken = linsolve._band_route(A, 1)
+            x = linsolve._lu(A, 1)(z)(rhs, transpose)
+        assert (None if taken is None else taken[2]) == \
+            {"full": None, "band": False, "reversed": True}[route]
+        shifted = z * np.eye(len(A)) - A
+        y = np.linalg.solve(shifted.T if transpose else shifted, rhs)
+        if route == "full" and not transpose and LAPACK is not None:
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
     def test_routes(self, rng):
         full, band, reversed_band = self.matrices(rng)
         assert linsolve._band_route(full, 3) is None
-        if linsolve.GBTRF_SYMBOL is not None:
-            assert linsolve._band_route(band, 3) == (15, 15, False)
-            assert linsolve._band_route(reversed_band, 3) == (1, 299, True)
+        assert linsolve._band_route(band, 3) == (15, 15, False)
+        assert linsolve._band_route(reversed_band, 3) == (1, 299, True)
 
     def test_numpy_takes_the_place_of_missing_symbols(self, rng, monkeypatch):
-        # the same sequences, to roundoff, from gesv: two LUs, one of them on Qc^T
+        # the same sequences, to roundoff, from gesv: one LU per solve, half of them on Qc^T
         matrices = (models.toeplitz_linear(60), rng.uniform(0.01, 1.0, (50, 50)),
                     models.poisson_block(12))
         qcs = [shift_to_qc(A)[0] for A in matrices]
         expected = [general_init._initials(qc) for qc in qcs]
-        for name in ("_dgetrf", "_dgetrs", "_dgbtrf", "_dgbtrs"):
-            monkeypatch.setattr(linsolve, name, None)
-        assert linsolve._band_route(qcs[2], 3) is None
+        monkeypatch.setattr(linsolve, "_lapack", None)
         for qc, sequences in zip(qcs, expected):
             for got, want in zip(general_init._initials(qc), sequences):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -286,6 +331,24 @@ class TestLuSolver:
             v = rng.normal(size=n)
             assert linsolve._shifted_solver(qc)(0.25, v).tobytes() == \
                 np.linalg.solve(0.25 * np.eye(n) - qc, v).tobytes()
+
+
+def test_lapack_comes_from_one_export_family_or_none(monkeypatch):
+    # a family that lacks one of the five routines gives none of them
+    names = [pattern.format(routine) for pattern, _ in linsolve._LAPACK_EXPORTS
+             for routine in linsolve._ROUTINES]
+    fake = types.SimpleNamespace(**{name: object() for name in names})
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: fake)
+    (first, first_int), (second, second_int), (third, _) = linsolve._LAPACK_EXPORTS
+    export, (routines, int_t) = linsolve._load_lapack()
+    assert (export, int_t, sorted(routines)) == (first, first_int, sorted(linsolve._ROUTINES))
+    delattr(fake, first.format("dgbtrs"))
+    export, (routines, int_t) = linsolve._load_lapack()
+    assert (export, int_t) == (second, second_int)
+    assert routines["dgtsv"] is getattr(fake, second.format("dgtsv"))
+    delattr(fake, second.format("dgtsv"))
+    delattr(fake, third.format("dgetrf"))
+    assert linsolve._load_lapack() == (None, None)
 
 
 def _tridiagonal_with_zero_column(n=60):
@@ -317,9 +380,8 @@ BREAKDOWNS = [
 
 @pytest.mark.parametrize("solve, message", BREAKDOWNS, ids=[m.strip("^$") for _, m in BREAKDOWNS])
 def test_each_breakdown_names_its_routine(solve, message):
-    symbol = {"^dgb": linsolve.GBTRF_SYMBOL, "^dge": linsolve.GETRF_SYMBOL}.get(message[:4], "")
-    if symbol is None:
-        pytest.skip("numpy's LAPACK exports no " + message[1:7])
+    if message.startswith(("^dgb", "^dge")) and LAPACK is None:
+        pytest.skip("no LAPACK library was found")
     with pytest.raises(SolverBreakdown, match=message):
         solve()
 
@@ -379,9 +441,6 @@ class TestDenseLu:
         with pytest.raises(InvalidInput):
             dense_solve(np.ones((2, 3)), [1.0, 2.0])
 
-
-# the LAPACK band LU found at import, kept before any test forces the fallback
-LAPACK_DGBTRF = linsolve._dgbtrf
 
 BANDS = ((0, 0), (0, 3), (2, 0), (1, 1), (20, 20))
 
@@ -530,20 +589,21 @@ class TestBandedSolve:
             result, _ = iterengine.rqi(A, start, z0)
             assert abs(result.eigenvalue - lam[np.abs(lam - result.eigenvalue).argmin()]) <= 1e-10 * abs(lam).max()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(linsolve, "_dgbtrf", None)
+                mp.setattr(linsolve, "_BAND_FIXED", math.inf)
                 reference, _ = iterengine.rqi(A, start, z0)
             assert abs(result.eigenvalue - reference.eigenvalue) <= 1e-12 * abs(reference.eigenvalue)
 
 
 class TestBandedSolveFallback(TestBandedSolve):
-    """Every TestBandedSolve case again, on the full LU that runs when
-    numpy's LAPACK exports no dgbtrf."""
+    """Every TestBandedSolve case again, on the full LU that the cost rule
+    picks when the band does not pay."""
 
     band = False
 
     @pytest.fixture(autouse=True)
-    def without_lapack(self, monkeypatch):
-        monkeypatch.setattr(linsolve, "_dgbtrf", None)
+    def band_at_every_order(self, monkeypatch):
+        # in place of TestBandedSolve's fixture: no order pays for the band
+        monkeypatch.setattr(linsolve, "_BAND_FIXED", math.inf)
 
 
 def tridiagonal(n):
@@ -563,19 +623,18 @@ def test_band_rule_takes_small_orders_to_gesv():
         assert linsolve._band_route(A, runs) is None
     for A in (tridiagonal(54), models.poisson_block(11), upper_hessenberg(607)):
         assert linsolve._band_route(A, 1) is None
-    if LAPACK_DGBTRF is not None:
-        assert linsolve._band_route(tridiagonal(44), runs) == (1, 1, False)
-        assert linsolve._band_route(tridiagonal(55), 1) == (1, 1, False)
-        assert linsolve._band_route(models.poisson_block(9), runs) == (9, 9, False)
-        assert linsolve._band_route(models.poisson_block(12), 1) == (12, 12, False)
-        assert linsolve._band_route(models.triangular_model(159), runs) == (1, 159, True)
-        assert linsolve._band_route(models.branching_model(160), runs) == (1, 159, False)
-        assert linsolve._band_route(upper_hessenberg(608), 1) == (1, 607, False)
+    assert linsolve._band_route(tridiagonal(44), runs) == (1, 1, False)
+    assert linsolve._band_route(tridiagonal(55), 1) == (1, 1, False)
+    assert linsolve._band_route(models.poisson_block(9), runs) == (9, 9, False)
+    assert linsolve._band_route(models.poisson_block(12), 1) == (12, 12, False)
+    assert linsolve._band_route(models.triangular_model(159), runs) == (1, 159, True)
+    assert linsolve._band_route(models.branching_model(160), runs) == (1, 159, False)
+    assert linsolve._band_route(upper_hessenberg(608), 1) == (1, 607, False)
 
 
 def test_shifted_runs_take_the_band_sooner_than_single_solves(monkeypatch):
-    if LAPACK_DGBTRF is None:
-        pytest.skip("numpy's LAPACK exports no dgbtrf")
+    if LAPACK is None:
+        pytest.skip("no LAPACK library was found")
     storage, bands = linsolve._band_storage, []
     monkeypatch.setattr(linsolve, "_band_storage",
                         lambda A, kl, ku, reverse: bands.append((kl, ku)) or storage(A, kl, ku, reverse))
@@ -591,14 +650,12 @@ def test_dgbsv_and_gesv_paths_give_one_eigenvalue(name, monkeypatch):
     # at order 400 the triangular paths differ by 2.6e-12, within tol_z: the
     # reversed pivot order changes the rounding, and the band's value lies
     # nearer the eig oracle's
-    if LAPACK_DGBTRF is None:
-        pytest.skip("numpy's LAPACK exports no dgbtrf")
     run = {
         "triangular": lambda: iterengine.algorithm2(models.triangular_model(199), negate=True),
         "branching": lambda: iterengine.algorithm2(models.branching_model(200), negate=True),
         "grid": lambda: general_init.general_rqi(models.poisson_block(15)),
     }[name]
     band = run()[0].eigenvalue
-    monkeypatch.setattr(linsolve, "_dgbtrf", None)
+    monkeypatch.setattr(linsolve, "_BAND_FIXED", math.inf)
     full = run()[0].eigenvalue
     assert abs(band - full) <= 1e-12 * abs(full)
