@@ -36,9 +36,10 @@ matrix recognised as one, is handed to ``tridiag.tridiag_rqi`` with the
 banded solver and the safe shift, which keeps those runs O(N); the
 results agree with the dense route to roundoff.  The dense route hands
 h, phi, mu and ``linsolve``'s shifted solve of Q~ itself to the same
-body that runs the tridiagonal pipeline's start vector, initial shift
-and weighted RQI (``tridiag._efficient_rqi``), and to its recovery; it
-has no delta_1, so it takes only the "safe" and "rayleigh" policies.
+two steps that pick the tridiagonal pipeline's start vector and initial
+shift and run its weighted RQI (``tridiag._efficient_start`` and
+``tridiag._weighted_rqi``), and to its recovery; it has no delta_1, so
+it takes only the "safe" and "rayleigh" policies.
 
 ``general_rqi`` calls public functions that check their own input:
 ``numat.shift_to_qc``, ``tridiagonal_from_dense``, ``h_transform_general``,
@@ -242,6 +243,8 @@ def general_rqi(
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
         h, q_tilde, phi, mu = _initials(qc)
+        init = tridiag.InitialData(mu=mu, phi=phi, delta1=None, v0_raw=np.sqrt(phi))
+        start = tridiag._efficient_start(q_tilde, init, z0, v0)
         solve = linsolve._shifted_solver(q_tilde)
-        result, trace = tridiag._efficient_rqi(q_tilde, solve, h, mu, phi, None, z0, v0, **opts)
+        result, trace = tridiag._weighted_rqi(q_tilde, solve, h, mu, *start, **opts)
     return tridiag.recover_original(result, m=m), trace

@@ -13,7 +13,11 @@ default tol_z = 1e-10 the floor only takes over above order 10^5.
 
 Each caller hands the driver its shift update and its norm as
 functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
-``tridiag`` the weighted Rayleigh update in the mu-norm.  An exactly
+``tridiag`` the weighted Rayleigh update in the mu-norm.  The driver
+owns the run's one scratch array of order n and lends it to both; it
+forms each residual there and normalises each solve's output in place,
+so beyond the caller's start and solver a run holds the iterate and the
+scratch, plus a solve's output or A v while it is made.  An exactly
 singular solve (SolverBreakdown: the shift landed on an eigenvalue to
 machine precision) is accepted as convergence when the current
 residual already passes, otherwise the shift is perturbed once and the
@@ -131,31 +135,36 @@ class EigenpairResult:
         return is_positive_vector(self.eigenvector, imag_tol=1e-10)
 
 
-def _sign_fix(v):
-    """Rotate/flip so the largest-magnitude component is positive real."""
-    i = int(np.argmax(np.abs(v)))
+def _sign_fix(v, work):
+    """Rotate/flip v in place so its largest-magnitude component is positive
+    real; returns v.  The magnitudes are formed in work."""
+    i = int(np.argmax(np.abs(v, out=work)))
     pivot = v[i]
     if pivot == 0:
         return v
     if np.iscomplexobj(v):
-        return v * (np.conj(pivot) / abs(pivot))
-    return v if pivot > 0 else -v
+        return np.multiply(v, np.conj(pivot) / abs(pivot), out=v)
+    return v if pivot > 0 else np.negative(v, out=v)
 
 
-def _l1_norm(v):
+# A norm takes the vector and the run's scratch array, which it may use.
+def _l1_norm(v, work):
     return float(np.abs(v).sum())
 
 
-def _l2_norm(v):
+def _l2_norm(v, work):
     return float(np.linalg.norm(v))
 
 
 _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
 
 
-def _relative_residual(norm, av, z, v, scale):
-    """||A v - z v|| / (scale ||v||) in the run's norm; absolute for a zero matrix, scale 0."""
-    return norm(av - z * v) / ((scale or 1.0) * norm(v))
+def _relative_residual(norm, av, z, v, scale, work):
+    """||A v - z v|| / (scale ||v||) in the run's norm; absolute for a zero matrix, scale 0.
+    A v - z v is formed in work, the run's scratch array."""
+    np.multiply(z, v, out=work)
+    np.subtract(av, work, out=work)
+    return norm(work, work) / ((scale or 1.0) * norm(v, work))
 
 
 def _shift_tolerance(tol_z, n):
@@ -163,12 +172,14 @@ def _shift_tolerance(tol_z, n):
     return max(tol_z, C_FLOOR * n * np.finfo(float).eps)
 
 
-def _rayleigh_update(v, av):
+# An update takes the iterate, A times it and the run's scratch array, which
+# it may use; the two here need none, and may be called without it.
+def _rayleigh_update(v, av, work=None):
     z = (np.conj(v) @ av) / (np.conj(v) @ v)
     return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
 
 
-def _max_ratio_update(v, av):
+def _max_ratio_update(v, av, work=None):
     if not is_positive_vector(v):
         raise InvalidInput("max-ratio update met a non-positive iterate")
     return _largest_ratio(av, v)
@@ -194,10 +205,15 @@ def run_shifted_iteration(
     """Shared shifted-inverse driver; returns (z, v, trace).
 
     ``solve_shifted(z, v)`` must return any nonzero multiple of
-    (z I - A)^{-1} v; normalization and sign fixing happen here.
-    ``z_update(v, av)`` gives the next shift from the normalized iterate
-    v and av = A v; ``norm(v)`` normalizes the iterates and measures the
-    relative residual.  The shift-change test uses tol_z clamped up to
+    (z I - A)^{-1} v as a new array: the driver normalises and
+    sign-fixes it in place.  ``z_update(v, av, work)`` gives the next
+    shift from the normalized iterate v and av = A v; ``norm(vec, work)``
+    normalizes the iterates and measures the relative residual.  Both
+    may form their products in ``work``, the run's one scratch array,
+    which a norm is also handed as vec (the residual).  The scratch is
+    real or complex as the run is: complex when v0, z0 or A v0 is, as a
+    real run stays real.  A v is dropped once its residual is formed.
+    The shift-change test uses tol_z clamped up to
     the roundoff floor of order len(v0), recorded as ``trace.tol_z``.
     With ``negate`` the recorded and returned shift values are negated
     (reporting lambda_min(-A) for generator-type input); the arithmetic
@@ -223,11 +239,16 @@ def run_shifted_iteration(
         raise InvalidInput(f"z0 must be finite, got {z0!r}")
     tol_z = _shift_tolerance(tol_z, len(v))
     trace = IterationTrace(tol_z=tol_z)
-    v = _sign_fix(v / norm(v))
+    work = np.empty(len(v), np.result_type(v, z0))
+    v = _sign_fix(v / norm(v, work), work)
     _require_finite(v, "vector")
     z = z0
     av = apply_matrix(v)
-    residual = _relative_residual(norm, av, z, v, scale)
+    # a complex A on a real start and shift shows first in A v0; no later step
+    # turns a real run complex
+    work = work.astype(np.result_type(work, av), copy=False)
+    residual = _relative_residual(norm, av, z, v, scale, work)
+    del av
     trace.record(0, sign * z, residual, time.perf_counter() - t0)
 
     for k in range(1, max_iterations + 1):
@@ -245,13 +266,15 @@ def run_shifted_iteration(
                 trace.termination = "breakdown"
                 raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)",
                                       trace=trace) from exc
-        v = _sign_fix(w / norm(w))
+        w /= norm(w, work)
+        v = _sign_fix(w, work)
         _require_finite(v, "vector")
         av = apply_matrix(v)
-        z_new = z_update(v, av)
+        z_new = z_update(v, av, work)
         if not np.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
-        residual = _relative_residual(norm, av, z_new, v, scale)
+        residual = _relative_residual(norm, av, z_new, v, scale, work)
+        del av
         trace.record(k, sign * z_new, residual, time.perf_counter() - t0)
         if abs(z_new - z) <= tol_z * max(1.0, abs(z_new)) and residual <= tol_residual:
             trace.termination = "converged"
@@ -282,8 +305,9 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     t0 = time.perf_counter()
     trace = IterationTrace()
     if isinstance(A, TridiagonalSystem):
-        m = float((A.a + A.b + A.c).max())
+        m = -float(A.diagonal.min())                # max(a + b + c), exactly
         n, scale = A.order, m - float(A.c.min())   # max absolute row sum of m I + Q
+        kind = np.float64
 
         def apply(vec):
             return m * vec + _apply(A, vec)
@@ -292,7 +316,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
             trace.record(k, m - z, residual, time.perf_counter() - t0)
     else:
         A = as_square_matrix(A)
-        n, scale = A.shape[0], matrix_scale(A)
+        n, scale, kind = A.shape[0], matrix_scale(A), A.dtype
 
         def apply(vec):
             return A @ vec
@@ -301,20 +325,22 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
             trace.record(k, z, residual, time.perf_counter() - t0)
     v = as_vector(v0) if v0 is not None else np.ones(n)
     _check_length(A, v)
-    v = v / norm_fn(v)
+    work = np.empty(n, np.result_type(v, kind))
+    v = v / norm_fn(v, work)
     _require_finite(v, "vector")
 
     av = apply(v)
-    z = norm_fn(av)
-    record(0, z, _relative_residual(norm_fn, av, z, v, scale))
+    z = norm_fn(av, work)
+    record(0, z, _relative_residual(norm_fn, av, z, v, scale, work))
     for k in range(1, steps + 1):
         if z == 0:
             raise InvalidInput(f"A v_{k - 1} = 0 at step {k - 1}: power iteration cannot go on")
-        v = av / z
+        v = av
+        v /= z      # in place: A v_{k-1} is not needed again
         _require_finite(v, "vector")
         av = apply(v)
-        z = norm_fn(av)
-        record(k, z, _relative_residual(norm_fn, av, z, v, scale))
+        z = norm_fn(av, work)
+        record(k, z, _relative_residual(norm_fn, av, z, v, scale, work))
     trace.termination = "steps_exhausted"
     return trace
 

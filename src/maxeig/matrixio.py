@@ -128,7 +128,14 @@ def _read_coordinate(path, head, lines):
     field = head[3].lower()
     if field not in ("real", "complex"):
         raise parse_error(f"{path}:1: field must be real or complex, got {head[3]!r}")
-    out = np.zeros((order, order), dtype=complex if field == "complex" else float)
+    dtype = np.dtype(complex if field == "complex" else float)
+    try:
+        out = np.zeros((order, order), dtype=dtype)
+    except MemoryError:
+        gib = order * order * dtype.itemsize / 2**30
+        raise parse_error(f"{path}:1: a coordinate file is read into a dense matrix, and one "
+                          f"of order {order} ({gib:.1f} GiB) could not be allocated; "
+                          f"write a tridiagonal generator in the TRIDIAG format") from None
     seen = 0
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():

@@ -225,5 +225,7 @@ def shift_to_qc(A):
 def matrix_scale(A) -> float:
     """Max absolute row sum; the scale used in relative residuals."""
     if isinstance(A, TridiagonalSystem):
-        return float((A.a + A.b + A.c + np.abs(A.diagonal)).max())
+        # (a + b + c) + |diagonal| is exactly twice a + b + c, as the diagonal
+        # is -(a + b + c): one pass over the diagonal, no temporaries
+        return -2.0 * float(A.diagonal.min())
     return float(np.abs(as_square_matrix(A)).sum(axis=1).max())

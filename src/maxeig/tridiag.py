@@ -18,16 +18,30 @@ identically zero:
 
 ``general_init.general_rqi`` hands tridiagonal input to this pipeline
 (banded solver, safe shift) and its dense route, with h, phi and mu from
-three linear solves, to the same body ``_efficient_rqi``: start vector,
-initial shift, weighted RQI with one weighted Rayleigh quotient.  The
-body picks the start from its name (``v0``: "efficient" or "uniform")
-and the initial shift from its name or value (``z0``) and the route's
-delta_1, which the dense route does not have.  Both routes pass the
-body a solve of (z I - q) for their system q as ``linsolve`` builds it;
-this module only chooses between that solve and the closed form, which
-``_closed_form_solver`` builds once per run in the same orientation.
-The module owns the mu-weighting: the weighted Rayleigh quotient, the
-mu-norm the driver normalises in, and ``_unit`` for the start vectors.
+three linear solves, to the same two steps: ``_efficient_start`` picks
+the start vector from its name (``v0``: "efficient" or "uniform") and
+the initial shift from its name or value (``z0``) and the route's
+delta_1, which the dense route does not have; ``_weighted_rqi`` then
+runs weighted RQI with the same weighted Rayleigh quotient.  Both routes
+pass the run a solve of (z I - q) for their system q as ``linsolve``
+builds it; this module only chooses between that solve and the closed
+form, which ``_closed_form_solver`` builds once per run in the same
+orientation.  The module owns the mu-weighting: the weighted Rayleigh
+quotient and the mu-norm, which the driver lends its scratch array, and
+``_unit`` for the start vectors.
+
+The O(N) arrays of a ``tridiag_rqi`` run, and who holds them: the
+input's a, b, c and diagonal; h and r (``compute_h``; read-only views
+of one 1.0 when the transform is the identity) and the transformed
+system, which then is the input; mu, phi and the seed sqrt(phi)
+(``compute_initials``, which peaks at five with ``_delta1_peak``'s two
+work arrays); the start vector; the solver's work arrays (three for
+``dgtsv``, or the closed form's kappa and two sequences per solve); and
+the driver's iterate and scratch array, plus a solve's output or A v
+(with one product while A v is summed) as they are made.  phi
+and the seed are dropped once ``_efficient_start`` has used them, so at
+order 10^6 a run holds nine arrays of N doubles beyond its input at
+its peak (see README, "Memory").
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -37,6 +51,7 @@ chain, so all shifts and table entries stay positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -66,6 +81,10 @@ V0_CHOICES = ("efficient", "uniform")
 # decide, and the shift, (1 - phi_1) / peak, would carry no information
 _PHI_TIE = 32 * np.finfo(float).eps
 
+# the identity transform's h and r: stride-0 read-only views of this one 1.0
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class HTransform:
@@ -87,8 +106,10 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
     N = system.n_max
     if (c[:-1] == 0).all():
         # no interior killing: the transform is the exact identity, which
-        # keeps such runs bit-stable
-        return HTransform(h=np.ones(N + 1), r=np.ones(N), transformed=system)
+        # keeps such runs bit-stable; h and r are read-only views of one 1.0,
+        # so an order-N run holds no array of ones
+        return HTransform(h=np.ndarray(N + 1, buffer=_ONE, strides=(0,)),
+                          r=np.ndarray(N, buffer=_ONE, strides=(0,)), transformed=system)
     r = np.ones(N)
     r[0] = 1.0 + c[0] / b[0]
     # plain Python floats through memoryviews, so no step boxes a numpy scalar
@@ -123,17 +144,15 @@ class InitialData:
     After the transform the right-endpoint killing rate plays the role
     of b_N, so the effective exit-rate sequence is b_0..b_{N-1}, c_N.
     1/delta_1 is the "delta1" initial shift; see z0_combination for the
-    blend used by the reproduction tables.
+    blend used by the reproduction tables.  ``v0_raw``, the efficient
+    seed sqrt(phi), is the one delta_1 was computed from; the dense route
+    of general_init has no delta_1 and passes None.
     """
 
     mu: np.ndarray
     phi: np.ndarray
-    delta1: float
-
-    @property
-    def v0_raw(self) -> np.ndarray:
-        """The efficient seed sqrt(phi)."""
-        return np.sqrt(self.phi)
+    delta1: float | None
+    v0_raw: np.ndarray
 
     @property
     def v0(self) -> np.ndarray:
@@ -147,7 +166,12 @@ def _unit(v, mu):
 
 
 def compute_initials(transformed: TridiagonalSystem) -> InitialData:
-    """Compute mu, phi and delta_1 for a transformed system; the seed derives from phi."""
+    """Compute mu, phi, delta_1 and the seed sqrt(phi) for a transformed system.
+
+    The sequences are built in place, through ``out=``, in the arrays
+    returned, so the call holds five arrays of order N at its peak: mu,
+    phi, the seed and _delta1_peak's two work arrays.
+    """
     a, b, c = transformed.a, transformed.b, transformed.c
     N = transformed.n_max
     if (c[:-1] != 0).any():
@@ -155,29 +179,39 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     if c[N] <= 0:
         raise InvalidInput("the right-endpoint rate must be positive (c must not vanish)")
 
-    b_eff = b.copy()
-    b_eff[N] = c[N]
-
+    # phi starts as b_eff and becomes 1/(mu b_eff), then its suffix sums, in place
+    phi = b.copy()
+    phi[N] = c[N]
     mu = np.ones(N + 1)
-    mu[1:] = np.cumprod(b_eff[:-1] / a[1:])
+    np.divide(phi[:-1], a[1:], out=mu[1:])
+    np.cumprod(mu[1:], out=mu[1:])
+    phi *= mu
+    np.divide(1.0, phi, out=phi)
+    np.cumsum(phi[::-1], out=phi[::-1])
 
-    inv = 1.0 / (mu * b_eff)
-    phi = np.cumsum(inv[::-1])[::-1]
-
-    return InitialData(mu=mu, phi=phi, delta1=_delta1_peak(phi, mu))
+    seed = np.sqrt(phi)
+    return InitialData(mu=mu, phi=phi, delta1=_delta1_peak(phi, mu, seed), v0_raw=seed)
 
 
-def _delta1_peak(phi, mu) -> float:
+def _delta1_peak(phi, mu, sqrt_phi) -> float:
     """delta_1 = max_n [ sqrt(phi_n) sum_{k<=n} mu_k sqrt(phi_k)
                         + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ]
 
-    evaluated with prefix/suffix sums, O(N) overall.
+    evaluated with prefix/suffix sums, O(N) overall, in two work arrays;
+    ``sqrt_phi`` is sqrt(phi), which the caller keeps.
     """
-    sqrt_phi = np.sqrt(phi)
-    prefix = np.cumsum(mu * sqrt_phi)
-    tail_terms = mu * phi * sqrt_phi
-    suffix = np.concatenate([np.cumsum(tail_terms[::-1])[::-1][1:], [0.0]])
-    return float(np.max(sqrt_phi * prefix + suffix / sqrt_phi))
+    terms = mu * phi
+    terms *= sqrt_phi
+    np.cumsum(terms[::-1], out=terms[::-1])
+    # the suffix sums over j > n, 0 past the end, over sqrt(phi_n)
+    tail = np.zeros(len(terms))
+    tail[:-1] = terms[1:]
+    tail /= sqrt_phi
+    np.multiply(mu, sqrt_phi, out=terms)
+    np.cumsum(terms, out=terms)
+    terms *= sqrt_phi
+    terms += tail
+    return float(terms.max())
 
 
 def z0_combination(delta1: float, rayleigh_quotient: float) -> float:
@@ -203,41 +237,33 @@ def safe_z0(phi, mu):
     mu = as_vector(mu)
     if len(phi) < 2 or phi[1] >= 1.0:
         raise InvalidInput(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
-    return (1.0 - float(phi[1])) / _delta1_peak(phi, mu)
+    return (1.0 - float(phi[1])) / _delta1_peak(phi, mu, np.sqrt(phi))
 
 
-def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
-    """Start vector, initial shift and weighted RQI on -q, in the mu-norm.
+def _efficient_start(q, init, z0, v0):
+    """(start, z_start, fallback): the start vector and initial shift of a
+    weighted RQI run on -q, and whether the safe shift fell back.
 
-    ``v0`` is "efficient", the seed sqrt(phi), or "uniform"; either is
-    scaled to unit mu-norm.  ``z0`` is a number, "safe", "rayleigh" (the
-    start's weighted Rayleigh quotient), or, where the route has a
-    ``delta1``, "delta1" (1/delta1) or "combination" (z0_combination of
-    delta1 and that quotient).  The dense route passes delta1 None, and
-    general_rqi admits only "safe", "rayleigh" or a number there.  When
-    phi_1 is not below phi_0 by more than roundoff (_PHI_TIE), the safe
-    shift is ruled out: the run starts from the seed's quotient and is
-    flagged.
-
-    ``q`` is a TridiagonalSystem or a dense matrix the route has already
-    validated, and ``solve(z, v)`` gives (z I - q)^{-1} v, as
-    ``linsolve._shifted_solver(q)`` does.  The run shifts -q, so the
-    driver's shift z is solved as solve(-z, v): the negation is exact,
-    and a perturb-and-retry still moves the decay rate up.  The result
-    holds lambda_min(-q) and the eigenvector in the h-scaled
-    coordinates; recover_original maps it back.
+    ``init`` holds q's mu, phi, delta_1 and the seed sqrt(phi).  ``v0`` is
+    "efficient", the seed, or "uniform"; either is scaled to unit mu-norm.
+    ``z0`` is a number, "safe", "rayleigh" (the start's weighted Rayleigh
+    quotient), or, where the route has a delta_1, "delta1" (1/delta1) or
+    "combination" (z0_combination of delta1 and that quotient).  The
+    dense route has none, and general_rqi admits only "safe", "rayleigh"
+    or a number there.  When phi_1 is not below phi_0 by more than
+    roundoff (_PHI_TIE), the safe shift is ruled out: the run starts from
+    the seed's quotient and is flagged.  This is the last use of phi and
+    the seed; the run itself (_weighted_rqi) needs neither.
     """
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
     if not (isinstance(v0, str) and v0 in V0_CHOICES):
         raise InvalidInput(f"unknown v0 choice {v0!r}")
 
-    def rayleigh(v, av):
-        return float((mu * v * av).sum() / (mu * (v * v)).sum())
-
+    mu, phi = init.mu, init.phi
     # scaled here although run_shifted_iteration normalises again: the roundings
     # differ, and starting from bare sqrt(phi) loses some interior-killing runs
-    seed = _unit(np.sqrt(phi), mu)
+    seed = _unit(init.v0_raw, mu)
     start = seed if v0 == "efficient" else _unit(np.ones(len(mu)), mu)
     fallback = False
     if not isinstance(z0, str):
@@ -245,22 +271,37 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
     elif z0 == "safe" and phi[1] < (1.0 - _PHI_TIE) * phi[0]:
         z_start = safe_z0(phi / phi[0], mu)
     elif z0 == "delta1":
-        z_start = 1.0 / delta1
+        z_start = 1.0 / init.delta1
     else:
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
         v = seed if fallback else start
-        z_start = rayleigh(v, -_apply(q, v))
+        z_start = _rayleigh(mu, v, _negated_apply(q, v), np.empty(len(mu)))
         if z0 == "combination":
-            z_start = z0_combination(delta1, z_start)
+            z_start = z0_combination(init.delta1, z_start)
+    return start, z_start, fallback
 
+
+def _weighted_rqi(q, solve, h, mu, start, z_start, fallback, **opts):
+    """Weighted RQI on -q, in the mu-norm, from _efficient_start's start and shift.
+
+    ``q`` is a TridiagonalSystem or a dense matrix the route has already
+    validated, and ``solve(z, v)`` gives (z I - q)^{-1} v, as
+    ``linsolve._shifted_solver(q)`` does.  The run shifts -q, so the
+    driver's shift z is solved as solve(-z, v): the negation is exact,
+    and a perturb-and-retry still moves the decay rate up.  The weighted
+    Rayleigh quotient and the mu-norm are formed in the driver's scratch
+    array.  The result holds lambda_min(-q) and the eigenvector in the
+    h-scaled coordinates, with ``fallback`` as its ``z0_fallback``;
+    recover_original maps it back.
+    """
     z, v, trace = run_shifted_iteration(
-        lambda vec: -_apply(q, vec),
+        partial(_negated_apply, q),
         lambda z, vec: solve(-z, vec),
         start,
         z_start,
-        z_update=rayleigh,
-        norm=lambda vec: float(np.sqrt((mu * (vec * vec)).sum())),
+        z_update=partial(_rayleigh, mu),
+        norm=partial(_mu_norm, mu),
         scale=matrix_scale(q),
         **opts,
     )
@@ -273,6 +314,29 @@ def _efficient_rqi(q, solve, h, mu, phi, delta1, z0, v0, **opts):
         z0_fallback=fallback,
     )
     return result, trace
+
+
+def _negated_apply(q, v):
+    """-q v, as a new array negated in place."""
+    av = _apply(q, v)
+    return np.negative(av, out=av)
+
+
+def _rayleigh(mu, v, av, work):
+    """The weighted Rayleigh quotient (mu v . av) / (mu v . v), formed in work."""
+    np.multiply(mu, v, out=work)
+    work *= av
+    numerator = work.sum()
+    np.multiply(v, v, out=work)
+    work *= mu
+    return float(numerator / work.sum())
+
+
+def _mu_norm(mu, vec, work):
+    """The mu-norm sqrt(mu vec . vec), formed in work, which may be vec itself."""
+    np.multiply(vec, vec, out=work)
+    work *= mu
+    return float(np.sqrt(work.sum()))
 
 
 def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
@@ -388,20 +452,14 @@ def tridiag_rqi(
     ht = compute_h(system)
     transformed = ht.transformed
     init = compute_initials(transformed)
-    return _efficient_rqi(
-        transformed,
-        linsolve._shifted_solver(transformed) if solver == "generic"
-        else _closed_form_solver(transformed, init.mu),
-        ht.h,
-        init.mu,
-        init.phi,
-        init.delta1,
-        z0,
-        v0,
-        tol_z=tol_z,
-        tol_residual=tol_residual,
-        max_iterations=max_iterations,
-    )
+    start, z_start, fallback = _efficient_start(transformed, init, z0, v0)
+    mu = init.mu
+    del init    # phi and the seed: the run holds neither
+    solve = (linsolve._shifted_solver(transformed) if solver == "generic"
+             else _closed_form_solver(transformed, mu))
+    return _weighted_rqi(transformed, solve, ht.h, mu, start, z_start, fallback,
+                         tol_z=tol_z, tol_residual=tol_residual,
+                         max_iterations=max_iterations)
 
 
 def recover_original(result: EigenpairResult, m=0.0):

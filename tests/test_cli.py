@@ -252,6 +252,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "solve", "--method", "alg2")  # no input selected
         assert code == 2
 
+    def test_coordinate_file_too_large_to_densify_is_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.coord"
+        path.write_text("coordinate 100000000 0 real\n")
+        code, _, err = run_cli(capsys, "solve", "--input", str(path), "--method", "rqi-tridiag")
+        assert code == 2
+        assert "order 100000000" in err and "TRIDIAG" in err
+
     def test_convergence_failure_is_3(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--model", "bd_squares", "--n", "30",
                                "--method", "rqi-tridiag", "--z0", "rayleigh",

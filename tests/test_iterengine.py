@@ -186,7 +186,7 @@ class TestDriverChecksEachIterate:
 
     def test_non_finite_shift_update_rejected(self):
         with pytest.raises(InvalidInput, match="non-finite z at iteration 1"):
-            self.run(lambda z, v: v, z_update=lambda v, av: np.inf)
+            self.run(lambda z, v: v, z_update=lambda v, av, work: np.inf)
 
 
 class TestPerturbAndRetry:

@@ -67,6 +67,13 @@ class TestCoordinateFormat:
             with pytest.raises(parse_error, match=":1:"):
                 read_matrix(p)
 
+    def test_an_order_too_large_to_densify_is_a_parse_error(self, tmp_path):
+        # 8e16 bytes lie beyond any address space, so the allocation fails at once
+        p = tmp_path / "huge.coord"
+        p.write_text("coordinate 100000000 0 real\n")
+        with pytest.raises(parse_error, match=r":1: .*order 100000000 \(74505806\.0 GiB\).*TRIDIAG"):
+            read_matrix(p)
+
 
 class TestTridiagFormat:
     def test_round_trip(self, tmp_path, rng):

@@ -10,6 +10,7 @@ from maxeig.linsolve import dense_solve
 from maxeig.numat import (
     TridiagonalSystem,
     as_vector,
+    matrix_scale,
     matvec,
     max_ratio,
     shift_to_qc,
@@ -190,3 +191,21 @@ class TestShiftToQc:
                         (models.poisson_block(3), [-2, -1, -2, -1, 0, -1, -2, -1, -2])):
             qc, _ = shift_to_qc(A)
             assert np.array_equal(qc.sum(axis=1), sums)
+
+
+class TestMatrixScale:
+    def test_tridiagonal_scale_is_the_row_sum_formula(self, rng):
+        # -2 min(diagonal) is (a + b + c) + |diagonal| maximised, bit for bit, as the
+        # diagonal is -(a + b + c); rates spanning up to 16 decades, with and without killing
+        for k in range(200):
+            N = int(rng.integers(1, 300))
+            span = rng.uniform(0.0, 16.0)
+            a, b, c = (10.0 ** rng.uniform(-span / 2, span / 2, n) for n in (N, N, N + 1))
+            if k % 2:
+                c[:-1] = 0.0
+            system = TridiagonalSystem.from_rates(a, b, c)
+            formula = float((system.a + system.b + system.c + np.abs(system.diagonal)).max())
+            assert matrix_scale(system) == formula
+        system = models.bd_squares(10**6 - 1)
+        assert matrix_scale(system) == float((system.a + system.b + system.c
+                                              + np.abs(system.diagonal)).max())

@@ -1,6 +1,7 @@
 """The tridiagonal pipeline: transform, initials, closed-form solver, RQI."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,39 @@ class TestTridiagRqi:
             lam = result.eigenvalue
             assert abs(trace.zs()[2] - lam) < 1e-6 * lam
             assert trace.stabilized_at() <= 2
+
+
+class TestWorkingSet:
+    """What a t1 run at order 10^6 allocates beyond its input, counted in arrays
+    of N doubles by tracemalloc, to which numpy reports its allocations."""
+
+    N = 10**6
+    ARRAY = 8 * N
+    SMALL = 2**20    # the run's other objects: trace, closures, ctypes buffers
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_tridiag_rqi_holds_nine_arrays(self):
+        # mu, the start, dgtsv's three work arrays, the iterate, the driver's
+        # scratch and A v's two while it is formed
+        system = models.bd_squares(self.N - 1)
+        assert self.peak(lambda: tridiag_rqi(system)) <= 9 * self.ARRAY + self.SMALL
+
+    def test_compute_initials_holds_six_arrays(self):
+        transformed = compute_h(models.bd_squares(self.N - 1)).transformed
+        assert self.peak(lambda: compute_initials(transformed)) <= 6 * self.ARRAY + self.SMALL
+
+    def test_identity_transform_holds_no_ones(self):
+        system = models.bd_squares(self.N - 1)
+        assert self.peak(lambda: compute_h(system)) <= self.SMALL
 
 
 class TestRecoverOriginal:
