@@ -220,7 +220,7 @@ def general_rqi(
     Tridiagonal input runs ``tridiag_rqi`` with the banded solver: a
     dense matrix recognised as tridiagonal, or a TridiagonalSystem Q,
     which is shifted by m = -min(c) in its rates, (a, b, c - min(c)),
-    in O(N) memory.
+    in O(N) memory, and runs as it is when min(c) = 0.
 
     ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
     efficient seed, with the result flagged, when phi_1 is not below
@@ -232,8 +232,10 @@ def general_rqi(
         raise InvalidInput(f"unknown z0 choice {z0!r}")
     opts = {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
     if isinstance(A, TridiagonalSystem):
-        # Qc = Q - m I, m = -min(c) the max row sum; +0.0, not -0.0, when min(c) is 0
-        m, system = 0.0 - float(A.c.min()), TridiagonalSystem(A.a, A.b, A.c - A.c.min())
+        # Qc = Q - m I, m = -min(c) the max row sum; +0.0, not -0.0, when min(c) is 0,
+        # and then Qc is Q itself; c + m is exactly c - min(c)
+        m = 0.0 - float(A.c.min())
+        system = A if m == 0.0 else TridiagonalSystem(A.a, A.b, A.c + m)
     else:
         qc, m = shift_to_qc(A)
         if qc.shape[0] < 2:

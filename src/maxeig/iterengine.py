@@ -11,18 +11,25 @@ stops on max(tol_z, C_FLOOR * n * eps), records it as the trace's
 ``tol_z``, and so clamps a smaller tol_z up to the floor.  With the
 default tol_z = 1e-10 the floor only takes over above order 10^5.
 
-Each caller hands the driver its shift update and its norm as
-functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
+Each caller hands the driver the operator A (a dense matrix or a
+TridiagonalSystem), a solve of (z I - A), and its shift update and norm
+as functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
 ``tridiag`` the weighted Rayleigh update in the mu-norm.  The driver
-owns the run's one scratch array of order n and lends it to both; it
-forms each residual there and normalises each solve's output in place,
-so beyond the caller's start and solver a run holds the iterate and the
-scratch, plus a solve's output or A v while it is made.  An exactly
-singular solve (SolverBreakdown: the shift landed on an eigenvalue to
-machine precision) is accepted as convergence when the current
-residual already passes, otherwise the shift is perturbed once and the
-solve retried; a second breakdown raises SolverBreakdown, carrying the
-run's trace as MaxIterationsExceeded does.
+applies A, takes its scale for the relative residual, and owns the
+orientation: with ``negate`` it reports every shift negated, which is
+how both ``algorithm2(negate=True)`` and ``tridiag`` (lambda_min(-Q))
+report a decay rate.  ``_result`` makes every shifted run's
+EigenpairResult.  The driver owns the run's one scratch array of order
+n and lends it to the update and the norm; it forms each residual
+there and normalises each solve's output in place, so beyond the
+caller's start and solver a run holds the iterate and the scratch, plus
+a solve's output or A v while it is made.  An exactly singular solve
+(SolverBreakdown: the shift landed on an eigenvalue to machine
+precision) is accepted as convergence when the current residual
+already passes, otherwise the shift is perturbed once, moving the
+reported value up by 1e-12 (1 + |z|), and the solve retried; a second
+breakdown raises SolverBreakdown, carrying the run's trace as
+MaxIterationsExceeded does.
 """
 
 from __future__ import annotations
@@ -189,21 +196,23 @@ _RQI_UPDATES = {"rayleigh": _rayleigh_update, "max_ratio": _max_ratio_update}
 
 
 def run_shifted_iteration(
-    apply_matrix,
+    A,
     solve_shifted,
     v0,
     z0,
     *,
     z_update,
     norm,
-    scale=1.0,
     tol_z=DEFAULT_TOL_Z,
     tol_residual=DEFAULT_TOL_RESIDUAL,
     max_iterations=DEFAULT_MAX_ITERATIONS,
     negate=False,
 ):
-    """Shared shifted-inverse driver; returns (z, v, trace).
+    """Shared shifted-inverse driver on the operator A; returns (z, v, trace).
 
+    ``A`` is a dense matrix or a TridiagonalSystem the caller has
+    validated; the driver applies it (numat._apply) and measures the
+    relative residual against its scale, matrix_scale(A).
     ``solve_shifted(z, v)`` must return any nonzero multiple of
     (z I - A)^{-1} v as a new array: the driver normalises and
     sign-fixes it in place.  ``z_update(v, av, work)`` gives the next
@@ -215,23 +224,26 @@ def run_shifted_iteration(
     real run stays real.  A v is dropped once its residual is formed.
     The shift-change test uses tol_z clamped up to
     the roundoff floor of order len(v0), recorded as ``trace.tol_z``.
-    With ``negate`` the recorded and returned shift values are negated
-    (reporting lambda_min(-A) for generator-type input); the arithmetic
-    path is identical either way.  A NaN or negative tolerance, or a
-    budget below one iteration, can never be met and raises InvalidInput;
-    so does a non-finite z0.
+    The driver owns the orientation: with ``negate`` the run shifts A
+    from z0 as given and reports every shift negated (lambda_min(-A) for
+    generator-type input, from z0 = -lambda); the arithmetic is the same
+    either way.  The perturb-and-retry moves the reported value up, by
+    1e-12 (1 + |z|), whichever way the run is oriented.  A NaN or
+    negative tolerance, or a budget below one iteration, can never be
+    met and raises InvalidInput; so does a non-finite z0.
 
     The driver checks v0 and z0 once, here, and each new iterate and
-    shift once, where it is made, so ``apply_matrix`` and
-    ``solve_shifted`` are only ever given finite values and need not
-    check them again.  The caller vouches that v0's length fits the
-    matrix those two apply.
+    shift once, where it is made, so ``solve_shifted`` is only ever
+    given finite values and need not check them again.  The caller
+    vouches that v0's length fits A.  ``_result`` turns what the driver
+    returns into the run's (EigenpairResult, trace).
     """
     if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
         raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
                            f"got tol_z={tol_z}, tol_residual={tol_residual}, "
                            f"max_iterations={max_iterations}")
     sign = -1.0 if negate else 1.0
+    scale = matrix_scale(A)
 
     t0 = time.perf_counter()
     v = as_vector(v0)
@@ -243,7 +255,7 @@ def run_shifted_iteration(
     v = _sign_fix(v / norm(v, work), work)
     _require_finite(v, "vector")
     z = z0
-    av = apply_matrix(v)
+    av = _apply(A, v)
     # a complex A on a real start and shift shows first in A v0; no later step
     # turns a real run complex
     work = work.astype(np.result_type(work, av), copy=False)
@@ -259,7 +271,7 @@ def run_shifted_iteration(
                 trace.termination = "converged"
                 return sign * z, v, trace
             # one perturb-and-retry, standard practice at an exact eigenvalue hit
-            z_pert = z + 1e-12 * (1.0 + abs(z))
+            z_pert = z + sign * 1e-12 * (1.0 + abs(z))
             try:
                 w = solve_shifted(z_pert, v)
             except SolverBreakdown as exc:
@@ -269,7 +281,7 @@ def run_shifted_iteration(
         w /= norm(w, work)
         v = _sign_fix(w, work)
         _require_finite(v, "vector")
-        av = apply_matrix(v)
+        av = _apply(A, v)
         z_new = z_update(v, av, work)
         if not np.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
@@ -285,6 +297,13 @@ def run_shifted_iteration(
     raise MaxIterationsExceeded(
         f"no convergence within {max_iterations} iterations", trace=trace
     )
+
+
+def _result(z, v, trace, **recovery):
+    """(EigenpairResult, trace) of a converged run_shifted_iteration; the one
+    place a shifted run's result is made.  ``recovery`` sets the h-scaling
+    and z0-fallback fields of a weighted run."""
+    return EigenpairResult(z, v, trace.iterations, trace.steps[-1].residual, **recovery), trace
 
 
 def power_iteration(A, v0=None, norm="l1", steps=100):
@@ -359,26 +378,18 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         raise InvalidInput(f"unknown z_update {z_update!r}")
     v0 = as_vector(v0)
     _check_length(A, v0)
-    z, v, trace = run_shifted_iteration(
-        lambda vec: A @ vec,
+    return _result(*run_shifted_iteration(
+        A,
         linsolve._shifted_solver(A),
         v0,
         z0,
         z_update=_RQI_UPDATES[z_update],
         norm=_l2_norm,
-        scale=matrix_scale(A),
         tol_z=tol_z,
         tol_residual=tol_residual,
         max_iterations=max_iterations,
         negate=negate,
-    )
-    result = EigenpairResult(
-        eigenvalue=z,
-        eigenvector=v,
-        iterations=trace.iterations,
-        residual=trace.steps[-1].residual,
-    )
-    return result, trace
+    ))
 
 
 def _uniform_start(A):

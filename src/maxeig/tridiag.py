@@ -23,12 +23,15 @@ the start vector from its name (``v0``: "efficient" or "uniform") and
 the initial shift from its name or value (``z0``) and the route's
 delta_1, which the dense route does not have; ``_weighted_rqi`` then
 runs weighted RQI with the same weighted Rayleigh quotient.  Both routes
-pass the run a solve of (z I - q) for their system q as ``linsolve``
-builds it; this module only chooses between that solve and the closed
-form, which ``_closed_form_solver`` builds once per run in the same
-orientation.  The module owns the mu-weighting: the weighted Rayleigh
-quotient and the mu-norm, which the driver lends its scratch array, and
-``_unit`` for the start vectors.
+hand the driver (``iterengine.run_shifted_iteration``) their system q
+itself and a solve of (z I - q) as ``linsolve`` builds it; this module
+only chooses between that solve and the closed form, which
+``_closed_form_solver`` builds once per run in the same orientation.
+The driver applies q, takes its scale, and, started from -z_start with
+``negate``, reports the decay rates; nothing here negates q, a solve or
+a shift by hand.  The module owns the mu-weighting: the weighted
+Rayleigh quotient and the mu-norm, which the driver lends its scratch
+array, and ``_unit`` for the start vectors.
 
 The O(N) arrays of a ``tridiag_rqi`` run, and who holds them: the
 input's a, b, c and diagonal; h and r (``compute_h``; read-only views
@@ -57,8 +60,8 @@ import numpy as np
 
 from . import iterengine, linsolve
 from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
-from .iterengine import EigenpairResult, run_shifted_iteration
-from .numat import TridiagonalSystem, _apply, as_vector, matrix_scale
+from .iterengine import EigenpairResult, _result, run_shifted_iteration
+from .numat import TridiagonalSystem, _apply, as_vector
 
 __all__ = [
     "HTransform",
@@ -120,8 +123,6 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
         if r_n <= 0.0:
             raise NonPositiveSequence(
                 "r", f"r[{n}] = {r_n} <= 0; input violates positivity assumptions")
-    if r[0] <= 0.0:
-        raise NonPositiveSequence("r", f"r[0] = {r[0]} <= 0")
     h = np.ones(N + 1)
     h[1:] = np.cumprod(r)
 
@@ -276,7 +277,7 @@ def _efficient_start(q, init, z0, v0):
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
         v = seed if fallback else start
-        z_start = _rayleigh(mu, v, _negated_apply(q, v), np.empty(len(mu)))
+        z_start = -_rayleigh(mu, v, _apply(q, v), np.empty(len(mu)))
         if z0 == "combination":
             z_start = z0_combination(init.delta1, z_start)
     return start, z_start, fallback
@@ -287,39 +288,19 @@ def _weighted_rqi(q, solve, h, mu, start, z_start, fallback, **opts):
 
     ``q`` is a TridiagonalSystem or a dense matrix the route has already
     validated, and ``solve(z, v)`` gives (z I - q)^{-1} v, as
-    ``linsolve._shifted_solver(q)`` does.  The run shifts -q, so the
-    driver's shift z is solved as solve(-z, v): the negation is exact,
-    and a perturb-and-retry still moves the decay rate up.  The weighted
-    Rayleigh quotient and the mu-norm are formed in the driver's scratch
-    array.  The result holds lambda_min(-q) and the eigenvector in the
-    h-scaled coordinates, with ``fallback`` as its ``z0_fallback``;
+    ``linsolve._shifted_solver(q)`` does.  The driver runs on q itself
+    from the shift -z_start and, with negate, reports the decay rates
+    lambda_min(-q): it applies q, takes q's scale and owns the sign, so
+    a perturb-and-retry moves the decay rate up.  The weighted Rayleigh
+    quotient and the mu-norm are formed in the driver's scratch array.
+    The result holds lambda_min(-q) and the eigenvector in the h-scaled
+    coordinates, with ``fallback`` as its ``z0_fallback``;
     recover_original maps it back.
     """
-    z, v, trace = run_shifted_iteration(
-        partial(_negated_apply, q),
-        lambda z, vec: solve(-z, vec),
-        start,
-        z_start,
-        z_update=partial(_rayleigh, mu),
-        norm=partial(_mu_norm, mu),
-        scale=matrix_scale(q),
-        **opts,
-    )
-    result = EigenpairResult(
-        eigenvalue=z,
-        eigenvector=v,
-        iterations=trace.iterations,
-        residual=trace.steps[-1].residual,
-        h_scaling=h,
-        z0_fallback=fallback,
-    )
-    return result, trace
-
-
-def _negated_apply(q, v):
-    """-q v, as a new array negated in place."""
-    av = _apply(q, v)
-    return np.negative(av, out=av)
+    return _result(*run_shifted_iteration(q, solve, start, -z_start,
+                                          z_update=partial(_rayleigh, mu),
+                                          norm=partial(_mu_norm, mu), negate=True, **opts),
+                   h_scaling=h, z0_fallback=fallback)
 
 
 def _rayleigh(mu, v, av, work):
@@ -357,7 +338,9 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
 
 def _closed_form_solver(transformed, mu):
     """solve(z, v) = (z I - Q)^{-1} v by the paper's closed form, for a
-    transformed system Q and its weights mu, both already checked.
+    transformed system Q and its weights mu, both already checked.  The
+    paper writes it for (-Q - lambda I); here lambda = -z, so every z
+    term carries the opposite sign.
 
     Uses the running-sum factorization M_{s,j} = mu_j (kappa_s -
     kappa_{j-1}) with kappa_s the prefix sums of 1/(mu_k b_k), so the
@@ -382,7 +365,6 @@ def _closed_form_solver(transformed, mu):
     mb = mu[N] * b_eff[N]
 
     def solve(z, v):
-        z = -float(z)   # the closed form is written for (-Q - z I) w = v
         A_seq = np.zeros(N + 1)
         B_seq = np.zeros(N + 1)
         B_seq[0] = 1.0
@@ -395,18 +377,18 @@ def _closed_form_solver(transformed, mu):
         sa1 = sa2 = sb1 = sb2 = 0.0
         terms = zip(memoryview(mu), memoryview(v), memoryview(kappa)[:N])
         for s, (mu_j, v_j, k_j) in enumerate(terms, 1):
-            ta = mu_j * (v_j + z * a_s)
+            ta = mu_j * (v_j - z * a_s)
             tb = mu_j * b_s
             sa1 += ta
             sa2 += km1 * ta
             sb1 += tb
             sb2 += km1 * tb
             a_s = A_out[s] = -(k_j * sa1 - sa2)
-            b_s = B_out[s] = 1.0 - z * (k_j * sb1 - sb2)
+            b_s = B_out[s] = 1.0 + z * (k_j * sb1 - sb2)
             km1 = k_j
 
-        numer = float(np.sum(mu * (v + z * A_seq))) - mb * A_seq[N]
-        denom = mb * B_seq[N] - z * float(np.sum(mu * B_seq))
+        numer = float(np.sum(mu * (v - z * A_seq))) - mb * A_seq[N]
+        denom = mb * B_seq[N] + z * float(np.sum(mu * B_seq))
         scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
         if abs(denom) < linsolve.PIVOT_FLOOR * scale:
             raise SolverBreakdown(f"closed-form denominator {denom} vanished")
@@ -467,8 +449,11 @@ def recover_original(result: EigenpairResult, m=0.0):
 
     Returns the maximal pair (m - z, Diag(h) v) with h the result's
     ``h_scaling``, the eigenvector rescaled so its last component is 1
-    (the display convention).
+    (the display convention).  The new eigenvector is the one array it
+    makes: the product, or a copy, divided in place; the result's own
+    eigenvector is left as it is.
     """
     h = result.h_scaling
-    g = result.eigenvector if h is None else h * result.eigenvector
-    return replace(result, eigenvalue=m - result.eigenvalue, eigenvector=g / g[-1], shift_m=m)
+    g = result.eigenvector.copy() if h is None else h * result.eigenvector
+    g /= g[-1]
+    return replace(result, eigenvalue=m - result.eigenvalue, eigenvector=g, shift_m=m)

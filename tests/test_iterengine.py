@@ -177,7 +177,7 @@ class TestDriverChecksEachIterate:
     A = np.diag([2.0, 1.0])
 
     def run(self, solve, z_update=_rayleigh_update):
-        return run_shifted_iteration(lambda v: self.A @ v, solve, [1.0, 0.5], 2.5,
+        return run_shifted_iteration(self.A, solve, [1.0, 0.5], 2.5,
                                      z_update=z_update, norm=_l2_norm)
 
     def test_non_finite_iterate_rejected(self):
@@ -195,7 +195,7 @@ class TestPerturbAndRetry:
 
     A = np.diag([2.0, 1.0])
 
-    def run(self, breakdowns, v0=(1.0, 0.5), z0=2.5):
+    def run(self, breakdowns, v0=(1.0, 0.5), z0=2.5, negate=False):
         """Run the driver with a solve that raises on its first ``breakdowns``
         calls; returns the result and the shifts the solve was given."""
         shifts = []
@@ -206,13 +206,19 @@ class TestPerturbAndRetry:
                 raise SolverBreakdown("forced")
             return np.linalg.solve(z * np.eye(2) - self.A, v)
 
-        return run_shifted_iteration(lambda v: self.A @ v, solve, list(v0), z0,
-                                     z_update=_rayleigh_update, norm=_l2_norm), shifts
+        return run_shifted_iteration(self.A, solve, list(v0), z0, z_update=_rayleigh_update,
+                                     norm=_l2_norm, negate=negate), shifts
 
     def test_one_breakdown_retries_at_the_perturbed_shift(self):
         (z, _, trace), shifts = self.run(1)
         assert shifts[:2] == [2.5, 2.5 + 1e-12 * (1.0 + 2.5)]
         assert trace.termination == "converged" and z == pytest.approx(2.0)
+
+    def test_a_negated_run_retries_at_a_higher_reported_value(self):
+        # the run reports -z, so moving the reported value up moves its shift down
+        (z, _, trace), shifts = self.run(1, negate=True)
+        assert shifts[:2] == [2.5, 2.5 - 1e-12 * (1.0 + 2.5)]
+        assert trace.termination == "converged" and z == pytest.approx(-2.0)
 
     def test_a_second_breakdown_raises(self):
         with pytest.raises(SolverBreakdown, match="after one retry") as exc:
@@ -227,7 +233,7 @@ class TestPerturbAndRetry:
         assert trace.termination == "converged" and trace.iterations == 0
 
     def test_tridiag_rqi_retries_at_a_higher_decay_rate(self, monkeypatch):
-        # the run shifts -q, so the dgtsv solve sees the decay rate negated
+        # the run shifts q from minus the decay rate, so dgtsv sees it negated
         make, shifts = linsolve._shifted_solver, []
 
         def singular_once(q):

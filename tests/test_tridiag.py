@@ -8,6 +8,7 @@ import pytest
 
 from maxeig import iterengine, models
 from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
+from maxeig.general_init import general_rqi
 from maxeig.iterengine import EigenpairResult
 from maxeig.linsolve import dense_solve
 from maxeig.numat import TridiagonalSystem, matrix_scale, matvec
@@ -320,6 +321,17 @@ class TestWorkingSet:
         # scratch and A v's two while it is formed
         system = models.bd_squares(self.N - 1)
         assert self.peak(lambda: tridiag_rqi(system)) <= 9 * self.ARRAY + self.SMALL
+
+    def test_general_rqi_on_a_system_holds_nine_arrays(self):
+        # min(c) = 0: the system runs as it is, so the run is tridiag_rqi's
+        system = models.bd_squares(self.N - 1)
+        assert self.peak(lambda: general_rqi(system)) <= 9 * self.ARRAY + self.SMALL
+
+    def test_recover_original_holds_one_array(self):
+        result, _ = tridiag_rqi(models.bd_squares(self.N - 1))
+        eigenvector = result.eigenvector.copy()
+        assert self.peak(lambda: recover_original(result)) <= self.ARRAY + self.SMALL
+        assert np.array_equal(result.eigenvector, eigenvector)
 
     def test_compute_initials_holds_six_arrays(self):
         transformed = compute_h(models.bd_squares(self.N - 1)).transformed
