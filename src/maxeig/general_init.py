@@ -21,29 +21,31 @@ sequences are columns of its inverse, the chain's Green's function:
 h ~ Qc^-1 e_N, phi ~ H^-1 Qc^-1 e_0 and mu ~ H Qc^-T e_N, H = Diag(h).
 ``general_rqi`` then takes them from one LU of -Qc (``_initials``),
 where the bordered systems took three; they agree to roundoff.
-Conservative Qc, with no killing, is singular, and there
-``general_rqi`` runs the bordered systems.  Every LU here comes from
-``linsolve._lu`` at z = 0, which factors minus its matrix.
+Conservative Qc, with no killing, is singular, and there h = phi = 1
+exactly: the transform is the identity and Q~ = Qc, as ``compute_h``
+has it for chains with no interior killing, so only mu's bordered
+system is solved.  Every LU here comes from ``linsolve._lu`` at z = 0,
+which factors minus its matrix.
 
 sqrt(phi) seeds the initial vector exactly as in the tridiagonal case,
 and the safe initial shift (``tridiag.safe_z0``) copies the delta_1
 formula with a 1/(1 - phi_1) correction.  Where phi_1 is not below
-phi_0 by more than roundoff, which rules that shift out, the run starts
-from the seed's Rayleigh quotient and the result is flagged
-(``z0_fallback``).  Tridiagonal input, a
+phi_0 by more than roundoff, which rules that shift out (always, on
+conservative Qc), the run starts from the seed's Rayleigh quotient and
+the result is flagged (``z0_fallback``).  Tridiagonal input, a
 ``TridiagonalSystem`` (shifted in its rates, never densified) or a dense
 matrix recognised as one, is handed to ``tridiag.tridiag_rqi`` with the
 banded solver and the safe shift, which keeps those runs O(N); the
 results agree with the dense route to roundoff.  The dense route hands
-h, phi, mu and ``linsolve``'s shifted solve of Q~ itself to the same
-two steps that pick the tridiagonal pipeline's start vector and initial
-shift and run its weighted RQI (``tridiag._efficient_start`` and
-``tridiag._weighted_rqi``), and to its recovery; it has no delta_1, so
-it takes only the "safe" and "rayleigh" policies.
+h, phi, mu and Q~ itself to the tridiagonal pipeline's one body,
+``tridiag._efficient_rqi``, which picks the start vector and the
+initial shift, builds ``linsolve``'s shifted solve of Q~ and runs
+weighted RQI, and then to its recovery; it has no delta_1, so it takes
+only the "safe" and "rayleigh" policies.
 
 ``general_rqi`` calls public functions that check their own input:
 ``numat.shift_to_qc``, ``tridiagonal_from_dense``, ``h_transform_general``,
-and on conservative input the three ``solve_*_general``.  Their checks
+and on conservative input ``solve_mu_general``.  Their checks
 sweep an order-400 matrix with killing for non-finite entries five times
 per call, about 0.3 ms of a 14-20 ms call (2-core Xeon, one BLAS thread);
 only the iteration loop below them calls unchecked kernels.
@@ -156,16 +158,14 @@ def _initials(qc):
     magnitude as h does, and the LU resolves its small entries only to
     eps times its largest; one step of iterative refinement on the same
     LU resolves each entry to working accuracy.  Conservative Qc is
-    singular; there the three bordered systems of solve_h_general,
-    solve_phi_general and solve_mu_general run, each with one equation
-    dropped.
+    singular; there h = phi = 1 exactly, Q~ is Qc itself, and only mu
+    is solved, from its bordered system (solve_mu_general).
     """
-    if not (qc.sum(axis=1) < -_ROUNDOFF * matrix_scale(qc)).any():
-        h = solve_h_general(qc)
-        q_tilde = h_transform_general(qc, h)
-        return h, q_tilde, solve_phi_general(q_tilde), solve_mu_general(q_tilde)
     _require_phi_diagonal(qc)    # the transform keeps the diagonal
     n = qc.shape[0]
+    if not (qc.sum(axis=1) < -_ROUNDOFF * matrix_scale(qc)).any():
+        # no killing: h = phi = 1 exactly and the transform is the identity
+        return np.ones(n), qc, np.ones(n), solve_mu_general(qc)
     solve = linsolve._lu(qc, 3)(0.0)    # with -Qc; the unit heads cancel the sign
     ends = np.zeros((n, 2))
     ends[-1, 0] = ends[0, 1] = 1.0
@@ -246,7 +246,5 @@ def general_rqi(
     else:
         h, q_tilde, phi, mu = _initials(qc)
         init = tridiag.InitialData(mu=mu, phi=phi, delta1=None, v0_raw=np.sqrt(phi))
-        start = tridiag._efficient_start(q_tilde, init, z0, v0)
-        solve = linsolve._shifted_solver(q_tilde)
-        result, trace = tridiag._weighted_rqi(q_tilde, solve, h, mu, *start, **opts)
+        result, trace = tridiag._efficient_rqi(q_tilde, h, init, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

@@ -174,6 +174,15 @@ def _relative_residual(norm, av, z, v, scale, work):
     return norm(work, work) / ((scale or 1.0) * norm(v, work))
 
 
+def _checked_norm(norm, vec, work, what):
+    """norm(vec, work), which the caller divides by; InvalidInput unless it is
+    finite and positive, so no iterate is ever normalised by 0 or inf."""
+    size = norm(vec, work)
+    if not 0.0 < size < np.inf:
+        raise InvalidInput(f"{what} has norm {size}: it is zero, or its norm overflowed")
+    return size
+
+
 def _shift_tolerance(tol_z, n):
     """tol_z, raised to the roundoff floor C_FLOOR * n * eps of an order-n solve."""
     return max(tol_z, C_FLOOR * n * np.finfo(float).eps)
@@ -234,7 +243,9 @@ def run_shifted_iteration(
 
     The driver checks v0 and z0 once, here, and each new iterate and
     shift once, where it is made, so ``solve_shifted`` is only ever
-    given finite values and need not check them again.  The caller
+    given finite values and need not check them again.  It divides by
+    no norm that is zero or not finite: a start or a solve's output with
+    such a norm raises InvalidInput.  The caller
     vouches that v0's length fits A.  ``_result`` turns what the driver
     returns into the run's (EigenpairResult, trace).
     """
@@ -252,8 +263,7 @@ def run_shifted_iteration(
     tol_z = _shift_tolerance(tol_z, len(v))
     trace = IterationTrace(tol_z=tol_z)
     work = np.empty(len(v), np.result_type(v, z0))
-    v = _sign_fix(v / norm(v, work), work)
-    _require_finite(v, "vector")
+    v = _sign_fix(v / _checked_norm(norm, v, work, "start vector v0"), work)
     z = z0
     av = _apply(A, v)
     # a complex A on a real start and shift shows first in A v0; no later step
@@ -278,9 +288,9 @@ def run_shifted_iteration(
                 trace.termination = "breakdown"
                 raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)",
                                       trace=trace) from exc
-        w /= norm(w, work)
+        _require_finite(w, "vector")
+        w /= _checked_norm(norm, w, work, f"the shifted solve's output at iteration {k}")
         v = _sign_fix(w, work)
-        _require_finite(v, "vector")
         av = _apply(A, v)
         z_new = z_update(v, av, work)
         if not np.isfinite(z_new):
@@ -345,8 +355,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     v = as_vector(v0) if v0 is not None else np.ones(n)
     _check_length(A, v)
     work = np.empty(n, np.result_type(v, kind))
-    v = v / norm_fn(v, work)
-    _require_finite(v, "vector")
+    v = v / _checked_norm(norm_fn, v, work, "start vector v0")
 
     av = apply(v)
     z = norm_fn(av, work)

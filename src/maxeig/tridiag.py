@@ -17,21 +17,21 @@ identically zero:
 4. recovery of the original eigenpair by undoing the h-scaling.
 
 ``general_init.general_rqi`` hands tridiagonal input to this pipeline
-(banded solver, safe shift) and its dense route, with h, phi and mu from
-three linear solves, to the same two steps: ``_efficient_start`` picks
-the start vector from its name (``v0``: "efficient" or "uniform") and
-the initial shift from its name or value (``z0``) and the route's
-delta_1, which the dense route does not have; ``_weighted_rqi`` then
-runs weighted RQI with the same weighted Rayleigh quotient.  Both routes
-hand the driver (``iterengine.run_shifted_iteration``) their system q
-itself and a solve of (z I - q) as ``linsolve`` builds it; this module
-only chooses between that solve and the closed form, which
-``_closed_form_solver`` builds once per run in the same orientation.
-The driver applies q, takes its scale, and, started from -z_start with
-``negate``, reports the decay rates; nothing here negates q, a solve or
-a shift by hand.  The module owns the mu-weighting: the weighted
-Rayleigh quotient and the mu-norm, which the driver lends its scratch
-array, and ``_unit`` for the start vectors.
+(banded solver, safe shift) and its dense route, with h, phi and mu
+from one LU of Qc (h = phi = 1 exactly on conservative Qc), to the same
+body, ``_efficient_rqi``: it picks the start vector from its name
+(``v0``: "efficient" or "uniform") and the initial shift from its name
+or value (``z0``) and the route's delta_1, which the dense route does
+not have, then builds the solve and runs weighted RQI with the same
+weighted Rayleigh quotient.  Both routes hand it their system q itself;
+the solve of (z I - q) is the one ``linsolve`` builds or, on
+tridiagonal q, the closed form, which ``_closed_form_solver`` builds
+once per run in the same orientation.  The driver
+(``iterengine.run_shifted_iteration``) applies q, takes its scale, and,
+started from -z_start with ``negate``, reports the decay rates; nothing
+here negates q, a solve or a shift by hand.  The module owns the
+mu-weighting: the weighted Rayleigh quotient and the mu-norm, which the
+driver lends its scratch array, and ``_unit`` for the start vectors.
 
 The O(N) arrays of a ``tridiag_rqi`` run, and who holds them: the
 input's a, b, c and diagonal; h and r (``compute_h``; read-only views
@@ -41,10 +41,11 @@ system, which then is the input; mu, phi and the seed sqrt(phi)
 work arrays); the start vector; the solver's work arrays (three for
 ``dgtsv``, or the closed form's kappa and two sequences per solve); and
 the driver's iterate and scratch array, plus a solve's output or A v
-(with one product while A v is summed) as they are made.  phi
-and the seed are dropped once ``_efficient_start`` has used them, so at
-order 10^6 a run holds nine arrays of N doubles beyond its input at
-its peak (see README, "Memory").
+(with one product while A v is summed) as they are made.
+``tridiag_rqi`` hands the initials to ``_efficient_rqi`` inline, and
+the body drops phi and the seed once it has picked the start and the
+shift, so at order 10^6 a run holds nine arrays of N doubles beyond its
+input at its peak (see README, "Memory").
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -241,20 +242,33 @@ def safe_z0(phi, mu):
     return (1.0 - float(phi[1])) / _delta1_peak(phi, mu, np.sqrt(phi))
 
 
-def _efficient_start(q, init, z0, v0):
-    """(start, z_start, fallback): the start vector and initial shift of a
-    weighted RQI run on -q, and whether the safe shift fell back.
+def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
+    """Weighted RQI on -q, in the mu-norm, from the efficient initials; the
+    one body of both routes.
 
-    ``init`` holds q's mu, phi, delta_1 and the seed sqrt(phi).  ``v0`` is
-    "efficient", the seed, or "uniform"; either is scaled to unit mu-norm.
-    ``z0`` is a number, "safe", "rayleigh" (the start's weighted Rayleigh
-    quotient), or, where the route has a delta_1, "delta1" (1/delta1) or
-    "combination" (z0_combination of delta1 and that quotient).  The
-    dense route has none, and general_rqi admits only "safe", "rayleigh"
-    or a number there.  When phi_1 is not below phi_0 by more than
-    roundoff (_PHI_TIE), the safe shift is ruled out: the run starts from
-    the seed's quotient and is flagged.  This is the last use of phi and
-    the seed; the run itself (_weighted_rqi) needs neither.
+    ``q`` is a TridiagonalSystem or a dense matrix the route has already
+    validated, ``h`` its h-scaling and ``init`` its mu, phi, delta_1 and
+    seed sqrt(phi).  ``v0`` is "efficient", the seed, or "uniform";
+    either is scaled to unit mu-norm.  ``z0`` is a number, "safe",
+    "rayleigh" (the start's weighted Rayleigh quotient), or, where the
+    route has a delta_1, "delta1" (1/delta1) or "combination"
+    (z0_combination of delta1 and that quotient).  The dense route has
+    none, and general_rqi admits only "safe", "rayleigh" or a number
+    there.  When phi_1 is not below phi_0 by more than roundoff
+    (_PHI_TIE), the safe shift is ruled out: the run starts from the
+    seed's quotient and is flagged (``z0_fallback``).  Then phi and the
+    seed are dropped, as the run needs neither; a caller that passes
+    ``init`` inline leaves this the last reference to them.
+
+    ``solver`` is "generic", the solve ``linsolve._shifted_solver(q)``
+    builds, or "explicit", the closed form (q tridiagonal).  The driver
+    runs on q itself from the shift -z_start and, with negate, reports
+    the decay rates lambda_min(-q): it applies q, takes q's scale and
+    owns the sign, so a perturb-and-retry moves the decay rate up.  The
+    weighted Rayleigh quotient and the mu-norm are formed in the
+    driver's scratch array.  The result holds lambda_min(-q) and the
+    eigenvector in the h-scaled coordinates; recover_original maps it
+    back.
     """
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
@@ -276,27 +290,13 @@ def _efficient_start(q, init, z0, v0):
     else:
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
-        v = seed if fallback else start
-        z_start = -_rayleigh(mu, v, _apply(q, v), np.empty(len(mu)))
+        seed = seed if fallback else start
+        z_start = -_rayleigh(mu, seed, _apply(q, seed), np.empty(len(mu)))
         if z0 == "combination":
             z_start = z0_combination(init.delta1, z_start)
-    return start, z_start, fallback
-
-
-def _weighted_rqi(q, solve, h, mu, start, z_start, fallback, **opts):
-    """Weighted RQI on -q, in the mu-norm, from _efficient_start's start and shift.
-
-    ``q`` is a TridiagonalSystem or a dense matrix the route has already
-    validated, and ``solve(z, v)`` gives (z I - q)^{-1} v, as
-    ``linsolve._shifted_solver(q)`` does.  The driver runs on q itself
-    from the shift -z_start and, with negate, reports the decay rates
-    lambda_min(-q): it applies q, takes q's scale and owns the sign, so
-    a perturb-and-retry moves the decay rate up.  The weighted Rayleigh
-    quotient and the mu-norm are formed in the driver's scratch array.
-    The result holds lambda_min(-q) and the eigenvector in the h-scaled
-    coordinates, with ``fallback`` as its ``z0_fallback``;
-    recover_original maps it back.
-    """
+    del init, phi, seed
+    solve = (linsolve._shifted_solver(q) if solver == "generic"
+             else _peak_one(_closed_form_solver(q, mu)))
     return _result(*run_shifted_iteration(q, solve, start, -z_start,
                                           z_update=partial(_rayleigh, mu),
                                           norm=partial(_mu_norm, mu), negate=True, **opts),
@@ -318,6 +318,22 @@ def _mu_norm(mu, vec, work):
     np.multiply(vec, vec, out=work)
     work *= mu
     return float(np.sqrt(work.sum()))
+
+
+def _peak_one(solve):
+    """solve with each output scaled in place by a power of two to a peak in [0.5, 1).
+
+    The driver takes any nonzero multiple of the solution, and a power of
+    two changes no bit of the normalised iterate unless an entry leaves
+    the normal range; but the closed form's output can be finite and
+    still too large to square in the mu-norm (order 10^5 from the
+    uniform start's quotient: a peak of 3.8e200).
+    """
+    def scaled(z, v):
+        w = solve(z, v)
+        return np.ldexp(w, -np.frexp(max(w.max(), -w.min()))[1], out=w)
+
+    return scaled
 
 
 def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
@@ -433,15 +449,8 @@ def tridiag_rqi(
         raise InvalidInput("tridiag_rqi requires some killing rate (c not identically zero)")
     ht = compute_h(system)
     transformed = ht.transformed
-    init = compute_initials(transformed)
-    start, z_start, fallback = _efficient_start(transformed, init, z0, v0)
-    mu = init.mu
-    del init    # phi and the seed: the run holds neither
-    solve = (linsolve._shifted_solver(transformed) if solver == "generic"
-             else _closed_form_solver(transformed, mu))
-    return _weighted_rqi(transformed, solve, ht.h, mu, start, z_start, fallback,
-                         tol_z=tol_z, tol_residual=tol_residual,
-                         max_iterations=max_iterations)
+    return _efficient_rqi(transformed, ht.h, compute_initials(transformed), z0, v0, solver,
+                          tol_z=tol_z, tol_residual=tol_residual, max_iterations=max_iterations)
 
 
 def recover_original(result: EigenpairResult, m=0.0):

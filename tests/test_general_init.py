@@ -364,16 +364,17 @@ class TestOneLuInitials:
         assert_one_lu_matches_bordered(qc)
 
     def test_conservative_input_takes_the_bordered_systems(self, rng, monkeypatch):
-        # no killing: Qc is singular, and h = 1
+        # no killing: Qc is singular, h = phi = 1 exactly and Q~ = Qc, so only
+        # mu's bordered system is solved
         rates = rng.uniform(0.01, 1.0, (8, 8))
         qc, _ = shift_to_qc(rates - np.diag(rates.sum(axis=1)))
         lu, orders = linsolve._lu, []
         monkeypatch.setattr(linsolve, "_lu", lambda A, solves: orders.append(len(A)) or lu(A, solves))
         h, qt, phi, mu = general_init._initials(qc)
-        assert orders == [7, 7, 7]   # three bordered systems, no LU of Qc
-        assert np.abs(h - 1.0).max() <= 1e-12
-        assert np.array_equal(phi, solve_phi_general(qt))
-        assert np.array_equal(mu, solve_mu_general(qt))
+        assert orders == [7]   # one bordered system, no LU of Qc
+        assert np.array_equal(h, np.ones(8)) and np.array_equal(phi, np.ones(8))
+        assert qt is qc
+        assert np.array_equal(mu, solve_mu_general(qc))
 
     def test_phi_diagonal_is_checked_before_the_lu(self):
         # state 1 absorbs, which rules phi out and makes Qc singular

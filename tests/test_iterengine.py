@@ -105,6 +105,11 @@ class TestPowerIteration:
         with pytest.raises(InvalidInput, match="system order"):
             power_iteration(models.bd_squares(3), v0=[1.0, 1.0])
 
+    def test_zero_start_rejected(self):
+        # named before the start is divided by its norm, with no numpy warning
+        with pytest.raises(InvalidInput, match="start vector v0 has norm 0"):
+            power_iteration(np.eye(3), v0=np.zeros(3), steps=2)
+
 
 class TestRqi:
     @pytest.mark.parametrize("opts", [{"tol_z": -1.0}, {"tol_z": np.nan}, {"tol_residual": -1e-8},
@@ -151,6 +156,11 @@ class TestRqi:
         with pytest.raises(InvalidInput):
             rqi(np.eye(2), [1.0, 1.0], 0.5, "weighted_rayleigh")
 
+    def test_zero_start_rejected(self):
+        # named before the start is divided by its norm, with no numpy warning
+        with pytest.raises(InvalidInput, match="start vector v0 has norm 0"):
+            rqi(np.eye(3), np.zeros(3), 0.5)
+
     def test_max_ratio_update_rejects_sign_change(self):
         with pytest.raises(InvalidInput):
             _max_ratio_update(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
@@ -183,6 +193,11 @@ class TestDriverChecksEachIterate:
     def test_non_finite_iterate_rejected(self):
         with pytest.raises(InvalidInput, match="vector contains non-finite entries"):
             self.run(lambda z, v: np.array([np.nan, 1.0]))
+
+    def test_zero_output_rejected(self):
+        # the driver divides by no norm that is zero or not finite
+        with pytest.raises(InvalidInput, match="output at iteration 1 has norm 0"):
+            self.run(lambda z, v: np.zeros(2))
 
     def test_non_finite_shift_update_rejected(self):
         with pytest.raises(InvalidInput, match="non-finite z at iteration 1"):

@@ -272,6 +272,15 @@ class TestTridiagRqi:
         result, _ = tridiag_rqi(models.bd_squares(1))
         assert result.eigenvalue == pytest.approx(3.0 - np.sqrt(5.0), rel=1e-12)
 
+    def test_closed_form_output_too_large_to_square(self):
+        # from the uniform start's quotient the closed form's second output at
+        # order 1101 peaks near 1e178: its mu-norm overflowed, and the driver
+        # divided by inf.  Scaled by a power of two, the run converges
+        result, trace = tridiag_rqi(models.bd_squares(1100), solver="explicit",
+                                    z0="rayleigh", v0="uniform")
+        assert trace.termination == "converged"
+        assert np.isfinite(result.eigenvector).all()
+
     def test_solver_choice_equivalent(self):
         r1, t1 = tridiag_rqi(models.bd_squares(50), solver="explicit")
         r2, t2 = tridiag_rqi(models.bd_squares(50), solver="generic")
@@ -399,7 +408,9 @@ class TestPinnedOutputs:
     and record the new values.
     """
 
-    # name -> (eigenvalue as float.hex, iterations, sha256 of trace z, residuals, eigenvector)
+    # name -> (eigenvalue as float.hex, iterations, sha256 of trace z, residuals, eigenvector);
+    # the words after seed and order are tridiag_rqi's options, one entry per
+    # z0 branch, start vector and solver
     RQI = {
         "bd_squares order=10000": (
             "0x1.35d27f90a2d4dp-2", 3,
@@ -413,18 +424,55 @@ class TestPinnedOutputs:
         "killing-at-last seed=3 order=256": (
             "0x1.8739d80570abbp-31", 1,
             "acb601992e8596d5c8b7f74c5def8668c98dd7edafb9d6d06969fc1c326dd09c"),
+        "killing-at-last seed=1 order=16 z0=safe": (
+            "0x1.18fd67402256fp-7", 3,
+            "11fb9bbdc4ae3d29327f2f36c77893fd577275d095b7bc3dd4408d8642263c77"),
+        "killing-at-last seed=2 order=64 z0=safe": (
+            "0x1.79f4b6f164a48p-20", 2,
+            "8df8bce1db8fb81c76d503a5e1faac7c05523e1a05aafbb838200a0855af308f"),
+        "killing-at-last seed=3 order=256 z0=safe": (
+            "0x1.8739d91344f4fp-31", 2,
+            "1e58fd6f5e09de2d572370cac95a0026be817e9c17ed5f761c57cc9f50e7a55e"),
+        "killing-at-last seed=1 order=16 z0=delta1": (
+            "0x1.18fd67402255bp-7", 3,
+            "ce2e0da640944294996a4c9899195c57eb83ead1c036e890a53aa5698143b8ff"),
+        "killing-at-last seed=2 order=64 z0=delta1": (
+            "0x1.79f4b6f0b347fp-20", 2,
+            "143617d0335c434a5f562026c05c565c2804ee32104da4503de55e8004197e63"),
+        "killing-at-last seed=3 order=256 z0=delta1": (
+            "0x1.8739d8a2c8e3ep-31", 1,
+            "772180aa900b3f363e66407e911ebe37f953d1a1d2a096a57006675a7ed3b39b"),
+        "killing-at-last seed=1 order=16 z0=rayleigh v0=uniform": (
+            "0x1.eb3436f0409a2p-5", 6,
+            "5e804c3e52937de02b05854444af5b07f98a6336ec74f5d3ff351212dc1642f1"),
+        "killing-at-last seed=2 order=64 z0=rayleigh v0=uniform": (
+            "0x1.79f4b6f0b347fp-20", 3,
+            "4c2f88b8a62a58b30c2e15fa7b004abcac83281acb1b63eae2b4453672f1f02f"),
+        "killing-at-last seed=3 order=256 z0=rayleigh v0=uniform": (
+            "0x1.8739d98a638d8p-31", 2,
+            "0888ebae3dd0127bbb316ee1a205c23c24f54c281c73082681d28c78769cce14"),
+        "killing-at-last seed=1 order=16 solver=explicit": (
+            "0x1.18fd674022545p-7", 3,
+            "3d846779ad1bbe709bade62828ec8bbdff6e09f1fe69b2e8239c7607cbf5ac89"),
+        "killing-at-last seed=2 order=64 solver=explicit": (
+            "0x1.79f4b6f0f6d9cp-20", 2,
+            "b00d040af3b4e70ca163de4404dfd44915cbee81dacc34bbda25d49bf2005638"),
+        "killing-at-last seed=3 order=256 solver=explicit": (
+            "0x1.8739d80260e91p-31", 1,
+            "2fcaf6df7b1357bda31181d9c6d28bbbcd703dc6f9ab486b380d1ae1103a3053"),
     }
 
     @staticmethod
-    def system(name):
+    def run(name):
         if name.startswith("bd_squares"):
-            return models.bd_squares(9999)
-        seed, order = (int(part.split("=")[1]) for part in name.split()[1:])
-        return random_system(np.random.default_rng(seed), order - 1)
+            return tridiag_rqi(models.bd_squares(9999))
+        words = dict(part.split("=") for part in name.split()[1:])
+        seed, order = int(words.pop("seed")), int(words.pop("order"))
+        return tridiag_rqi(random_system(np.random.default_rng(seed), order - 1), **words)
 
     @pytest.mark.parametrize("name", sorted(RQI))
     def test_tridiag_rqi(self, name):
-        result, trace = tridiag_rqi(self.system(name))
+        result, trace = self.run(name)
         got = (float(result.eigenvalue).hex(), trace.iterations,
                _digest(trace.zs(), trace.residuals(), result.eigenvector))
         assert got == self.RQI[name]
