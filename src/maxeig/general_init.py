@@ -43,12 +43,14 @@ initial shift, builds ``linsolve``'s shifted solve of Q~ and runs
 weighted RQI, and then to its recovery; it has no delta_1, so it takes
 only the "safe" and "rayleigh" policies.
 
-``general_rqi`` calls public functions that check their own input:
-``numat.shift_to_qc``, ``tridiagonal_from_dense``, ``h_transform_general``,
-and on conservative input ``solve_mu_general``.  Their checks
-sweep an order-400 matrix with killing for non-finite entries five times
-per call, about 0.3 ms of a 14-20 ms call (2-core Xeon, one BLAS thread);
-only the iteration loop below them calls unchecked kernels.
+``general_rqi`` checks its matrix once, through ``numat.shift_to_qc``,
+and recognises a tridiagonal Qc without checking it again
+(``_tridiagonal_from_dense``, the public ``tridiagonal_from_dense``'s
+kernel).  Past that only ``h_transform_general``, and on conservative
+input ``solve_mu_general``, check their input again, as public
+functions do; the row-sum tests and the driver take the scale unchecked
+(``numat._scale``).  A dense call with killing thus sweeps its matrix for
+non-finite entries twice, where it swept it five times.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import iterengine, linsolve, tridiag
 from .errors import InvalidInput, NonPositiveSequence
-from .numat import TridiagonalSystem, as_square_matrix, as_vector, matrix_scale, shift_to_qc
+from .numat import TridiagonalSystem, _scale, as_square_matrix, as_vector, shift_to_qc
 from .tridiag import safe_z0
 
 __all__ = [
@@ -163,7 +165,7 @@ def _initials(qc):
     """
     _require_phi_diagonal(qc)    # the transform keeps the diagonal
     n = qc.shape[0]
-    if not (qc.sum(axis=1) < -_ROUNDOFF * matrix_scale(qc)).any():
+    if not (qc.sum(axis=1) < -_ROUNDOFF * _scale(qc)).any():
         # no killing: h = phi = 1 exactly and the transform is the identity
         return np.ones(n), qc, np.ones(n), solve_mu_general(qc)
     solve = linsolve._lu(qc, 3)(0.0)    # with -Qc; the unit heads cancel the sign
@@ -185,7 +187,11 @@ def tridiagonal_from_dense(A):
     Requires exact zeros outside the three diagonals, strictly positive
     couplings, and nonpositive row sums (the killing rates c = -row sums).
     """
-    A = as_square_matrix(A)
+    return _tridiagonal_from_dense(as_square_matrix(A))
+
+
+def _tridiagonal_from_dense(A):
+    """tridiagonal_from_dense without its check, for a checked square A."""
     if np.iscomplexobj(A) or A.shape[0] < 2:
         return None
     a, d, b = (np.diagonal(A, k) for k in (-1, 0, 1))
@@ -195,7 +201,7 @@ def tridiagonal_from_dense(A):
     if (a <= 0).any() or (b <= 0).any():
         return None
     c = -A.sum(axis=1)
-    if (c < -_ROUNDOFF * matrix_scale(A)).any():
+    if (c < -_ROUNDOFF * _scale(A)).any():
         return None
     c = np.where(c < 0, 0.0, c)
     return TridiagonalSystem.from_rates(a, b, c)
@@ -240,7 +246,7 @@ def general_rqi(
         qc, m = shift_to_qc(A)
         if qc.shape[0] < 2:
             raise InvalidInput("general_rqi needs a matrix of order at least 2")
-        system = tridiagonal_from_dense(qc)
+        system = _tridiagonal_from_dense(qc)
     if system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:

@@ -29,11 +29,15 @@ precision) is accepted as convergence when the current residual
 already passes, otherwise the shift is perturbed once, moving the
 reported value up by 1e-12 (1 + |z|), and the solve retried; a second
 breakdown raises SolverBreakdown, carrying the run's trace as
-MaxIterationsExceeded does.
+MaxIterationsExceeded does.  Each solve checks its own output once and
+raises SolverBreakdown for a non-finite one, which the same retry
+covers; the driver scans no iterate, and its norm check is the backstop.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -47,10 +51,10 @@ from .numat import (
     _check_length,
     _largest_ratio,
     _require_finite,
+    _scale,
     as_square_matrix,
     as_vector,
     is_positive_vector,
-    matrix_scale,
 )
 
 __all__ = [
@@ -145,11 +149,10 @@ class EigenpairResult:
 def _sign_fix(v, work):
     """Rotate/flip v in place so its largest-magnitude component is positive
     real; returns v.  The magnitudes are formed in work."""
-    i = int(np.argmax(np.abs(v, out=work)))
-    pivot = v[i]
+    pivot = v[np.abs(v, out=work).argmax()]
     if pivot == 0:
         return v
-    if np.iscomplexobj(v):
+    if v.dtype.kind == "c":
         return np.multiply(v, np.conj(pivot) / abs(pivot), out=v)
     return v if pivot > 0 else np.negative(v, out=v)
 
@@ -160,7 +163,14 @@ def _l1_norm(v, work):
 
 
 def _l2_norm(v, work):
-    return float(np.linalg.norm(v))
+    """numpy.linalg.norm(v)'s arithmetic without its dispatch: sqrt(v . v),
+    summed over the real and imaginary parts, on v as a contiguous vector
+    (ravel copies a strided one, whose dot product rounds otherwise)."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
 
 
 _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
@@ -176,9 +186,13 @@ def _relative_residual(norm, av, z, v, scale, work):
 
 def _checked_norm(norm, vec, work, what):
     """norm(vec, work), which the caller divides by; InvalidInput unless it is
-    finite and positive, so no iterate is ever normalised by 0 or inf."""
+    finite and positive, so no iterate is ever normalised by 0 or inf.
+
+    A vector with a non-finite entry has a non-finite norm, so only then
+    are its entries scanned, to name that case."""
     size = norm(vec, work)
-    if not 0.0 < size < np.inf:
+    if not 0.0 < size < math.inf:
+        _require_finite(vec, "vector")
         raise InvalidInput(f"{what} has norm {size}: it is zero, or its norm overflowed")
     return size
 
@@ -191,8 +205,9 @@ def _shift_tolerance(tol_z, n):
 # An update takes the iterate, A times it and the run's scratch array, which
 # it may use; the two here need none, and may be called without it.
 def _rayleigh_update(v, av, work=None):
-    z = (np.conj(v) @ av) / (np.conj(v) @ v)
-    return z if np.iscomplexobj(av) else float(z.real if np.iscomplexobj(z) else z)
+    vh = v.conj()
+    z = (vh @ av) / (vh @ v)
+    return z if av.dtype.kind == "c" else float(z.real)
 
 
 def _max_ratio_update(v, av, work=None):
@@ -221,11 +236,12 @@ def run_shifted_iteration(
 
     ``A`` is a dense matrix or a TridiagonalSystem the caller has
     validated; the driver applies it (numat._apply) and measures the
-    relative residual against its scale, matrix_scale(A).
-    ``solve_shifted(z, v)`` must return any nonzero multiple of
-    (z I - A)^{-1} v as a new array: the driver normalises and
-    sign-fixes it in place.  ``z_update(v, av, work)`` gives the next
-    shift from the normalized iterate v and av = A v; ``norm(vec, work)``
+    relative residual against its scale, numat.matrix_scale(A), taken
+    without checking A again.  ``solve_shifted(z, v)`` must return any
+    nonzero multiple of (z I - A)^{-1} v as a new, finite array, or
+    raise SolverBreakdown: the driver normalises and sign-fixes it in
+    place.  ``z_update(v, av, work)`` gives the next shift from the
+    normalized iterate v and av = A v; ``norm(vec, work)``
     normalizes the iterates and measures the relative residual.  Both
     may form their products in ``work``, the run's one scratch array,
     which a norm is also handed as vec (the residual).  The scratch is
@@ -241,20 +257,22 @@ def run_shifted_iteration(
     negative tolerance, or a budget below one iteration, can never be
     met and raises InvalidInput; so does a non-finite z0.
 
-    The driver checks v0 and z0 once, here, and each new iterate and
-    shift once, where it is made, so ``solve_shifted`` is only ever
-    given finite values and need not check them again.  It divides by
-    no norm that is zero or not finite: a start or a solve's output with
-    such a norm raises InvalidInput.  The caller
-    vouches that v0's length fits A.  ``_result`` turns what the driver
-    returns into the run's (EigenpairResult, trace).
+    The driver checks v0 and z0 once, here, and each new shift once,
+    where it is made; each new iterate is checked once, by the solve that
+    made it, so ``solve_shifted`` is only ever given finite values and
+    need not check them again.  The norm is the backstop: the driver
+    divides by no norm that is zero or not finite, and a start or a
+    solve's output with such a norm raises InvalidInput, which names
+    non-finite entries when there are some.  The caller vouches that
+    v0's length fits A.  ``_result`` turns what the driver returns into
+    the run's (EigenpairResult, trace).
     """
     if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
         raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
                            f"got tol_z={tol_z}, tol_residual={tol_residual}, "
                            f"max_iterations={max_iterations}")
     sign = -1.0 if negate else 1.0
-    scale = matrix_scale(A)
+    scale = _scale(A)
 
     t0 = time.perf_counter()
     v = as_vector(v0)
@@ -288,12 +306,11 @@ def run_shifted_iteration(
                 trace.termination = "breakdown"
                 raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)",
                                       trace=trace) from exc
-        _require_finite(w, "vector")
         w /= _checked_norm(norm, w, work, f"the shifted solve's output at iteration {k}")
         v = _sign_fix(w, work)
         av = _apply(A, v)
         z_new = z_update(v, av, work)
-        if not np.isfinite(z_new):
+        if not cmath.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
         residual = _relative_residual(norm, av, z_new, v, scale, work)
         del av
@@ -321,10 +338,13 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
 
     Runs exactly ``steps`` iterations.  Convergence requires the dominant
     eigenvalue to be the target; slow convergence, not divergence, is
-    the failure mode.  A TridiagonalSystem Q is iterated as m I + Q with
-    m = max(a + b + c), a nonnegative matrix whose dominant pair is Q's
-    maximal pair, without forming it; the trace then records the
-    decay-rate estimates m - z_k in O(N) memory.
+    the failure mode.  Each step checks the scalar z = ||A v||, not the
+    iterate: v = A v / z holds entries of magnitude at most 1 when z is
+    finite, so a z that is zero or not finite raises InvalidInput.  A
+    TridiagonalSystem Q is iterated as m I + Q with m = max(a + b + c), a
+    nonnegative matrix whose dominant pair is Q's maximal pair, without
+    forming it; the trace then records the decay-rate estimates m - z_k
+    in O(N) memory.
     """
     if norm not in _POWER_NORMS:
         raise InvalidInput(f"unknown norm {norm!r}")
@@ -345,7 +365,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
             trace.record(k, m - z, residual, time.perf_counter() - t0)
     else:
         A = as_square_matrix(A)
-        n, scale, kind = A.shape[0], matrix_scale(A), A.dtype
+        n, scale, kind = A.shape[0], _scale(A), A.dtype
 
         def apply(vec):
             return A @ vec
@@ -363,9 +383,10 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     for k in range(1, steps + 1):
         if z == 0:
             raise InvalidInput(f"A v_{k - 1} = 0 at step {k - 1}: power iteration cannot go on")
+        if not z < math.inf:
+            raise InvalidInput(f"||A v_{k - 1}|| = {z} at step {k - 1}: the iterate overflowed")
         v = av
         v /= z      # in place: A v_{k-1} is not needed again
-        _require_finite(v, "vector")
         av = apply(v)
         z = norm_fn(av, work)
         record(k, z, _relative_residual(norm_fn, av, z, v, scale, work))
@@ -387,18 +408,14 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         raise InvalidInput(f"unknown z_update {z_update!r}")
     v0 = as_vector(v0)
     _check_length(A, v0)
-    return _result(*run_shifted_iteration(
-        A,
-        linsolve._shifted_solver(A),
-        v0,
-        z0,
-        z_update=_RQI_UPDATES[z_update],
-        norm=_l2_norm,
-        tol_z=tol_z,
-        tol_residual=tol_residual,
-        max_iterations=max_iterations,
-        negate=negate,
-    ))
+    return _rqi(A, v0, z0, _RQI_UPDATES[z_update], negate=negate, tol_z=tol_z,
+                tol_residual=tol_residual, max_iterations=max_iterations)
+
+
+def _rqi(A, v0, z0, z_update, **opts):
+    """rqi on a checked A and a start v0 of its order, with the update function."""
+    return _result(*run_shifted_iteration(A, linsolve._shifted_solver(A), v0, z0,
+                                          z_update=z_update, norm=_l2_norm, **opts))
 
 
 def _uniform_start(A):
@@ -423,7 +440,7 @@ def algorithm1(A, z0=None, negate=False, **opts):
     """
     A = as_square_matrix(A)
     v0, z0_auto = _uniform_start(A)
-    return rqi(A, v0, z0_auto if z0 is None else z0, "rayleigh", negate=negate, **opts)
+    return _rqi(A, v0, z0_auto if z0 is None else z0, _rayleigh_update, negate=negate, **opts)
 
 
 def algorithm2(A, z0=None, negate=False, **opts):
@@ -436,4 +453,4 @@ def algorithm2(A, z0=None, negate=False, **opts):
     if np.iscomplexobj(A):
         raise InvalidInput("the max-ratio update is undefined for complex input; use algorithm1")
     v0, z0_auto = _uniform_start(A)
-    return rqi(A, v0, z0_auto if z0 is None else z0, "max_ratio", negate=negate, **opts)
+    return _rqi(A, v0, z0_auto if z0 is None else z0, _max_ratio_update, negate=negate, **opts)

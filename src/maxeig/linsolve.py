@@ -36,7 +36,9 @@ at import, all from the first export family that has all five;
 numpy's bundled OpenBLAS), or is None when no family has all five, and
 then every solve takes the fallbacks above.  One binder, ``_prepare``,
 converts a call's arguments once, so a run of shifted solves repeats
-prepared calls.
+prepared calls: ``dgtsv`` is bound once per run and given only each
+right-hand side's pointer, and ``_lu`` binds its factorisation and its
+one-vector solve once per matrix.
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
@@ -55,12 +57,12 @@ for many shifts z, take theirs from ``_shifted_solver``, the one factory
 for every shifted solve.  Every route it builds solves (z I - A) x = v as
 it is written, with no negation after the solve: for a
 ``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
-solve for ``_gtsv``, and for a real dense matrix it refactors ``_lu``'s
-work array at each z.  ``general_init`` takes its solves with -Qc, its
-transpose and the bordered systems from ``_lu`` at z = 0, and
-``dense_solve`` negates the solution it gets there.  No other module
-calls a kernel or holds a LAPACK work array.  The kernels keep every
-breakdown check and skip only the input checks.
+solve for the one call ``_gtsv`` binds, and for a real dense matrix it
+refactors ``_lu``'s work array at each z.  ``general_init`` takes its
+solves with -Qc, its transpose and the bordered systems from ``_lu`` at
+z = 0, and ``dense_solve`` negates the solution it gets there.  No other
+module calls a kernel or holds a LAPACK work array.  The kernels keep
+every breakdown check and skip only the input checks.
 
 ``scipy.linalg`` is deliberately not imported: numpy's LAPACK has the
 same routines, and importing scipy would add about 28 MiB of resident
@@ -132,25 +134,31 @@ def _load_lapack():
 
 
 def _prepare(lapack, name, *args):
-    """call() -> info: LAPACK routine ``name`` of ``lapack`` on ``args``,
-    converted once, so that a run can repeat the call on refilled arrays.
+    """call(array=None) -> info: LAPACK routine ``name`` of ``lapack`` on
+    ``args``, converted once, so that a run can repeat the call on refilled
+    arrays.
 
     Arrays pass by their data pointer, bytes (a character flag such as
     b"N") by pointer with its hidden length after ``info``, and integers
-    by reference in LAPACK's integer type.  The call keeps the arrays
-    alive; their sizes must already be checked.
+    by reference in LAPACK's integer type.  One argument may be None: each
+    call then passes its ``array`` there, and keeps only that array's
+    address, not the array.  The call keeps the other arrays alive; every
+    size must already be checked.
     """
     routines, int_t = lapack
     fn, info = routines[name], int_t(0)
-    pointers = [a.ctypes.data if isinstance(a, np.ndarray) else
-                a if isinstance(a, bytes) else ctypes.byref(int_t(a)) for a in args]
+    pointers = [a.ctypes.data if isinstance(a, np.ndarray) else a if a is None or
+                isinstance(a, bytes) else ctypes.byref(int_t(a)) for a in args]
     lengths = [1 for a in args if isinstance(a, bytes)]
     if fn.argtypes is None:     # every call of a routine passes as many arguments
         fn.restype = None
         fn.argtypes = [ctypes.c_void_p] * (len(args) + 1) + [ctypes.c_size_t] * len(lengths)
+    late = next((i for i, a in enumerate(args) if a is None), None)
     pointers += [ctypes.byref(info), *lengths]
 
-    def call():
+    def call(array=None):
+        if late is not None:
+            pointers[late] = array.ctypes.data
         fn(*pointers)
         return info.value
 
@@ -241,7 +249,7 @@ def tridiag_solve(lower, diag, upper, rhs):
 
     if any(np.iscomplexobj(a) for a in (lower, diag, upper, rhs)):
         raise InvalidInput("tridiag_solve takes real input only")
-    return _gtsv(*(np.array(a, np.float64) for a in (lower, diag, upper)), rhs)
+    return _gtsv(*(np.array(a, np.float64) for a in (lower, diag, upper)))(rhs)
 
 
 def _checked(routine, info, x=None):
@@ -255,26 +263,34 @@ def _checked(routine, info, x=None):
     return x
 
 
-def _gtsv(dl, d, du, rhs):
-    """tridiag_solve without its input checks; raises SolverBreakdown as it does.
+def _gtsv(dl, d, du):
+    """solve(rhs): tridiag_solve without its input checks, on the system
+    held in ``dl``, ``d`` and ``du``; raises SolverBreakdown as it does.
 
-    ``dl``, ``d`` and ``du`` are contiguous, writable float64 arrays of
-    lengths n-1, n, n-1 and are overwritten; ``rhs``, finite and real of
-    length n, is copied.  The solution is a new array, so a run of solves
-    holds no solution buffer between them.
+    The three are contiguous, writable float64 arrays of lengths n-1, n,
+    n-1, and each solve overwrites them, so a caller that solves again
+    refills them first.  ``dgtsv`` is bound to them once, here; each solve
+    passes it only the right-hand side, ``rhs`` (finite and real of
+    length n) copied into a new array that becomes the solution, so a run
+    of solves holds no solution buffer between them.
     """
-    x = np.array(rhs, dtype=np.float64)
     n, lapack = len(d), _lapack
-    if x.shape != d.shape:
-        raise ValueError("dgtsv needs a right-hand side of the system's order")
-    info = (_prepare(lapack, "dgtsv", n, 1, dl, d, du, x, n)() if lapack
-            else _gtsv_loop(dl, d, du, x))
-    if not info:
-        pivots = np.abs(d, out=d)  # U's diagonal; d is work space
-        if pivots.min() < PIVOT_FLOOR:
-            row = int(pivots.argmin())
-            raise SolverBreakdown(f"dgtsv: pivot {float(pivots[row])!r} below floor at row {row}")
-    return _checked("dgtsv", info, x)
+    call = _prepare(lapack, "dgtsv", n, 1, dl, d, du, None, n) if lapack else None
+
+    def solve(rhs):
+        x = np.array(rhs, dtype=np.float64)
+        if x.shape != d.shape:
+            raise ValueError("dgtsv needs a right-hand side of the system's order")
+        info = call(x) if call else _gtsv_loop(dl, d, du, x)
+        if not info:
+            pivots = np.abs(d, out=d)  # U's diagonal; d is work space
+            if pivots.min() < PIVOT_FLOOR:
+                row = int(pivots.argmin())
+                raise SolverBreakdown(f"dgtsv: pivot {float(pivots[row])!r} below floor "
+                                      f"at row {row}")
+        return _checked("dgtsv", info, x)
+
+    return solve
 
 
 def dense_solve(A, rhs):
@@ -429,19 +445,21 @@ def _shifted_solver(A):
 
     The route is chosen once, for a run of solves.  Each LAPACK route
     overwrites its arrays, so the run allocates one set of work arrays and
-    refills them before each solve.  A TridiagonalSystem takes dgtsv, its
-    diagonal refilled as z minus A's.  A real dense A takes _lu, refactored
-    at each real z and solved for a real v.  A complex A, z or v, which the
-    real work array cannot hold, takes gesv on z I - A.
+    refills them before each solve.  A TridiagonalSystem takes dgtsv, bound
+    once to its work arrays, its diagonal refilled as z minus A's.  A real
+    dense A takes _lu, refactored at each real z and solved for a real v.
+    A complex A, z or v, which the real work array cannot hold, takes gesv
+    on z I - A.
     """
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
+        solve = _gtsv(dl, d, du)
 
         def solve_tridiagonal(z, v):
             np.negative(A.a[1:], out=dl)
             np.negative(A.b[:-1], out=du)
             np.subtract(z, A.diagonal, out=d)
-            return _gtsv(dl, d, du, v)
+            return solve(v)
 
         return solve_tridiagonal
     n = A.shape[0]
@@ -454,7 +472,7 @@ def _shifted_solver(A):
     refactor = _lu(A, _RUN_SOLVES)
 
     def solve(z, v):
-        if np.iscomplexobj(z) or np.iscomplexobj(v):
+        if v.dtype.kind == "c" or np.iscomplexobj(z):
             return solve_complex(z, v)
         return refactor(z)(v)
 

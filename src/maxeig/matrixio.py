@@ -41,9 +41,8 @@ def write_matrix(path, matrix, fmt=None):
             if not isinstance(matrix, TridiagonalSystem):
                 raise InvalidInput("tridiag format needs a TridiagonalSystem")
             fh.write(f"TRIDIAG {matrix.n_max}\n")
-            fh.write(" ".join(_fmt(x) for x in matrix.a[1:]) + "\n")
-            fh.write(" ".join(_fmt(x) for x in matrix.b[:-1]) + "\n")
-            fh.write(" ".join(_fmt(x) for x in matrix.c) + "\n")
+            for x in (matrix.a[1:], matrix.b[:-1], matrix.c):
+                fh.write(" ".join(map(repr, x.tolist())) + "\n")   # _fmt on Python floats
             return
         if isinstance(matrix, TridiagonalSystem):
             fh.write(f"coordinate {matrix.order} {3 * matrix.n_max + 1} real\n")
@@ -106,7 +105,8 @@ def _read_tridiag(path, head, lines):
     seqs = []
     for offset, (ln, want) in enumerate(zip(body, (N, N, N + 1)), start=2):
         try:
-            vals = [float(tok) for tok in ln.split()]
+            # numpy parses each token as float() does, without boxing a float per entry
+            vals = np.array(ln.split(), dtype=float)
         except ValueError:
             raise parse_error(f"{path}:{offset}: non-numeric token") from None
         if len(vals) != want:

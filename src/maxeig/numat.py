@@ -8,10 +8,10 @@ dataclass because their diagonal is implicit.
 Validate once, at the public boundary.  Every public function checks
 its operands at entry.  Only iteration loops, which apply one
 already-checked operand many times, call private kernels: ``_apply``
-(matvec's arithmetic), ``_check_length``, ``_require_finite`` and
-``_largest_ratio``; they check each new iterate themselves, once per
-step, so no check is skipped and none repeats.  Functions called once
-per run have no private twin.
+(matvec's arithmetic), ``_scale`` (matrix_scale's), ``_check_length``,
+``_require_finite`` and ``_largest_ratio``; each new iterate is checked
+once per step, where it is made, so no check is skipped and none
+repeats.  Functions called once per run have no private twin.
 
 The mu-weighted inner product and norm of the RQI runs are not here:
 ``tridiag`` owns them, as the weighted Rayleigh quotient and mu-norm
@@ -147,9 +147,10 @@ class TridiagonalSystem:
 def matvec(A, v):
     """Apply a dense matrix or TridiagonalSystem to a vector.
 
-    For a TridiagonalSystem, row i accumulates a*v[i-1], then the
-    diagonal term, then b*v[i+1], matching the ascending-column order
-    of the dense-row arithmetic exactly.
+    For a TridiagonalSystem, row i is (a*v[i-1] + diagonal*v[i]) +
+    b*v[i+1], the ascending-column order of the dense-row arithmetic;
+    the first sum is formed as diagonal*v[i] + a*v[i-1], which IEEE
+    addition makes the same number.
     """
     v = as_vector(v)
     if not isinstance(A, TridiagonalSystem):
@@ -170,10 +171,11 @@ def _check_length(A, v):
 def _apply(A, v):
     """matvec's arithmetic without its checks, for operands that already passed them."""
     if isinstance(A, TridiagonalSystem):
-        out = np.zeros(len(v), dtype=v.dtype)
-        out[1:] = A.a[1:] * v[:-1]
-        out += A.diagonal * v
-        out[:-1] += A.b[:-1] * v[1:]
+        # the diagonal term first, then both neighbours through one temporary
+        out = A.diagonal * v
+        term = A.a[1:] * v[:-1]
+        out[1:] += term
+        out[:-1] += np.multiply(A.b[:-1], v[1:], out=term)
         return out
     return A @ v
 
@@ -181,7 +183,7 @@ def _apply(A, v):
 def is_positive_vector(v, imag_tol=0.0) -> bool:
     """True when every entry has positive real part and (near) zero imaginary part."""
     v = np.asarray(v)
-    if np.iscomplexobj(v):
+    if v.dtype.kind == "c":
         if np.abs(v.imag).max() > imag_tol * max(1.0, np.abs(v).max()):
             return False
         v = v.real
@@ -202,7 +204,7 @@ def max_ratio(A, v):
 def _largest_ratio(av, v) -> float:
     """max_i av_i / v_i; ties resolve to the lowest index by argmax, for determinism."""
     ratios = av / v
-    return float(ratios[int(np.argmax(ratios))])
+    return float(ratios[ratios.argmax()])
 
 
 def shift_to_qc(A):
@@ -224,8 +226,13 @@ def shift_to_qc(A):
 
 def matrix_scale(A) -> float:
     """Max absolute row sum; the scale used in relative residuals."""
+    return _scale(A if isinstance(A, TridiagonalSystem) else as_square_matrix(A))
+
+
+def _scale(A) -> float:
+    """matrix_scale's arithmetic without its check, for an operand that passed it."""
     if isinstance(A, TridiagonalSystem):
         # (a + b + c) + |diagonal| is exactly twice a + b + c, as the diagonal
         # is -(a + b + c): one pass over the diagonal, no temporaries
         return -2.0 * float(A.diagonal.min())
-    return float(np.abs(as_square_matrix(A)).sum(axis=1).max())
+    return float(np.abs(A).sum(axis=1).max())

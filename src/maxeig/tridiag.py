@@ -54,6 +54,7 @@ chain, so all shifts and table entries stay positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -317,21 +318,28 @@ def _mu_norm(mu, vec, work):
     """The mu-norm sqrt(mu vec . vec), formed in work, which may be vec itself."""
     np.multiply(vec, vec, out=work)
     work *= mu
-    return float(np.sqrt(work.sum()))
+    return math.sqrt(work.sum())
 
 
 def _peak_one(solve):
-    """solve with each output scaled in place by a power of two to a peak in [0.5, 1).
+    """solve with each output checked, and scaled in place by a power of two
+    to a peak in [0.5, 1).
 
     The driver takes any nonzero multiple of the solution, and a power of
     two changes no bit of the normalised iterate unless an entry leaves
     the normal range; but the closed form's output can be finite and
     still too large to square in the mu-norm (order 10^5 from the
-    uniform start's quotient: a peak of 3.8e200).
+    uniform start's quotient: a peak of 3.8e200).  Its loop runs on
+    Python floats, which overflow to inf and then NaN without a warning:
+    a peak that is not finite raises SolverBreakdown, as a LAPACK route's
+    non-finite solution does, so the driver retries it once.
     """
     def scaled(z, v):
         w = solve(z, v)
-        return np.ldexp(w, -np.frexp(max(w.max(), -w.min()))[1], out=w)
+        peak = max(w.max(), -w.min())
+        if not peak < np.inf:
+            raise SolverBreakdown("the closed form returned a non-finite solution")
+        return np.ldexp(w, -np.frexp(peak)[1], out=w)
 
     return scaled
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxeig import linsolve, models
 from maxeig.errors import InvalidInput, SolverBreakdown
@@ -110,6 +111,14 @@ class TestPowerIteration:
         with pytest.raises(InvalidInput, match="start vector v0 has norm 0"):
             power_iteration(np.eye(3), v0=np.zeros(3), steps=2)
 
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_an_overflowing_iterate_is_invalid(self, norm):
+        # ||A v_0|| overflows to inf, and dividing by it would leave a zero iterate:
+        # the step checks that scalar, not the iterate
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidInput, match=r"\|\|A v_0\|\| = inf at step 0: .*overflowed"):
+            power_iteration(np.full((2, 2), 1e308), norm=norm, steps=3)
+
 
 class TestRqi:
     @pytest.mark.parametrize("opts", [{"tol_z": -1.0}, {"tol_z": np.nan}, {"tol_residual": -1e-8},
@@ -181,6 +190,18 @@ def test_non_finite_z0_rejected_before_any_solve(entry, z0):
     # rejected by name at the driver's entry, with no numpy warning on the way
     with pytest.raises(InvalidInput, match="z0 must be finite"):
         _Z0_ENTRY_POINTS[entry](z0)
+
+
+_finite = st.floats(-1e150, 1e150, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=64), st.booleans())
+def test_l2_norm_is_numpy_norm_bitwise(pairs, is_complex):
+    re, im = np.array(pairs).T      # strided views
+    v = re + 1j * im if is_complex else re
+    for u in (v, np.ascontiguousarray(v), v[::-1]):
+        assert np.float64(_l2_norm(u, None)).tobytes() == np.linalg.norm(u).tobytes()
 
 
 class TestDriverChecksEachIterate:

@@ -1,8 +1,10 @@
 """Tridiagonal elimination, the banded and the dense LAPACK solves."""
 
 import ctypes
+import gc
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -204,6 +206,25 @@ class TestShiftedTridiagonalSolver:
         with pytest.raises(SolverBreakdown):
             solve(0.0, rhs)
         assert solve(0.5, rhs).tobytes() == shifted_tridiagonal(system, 0.5, rhs).tobytes()
+
+    def test_a_run_binds_dgtsv_once_and_keeps_no_solution(self, rng, monkeypatch):
+        if LAPACK is None:
+            pytest.skip("no LAPACK library was found")
+        bound, prepare = [], linsolve._prepare
+
+        def counted(*args):
+            bound.append(args[1])
+            return prepare(*args)
+
+        monkeypatch.setattr(linsolve, "_prepare", counted)
+        system = random_system(rng, 30, with_killing="all")
+        solve = linsolve._shifted_solver(system)
+        rhs = rng.normal(size=system.order)
+        solutions = [weakref.ref(solve(z, rhs)) for z in (0.3, 1.7, -0.2, 0.3, 2.5)]
+        assert bound == ["dgtsv"]
+        # each solution is the caller's alone: the bound call does not keep it
+        gc.collect()
+        assert all(ref() is None for ref in solutions)
 
 
 

@@ -98,6 +98,18 @@ class TestTridiagFormat:
         p.write_text("TRIDIAG 2\n1.0 x\n1.0 1.0\n0.0 0.0 4.0\n")
         with pytest.raises(parse_error, match="non-numeric"):
             read_matrix(p)
+        # each line of the body is named, and a token is numeric exactly when float() takes it
+        for lineno, text in ((2, "TRIDIAG 2\n0x10 1.0\n1.0 1.0\n0.0 0.0 4.0\n"),
+                             (3, "TRIDIAG 2\n1.0 1.0\n1,0 1.0\n0.0 0.0 4.0\n"),
+                             (4, "TRIDIAG 2\n1.0 1.0\n1.0 1.0\n0.0 1__0 4.0\n"),
+                             (4, "TRIDIAG 2\n1.0 1.0\n1.0 1.0\n0.0 nan(1) 4.0\n")):
+            p.write_text(text)
+            with pytest.raises(parse_error, match=f":{lineno}: non-numeric token"):
+                read_matrix(p)
+        p.write_text("TRIDIAG 2\n1_0 \u0661\u0662\n 0.5e1  .5 \n0.0 0.0 +4.\n")
+        system = read_matrix(p)
+        assert system.a[1:].tolist() == [10.0, 12.0] and system.b[:-1].tolist() == [5.0, 0.5]
+        assert system.c.tolist() == [0.0, 0.0, 4.0]
         p.write_text("TRIDIAG 0\n\n\n4.0\n")
         with pytest.raises(parse_error, match=":1: TRIDIAG size"):
             read_matrix(p)

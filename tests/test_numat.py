@@ -102,6 +102,20 @@ class TestMatvec:
         with pytest.raises(InvalidInput):
             matvec(models.bd_squares(3), np.ones(3))
 
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_tridiagonal_apply_is_the_three_term_formula_bitwise(self, rng, kind):
+        # the row sums as a zero-filled array, a*v[i-1] + diagonal*v[i] + b*v[i+1]
+        for N in (1, 2, *rng.integers(3, 80, 10)):
+            system = random_system(rng, int(N), with_killing="all")
+            v = rng.normal(size=N + 1).astype(kind)
+            if kind is complex:
+                v += 1j * rng.normal(size=N + 1)
+            out = np.zeros(N + 1, dtype=v.dtype)
+            out[1:] = system.a[1:] * v[:-1]
+            out += system.diagonal * v
+            out[:-1] += system.b[:-1] * v[1:]
+            assert matvec(system, v).tobytes() == out.tobytes()
+
     def test_matches_dense_expansion_exactly(self, rng):
         # same arithmetic order per row as the ascending dense-row sum
         for _ in range(25):

@@ -281,6 +281,16 @@ class TestTridiagRqi:
         assert trace.termination == "converged"
         assert np.isfinite(result.eigenvector).all()
 
+    def test_closed_form_non_finite_output_is_a_breakdown(self):
+        # at order 10001 the closed form's fourth output holds NaN: its loop's
+        # Python floats overflow silently.  Like a LAPACK route's non-finite
+        # solution it is a breakdown, retried once, and not an invalid input
+        with pytest.raises(SolverBreakdown,
+                           match=r"non-finite solution \(iteration 4, after one retry\)") as exc:
+            tridiag_rqi(models.bd_squares(10000), solver="explicit", z0="rayleigh", v0="uniform")
+        assert exc.value.trace.termination == "breakdown"
+        assert exc.value.trace.iterations == 3
+
     def test_solver_choice_equivalent(self):
         r1, t1 = tridiag_rqi(models.bd_squares(50), solver="explicit")
         r2, t2 = tridiag_rqi(models.bd_squares(50), solver="generic")
