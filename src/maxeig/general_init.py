@@ -51,6 +51,12 @@ input ``solve_mu_general``, check their input again, as public
 functions do; the row-sum tests and the driver take the scale unchecked
 (``numat._scale``).  A dense call with killing thus sweeps its matrix for
 non-finite entries twice, where it swept it five times.
+
+A dense run holds at most three order-n matrices beyond its input: Qc
+and the initials' LU (packed -Qc and a work array); then Qc and Q~, as
+the LU is dropped first; then Q~ and the run's LU, as ``general_rqi``
+drops Qc.  The scale and the transform's ratios are formed a row block
+at a time, never as an n^2 temporary.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ import numpy as np
 
 from . import iterengine, linsolve, tridiag
 from .errors import InvalidInput, NonPositiveSequence
-from .numat import TridiagonalSystem, _scale, as_square_matrix, as_vector, shift_to_qc
+from .numat import (TridiagonalSystem, _rows_per_block, _scale, as_square_matrix, as_vector,
+                    shift_to_qc)
 from .tridiag import safe_z0
 
 __all__ = [
@@ -123,12 +130,28 @@ def solve_h_general(qc):
 
 
 def h_transform_general(qc, h):
-    """Similarity transform Diag(h)^-1 Qc Diag(h), entrywise q_ij h_j / h_i."""
+    """Similarity transform Diag(h)^-1 Qc Diag(h), entrywise q_ij (h_j / h_i).
+
+    A new matrix, formed in row blocks (``numat._rows_per_block``), so the
+    ratios h_j / h_i never fill an n^2 temporary.  Raises InvalidInput when
+    a ratio is not finite: h has a zero, or entries so far apart that a
+    ratio overflows.
+    """
     qc = as_square_matrix(qc)
     h = as_vector(h)
     if len(h) != qc.shape[0]:
         raise InvalidInput("h length must match the matrix order")
-    return qc * (h[None, :] / h[:, None])
+    q_tilde = np.empty(qc.shape, np.result_type(qc, h))
+    rows = _rows_per_block(qc)
+    for i in range(0, len(h), rows):
+        block = q_tilde[i:i + rows]     # the block's ratios, then its entries
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(h, h[i:i + rows, None], out=block)
+        if not np.isfinite(block).all():
+            raise InvalidInput("h_transform_general needs every ratio h_j / h_i finite: "
+                               "h has a zero or entries too far apart")
+        np.multiply(qc[i:i + rows], block, out=block)
+    return q_tilde
 
 
 def solve_phi_general(q_tilde):
@@ -159,9 +182,11 @@ def _initials(qc):
     Qc gives them.  A column of the inverse spans as many orders of
     magnitude as h does, and the LU resolves its small entries only to
     eps times its largest; one step of iterative refinement on the same
-    LU resolves each entry to working accuracy.  Conservative Qc is
-    singular; there h = phi = 1 exactly, Q~ is Qc itself, and only mu
-    is solved, from its bordered system (solve_mu_general).
+    LU resolves each entry to working accuracy.  The LU is dropped
+    before Q~ is made, as a new matrix: the caller's Qc is left as it
+    was.  Conservative Qc is singular; there h = phi = 1 exactly, Q~ is
+    Qc itself, and only mu is solved, from its bordered system
+    (solve_mu_general).
     """
     _require_phi_diagonal(qc)    # the transform keeps the diagonal
     n = qc.shape[0]
@@ -175,6 +200,7 @@ def _initials(qc):
     columns += solve(ends + qc @ columns)
     row = solve(ends[:, 0], transpose=True)
     row += solve(ends[:, 0] + qc.T @ row, transpose=True)
+    del solve   # its LU work array, a matrix, before Q~ is made
     h = _unit_head(columns[:, 0], "h", "harmonic vector h")
     phi = _unit_head(columns[:, 1] / h, "phi", "tail sequence phi")
     mu = _unit_head(h * row, "mu", "invariant measure mu")
@@ -251,6 +277,7 @@ def general_rqi(
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
         h, q_tilde, phi, mu = _initials(qc)
+        del qc      # Q~ alone goes on to the run, which adds its LU's two matrices
         init = tridiag.InitialData(mu=mu, phi=phi, delta1=None, v0_raw=np.sqrt(phi))
         result, trace = tridiag._efficient_rqi(q_tilde, h, init, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

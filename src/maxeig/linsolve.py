@@ -392,6 +392,10 @@ def _lu(A, solves):
     _band_route says the band pays for ``solves`` solves, with the order
     reversed where it says so, and in full Fortran order otherwise.  Each
     refactor refills one work array from it and adds z to its diagonal.
+    The packed copy costs a matrix, but it keeps each refill a contiguous
+    copy: refilled straight from a C-order A, ``np.negative(A, out=work)``
+    transposes, which took 0.35 ms against 0.08 ms at order 400 and 11 ms
+    against 1.9 ms at 1600 (one BLAS thread), at every factorisation.
     The factorisation and the solve of one vector are prepared once.
     Without LAPACK, solve is gesv on z I - A or its transpose.
     """

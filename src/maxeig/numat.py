@@ -8,7 +8,7 @@ dataclass because their diagonal is implicit.
 Validate once, at the public boundary.  Every public function checks
 its operands at entry.  Only iteration loops, which apply one
 already-checked operand many times, call private kernels: ``_apply``
-(matvec's arithmetic), ``_scale`` (matrix_scale's), ``_check_length``,
+(matvec's arithmetic), ``_scale`` (matrix_scale's, in row blocks), ``_check_length``,
 ``_require_finite`` and ``_largest_ratio``; each new iterate is checked
 once per step, where it is made, so no check is skipped and none
 repeats.  Functions called once per run have no private twin.
@@ -36,6 +36,11 @@ __all__ = [
     "matrix_scale",
     "is_positive_vector",
 ]
+
+
+# entries in one row block of an n^2 temporary taken a block at a time (256 KiB
+# of doubles): ``_scale`` and ``general_init.h_transform_general``
+_BLOCK = 2**15
 
 
 def _require_finite(arr, what):
@@ -229,10 +234,24 @@ def matrix_scale(A) -> float:
     return _scale(A if isinstance(A, TridiagonalSystem) else as_square_matrix(A))
 
 
+def _rows_per_block(A) -> int:
+    """How many rows of the matrix A make one row block: _BLOCK entries, one row at least."""
+    return max(1, _BLOCK // A.shape[1])
+
+
 def _scale(A) -> float:
-    """matrix_scale's arithmetic without its check, for an operand that passed it."""
+    """matrix_scale's arithmetic without its check, for an operand that passed it.
+
+    A dense matrix is summed in row blocks, so |A| is never formed whole;
+    each row is still reduced on its own, so the bits are those of
+    ``np.abs(A).sum(axis=1).max()``, which a matrix of one block takes as
+    it is, with no loop.
+    """
     if isinstance(A, TridiagonalSystem):
         # (a + b + c) + |diagonal| is exactly twice a + b + c, as the diagonal
         # is -(a + b + c): one pass over the diagonal, no temporaries
         return -2.0 * float(A.diagonal.min())
-    return float(np.abs(A).sum(axis=1).max())
+    rows = _rows_per_block(A)
+    if rows >= len(A):
+        return float(np.abs(A).sum(axis=1).max())
+    return max(float(np.abs(A[i:i + rows]).sum(axis=1).max()) for i in range(0, len(A), rows))

@@ -1,11 +1,14 @@
 """Initials for general matrices via the three linear systems."""
 
+import ctypes
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxeig import general_init, linsolve, models
+from maxeig import general_init, iterengine, linsolve, models
 from maxeig.errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from maxeig.general_init import (
     general_rqi,
@@ -66,6 +69,21 @@ class TestHTransform:
             sums = qt.sum(axis=1)
             assert np.abs(sums[:-1]).max() <= 1e-10 * matrix_scale(qc)
             assert sums[-1] < 0
+
+    def test_row_blocks_keep_the_entrywise_bits(self, rng):
+        # the ratios are formed a row block at a time, with the same arithmetic per entry
+        for n in (7, 300):      # one block, and three
+            qc, _ = shift_to_qc(rng.uniform(0.01, 1.0, (n, n)))
+            h = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(-100, 100, n)
+            for layout in (qc, np.asfortranarray(qc), qc.T):
+                expected = layout * (h[None, :] / h[:, None])
+                assert h_transform_general(layout, h).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("h", [[1.0, 0.0], [1e-320, 1.0]])
+    def test_a_ratio_that_is_not_finite_is_invalid_input(self, h):
+        # a zero in h divides by zero, and a subnormal next to 1 overflows
+        with pytest.raises(InvalidInput, match="finite"):
+            h_transform_general([[-1, 1], [1, -2]], h)
 
 
 def phi_from_jump_chain(qt):
@@ -431,3 +449,92 @@ def test_branching_model_matches_the_oracle_or_fails_visibly():
         if result.eigenvector_positive:
             oracle = float(np.max(oracle_eigenvalues(A).real))
             assert result.eigenvalue == pytest.approx(oracle, rel=1e-9)
+
+
+def _openblas_core():
+    """The kernel family of the OpenBLAS numpy's LAPACK comes from, or None."""
+    try:
+        from numpy.linalg import _umath_linalg
+        corename = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _random(seed, n):
+    return np.random.default_rng(seed).uniform(0.01, 1.0, (n, n))
+
+
+def _conservative(seed, n):
+    rates = _random(seed, n)
+    np.fill_diagonal(rates, 0.0)
+    return rates - np.diag(rates.sum(axis=1))
+
+
+@pytest.mark.skipif(_openblas_core() != "SkylakeX",
+                    reason="pinned with the SkylakeX kernels of numpy's bundled OpenBLAS; "
+                           "other kernels round dgemv and dgetrf in their own order")
+class TestPinnedDenseOutputs:
+    """Exact bits of the dense routes, as first recorded.
+
+    Orders stay below 100, where OpenBLAS's threading leaves the LU bits
+    alone (see ``linsolve``), so the bits are the same for any number of
+    BLAS threads; they do depend on the CPU kernels OpenBLAS picks, as
+    its matvec and LU sum in their own order.  A change here means some
+    arithmetic changed: say why, and record the new values.
+    """
+
+    # name -> (run, eigenvalue as float.hex, iterations, sha256 of trace z,
+    # residuals, eigenvector): general_rqi with killing, on conservative
+    # input and on the grid (the band LU), algorithm1, and algorithm2 on the
+    # triangular and branching models
+    RUNS = {
+        "general_rqi toeplitz order=60": (
+            lambda: general_rqi(models.toeplitz_linear(60)),
+            "0x1.4712390eb3d78p+10", 4,
+            "380213b09c296d8f9333f92e19aaa24846788a54cd6f85bbf73bb3a322d5b3ec"),
+        "general_rqi random seed=1 order=50": (
+            lambda: general_rqi(_random(1, 50)),
+            "0x1.9127a614133dap+4", 4,
+            "5227870e802e5cde63f5ab508a285331f5c25967eb045ea241a75c540c346fcd"),
+        "general_rqi random seed=1 order=50 z0=rayleigh v0=uniform": (
+            lambda: general_rqi(_random(1, 50), z0="rayleigh", v0="uniform"),
+            "0x1.9127a614133dbp+4", 7,
+            "75d14785a5e58b71aa69487510e52846d60de385035330bedb7299227c21cc03"),
+        "general_rqi conservative seed=2 order=40": (
+            lambda: general_rqi(_conservative(2, 40)),
+            "-0x1.94287f786d680p-51", 1,
+            "c33c15cf9182d4f49dfba42cfeeb521e3d1ef8fd22faf06618b1a95caee9cc23"),
+        "general_rqi grid=9": (
+            lambda: general_rqi(models.poisson_block(9)),
+            "-0x1.90f1ecbbab00ep-3", 4,
+            "c9ebe8e95cda9fa499ead72552ca5b2a58b2955e9d0ef62fc12784b664eed2f8"),
+        "algorithm1 random seed=1 order=50": (
+            lambda: iterengine.algorithm1(_random(1, 50)),
+            "0x1.9127a614133d9p+4", 4,
+            "5b1132cfab79a12eff0b1f8cb9a04cf2c3b5c1b0ba95f717ea3815bf453f2ece"),
+        "algorithm2 triangular order=80": (
+            lambda: iterengine.algorithm2(models.triangular_model(79), negate=True),
+            "0x1.68bd1e23e0578p-2", 7,
+            "463bf8fc424d587599034cc8333336c538048dc553b13a061273c9d6b7978547"),
+        "algorithm2 branching order=60": (
+            lambda: iterengine.algorithm2(models.branching_model(60), negate=True),
+            "0x1.4000000008137p-1", 9,
+            "e350c4612689b016a9ab3272412792756d2107eb022a8a42ae00a4a73b390754"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_dense_run(self, name):
+        run, *expected = self.RUNS[name]
+        result, trace = run()
+        got = [float(result.eigenvalue).hex(), trace.iterations,
+               _digest(trace.zs(), trace.residuals(), result.eigenvector)]
+        assert got == expected

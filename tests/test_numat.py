@@ -223,3 +223,13 @@ class TestMatrixScale:
         system = models.bd_squares(10**6 - 1)
         assert matrix_scale(system) == float((system.a + system.b + system.c
                                               + np.abs(system.diagonal)).max())
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_dense_scale_in_row_blocks_is_the_whole_matrix_formula_bitwise(self, rng, kind):
+        # orders of one row block and of several, in every layout a caller can pass
+        for n in (30, 200, 600):
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n))
+            if kind is complex:
+                A = A + 1j * rng.normal(size=(n, n))
+            for layout in (A, np.asfortranarray(A), A.T, A[::-1, ::-1], A[::2, ::2]):
+                assert matrix_scale(layout) == float(np.abs(layout).sum(axis=1).max())

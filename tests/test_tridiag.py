@@ -8,10 +8,10 @@ import pytest
 
 from maxeig import iterengine, models
 from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
-from maxeig.general_init import general_rqi
+from maxeig.general_init import general_rqi, h_transform_general, solve_h_general
 from maxeig.iterengine import EigenpairResult
 from maxeig.linsolve import dense_solve
-from maxeig.numat import TridiagonalSystem, matrix_scale, matvec
+from maxeig.numat import TridiagonalSystem, matrix_scale, matvec, shift_to_qc
 from maxeig.tridiag import (
     Z0_POLICIES,
     _closed_form_solver,
@@ -319,11 +319,14 @@ class TestTridiagRqi:
 
 class TestWorkingSet:
     """What a t1 run at order 10^6 allocates beyond its input, counted in arrays
-    of N doubles by tracemalloc, to which numpy reports its allocations."""
+    of N doubles by tracemalloc, to which numpy reports its allocations; and
+    what a dense run at order 800 allocates, counted in order-800 matrices."""
 
     N = 10**6
     ARRAY = 8 * N
     SMALL = 2**20    # the run's other objects: trace, closures, ctypes buffers
+    ORDER = 800
+    MATRIX = 8 * ORDER**2
 
     def peak(self, call):
         tracemalloc.start()
@@ -359,6 +362,31 @@ class TestWorkingSet:
     def test_identity_transform_holds_no_ones(self):
         system = models.bd_squares(self.N - 1)
         assert self.peak(lambda: compute_h(system)) <= self.SMALL
+
+    def random_matrix(self):
+        return np.random.default_rng(20170608).uniform(0.01, 1.0, (self.ORDER, self.ORDER))
+
+    @pytest.mark.parametrize("family", ["toeplitz", "random"])
+    def test_general_rqi_holds_three_matrices(self, family):
+        # Q~, and the run's packed -Q~ and LU work array: Qc and the initials'
+        # LU are gone before the run starts
+        A = models.toeplitz_linear(self.ORDER) if family == "toeplitz" else self.random_matrix()
+        assert self.peak(lambda: general_rqi(A)) <= 3 * self.MATRIX + self.SMALL
+
+    def test_algorithm1_holds_two_matrices(self):
+        # the packed -A and the LU work array
+        A = self.random_matrix()
+        assert self.peak(lambda: iterengine.algorithm1(A)) <= 2 * self.MATRIX + self.SMALL
+
+    def test_algorithm2_on_the_band_holds_two_matrices(self):
+        # lower Hessenberg, reversed onto a band of n + 2 rows: its packed -A and work array
+        A = models.triangular_model(self.ORDER - 1)
+        assert self.peak(lambda: iterengine.algorithm2(A, negate=True)) <= 2 * self.MATRIX + self.SMALL
+
+    def test_h_transform_general_holds_one_matrix(self):
+        qc, _ = shift_to_qc(models.toeplitz_linear(self.ORDER))
+        h = solve_h_general(qc)
+        assert self.peak(lambda: h_transform_general(qc, h)) <= self.MATRIX + self.SMALL
 
 
 class TestRecoverOriginal:
