@@ -46,11 +46,21 @@ only the "safe" and "rayleigh" policies.
 ``general_rqi`` checks its matrix once, through ``numat.shift_to_qc``,
 and recognises a tridiagonal Qc without checking it again
 (``_tridiagonal_from_dense``, the public ``tridiagonal_from_dense``'s
-kernel).  Past that only ``h_transform_general``, and on conservative
-input ``solve_mu_general``, check their input again, as public
-functions do; the row-sum tests and the driver take the scale unchecked
-(``numat._scale``).  A dense call with killing thus sweeps its matrix for
-non-finite entries twice, where it swept it five times.
+kernel).  The recognition takes Qc's row sums, whose bits the killing
+rates need (shift_to_qc's row sums of A, less m, round otherwise), and
+reads the scale, a pass over |Qc|, only when a row sum could exceed
+roundoff against it; the system it builds tests its rates in one pass
+(see ``numat``).  Past that only ``h_transform_general``, and on
+conservative input ``solve_mu_general``, check their input again, as
+public functions do; the row-sum tests and the driver take the scale
+unchecked (``numat._scale``).  A dense call with killing thus sweeps its
+matrix for non-finite entries twice, where it swept it five times.
+
+A tridiagonal Qc with no killing beyond roundoff, which comes from uniform
+killing (every c_i of Q equal, on either route) or from conservative
+input, is conservative as ``_initials`` has it: its rows sum to zero, so
+0 with the ones vector is its maximal pair, exactly, and ``general_rqi``
+returns rho = m with the ones vector without a step.
 
 A dense run holds at most three order-n matrices beyond its input: Qc
 and the initials' LU (packed -Qc and a work array); then Qc and Q~, as
@@ -65,8 +75,8 @@ import numpy as np
 
 from . import iterengine, linsolve, tridiag
 from .errors import InvalidInput, NonPositiveSequence
-from .numat import (TridiagonalSystem, _rows_per_block, _scale, as_square_matrix, as_vector,
-                    shift_to_qc)
+from .numat import (TridiagonalSystem, _apply, _rows_per_block, _scale, as_square_matrix,
+                    as_vector, shift_to_qc)
 from .tridiag import safe_z0
 
 __all__ = [
@@ -217,20 +227,48 @@ def tridiagonal_from_dense(A):
 
 
 def _tridiagonal_from_dense(A):
-    """tridiagonal_from_dense without its check, for a checked square A."""
+    """tridiagonal_from_dense without its check, for a checked square A.
+
+    A row sum beyond roundoff, -c_i > _ROUNDOFF * _scale(A), refuses A.  As
+    the scale is at least max |a_ii|, the pass over |A| it takes is made
+    only when some -c_i exceeds _ROUNDOFF * max |a_ii|.
+    """
     if np.iscomplexobj(A) or A.shape[0] < 2:
         return None
-    a, d, b = (np.diagonal(A, k) for k in (-1, 0, 1))
+    a, d, b = (A.diagonal(k) for k in (-1, 0, 1))
     # an entry outside the band is nonzero exactly when A has more nonzeros than its band
     if np.count_nonzero(A) != sum(np.count_nonzero(x) for x in (a, d, b)):
         return None
-    if (a <= 0).any() or (b <= 0).any():
+    if a.min() <= 0 or b.min() <= 0:
         return None
     c = -A.sum(axis=1)
-    if (c < -_ROUNDOFF * _scale(A)).any():
+    if (c < -_ROUNDOFF * np.abs(d).max()).any() and (c < -_ROUNDOFF * _scale(A)).any():
         return None
-    c = np.where(c < 0, 0.0, c)
+    c[c < 0] = 0.0
     return TridiagonalSystem.from_rates(a, b, c)
+
+
+def _conservative_pair(system, z0, v0, tol_z, tol_residual, max_iterations):
+    """(result, trace) of a tridiagonal Qc with no killing beyond roundoff.
+
+    Such a Qc is conservative, as _initials has it for dense input: its
+    rows sum to zero, so lambda_min(-Qc) = 0 with the ones vector is its
+    maximal pair, exactly, and the run takes no step.  The trace holds
+    that pair's relative residual, which is roundoff.  The options are
+    checked as a weighted run checks them, which starts the driver from
+    the shift -z0.
+    """
+    if not (isinstance(v0, str) and v0 in tridiag.V0_CHOICES):
+        raise InvalidInput(f"unknown v0 choice {v0!r}")
+    iterengine._check_run(0.0 if isinstance(z0, str) else -float(z0), tol_z, tol_residual,
+                          max_iterations)
+    ones = np.ones(system.order)
+    residual = iterengine._relative_residual(iterengine._l2_norm, _apply(system, ones), 0.0,
+                                             ones, _scale(system), np.empty(system.order))
+    trace = iterengine.IterationTrace(tol_z=iterengine._shift_tolerance(tol_z, system.order))
+    trace.record(0, 0.0, residual, 0.0)
+    trace.termination = "converged"
+    return iterengine._result(0.0, ones, trace)
 
 
 def general_rqi(
@@ -252,7 +290,10 @@ def general_rqi(
     Tridiagonal input runs ``tridiag_rqi`` with the banded solver: a
     dense matrix recognised as tridiagonal, or a TridiagonalSystem Q,
     which is shifted by m = -min(c) in its rates, (a, b, c - min(c)),
-    in O(N) memory, and runs as it is when min(c) = 0.
+    in O(N) memory, and runs as it is when min(c) = 0.  When the shifted
+    tridiagonal system has no killing beyond roundoff (every c equal, or
+    none), it is conservative and the result is rho = m with the ones
+    vector, exactly, after no step.
 
     ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
     efficient seed, with the result flagged, when phi_1 is not below
@@ -273,7 +314,9 @@ def general_rqi(
         if qc.shape[0] < 2:
             raise InvalidInput("general_rqi needs a matrix of order at least 2")
         system = _tridiagonal_from_dense(qc)
-    if system is not None:
+    if system is not None and system.c.max() <= _ROUNDOFF * _scale(system):
+        result, trace = _conservative_pair(system, z0, v0, **opts)
+    elif system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
         h, q_tilde, phi, mu = _initials(qc)

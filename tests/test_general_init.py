@@ -288,11 +288,38 @@ class TestGeneralRqi:
                     assert res_s.eigenvalue == pytest.approx(
                         float(np.max(oracle_eigenvalues(system).real)), rel=1e-8)
 
-    def test_uniform_killing_is_rejected_on_both_routes(self):
+    def test_uniform_killing_answers_on_both_routes(self, rng):
+        # Q + c I is conservative when every killing rate is c: rho(Q) = -c with
+        # the ones vector, exactly, from the system and from its dense form, whose
+        # row sums leave roundoff killing or, with unit rates, cancel exactly
+        systems = [TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5)),
+                   TridiagonalSystem.from_rates([1.0, 2.0], [3.0, 0.5], np.zeros(3))]
+        for _ in range(24):
+            n = int(rng.integers(3, 60))
+            a, b = rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n - 1)
+            systems.append(TridiagonalSystem.from_rates(a, b, np.full(n, rng.uniform(0.5, 2.0))))
+        cancelled = 0
+        for system in systems:
+            c = float(system.c[0])
+            qc, m = shift_to_qc(system.dense())
+            cancelled += not qc.sum(axis=1).any()
+            for A, rho in ((system, -c), (system.dense(), m)):
+                result, trace = general_rqi(A)
+                assert result.eigenvalue == rho == pytest.approx(-c, rel=1e-14, abs=1e-14)
+                assert (result.eigenvector == 1.0).all()
+                assert (trace.iterations, trace.termination) == (0, "converged")
+                assert trace.steps[0].residual <= 1e-15
+        assert cancelled >= 1
+
+    def test_uniform_killing_checks_the_run_options(self):
         system = TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5))
         for A in (system, system.dense()):
-            with pytest.raises(InvalidInput, match="killing"):
-                general_rqi(A)
+            with pytest.raises(InvalidInput, match="unknown v0"):
+                general_rqi(A, v0="bogus")
+            with pytest.raises(InvalidInput, match="tolerances must be nonnegative"):
+                general_rqi(A, tol_z=float("nan"))
+            with pytest.raises(InvalidInput, match="z0 must be finite"):
+                general_rqi(A, z0=float("inf"))
 
     @pytest.mark.parametrize("z0", general_init.Z0_POLICIES)
     def test_order_one_is_invalid(self, z0):

@@ -291,6 +291,18 @@ class TestTridiagRqi:
         assert exc.value.trace.termination == "breakdown"
         assert exc.value.trace.iterations == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_closed_form_overflow_is_a_breakdown_without_a_warning(self):
+        # from the shift 1e150 the closed form's sequences pass 1e300 at order 8,
+        # and the products that finish a solve overflow: the output is not finite,
+        # a breakdown retried once, and numpy warns of nothing on the way
+        with pytest.raises(SolverBreakdown,
+                           match=r"non-finite solution \(iteration 1, after one retry\)"):
+            tridiag_rqi(models.bd_squares(7), solver="explicit", z0=1e150)
+        system = models.bd_squares(7)
+        with pytest.raises(SolverBreakdown, match="non-finite solution"):
+            explicit_rqi_solve(system, compute_initials(system).mu, -1e150, np.ones(8))
+
     def test_solver_choice_equivalent(self):
         r1, t1 = tridiag_rqi(models.bd_squares(50), solver="explicit")
         r2, t2 = tridiag_rqi(models.bd_squares(50), solver="generic")
@@ -430,6 +442,19 @@ class TestRecoverOriginal:
             assert result.eigenvalue == pytest.approx(oracle_min_neg(system), rel=1e-9)
 
 
+def _tiny_style(seed, order, killing_everywhere):
+    """A killing-everywhere or killing-at-last generator, drawn as perfbench's tiny
+    workload draws them: a, b and then c from U(0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, order - 1), rng.uniform(0.5, 2.0, order - 1)
+    if killing_everywhere:
+        c = rng.uniform(0.5, 2.0, order)
+    else:
+        c = np.zeros(order)
+        c[-1] = rng.uniform(0.5, 2.0)
+    return TridiagonalSystem.from_rates(a, b, c)
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -498,22 +523,77 @@ class TestPinnedOutputs:
         "killing-at-last seed=3 order=256 solver=explicit": (
             "0x1.8739d80260e91p-31", 1,
             "2fcaf6df7b1357bda31181d9c6d28bbbcd703dc6f9ab486b380d1ae1103a3053"),
+        # killing everywhere (the tiny-style draws of _tiny_style): compute_h's
+        # loop and the transformed system
+        "killing-everywhere seed=1 order=12": (
+            "0x1.3b47707a159ecp+0", 4,
+            "428143399eec57986ae03c4891c023ce018e3e2491f756efa58d329936257288"),
+        "killing-everywhere seed=4 order=64": (
+            "0x1.fe78617682874p-1", 5,
+            "6a48368a51f8a7c3d467f9bdd1256b234536f413a48b7b5ecd4ed64e7c9d8d2f"),
+        "killing-everywhere seed=3 order=40 z0=safe": (
+            "0x1.0faeda7a778cdp+0", 9,
+            "8221d9699bdcd08fbbe7973faea05e3a4e191d07f7922842b37a2135a26dd047"),
+        "killing-everywhere seed=2 order=27 z0=delta1": (
+            "0x1.ef5f7096b8bd1p-1", 5,
+            "82aea6a6fc4cc0c1b847adcd1949042ef1a6e8df59e2ea048bdb238e80e28228"),
+        "killing-everywhere seed=6 order=33 z0=rayleigh v0=uniform": (
+            "0x1.c55c2189da0ebp-1", 4,
+            "0295bc87516944e8826806625c00e2359ebc8170b7795bfd4d87e686942ba121"),
+        "killing-everywhere seed=5 order=8 solver=explicit": (
+            "0x1.018bfdadf89a4p+0", 3,
+            "cf4a24c6a0a283510ddee6737e4bf18e66ed593dbebabc12056259c3fec13001"),
+    }
+
+    # general_rqi on the dense form of a tiny-style generator, which takes the
+    # recognised-tridiagonal route; its row sums leave roundoff killing in rows
+    # a killing-at-last generator does not kill.  No BLAS kernel runs on it.
+    DENSE_FORM = {
+        "killing-everywhere seed=1 order=12": (
+            "-0x1.3b47707a159eap+0", 4,
+            "46ae793f4477121c4e6da36520bb4d04a3a98fbbc84f9ba7b887cc202bf671f4"),
+        "killing-everywhere seed=2 order=27 z0=rayleigh v0=uniform": (
+            "-0x1.89de3ad3a5516p+0", 5,
+            "42e665176df41cb36ec6e010aea283aa7b67ac67f15d5c8cbf78c416560a3981"),
+        "killing-everywhere seed=3 order=40": (
+            "-0x1.0d6f6753960ecp+0", 6,
+            "a1c4170b2f2105449639d335ee2afc1d06aa199b7a9247ae84ae25236cbd063b"),
+        "killing-at-last seed=5 order=20": (
+            "-0x1.e792af51f8c95p-10", 3,
+            "c0226675481539514fb0842591319817e4bd1f4edb0232c57805278bf8cbfd81"),
+        "killing-at-last seed=6 order=50 z0=rayleigh v0=uniform": (
+            "-0x1.40ca6a1b28926p-4", 4,
+            "e3e9e529d5c905a9056072e184bf2bf1bbe7201636f3324e5a14b4f89a905b01"),
     }
 
     @staticmethod
-    def run(name):
-        if name.startswith("bd_squares"):
-            return tridiag_rqi(models.bd_squares(9999))
-        words = dict(part.split("=") for part in name.split()[1:])
-        seed, order = int(words.pop("seed")), int(words.pop("order"))
-        return tridiag_rqi(random_system(np.random.default_rng(seed), order - 1), **words)
+    def parse(name):
+        """(kind, seed, order, options) of a pinned run's name."""
+        kind, *options = name.split()
+        words = dict(part.split("=") for part in options)
+        return kind, int(words.pop("seed")), int(words.pop("order")), words
+
+    @staticmethod
+    def got(result, trace):
+        return (float(result.eigenvalue).hex(), trace.iterations,
+                _digest(trace.zs(), trace.residuals(), result.eigenvector))
 
     @pytest.mark.parametrize("name", sorted(RQI))
     def test_tridiag_rqi(self, name):
-        result, trace = self.run(name)
-        got = (float(result.eigenvalue).hex(), trace.iterations,
-               _digest(trace.zs(), trace.residuals(), result.eigenvector))
-        assert got == self.RQI[name]
+        if name.startswith("bd_squares"):
+            run = tridiag_rqi(models.bd_squares(9999))
+        else:
+            kind, seed, order, words = self.parse(name)
+            system = (_tiny_style(seed, order, True) if kind == "killing-everywhere"
+                      else random_system(np.random.default_rng(seed), order - 1))
+            run = tridiag_rqi(system, **words)
+        assert self.got(*run) == self.RQI[name]
+
+    @pytest.mark.parametrize("name", sorted(DENSE_FORM))
+    def test_general_rqi_on_the_dense_form(self, name):
+        kind, seed, order, words = self.parse(name)
+        system = _tiny_style(seed, order, kind == "killing-everywhere")
+        assert self.got(*general_rqi(system.dense(), **words)) == self.DENSE_FORM[name]
 
     def test_power_iteration_on_a_tridiagonal_system(self):
         trace = iterengine.power_iteration(models.bd_squares(7), steps=200)
