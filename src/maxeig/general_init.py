@@ -56,11 +56,16 @@ public functions do; the row-sum tests and the driver take the scale
 unchecked (``numat._scale``).  A dense call with killing thus sweeps its
 matrix for non-finite entries twice, where it swept it five times.
 
-A tridiagonal Qc with no killing beyond roundoff, which comes from uniform
-killing (every c_i of Q equal, on either route) or from conservative
-input, is conservative as ``_initials`` has it: its rows sum to zero, so
-0 with the ones vector is its maximal pair, exactly, and ``general_rqi``
-returns rho = m with the ones vector without a step.
+A conservative tridiagonal Qc, which comes from uniform killing (every
+c_i of Q equal) or from conservative input, has rows that sum to zero,
+so 0 with the ones vector is its maximal pair, exactly, and
+``general_rqi`` returns rho = m with the ones vector without a step.  A
+TridiagonalSystem is conservative when c - min(c) is exactly 0; a dense
+Qc when each row sum is within roundoff of that row's own entries.
+That rule is stricter than ``_initials``' global one, which only picks
+the initials and leaves the killing to the run: here no run follows, so
+a row's real killing below the scale of the whole matrix must not be
+taken for roundoff.
 
 A dense run holds at most three order-n matrices beyond its input: Qc
 and the initials' LU (packed -Qc and a work array); then Qc and Q~, as
@@ -92,7 +97,8 @@ __all__ = [
 # initial-shift policies general_rqi accepts besides a number
 Z0_POLICIES = ("safe", "rayleigh")
 
-# row-sum roundoff, relative to matrix_scale: a row sum beyond it is killing
+# row-sum roundoff, relative to matrix_scale or, where general_rqi decides a
+# run has no killing, to each row's own entries: a row sum beyond it is killing
 # (or, positive, a negative killing rate)
 _ROUNDOFF = 1e-12
 
@@ -249,17 +255,15 @@ def _tridiagonal_from_dense(A):
 
 
 def _conservative_pair(system, z0, v0, tol_z, tol_residual, max_iterations):
-    """(result, trace) of a tridiagonal Qc with no killing beyond roundoff.
+    """(result, trace) of a conservative tridiagonal Qc (see general_rqi).
 
-    Such a Qc is conservative, as _initials has it for dense input: its
-    rows sum to zero, so lambda_min(-Qc) = 0 with the ones vector is its
-    maximal pair, exactly, and the run takes no step.  The trace holds
-    that pair's relative residual, which is roundoff.  The options are
-    checked as a weighted run checks them, which starts the driver from
-    the shift -z0.
+    Its rows sum to zero, so lambda_min(-Qc) = 0 with the ones vector is
+    its maximal pair, exactly, and the run takes no step.  The trace
+    holds that pair's relative residual, zero or roundoff.  The options
+    are checked as a weighted run checks them (``tridiag._check_v0``, and
+    the driver's check from the shift -z0).
     """
-    if not (isinstance(v0, str) and v0 in tridiag.V0_CHOICES):
-        raise InvalidInput(f"unknown v0 choice {v0!r}")
+    tridiag._check_v0(v0)
     iterengine._check_run(0.0 if isinstance(z0, str) else -float(z0), tol_z, tol_residual,
                           max_iterations)
     ones = np.ones(system.order)
@@ -291,9 +295,13 @@ def general_rqi(
     dense matrix recognised as tridiagonal, or a TridiagonalSystem Q,
     which is shifted by m = -min(c) in its rates, (a, b, c - min(c)),
     in O(N) memory, and runs as it is when min(c) = 0.  When the shifted
-    tridiagonal system has no killing beyond roundoff (every c equal, or
-    none), it is conservative and the result is rho = m with the ones
-    vector, exactly, after no step.
+    tridiagonal system is conservative, the result is rho = m with the
+    ones vector, exactly, after no step: for a TridiagonalSystem when
+    every c is equal, or zero, so that c - min(c) is exactly 0; for a
+    dense matrix when each row of Qc sums to no more than roundoff
+    against that row's own entries, as a dense form of uniform killing
+    leaves it.  A row's killing is never judged against the scale of
+    the whole matrix, as a small row's real killing can fall below it.
 
     ``z0``: "safe" (default; falls back to the Rayleigh quotient of the
     efficient seed, with the result flagged, when phi_1 is not below
@@ -309,12 +317,16 @@ def general_rqi(
         # and then Qc is Q itself; c + m is exactly c - min(c)
         m = 0.0 - float(A.c.min())
         system = A if m == 0.0 else TridiagonalSystem(A.a, A.b, A.c + m)
+        conservative = not system.c.any()
     else:
         qc, m = shift_to_qc(A)
         if qc.shape[0] < 2:
             raise InvalidInput("general_rqi needs a matrix of order at least 2")
         system = _tridiagonal_from_dense(qc)
-    if system is not None and system.c.max() <= _ROUNDOFF * _scale(system):
+        # each row sum against its own row's roundoff, a_i + |qc_ii| + b_i
+        conservative = system is not None and bool(
+            (system.c <= _ROUNDOFF * (system.a + system.b - qc.diagonal())).all())
+    if conservative:
         result, trace = _conservative_pair(system, z0, v0, **opts)
     elif system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)

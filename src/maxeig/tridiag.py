@@ -248,6 +248,12 @@ def safe_z0(phi, mu):
     return (1.0 - float(phi[1])) / _delta1_peak(phi, mu, np.sqrt(phi))
 
 
+def _check_v0(v0):
+    """Raise InvalidInput unless v0 names a start in V0_CHOICES."""
+    if not (isinstance(v0, str) and v0 in V0_CHOICES):
+        raise InvalidInput(f"unknown v0 choice {v0!r}")
+
+
 def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     """Weighted RQI on -q, in the mu-norm, from the efficient initials; the
     one body of both routes.
@@ -278,8 +284,7 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     """
     if isinstance(z0, str) and z0 not in Z0_POLICIES:
         raise InvalidInput(f"unknown z0 choice {z0!r}")
-    if not (isinstance(v0, str) and v0 in V0_CHOICES):
-        raise InvalidInput(f"unknown v0 choice {v0!r}")
+    _check_v0(v0)
 
     mu, phi = init.mu, init.phi
     # scaled here although run_shifted_iteration normalises again: the roundings

@@ -311,6 +311,20 @@ class TestGeneralRqi:
                 assert trace.steps[0].residual <= 1e-15
         assert cancelled >= 1
 
+    def test_small_row_killing_is_not_taken_for_roundoff(self):
+        # c = 1 at state 0 is below 1e-12 of the scale, about 4e13, but not of
+        # its own row: both routes run RQI to the maximal pair of eig, about
+        # -0.219, not the conservative pair rho = 0
+        system = TridiagonalSystem(np.array([0.0, 1.0, 1e13]), np.array([1.0, 1e13, 0.0]),
+                                   np.array([1.0, 0.0, 0.0]))
+        rho = float(np.max(np.linalg.eigvals(system.dense()).real))
+        assert rho == pytest.approx(-0.2192, abs=1e-3)
+        for A in (system, system.dense()):
+            result, trace = general_rqi(A)
+            assert result.eigenvalue == pytest.approx(rho, abs=1e-3)
+            assert trace.iterations >= 1
+            assert result.eigenvector[0] < 0.6
+
     def test_uniform_killing_checks_the_run_options(self):
         system = TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5))
         for A in (system, system.dense()):
