@@ -40,8 +40,16 @@ results agree with the dense route to roundoff.  The dense route hands
 h, phi, mu and Q~ itself to the tridiagonal pipeline's one body,
 ``tridiag._efficient_rqi``, which picks the start vector and the
 initial shift, builds ``linsolve``'s shifted solve of Q~ and runs
-weighted RQI, and then to its recovery; it has no delta_1, so it takes
-only the "safe" and "rayleigh" policies.
+weighted RQI, and then to its recovery; ``general_rqi`` takes only the
+"safe" and "rayleigh" policies, so no route reads ``InitialData``'s
+delta_1 property, and "safe" evaluates its peak once, in ``safe_z0``.
+
+``general_rqi`` checks its options first, through the tridiagonal
+pipeline's one helper, ``tridiag._check_options``, before
+``shift_to_qc`` or any O(N) work.  The conservative answer
+(``_conservative_pair``) and the dense body check none of them; the
+tridiagonal route re-enters ``tridiag_rqi``, whose entry check costs a
+few comparisons.
 
 ``general_rqi`` checks its matrix once, through ``numat.shift_to_qc``,
 and recognises a tridiagonal Qc without checking it again
@@ -254,18 +262,15 @@ def _tridiagonal_from_dense(A):
     return TridiagonalSystem.from_rates(a, b, c)
 
 
-def _conservative_pair(system, z0, v0, tol_z, tol_residual, max_iterations):
+def _conservative_pair(system, tol_z):
     """(result, trace) of a conservative tridiagonal Qc (see general_rqi).
 
     Its rows sum to zero, so lambda_min(-Qc) = 0 with the ones vector is
     its maximal pair, exactly, and the run takes no step.  The trace
-    holds that pair's relative residual, zero or roundoff.  The options
-    are checked as a weighted run checks them (``tridiag._check_v0``, and
-    the driver's check from the shift -z0).
+    holds that pair's relative residual, zero or roundoff, and the
+    shift-change tolerance of ``tol_z`` at its order.  It checks no
+    option: general_rqi checked them all at entry.
     """
-    tridiag._check_v0(v0)
-    iterengine._check_run(0.0 if isinstance(z0, str) else -float(z0), tol_z, tol_residual,
-                          max_iterations)
     ones = np.ones(system.order)
     residual = iterengine._relative_residual(iterengine._l2_norm, _apply(system, ones), 0.0,
                                              ones, _scale(system), np.empty(system.order))
@@ -282,7 +287,7 @@ def general_rqi(
     v0="efficient",
     tol_z=iterengine.DEFAULT_TOL_Z,
     tol_residual=iterengine.DEFAULT_TOL_RESIDUAL,
-    max_iterations=50,
+    max_iterations=iterengine.DEFAULT_MAX_ITERATIONS,
 ):
     """Maximal eigenpair of a real matrix with nonnegative off-diagonals.
 
@@ -307,10 +312,10 @@ def general_rqi(
     efficient seed, with the result flagged, when phi_1 is not below
     phi_0 by more than roundoff),
     "rayleigh", or a number.  ``v0``: "efficient" (the seed sqrt(phi),
-    default) or "uniform".
+    default) or "uniform".  The options are checked here, before the
+    matrix is read (``tridiag._check_options``), and on no route below.
     """
-    if isinstance(z0, str) and z0 not in Z0_POLICIES:
-        raise InvalidInput(f"unknown z0 choice {z0!r}")
+    tridiag._check_options(Z0_POLICIES, z0, v0, tol_z, tol_residual, max_iterations)
     opts = {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
     if isinstance(A, TridiagonalSystem):
         # Qc = Q - m I, m = -min(c) the max row sum; +0.0, not -0.0, when min(c) is 0,
@@ -327,12 +332,12 @@ def general_rqi(
         conservative = system is not None and bool(
             (system.c <= _ROUNDOFF * (system.a + system.b - qc.diagonal())).all())
     if conservative:
-        result, trace = _conservative_pair(system, z0, v0, **opts)
+        result, trace = _conservative_pair(system, tol_z)
     elif system is not None:
         result, trace = tridiag.tridiag_rqi(system, z0=z0, v0=v0, **opts)
     else:
         h, q_tilde, phi, mu = _initials(qc)
         del qc      # Q~ alone goes on to the run, which adds its LU's two matrices
-        init = tridiag.InitialData(mu=mu, phi=phi, delta1=None, v0_raw=np.sqrt(phi))
+        init = tridiag.InitialData(mu=mu, phi=phi, v0_raw=np.sqrt(phi))
         result, trace = tridiag._efficient_rqi(q_tilde, h, init, z0, v0, **opts)
     return tridiag.recover_original(result, m=m), trace

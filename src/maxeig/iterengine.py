@@ -76,6 +76,10 @@ _EPS = float(np.finfo(float).eps)
 # shifts differ by at most 1.7 n*eps; 4 leaves a margin over that and is
 # the largest integer that keeps the floor below DEFAULT_TOL_Z up to 1e5.
 C_FLOOR = 4.0
+# the real numbers a run takes as a tolerance or a real shift, Python's and numpy's
+# scalars, named by their concrete types: a test against numbers.Real takes several
+# times as long, and a run makes the test up to three times
+_REAL = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,10 @@ def _sign_fix(v, work):
 
 # A norm takes the vector and the run's scratch array, which it may use.
 def _l1_norm(v, work):
-    return float(np.abs(v).sum())
+    """sum |v|, formed in work on a real run.  A complex run's scratch is
+    complex, so there |v| is a new array: numpy's complex abs into the
+    scratch's real part, a strided view, can round otherwise."""
+    return float(np.add.reduce(np.abs(v, out=None if work.dtype.kind == "c" else work)))
 
 
 def _l2_norm(v, work):
@@ -199,13 +206,17 @@ def _checked_norm(norm, vec, work, what):
 
 
 def _check_run(z0, tol_z, tol_residual, max_iterations):
-    """InvalidInput for a NaN or negative tolerance or a budget below one
-    iteration, which no run can meet, and for a non-finite z0."""
-    if not (tol_z >= 0 and tol_residual >= 0) or max_iterations < 1:
-        raise InvalidInput(f"tolerances must be nonnegative and max_iterations at least 1, "
-                           f"got tol_z={tol_z}, tol_residual={tol_residual}, "
-                           f"max_iterations={max_iterations}")
-    if not cmath.isfinite(z0):
+    """InvalidInput for a tolerance that is NaN, negative or not a real number
+    and a budget that is not an integer of at least one iteration, which no
+    run can meet, and for a z0 that is not a finite real or complex number:
+    a value of the wrong type (a string, None, a numpy array) is an input
+    error, not a TypeError."""
+    if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 1
+            and isinstance(tol_z, _REAL) and isinstance(tol_residual, _REAL)
+            and tol_z >= 0 and tol_residual >= 0):
+        raise InvalidInput("tolerances must be nonnegative and max_iterations an integer of at "
+                           f"least 1, got {tol_z=}, {tol_residual=}, {max_iterations=}")
+    if not (isinstance(z0, (int, float, complex, np.number)) and cmath.isfinite(z0)):
         raise InvalidInput(f"z0 must be finite, got {z0!r}")
 
 
@@ -267,7 +278,8 @@ def run_shifted_iteration(
     either way.  The perturb-and-retry moves the reported value up, by
     1e-12 (1 + |z|), whichever way the run is oriented.  A NaN or
     negative tolerance, or a budget below one iteration, can never be
-    met and raises InvalidInput; so does a non-finite z0.
+    met and raises InvalidInput; so do a non-finite z0 and any of them
+    of the wrong type, a budget that is not an integer included.
 
     The driver checks z0 once, here (``_check_run``, with the
     tolerances), and each new shift once, where it is made; each new

@@ -21,12 +21,18 @@ identically zero:
 from one LU of Qc (h = phi = 1 exactly on conservative Qc), to the same
 body, ``_efficient_rqi``: it picks the start vector from its name
 (``v0``: "efficient" or "uniform") and the initial shift from its name
-or value (``z0``) and the route's delta_1, which the dense route does
-not have, then builds the solve and runs weighted RQI with the same
-weighted Rayleigh quotient.  Both routes hand it their system q itself;
-the solve of (z I - q) is the one ``linsolve`` builds or, on
-tridiagonal q, the closed form, which ``_closed_form_solver`` builds
-once per run in the same orientation.  The driver
+or value (``z0``), then builds the solve and runs weighted RQI with the
+same weighted Rayleigh quotient.  delta_1 is computed only where a z0
+policy reads it, as ``InitialData.delta1`` is a property on
+``_delta1_peak``.  The options are checked once, at the public entries,
+``tridiag_rqi`` and ``general_rqi``, before any O(N) work, by one
+helper, ``_check_options``: z0 a name from the caller's policies or a
+real number, v0 a known start, and the run's numbers through the
+driver's ``iterengine._check_run``.  The body checks none of them.
+Both routes hand it their system q itself; the solve of (z I - q) is
+the one ``linsolve`` builds or, on tridiagonal q, the closed form,
+which ``_closed_form_solver`` builds once per run in the same
+orientation.  The driver
 (``iterengine.run_shifted_iteration``) applies q, takes its scale, and,
 started from -z_start with ``negate``, reports the decay rates; nothing
 here negates q, a solve or a shift by hand.  The module owns the
@@ -37,9 +43,9 @@ The O(N) arrays of a ``tridiag_rqi`` run, and who holds them: the
 input's a, b, c and diagonal; h and r (``compute_h``; read-only views
 of one 1.0 when the transform is the identity) and the transformed
 system, which then is the input; mu, phi and the seed sqrt(phi)
-(``compute_initials``, which peaks at five with ``_delta1_peak``'s two
-work arrays); the start vector; the solver's work arrays (three for
-``dgtsv``, or the closed form's kappa and two sequences per solve); and
+(``compute_initials``), and ``_delta1_peak``'s two work arrays while a
+policy reads delta_1; the start vector; the solver's work arrays (three
+for ``dgtsv``, or the closed form's kappa and two sequences per solve); and
 the driver's iterate and scratch array, plus a solve's output or A v
 (with one product while A v is summed) as they are made.
 ``tridiag_rqi`` hands the initials to ``_efficient_rqi`` inline, and
@@ -150,16 +156,21 @@ class InitialData:
 
     After the transform the right-endpoint killing rate plays the role
     of b_N, so the effective exit-rate sequence is b_0..b_{N-1}, c_N.
-    1/delta_1 is the "delta1" initial shift; see z0_combination for the
-    blend used by the reproduction tables.  ``v0_raw``, the efficient
-    seed sqrt(phi), is the one delta_1 was computed from; the dense route
-    of general_init has no delta_1 and passes None.
+    ``v0_raw`` is the efficient seed sqrt(phi).  ``delta1`` is a
+    read-only property, evaluated by _delta1_peak from phi, mu and that
+    seed each time it is read, so a run whose z0 policy does not read it
+    never computes it.  1/delta_1 is the "delta1" initial shift; see
+    z0_combination for the blend used by the reproduction tables.
     """
 
     mu: np.ndarray
     phi: np.ndarray
-    delta1: float | None
     v0_raw: np.ndarray
+
+    @property
+    def delta1(self) -> float:
+        """delta_1 of phi and mu (_delta1_peak), an O(N) pass at each read."""
+        return _delta1_peak(self.phi, self.mu, self.v0_raw)
 
     @property
     def v0(self) -> np.ndarray:
@@ -175,11 +186,11 @@ def _unit(v, mu):
 
 
 def compute_initials(transformed: TridiagonalSystem) -> InitialData:
-    """Compute mu, phi, delta_1 and the seed sqrt(phi) for a transformed system.
+    """Compute mu, phi and the seed sqrt(phi) for a transformed system.
 
     The sequences are built in place, through ``out=``, in the arrays
-    returned, so the call holds five arrays of order N at its peak: mu,
-    phi, the seed and _delta1_peak's two work arrays.
+    returned, so the call holds three arrays of order N: mu, phi and the
+    seed.  delta_1 is left to the record's property.
     """
     a, b, c = transformed.a, transformed.b, transformed.c
     N = transformed.n_max
@@ -198,9 +209,7 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     phi *= mu
     np.divide(1.0, phi, out=phi)
     np.add.accumulate(phi[::-1], out=phi[::-1])
-
-    seed = np.sqrt(phi)
-    return InitialData(mu=mu, phi=phi, delta1=_delta1_peak(phi, mu, seed), v0_raw=seed)
+    return InitialData(mu=mu, phi=phi, v0_raw=np.sqrt(phi))
 
 
 def _delta1_peak(phi, mu, sqrt_phi) -> float:
@@ -248,10 +257,21 @@ def safe_z0(phi, mu):
     return (1.0 - float(phi[1])) / _delta1_peak(phi, mu, np.sqrt(phi))
 
 
-def _check_v0(v0):
-    """Raise InvalidInput unless v0 names a start in V0_CHOICES."""
+def _check_options(policies, z0, v0, tol_z, tol_residual, max_iterations):
+    """The one check of a weighted run's options, made by tridiag_rqi and
+    general_rqi at entry, before any O(N) work.  The routes below check
+    none of them; the driver checks the shift it is handed, with the
+    tolerances, as it does on every run.
+
+    Raises InvalidInput unless ``z0`` is a name in ``policies`` or a real
+    number (``iterengine._REAL``), ``v0`` names a start in V0_CHOICES, and
+    the run's numbers pass the driver's ``iterengine._check_run``.
+    """
+    if not (z0 in policies if isinstance(z0, str) else isinstance(z0, iterengine._REAL)):
+        raise InvalidInput(f"unknown z0 choice {z0!r}")
     if not (isinstance(v0, str) and v0 in V0_CHOICES):
         raise InvalidInput(f"unknown v0 choice {v0!r}")
+    iterengine._check_run(0.0 if isinstance(z0, str) else z0, tol_z, tol_residual, max_iterations)
 
 
 def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
@@ -259,18 +279,19 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     one body of both routes.
 
     ``q`` is a TridiagonalSystem or a dense matrix the route has already
-    validated, ``h`` its h-scaling and ``init`` its mu, phi, delta_1 and
-    seed sqrt(phi).  ``v0`` is "efficient", the seed, or "uniform";
-    either is scaled to unit mu-norm.  ``z0`` is a number, "safe",
-    "rayleigh" (the start's weighted Rayleigh quotient), or, where the
-    route has a delta_1, "delta1" (1/delta1) or "combination"
-    (z0_combination of delta1 and that quotient).  The dense route has
-    none, and general_rqi admits only "safe", "rayleigh" or a number
-    there.  When phi_1 is not below phi_0 by more than roundoff
-    (_PHI_TIE), the safe shift is ruled out: the run starts from the
-    seed's quotient and is flagged (``z0_fallback``).  Then phi and the
-    seed are dropped, as the run needs neither; a caller that passes
-    ``init`` inline leaves this the last reference to them.
+    validated, ``h`` its h-scaling and ``init`` its mu, phi and seed
+    sqrt(phi).  The options are the ones the public entry checked
+    (``_check_options``); the body checks none of them.  ``v0`` is
+    "efficient", the seed, or "uniform"; either is scaled to unit
+    mu-norm.  ``z0`` is a number, "safe", "rayleigh" (the start's
+    weighted Rayleigh quotient), "delta1" (1/delta1) or "combination"
+    (z0_combination of delta1 and that quotient); only the last two
+    read ``init.delta1``, and general_rqi admits neither.  When phi_1 is
+    not below phi_0 by more than roundoff (_PHI_TIE), the safe shift is
+    ruled out: the run starts from the seed's quotient and is flagged
+    (``z0_fallback``).  Then phi and the seed are dropped, as the run
+    needs neither; a caller that passes ``init`` inline leaves this the
+    last reference to them.
 
     ``solver`` is "generic", the solve ``linsolve._shifted_solver(q)``
     builds, or "explicit", the closed form (q tridiagonal).  The driver
@@ -282,10 +303,6 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     eigenvector in the h-scaled coordinates; recover_original maps it
     back.
     """
-    if isinstance(z0, str) and z0 not in Z0_POLICIES:
-        raise InvalidInput(f"unknown z0 choice {z0!r}")
-    _check_v0(v0)
-
     mu, phi = init.mu, init.phi
     # scaled here although run_shifted_iteration normalises again: the roundings
     # differ, and starting from bare sqrt(phi) loses some interior-killing runs
@@ -444,7 +461,7 @@ def tridiag_rqi(
     v0="efficient",
     tol_z=iterengine.DEFAULT_TOL_Z,
     tol_residual=iterengine.DEFAULT_TOL_RESIDUAL,
-    max_iterations=50,
+    max_iterations=iterengine.DEFAULT_MAX_ITERATIONS,
 ):
     """Full pipeline: transform, initials, weighted RQI on the transformed system.
 
@@ -463,10 +480,12 @@ def tridiag_rqi(
     phi_1 is not below phi_0 by more than roundoff, which a tridiagonal
     phi, strictly decreasing, meets only through rounding), "rayleigh",
     or a number.  ``v0`` is
-    "efficient", the sqrt(phi) seed, or "uniform".
+    "efficient", the sqrt(phi) seed, or "uniform".  The options are
+    checked here, before any O(N) work (``_check_options``).
     """
     if solver not in ("generic", "explicit"):
         raise InvalidInput(f"unknown solver {solver!r}")
+    _check_options(Z0_POLICIES, z0, v0, tol_z, tol_residual, max_iterations)
     if not system.c.any():
         raise InvalidInput("tridiag_rqi requires some killing rate (c not identically zero)")
     ht = compute_h(system)

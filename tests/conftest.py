@@ -46,3 +46,27 @@ def random_system(rng, N, low=0.5, high=2.0, with_killing="last"):
         c = rng.uniform(0.0, high, N + 1)
         c[N] = rng.uniform(low, high)
     return TridiagonalSystem.from_rates(a, b, c)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name for the test so each call is counted; returns the list
+    that one entry per call is appended to."""
+    calls = []
+    function = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def fail_if_called(monkeypatch, module, *names):
+    """Make each module.name raise AssertionError for the test: work that an
+    option check must come before."""
+    for name in names:
+        def fail(*args, name=name, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} ran before the options were checked")
+
+        monkeypatch.setattr(module, name, fail)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxeig import general_init, iterengine, linsolve, models
+from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from maxeig.general_init import (
     general_rqi,
@@ -22,7 +22,7 @@ from maxeig.general_init import (
 from maxeig.numat import TridiagonalSystem, matrix_scale, shift_to_qc
 from maxeig.tridiag import compute_h, compute_initials, recover_original, tridiag_rqi
 
-from conftest import oracle_eigenvalues, random_system
+from conftest import count_calls, fail_if_called, oracle_eigenvalues, random_system
 
 
 class TestSolveH:
@@ -266,10 +266,14 @@ class TestGeneralRqi:
         assert np.array_equal(res_g.eigenvector, recover_original(res_t).eigenvector)
 
     @pytest.mark.parametrize("z0, v0", [("safe", "efficient"), ("rayleigh", "uniform")])
-    def test_a_tridiagonal_system_runs_as_its_dense_matrix(self, z0, v0):
+    def test_a_tridiagonal_system_runs_as_its_dense_matrix(self, monkeypatch, z0, v0):
+        # each run evaluates delta_1's peak once, in safe_z0, where its policy reads it
+        calls = count_calls(monkeypatch, tridiag, "_delta1_peak")
         system = models.bd_squares(7)
         res_s, trace_s = general_rqi(system, z0=z0, v0=v0)
+        assert len(calls) == (z0 == "safe")
         res_d, trace_d = general_rqi(system.dense(), z0=z0, v0=v0)
+        assert len(calls) == 2 * (z0 == "safe")
         assert np.array_equal(trace_s.zs(), trace_d.zs())
         assert np.array_equal(res_s.eigenvector, res_d.eigenvector)
         assert res_s.eigenvalue == res_d.eigenvalue
@@ -346,11 +350,33 @@ class TestGeneralRqi:
             result, _ = general_rqi(A, z0=z0)
             assert result.eigenvector_positive
 
-    @pytest.mark.parametrize("v0", ["bogus", None])
-    def test_rejects_unknown_start(self, v0):
-        for A in (models.bd_squares(5).dense(), models.toeplitz_linear(5)):
-            with pytest.raises(InvalidInput):
+    # the three routes: the tridiagonal pipeline (a system and its dense form),
+    # the dense body, and the conservative answer (uniform killing, both forms)
+    ROUTES = (models.bd_squares(5), models.bd_squares(5).dense(), models.toeplitz_linear(5),
+              TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5)),
+              TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5)).dense())
+
+    @pytest.mark.parametrize("v0", ["bogus", None, np.ones(6)])
+    def test_rejects_unknown_start(self, monkeypatch, v0):
+        # at entry, before the shift to Qc and the transform
+        fail_if_called(monkeypatch, general_init, "shift_to_qc")
+        fail_if_called(monkeypatch, tridiag, "compute_h")
+        for A in self.ROUTES:
+            with pytest.raises(InvalidInput, match="^unknown v0 choice "):
                 general_rqi(A, v0=v0)
+
+    @pytest.mark.parametrize("z0", ["combination", "bogus", None, 1j, np.ones(6)])
+    def test_rejects_unknown_z0(self, monkeypatch, z0):
+        # a name outside the policy set, or no real number, before any O(N) work;
+        # tridiag_rqi takes "combination", but the other names and types neither
+        fail_if_called(monkeypatch, general_init, "shift_to_qc")
+        fail_if_called(monkeypatch, tridiag, "compute_h")
+        for A in self.ROUTES:
+            with pytest.raises(InvalidInput, match="^unknown z0 choice "):
+                general_rqi(A, z0=z0)
+        if not (isinstance(z0, str) and z0 in tridiag.Z0_POLICIES):
+            with pytest.raises(InvalidInput, match="^unknown z0 choice "):
+                tridiag_rqi(self.ROUTES[0], z0=z0)
 
     def test_rejects_tridiagonal_only_policy(self):
         with pytest.raises(ValueError):

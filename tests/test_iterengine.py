@@ -15,6 +15,7 @@ from maxeig.iterengine import (
     power_iteration,
     rqi,
     run_shifted_iteration,
+    _l1_norm,
     _l2_norm,
     _max_ratio_update,
     _rayleigh_update,
@@ -121,13 +122,16 @@ class TestPowerIteration:
 
 
 class TestRqi:
+    # the last five are of the wrong type, an input error and not a TypeError
     @pytest.mark.parametrize("opts", [{"tol_z": -1.0}, {"tol_z": np.nan}, {"tol_residual": -1e-8},
                                       {"tol_residual": np.nan}, {"max_iterations": 0},
-                                      {"max_iterations": -1}])
+                                      {"max_iterations": -1}, {"tol_z": "1e-3"},
+                                      {"tol_residual": None}, {"max_iterations": 2.5},
+                                      {"z0": None}, {"z0": "x"}])
     def test_unreachable_tolerances_and_budgets_rejected(self, opts):
         A = np.diag([2.0, 1.0])
         with pytest.raises(InvalidInput):
-            rqi(A, [1.0, 0.5], 2.5, **opts)
+            rqi(A, [1.0, 0.5], **{"z0": 2.5, **opts})
 
 
     def test_invariant_subspace_single_step(self):
@@ -192,6 +196,14 @@ def test_non_finite_z0_rejected_before_any_solve(entry, z0):
         _Z0_ENTRY_POINTS[entry](z0)
 
 
+@pytest.mark.parametrize("opts", [{"z0": "x"}, {"tol_z": "1e-3"}, {"max_iterations": 2.5}])
+@pytest.mark.parametrize("method", [algorithm1, algorithm2])
+def test_options_of_the_wrong_type_are_invalid(method, opts):
+    # z0=None is the automatic shift; a name is not a shift
+    with pytest.raises(InvalidInput):
+        method(models.negative3(), **opts)
+
+
 _finite = st.floats(-1e150, 1e150, allow_subnormal=True)
 
 
@@ -202,6 +214,21 @@ def test_l2_norm_is_numpy_norm_bitwise(pairs, is_complex):
     v = re + 1j * im if is_complex else re
     for u in (v, np.ascontiguousarray(v), v[::-1]):
         assert np.float64(_l2_norm(u, None)).tobytes() == np.linalg.norm(u).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=64), st.booleans(),
+       st.booleans())
+def test_l1_norm_is_numpy_abs_sum_bitwise(pairs, is_complex, complex_run):
+    # formed in the scratch array on a real run, a real or complex vector, also
+    # when the vector is the scratch itself, as the residual is
+    re, im = np.array(pairs).T      # strided views
+    v = re + 1j * im if is_complex else re
+    kind = complex if is_complex or complex_run else float
+    for u in (v, np.ascontiguousarray(v), v[::-1], v.astype(kind)):
+        expected = np.float64(np.abs(u).sum()).tobytes()
+        assert np.float64(_l1_norm(u, np.empty(len(u), kind))).tobytes() == expected
+    assert np.float64(_l1_norm(u, u)).tobytes() == expected
 
 
 class TestDriverChecksEachIterate:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxeig import iterengine, models
+from maxeig import iterengine, models, tridiag
 from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from maxeig.general_init import general_rqi, h_transform_general, solve_h_general
 from maxeig.iterengine import EigenpairResult
@@ -23,7 +23,7 @@ from maxeig.tridiag import (
     z0_combination,
 )
 
-from conftest import oracle_eigenvalues, oracle_min_neg, random_system
+from conftest import count_calls, fail_if_called, oracle_eigenvalues, oracle_min_neg, random_system
 
 
 class TestComputeH:
@@ -257,15 +257,20 @@ class TestTridiagRqi:
         _, _, trace = request.getfixturevalue(f"million_{solver}")
         assert [f"{z:.6g}" for z in trace.zs()[:3]] == ["0.295162", "0.279215", "0.279121"]
 
-    @pytest.mark.parametrize("z0", Z0_POLICIES)
-    def test_accepted_z0_policies(self, z0):
+    @pytest.mark.parametrize("z0", Z0_POLICIES + (0.5,))
+    def test_accepted_z0_policies(self, monkeypatch, z0):
+        # delta_1 is evaluated only where the policy reads it, once
+        calls = count_calls(monkeypatch, tridiag, "_delta1_peak")
         result, _ = tridiag_rqi(models.bd_squares(7), z0=z0)
         assert result.eigenvalue == pytest.approx(0.525268, abs=5e-6)
         assert not result.z0_fallback
+        assert len(calls) == (z0 in ("combination", "delta1", "safe"))
 
     @pytest.mark.parametrize("v0", ["bogus", None, np.ones(8)])
-    def test_rejects_unknown_start(self, v0):
-        with pytest.raises(InvalidInput):
+    def test_rejects_unknown_start(self, monkeypatch, v0):
+        # at entry, before the transform
+        fail_if_called(monkeypatch, tridiag, "compute_h")
+        with pytest.raises(InvalidInput, match="^unknown v0 choice "):
             tridiag_rqi(models.bd_squares(7), v0=v0)
 
     def test_order_two_closed_form(self):
