@@ -88,7 +88,7 @@ import numpy as np
 
 from . import iterengine, linsolve, tridiag
 from .errors import InvalidInput, NonPositiveSequence
-from .numat import (TridiagonalSystem, _apply, _rows_per_block, _scale, as_square_matrix,
+from .numat import (TridiagonalSystem, _rows_per_block, _scale, as_square_matrix,
                     as_vector, shift_to_qc)
 from .tridiag import safe_z0
 
@@ -272,7 +272,8 @@ def _conservative_pair(system, tol_z):
     option: general_rqi checked them all at entry.
     """
     ones = np.ones(system.order)
-    residual = iterengine._relative_residual(iterengine._l2_norm, _apply(system, ones), 0.0,
+    av = linsolve._product(system)(ones)
+    residual = iterengine._relative_residual(iterengine._l2_norm, av, 0.0,
                                              ones, _scale(system), np.empty(system.order))
     trace = iterengine.IterationTrace(tol_z=iterengine._shift_tolerance(tol_z, system.order))
     trace.record(0, 0.0, residual, 0.0)

@@ -15,7 +15,9 @@ Each caller hands the driver the operator A (a dense matrix or a
 TridiagonalSystem), a solve of (z I - A), and its shift update and norm
 as functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
 ``tridiag`` the weighted Rayleigh update in the mu-norm.  The driver
-applies A, takes its scale for the relative residual, and owns the
+applies A through ``linsolve._product``, one LAPACK ``dlagtm`` binding
+per run on a TridiagonalSystem, takes its scale for the relative
+residual, and owns the
 orientation: with ``negate`` it reports every shift negated, which is
 how both ``algorithm2(negate=True)`` and ``tridiag`` (lambda_min(-Q))
 report a decay rate.  ``_result`` makes every shifted run's
@@ -32,6 +34,12 @@ breakdown raises SolverBreakdown, carrying the run's trace as
 MaxIterationsExceeded does.  Each solve checks its own output once and
 raises SolverBreakdown for a non-finite one, which the same retry
 covers; the driver scans no iterate, and its norm check is the backstop.
+A norm that leaves the range of doubles on a finite, nonzero vector is
+not an error: the l2 norm takes an overflowing sum of squares again on
+the vector scaled by a power of two, and the driver (``_normalised``)
+does the same for any norm of 0 or inf, so that an entry past 1e154, or
+a solve's output of entries all below 1e-154, is normalised, with no
+numpy warning; no bit of a run inside the range moves.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ from . import linsolve
 from .errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from .numat import (
     TridiagonalSystem,
-    _apply,
     _check_length,
+    _dot,
     _largest_ratio,
     _require_finite,
     _scale,
@@ -80,6 +88,10 @@ C_FLOOR = 4.0
 # scalars, named by their concrete types: a test against numbers.Real takes several
 # times as long, and a run makes the test up to three times
 _REAL = (int, float, np.integer, np.floating)
+# the powers of two that bring a norm which left the range of doubles back into
+# it: an entry below 2^1024 scaled by _TINY has a square below 2^848, and a
+# nonzero one scaled by _HUGE a square above 2^-948
+_TINY, _HUGE = 2.0**-600, 2.0**600
 
 
 @dataclass(frozen=True)
@@ -173,12 +185,22 @@ def _l1_norm(v, work):
 def _l2_norm(v, work):
     """numpy.linalg.norm(v)'s arithmetic without its dispatch: sqrt(v . v),
     summed over the real and imaginary parts, on v as a contiguous vector
-    (ravel copies a strided one, whose dot product rounds otherwise)."""
+    (ravel copies a strided one, whose dot product rounds otherwise).
+
+    A sum of squares that overflows, from an entry beyond about 1.3e154,
+    is taken again on v scaled by 2^-600 and its root scaled back, so the
+    norm is inf only when it exceeds the largest double or v holds inf;
+    no warning is raised on the way (numat._dot).  One that underflows is
+    left as numpy leaves it: _normalised retakes a norm of 0."""
     v = v.ravel(order="K")
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
+        square = _dot(re, re) + _dot(im, im)
+    else:
+        square = _dot(v, v)
+    if square == math.inf and np.isfinite(v).all():
+        return _l2_norm(v * _TINY, work) * _HUGE
+    return math.sqrt(square)
 
 
 _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
@@ -192,17 +214,26 @@ def _relative_residual(norm, av, z, v, scale, work):
     return norm(work, work) / ((scale or 1.0) * norm(v, work))
 
 
-def _checked_norm(norm, vec, work, what):
-    """norm(vec, work), which the caller divides by; InvalidInput unless it is
+def _normalised(norm, vec, work, what, out=None):
+    """vec / norm(vec, work), formed in ``out``: vec itself to normalise it
+    in place, or None for a new array.  InvalidInput unless that norm is
     finite and positive, so no iterate is ever normalised by 0 or inf.
 
-    A vector with a non-finite entry has a non-finite norm, so only then
-    are its entries scanned, to name that case."""
+    A norm of 0 or inf on a finite vec that is not zero left the range of
+    doubles (the l2 norm of entries all below about 1.5e-154, or the
+    mu-norm of entries beyond 1e154): it is taken again on vec scaled by
+    2^600 or 2^-600, which changes no bit of the normalised vector but
+    for entries that leave the normal range.  A vector with a non-finite
+    entry has a non-finite norm, so only then are its entries scanned, to
+    name that case."""
     size = norm(vec, work)
     if not 0.0 < size < math.inf:
         _require_finite(vec, "vector")
-        raise InvalidInput(f"{what} has norm {size}: it is zero, or its norm overflowed")
-    return size
+        vec = np.multiply(vec, _HUGE if size == 0.0 else _TINY, out=out)
+        size = norm(vec, work)
+        if not 0.0 < size < math.inf:
+            raise InvalidInput(f"{what} has norm {size}: it is zero, or its norm overflowed")
+    return np.divide(vec, size, out=out)
 
 
 def _check_run(z0, tol_z, tol_residual, max_iterations):
@@ -254,11 +285,14 @@ def run_shifted_iteration(
     tol_residual=DEFAULT_TOL_RESIDUAL,
     max_iterations=DEFAULT_MAX_ITERATIONS,
     negate=False,
+    product=None,
 ):
     """Shared shifted-inverse driver on the operator A; returns (z, v, trace).
 
     ``A`` is a dense matrix or a TridiagonalSystem the caller has
-    validated; the driver applies it (numat._apply) and measures the
+    validated; the driver applies it through ``product``, the run's
+    ``linsolve._product(A)`` (built here unless the caller, which may
+    have applied A already, hands over its own), and measures the
     relative residual against its scale, numat.matrix_scale(A), taken
     without checking A again.  ``solve_shifted(z, v)`` must return any
     nonzero multiple of (z I - A)^{-1} v as a new, finite array, or
@@ -280,6 +314,8 @@ def run_shifted_iteration(
     negative tolerance, or a budget below one iteration, can never be
     met and raises InvalidInput; so do a non-finite z0 and any of them
     of the wrong type, a budget that is not an integer included.
+    ``rqi``, ``algorithm1`` and ``algorithm2`` check the same options
+    at entry, before they read their matrix.
 
     The driver checks z0 once, here (``_check_run``, with the
     tolerances), and each new shift once, where it is made; each new
@@ -296,15 +332,16 @@ def run_shifted_iteration(
     _check_run(z0, tol_z, tol_residual, max_iterations)
     sign = -1.0 if negate else 1.0
     scale = _scale(A)
+    apply = linsolve._product(A) if product is None else product
 
     t0 = time.perf_counter()
     v = np.asarray(v0)
     tol_z = _shift_tolerance(tol_z, len(v))
     trace = IterationTrace(tol_z=tol_z)
     work = np.empty(len(v), np.result_type(v, z0))
-    v = _sign_fix(v / _checked_norm(norm, v, work, "start vector v0"), work)
+    v = _sign_fix(_normalised(norm, v, work, "start vector v0"), work)
     z = z0
-    av = _apply(A, v)
+    av = apply(v)
     # a complex A on a real start and shift shows first in A v0; no later step
     # turns a real run complex
     work = work.astype(np.result_type(work, av), copy=False)
@@ -327,9 +364,9 @@ def run_shifted_iteration(
                 trace.termination = "breakdown"
                 raise SolverBreakdown(f"{exc} (iteration {k}, after one retry)",
                                       trace=trace) from exc
-        w /= _checked_norm(norm, w, work, f"the shifted solve's output at iteration {k}")
+        _normalised(norm, w, work, f"the shifted solve's output at iteration {k}", out=w)
         v = _sign_fix(w, work)
-        av = _apply(A, v)
+        av = apply(v)
         z_new = z_update(v, av, work)
         if not cmath.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
@@ -364,13 +401,15 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     finite, so a z that is zero or not finite raises InvalidInput.  A
     TridiagonalSystem Q is iterated as m I + Q with m = max(a + b + c), a
     nonnegative matrix whose dominant pair is Q's maximal pair, without
-    forming it; the trace then records the decay-rate estimates m - z_k
-    in O(N) memory.
+    forming it, through the run's one ``linsolve._product``; the trace
+    then records the decay-rate estimates m - z_k in O(N) memory.
+    ``steps`` must be an integer (``int`` or ``np.integer``) of at least
+    0, or InvalidInput is raised.
     """
-    if norm not in _POWER_NORMS:
+    if not (isinstance(norm, str) and norm in _POWER_NORMS):
         raise InvalidInput(f"unknown norm {norm!r}")
-    if steps < 0:
-        raise InvalidInput(f"steps must be nonnegative, got {steps}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+        raise InvalidInput(f"steps must be a nonnegative integer, got {steps!r}")
     norm_fn = _POWER_NORMS[norm]
     t0 = time.perf_counter()
     trace = IterationTrace()
@@ -378,9 +417,10 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
         m = -float(A.diagonal.min())                # max(a + b + c), exactly
         n, scale = A.order, m - float(A.c.min())   # max absolute row sum of m I + Q
         kind = np.float64
+        product = linsolve._product(A)
 
         def apply(vec):
-            return m * vec + _apply(A, vec)
+            return m * vec + product(vec)
 
         def record(k, z, residual):
             trace.record(k, m - z, residual, time.perf_counter() - t0)
@@ -396,7 +436,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     v = as_vector(v0) if v0 is not None else np.ones(n)
     _check_length(A, v)
     work = np.empty(n, np.result_type(v, kind))
-    v = v / _checked_norm(norm_fn, v, work, "start vector v0")
+    v = _normalised(norm_fn, v, work, "start vector v0")
 
     av = apply(v)
     z = norm_fn(av, work)
@@ -422,11 +462,13 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
 
     v_k = (z_{k-1} I - A)^{-1} v_{k-1} normalized, with the shift update
     selected by ``z_update`` (rayleigh | max_ratio; the latter realizes
-    shifted inverse iteration).
+    shifted inverse iteration).  The options are checked first, before
+    A is read.
     """
-    A = as_square_matrix(A)
-    if z_update not in _RQI_UPDATES:
+    _check_run(z0, tol_z, tol_residual, max_iterations)
+    if not (isinstance(z_update, str) and z_update in _RQI_UPDATES):
         raise InvalidInput(f"unknown z_update {z_update!r}")
+    A = as_square_matrix(A)
     v0 = as_vector(v0)
     _check_length(A, v0)
     return _rqi(A, v0, z0, _RQI_UPDATES[z_update], negate=negate, tol_z=tol_z,
@@ -437,6 +479,13 @@ def _rqi(A, v0, z0, z_update, **opts):
     """rqi on a checked A and a start v0 of its order, with the update function."""
     return _result(*run_shifted_iteration(A, linsolve._shifted_solver(A), v0, z0,
                                           z_update=z_update, norm=_l2_norm, **opts))
+
+
+def _checked_options(z0, tol_z, tol_residual, max_iterations):
+    """The driver's options of a global algorithm, checked (``_check_run``;
+    z0 None is the automatic shift) before the matrix is read."""
+    _check_run(0.0 if z0 is None else z0, tol_z, tol_residual, max_iterations)
+    return {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
 
 
 def _uniform_start(A):
@@ -451,25 +500,31 @@ def _uniform_start(A):
     return v0, z0
 
 
-def algorithm1(A, z0=None, negate=False, **opts):
+def algorithm1(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,
+               tol_residual=DEFAULT_TOL_RESIDUAL, max_iterations=DEFAULT_MAX_ITERATIONS):
     """Global specific RQI: uniform start, z0 = max(A v0 / v0), Rayleigh updates.
 
     Guaranteed for matrices with the Perron-Frobenius property (up to a
     shift); in practice it converges on a much wider class, complex
     input included, but with a small chance of capturing a non-maximal
-    pair -- check ``eigenvector_positive`` on the result.
+    pair -- check ``eigenvector_positive`` on the result.  The options
+    are checked first, before A is read.
     """
+    opts = _checked_options(z0, tol_z, tol_residual, max_iterations)
     A = as_square_matrix(A)
     v0, z0_auto = _uniform_start(A)
     return _rqi(A, v0, z0_auto if z0 is None else z0, _rayleigh_update, negate=negate, **opts)
 
 
-def algorithm2(A, z0=None, negate=False, **opts):
+def algorithm2(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,
+               tol_residual=DEFAULT_TOL_RESIDUAL, max_iterations=DEFAULT_MAX_ITERATIONS):
     """Global shifted inverse iteration: like algorithm1 but z_k = max(A v_k / v_k).
 
     The max ratio stays above the Perron root for positive iterates, so
-    the shift approaches it from the safe side.  Real input only.
+    the shift approaches it from the safe side.  Real input only.  The
+    options are checked first, before A is read.
     """
+    opts = _checked_options(z0, tol_z, tol_residual, max_iterations)
     A = as_square_matrix(A)
     if np.iscomplexobj(A):
         raise InvalidInput("the max-ratio update is undefined for complex input; use algorithm1")

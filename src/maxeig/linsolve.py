@@ -1,6 +1,7 @@
-"""Linear-system solvers backing the inverse/RQI iterations.
+"""Linear-system solvers backing the inverse/RQI iterations, and the
+tridiagonal product A v of those iterations.
 
-Three routes:
+Three routes for the solves:
 
 - LAPACK ``dgtsv`` (elimination with partial pivoting between adjacent
   rows) for real tridiagonal systems: ``tridiag_solve``, and the shifted
@@ -29,39 +30,62 @@ Three routes:
 - ``gesv`` (LU with partial pivoting) through ``numpy.linalg.solve`` for
   complex matrices, right-hand sides and shifts.
 
-The five routines are called through ``ctypes`` from the LAPACK library
-numpy's own ``linalg`` is linked against.  One loader looks them up once,
-at import, all from the first export family that has all five;
+The product of a ``TridiagonalSystem`` with a real vector is LAPACK
+``dlagtm`` (B := A X, alpha = 1, beta = 0), which ``_product`` binds once
+per run to the system's three read-only diagonals: one pass and one new
+array per product, where numpy's five passes made two.  Fortran sums each
+row in ``numat._apply``'s order, so the bits are _apply's but for the sign
+of a zero row (see ``_product``).  _apply stays the product of a dense
+matrix, of a complex vector and of a run without LAPACK.  On a 2-core
+Intel Xeon host, one BLAS thread, best of 7 batches in each of several
+runs, a product of order 10^6 took 2.85-2.90 ms against 9.6-11.4 for
+_apply, and one of order 10^5 0.20-0.26 against 0.44-1.29.
+
+The six routines, ``dgtsv``, ``dgetrf``, ``dgetrs``, ``dgbtrf``,
+``dgbtrs`` and ``dlagtm``, are called through ``ctypes`` from the LAPACK
+library numpy's own ``linalg`` is linked against.  One loader looks them
+up once, at import, all from the first export family that has all six;
 ``LAPACK_EXPORT`` names that family's pattern (``scipy_{}_64_`` in
-numpy's bundled OpenBLAS), or is None when no family has all five, and
-then every solve takes the fallbacks above.  One binder, ``_prepare``,
-converts a call's arguments once, so a run of shifted solves repeats
-prepared calls: ``dgtsv`` is bound once per run and given only each
-right-hand side's address, and ``_lu`` binds its factorisation and its
-one-vector solve once per matrix.  An address comes from ctypes' view of
-the array's buffer (``_address``), 0.4 microseconds against the 1.4 of
-numpy's ``.ctypes`` helper, which builds an object on every read, and
-the pivot array is allocated with the family's integer type as a numpy
-dtype (``_INT_DTYPES``), 0.2 microseconds against 3.0 with the ctypes
-type, which numpy converts anew on every call.  On a 2-core Intel Xeon
-host, one BLAS thread, building ``_lu`` at order 22 takes about 18
-microseconds (24 before), and ``_gtsv`` about 6 (8).
+numpy's bundled OpenBLAS), or is None when no family has all six, and
+then every solve and product takes the fallbacks above.  One binder,
+``_prepare``, converts a call's arguments once, so a run repeats prepared
+calls: ``dgtsv`` and ``dlagtm`` are bound once per run and given only the
+addresses of each call's one or two vectors, and ``_lu`` binds its
+factorisation and its one-vector solve once per matrix.  The binder takes
+arrays, read-only ones included, integers, doubles and character flags,
+and routines with or without LAPACK's INFO; it converts each argument to
+the ctypes object the call passes, so no call converts through
+``argtypes``.  A writable array's address comes from ctypes' view of its
+buffer (``_address``), 0.4 microseconds against the 1.4 of numpy's
+``.ctypes`` helper, which builds an object on every read; a read-only
+one's from the array interface.  The pivot array is allocated with the
+family's integer type as a numpy dtype (``_INT_DTYPES``), 0.2
+microseconds against 3.0 with the ctypes type, which numpy converts anew
+on every call.  On the same host, building ``_lu`` at order 22 takes
+about 18 microseconds, a tridiagonal run's solve (``_shifted_solver``)
+about 8 and ``_product`` about 11, five of them for the read-only
+addresses; a shifted ``dgtsv`` solve of order 36, with its refill and
+checks, takes about 7 microseconds, 9.6 through ``argtypes`` and the
+solve check's ``isfinite``.
 
 Shifted-inverse iteration deliberately drives these systems toward
 singularity, so "nearly singular" is the normal operating regime here
 and must not error.  Only an exact hit on an eigenvalue raises
 SolverBreakdown, and the iteration driver handles that.  One check,
-``_checked``, serves every routine: an exactly zero pivot or a
-non-finite solution raises SolverBreakdown naming ``dgtsv``,
-``dgetrf``, ``dgetrs``, ``dgbtrf``, ``dgbtrs`` or ``gesv``; ``dgtsv``
-also raises for a pivot below an absolute floor.
+``_checked``, serves every solve: an exactly zero pivot or a non-finite
+solution raises SolverBreakdown naming ``dgtsv``, ``dgetrf``,
+``dgetrs``, ``dgbtrf``, ``dgbtrs`` or ``gesv``; ``dgtsv`` also raises
+for a pivot below an absolute floor.  A solution is found finite by its
+dot product with itself, with no temporary of its size, and scanned only
+when that is not finite.
 
 Validate once, at the public boundary: ``tridiag_solve`` and
 ``dense_solve`` check their inputs, and a caller that solves one system
-calls them.  Other modules take their solves from two factories, given
-an already-checked matrix.  Iteration loops, which solve (z I - A) x = v
-for many shifts z, take theirs from ``_shifted_solver``, the one factory
-for every shifted solve.  Every route it builds solves (z I - A) x = v as
+calls them.  Other modules take their solves from two factories, and
+their products from ``_product``, given an already-checked matrix.
+Iteration loops, which solve (z I - A) x = v for many shifts z, take
+theirs from ``_shifted_solver``, the one factory for every shifted
+solve.  Every route it builds solves (z I - A) x = v as
 it is written, with no negation after the solve: for a
 ``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
 solve for the one call ``_gtsv`` binds, and for a real dense matrix it
@@ -78,12 +102,14 @@ memory and a third of a second to every process that solves a system.
 
 from __future__ import annotations
 
+import cmath
 import ctypes
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInput, SolverBreakdown
-from .numat import TridiagonalSystem, as_square_matrix, as_vector
+from .numat import TridiagonalSystem, _apply, _dot, as_square_matrix, as_vector
 
 __all__ = [
     "LAPACK_EXPORT",
@@ -116,10 +142,14 @@ _RUN_SOLVES = 4
 # plain LP64 LAPACK
 _LAPACK_EXPORTS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int32))
-_ROUTINES = ("dgtsv", "dgetrf", "dgetrs", "dgbtrf", "dgbtrs")
+_ROUTINES = ("dgtsv", "dgetrf", "dgetrs", "dgbtrf", "dgbtrs", "dlagtm")
 # each family's integer type as a numpy dtype, for the pivot arrays: numpy converts
 # a ctypes type to a dtype anew on every allocation, at ten times the cost
 _INT_DTYPES = {ctypes.c_int64: np.dtype(np.int64), ctypes.c_int32: np.dtype(np.int32)}
+# the hidden length of a character flag, which Fortran takes by value after the arguments
+_LENGTH = ctypes.c_size_t(1)
+# the dtype of a real vector, numpy's one instance of it, which is compared by identity
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _load_lapack():
@@ -144,43 +174,98 @@ def _load_lapack():
 
 
 def _address(a):
-    """The data address of a writable array in C or Fortran order, or None
-    (a null pointer, which LAPACK never reads) when it is empty.
+    """A pointer to the data of an array in C or Fortran order, as ctypes
+    passes it, or None (a null pointer, which LAPACK never reads) when the
+    array is empty.
 
-    ctypes' own view of the buffer gives it in a third of the time numpy's
-    ``a.ctypes.data`` takes, which builds a helper object on every read;
-    ``a.T`` is C-contiguous for either order, as the view requires."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a.T)) if a.size else None
+    A writable array is pointed to through ctypes' own view of its buffer,
+    ``a.T`` being C-contiguous for either order, as the view requires: a
+    third of the time numpy's ``a.ctypes.data`` takes, which builds a
+    helper object on every read.  The pointer keeps the array alive.  The
+    view refuses a read-only array, such as a ``TridiagonalSystem``'s
+    diagonals, whose address the array interface gives, once its order is
+    checked: in a run, faster than ``a.ctypes.data``, whose helper runs
+    Python code."""
+    if not a.size:
+        return None
+    if a.flags.writeable:
+        return ctypes.byref(ctypes.c_char.from_buffer(a.T))
+    interface = a.__array_interface__
+    if interface["strides"] is not None and not a.flags.f_contiguous:
+        raise ValueError("LAPACK needs an array in C or Fortran order")
+    return ctypes.c_void_p(interface["data"][0])
 
 
-def _prepare(lapack, name, *args):
-    """call(array=None) -> info: LAPACK routine ``name`` of ``lapack`` on
+def _prepare(lapack, name, *args, info=True):
+    """call(*vectors) -> info: LAPACK routine ``name`` of ``lapack`` on
     ``args``, converted once, so that a run can repeat the call on refilled
     arrays.
 
-    Arrays pass by their data address (_address), bytes (a character flag
-    such as b"N") by pointer with its hidden length after ``info``, and
-    integers by reference in LAPACK's integer type.  One argument may be
-    None: each call then passes its ``array`` there, and keeps only that
-    array's address, not the array.  The call keeps the other arrays
-    alive; every size must already be checked.
+    Every argument is converted to the ctypes object the call passes, so
+    the routine is called without ``argtypes``, whose per-argument
+    conversion took half the time of a small call: arrays as pointers to
+    their data (_address), bytes (a character flag such as b"N") as
+    pointers with their hidden lengths after the last argument, floats by
+    reference as doubles and integers by reference in LAPACK's integer
+    type.  Up to two arguments may be None: each call then passes its
+    ``vectors`` there, in order, and keeps no pointer to them once it
+    returns.  The call keeps the other arrays alive; every size must
+    already be checked.  ``info`` says the routine ends with LAPACK's
+    INFO, which the call returns; a routine without one (dlagtm) returns
+    None.
     """
     routines, int_t = lapack
-    fn, info = routines[name], int_t(0)
-    pointers = [_address(a) if isinstance(a, np.ndarray) else a if a is None or
-                isinstance(a, bytes) else ctypes.byref(int_t(a)) for a in args]
-    lengths = [1 for a in args if isinstance(a, bytes)]
-    if fn.argtypes is None:     # every call of a routine passes as many arguments
-        fn.restype = None
-        fn.argtypes = [ctypes.c_void_p] * (len(args) + 1) + [ctypes.c_size_t] * len(lengths)
-    late = next((i for i, a in enumerate(args) if a is None), None)
-    pointers += [ctypes.byref(info), *lengths]
+    fn, status = routines[name], int_t(0)
+    fn.restype = None
+    pointers, late, lengths = [], [], []
+    for a in args:
+        kind = type(a)      # compared by identity: isinstance took a third of the bind
+        if a is None:
+            late.append(len(pointers))
+        elif kind is np.ndarray:
+            a = _address(a)
+        elif kind is float:
+            a = ctypes.byref(ctypes.c_double(a))
+        elif kind is bytes:
+            lengths.append(_LENGTH)
+        else:       # an integer; ctypes raises TypeError for anything else
+            a = ctypes.byref(int_t(a))
+        pointers.append(a)
+    if info:
+        pointers.append(ctypes.byref(status))
+    pointers += lengths
 
-    def call(array=None):
-        if late is not None:
-            pointers[late] = _address(array)
-        fn(*pointers)
-        return info.value
+    # One closure per number of vectors: a loop over them, a function per
+    # address and a.T took two fifths of a small call.  A vector is nearly
+    # always writable and contiguous, as ctypes' view needs it without a.T;
+    # any other goes to _address.
+    byref, view = ctypes.byref, ctypes.c_char.from_buffer
+    if not late:
+        def call():
+            fn(*pointers)
+            return status.value if info else None
+    elif len(late) == 1:
+        (i,) = late
+
+        def call(x):
+            try:
+                pointers[i] = byref(view(x))
+            except (TypeError, ValueError):
+                pointers[i] = _address(x)
+            fn(*pointers)
+            pointers[i] = None
+            return status.value if info else None
+    else:
+        i, j = late
+
+        def call(x, y):
+            try:
+                pointers[i], pointers[j] = byref(view(x)), byref(view(y))
+            except (TypeError, ValueError):
+                pointers[i], pointers[j] = _address(x), _address(y)
+            fn(*pointers)
+            pointers[i] = pointers[j] = None
+            return status.value if info else None
 
     call.arrays = args
     return call
@@ -275,10 +360,14 @@ def tridiag_solve(lower, diag, upper, rhs):
 def _checked(routine, info, x=None):
     """x, the solution ``routine`` returned with LAPACK's ``info`` (None after a
     factorisation); the one place a zero pivot (info > 0) or a non-finite
-    solution raises SolverBreakdown."""
+    solution raises SolverBreakdown.
+
+    x . x is finite when every entry is and no square overflows, so only
+    when it is not are the entries scanned one by one: the usual check
+    makes no temporary of x's size and is twice as fast."""
     if info:
         raise SolverBreakdown(f"{routine}: pivot at row {info - 1} is exactly zero")
-    if x is not None and not np.isfinite(x).all():
+    if x is not None and not (cmath.isfinite(_dot(x, x)) or np.isfinite(x).all()):
         raise SolverBreakdown(f"{routine} returned a non-finite solution")
     return x
 
@@ -311,6 +400,39 @@ def _gtsv(dl, d, du):
         return _checked("dgtsv", info, x)
 
     return solve
+
+
+def _product(A):
+    """product(v) = A v, for the operator of a run: a TridiagonalSystem or a
+    checked square matrix.
+
+    On a TridiagonalSystem LAPACK ``dlagtm`` (B := alpha A X + beta B,
+    with alpha = 1 and beta = 0) is bound once, here, to the system's
+    three diagonals; each product passes it only v, real of the system's
+    order, and the new array it fills.  With beta = 0 Fortran sums row i
+    as ((0 + a v[i-1]) + diagonal v[i]) + b v[i+1], numat._apply's order,
+    so the bits are _apply's, but for a row whose three terms are all
+    -0.0: ``dlagtm`` gives +0.0 there, and _apply -0.0.  A dense A, a v
+    that is not float64 (complex, say) and a run without LAPACK take
+    _apply.
+    """
+    if _lapack is None or not isinstance(A, TridiagonalSystem):
+        return partial(_apply, A)
+    n, d = A.order, A.diagonal
+    # the system's read-only diagonals, contiguous (see TridiagonalSystem)
+    call = _prepare(_lapack, "dlagtm", b"N", n, 1, 1.0, A.a[1:], d, A.b[:-1], None, n, 0.0,
+                    None, n, info=False)
+
+    def product(v):
+        if v.dtype is not _FLOAT64:
+            return _apply(A, v)
+        if v.shape != d.shape:
+            raise ValueError("dlagtm needs a vector of the system's order")
+        out = np.empty(n)
+        call(v, out)
+        return out
+
+    return product
 
 
 def dense_solve(A, rhs):
@@ -478,11 +600,12 @@ def _shifted_solver(A):
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
         solve = _gtsv(dl, d, du)
+        sub, diagonal, sup = A.a[1:], A.diagonal, A.b[:-1]
 
         def solve_tridiagonal(z, v):
-            np.negative(A.a[1:], out=dl)
-            np.negative(A.b[:-1], out=du)
-            np.subtract(z, A.diagonal, out=d)
+            np.negative(sub, out=dl)
+            np.negative(sup, out=du)
+            np.subtract(z, diagonal, out=d)
             return solve(v)
 
         return solve_tridiagonal

@@ -8,7 +8,8 @@ dataclass because their diagonal is implicit.
 Validate once, at the public boundary.  Every public function checks
 its operands at entry.  Only iteration loops, which apply one
 already-checked operand many times, call private kernels: ``_apply``
-(matvec's arithmetic), ``_scale`` (matrix_scale's, in row blocks), ``_check_length``,
+(matvec's arithmetic, which ``linsolve._product`` takes to LAPACK for a
+real tridiagonal run), ``_scale`` (matrix_scale's, in row blocks), ``_check_length``,
 ``_require_finite`` and ``_largest_ratio``; each new iterate is checked
 once per step, where it is made, so no check is skipped and none
 repeats.  Functions called once per run have no private twin; where such
@@ -48,6 +49,12 @@ __all__ = [
 # entries in one row block of an n^2 temporary taken a block at a time (256 KiB
 # of doubles): ``_scale`` and ``general_init.h_transform_general``
 _BLOCK = 2**15
+
+
+# the dot product of two arrays, read flat: numpy's vdot without its dispatch, as
+# fast as ndarray.dot on a vector and with the same bits, and, unlike it, with no
+# RuntimeWarning when the sum overflows
+_dot = getattr(np.vdot, "_implementation", np.vdot)
 
 
 def _require_finite(arr, what):
@@ -92,9 +99,10 @@ class TridiagonalSystem:
         a[i] * e_{i-1}  - (a[i] + b[i] + c[i]) * e_i  + b[i] * e_{i+1}
     with the padding convention a[0] = 0 and b[N] = 0, so the diagonal
     is derived, never passed in; it is computed once, at construction.
-    a, b, c and the diagonal are stored as read-only views, so a system
-    cannot be changed after its checks; an array the caller still holds
-    must not be modified either.  c[i] >= 0 is the killing rate of row
+    a, b, c and the diagonal are stored as read-only, contiguous views, so
+    a system cannot be changed after its checks and LAPACK can read them
+    in place; an array the caller still holds must not be modified
+    either.  c[i] >= 0 is the killing rate of row
     i (minus the row sum).
     """
 
@@ -113,7 +121,7 @@ class TridiagonalSystem:
         # at order 10^6 by about 10 %.
         diagonal = None
         try:
-            a, b, c = (np.asarray(x, dtype=float) for x in (self.a, self.b, self.c))
+            a, b, c = (np.ascontiguousarray(x, dtype=float) for x in (self.a, self.b, self.c))
             if (a.ndim == b.ndim == c.ndim == 1 and len(a) == len(b) == len(c) >= 2
                     and a[0] == 0.0 and b[-1] == 0.0 and a[1:].min() > 0 and b[:-1].min() > 0
                     and c.min() >= 0):
@@ -163,7 +171,7 @@ class TridiagonalSystem:
 def _checked_rates(a, b, c):
     """a, b, c as float vectors, each fault of a TridiagonalSystem's rates
     raising InvalidInput in turn; the rates of every system pass."""
-    a, b, c = (as_vector(x, float) for x in (a, b, c))
+    a, b, c = (np.ascontiguousarray(as_vector(x, float)) for x in (a, b, c))
     if not (len(a) == len(b) == len(c)) or len(a) < 2:
         raise InvalidInput("a, b, c must share a length of at least 2")
     if a[0] != 0.0 or b[-1] != 0.0:
@@ -181,7 +189,9 @@ def matvec(A, v):
     For a TridiagonalSystem, row i is (a*v[i-1] + diagonal*v[i]) +
     b*v[i+1], the ascending-column order of the dense-row arithmetic;
     the first sum is formed as diagonal*v[i] + a*v[i-1], which IEEE
-    addition makes the same number.
+    addition makes the same number.  The iteration runs take their
+    products from ``linsolve._product``, LAPACK ``dlagtm`` in the same
+    order, whose bits are these but for the sign of a zero row.
     """
     v = as_vector(v)
     if not isinstance(A, TridiagonalSystem):
@@ -200,7 +210,13 @@ def _check_length(A, v):
 
 
 def _apply(A, v):
-    """matvec's arithmetic without its checks, for operands that already passed them."""
+    """matvec's arithmetic without its checks, for operands that already passed them.
+
+    It is the iterations' product of a dense matrix, and of a
+    TridiagonalSystem with a complex vector or on an install without
+    LAPACK (see ``linsolve._product``); it is also the bitwise reference
+    for LAPACK's tridiagonal product, which differs only in a row whose
+    three terms are all -0.0: -0.0 here, +0.0 there."""
     if isinstance(A, TridiagonalSystem):
         # the diagonal term first, then both neighbours through one temporary
         out = A.diagonal * v

@@ -46,12 +46,14 @@ system, which then is the input; mu, phi and the seed sqrt(phi)
 (``compute_initials``), and ``_delta1_peak``'s two work arrays while a
 policy reads delta_1; the start vector; the solver's work arrays (three
 for ``dgtsv``, or the closed form's kappa and two sequences per solve); and
-the driver's iterate and scratch array, plus a solve's output or A v
-(with one product while A v is summed) as they are made.
+the driver's iterate and scratch array, plus a solve's output or A v,
+which ``dlagtm`` forms in one array, as they are made.
 ``tridiag_rqi`` hands the initials to ``_efficient_rqi`` inline, and
 the body drops phi and the seed once it has picked the start and the
-shift, so at order 10^6 a run holds nine arrays of N doubles beyond its
-input at its peak (see README, "Memory").
+shift, so at order 10^6 a run holds eight arrays of N doubles beyond its
+input at its peak (see README, "Memory").  The body binds the run's one
+product, ``linsolve._product(q)``, and lends it to the driver, so the
+start's quotient and every step share one ``dlagtm`` binding.
 
 Everything works on the positive spectrum side: eigenvalues reported by
 this module are lambda_min(-Qc), the decay rate of the associated
@@ -69,7 +71,7 @@ import numpy as np
 from . import iterengine, linsolve
 from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
 from .iterengine import EigenpairResult, _result, run_shifted_iteration
-from .numat import TridiagonalSystem, _apply, as_vector
+from .numat import TridiagonalSystem, as_vector
 
 __all__ = [
     "HTransform",
@@ -297,7 +299,9 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     builds, or "explicit", the closed form (q tridiagonal).  The driver
     runs on q itself from the shift -z_start and, with negate, reports
     the decay rates lambda_min(-q): it applies q, takes q's scale and
-    owns the sign, so a perturb-and-retry moves the decay rate up.  The
+    owns the sign, so a perturb-and-retry moves the decay rate up.  It
+    applies q through the run's one product, bound here
+    (``linsolve._product``), which the start's quotient shares.  The
     weighted Rayleigh quotient and the mu-norm are formed in the
     driver's scratch array.  The result holds lambda_min(-q) and the
     eigenvector in the h-scaled coordinates; recover_original maps it
@@ -309,6 +313,7 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     seed = _unit(init.v0_raw, mu)
     start = seed if v0 == "efficient" else _unit(np.ones(len(mu)), mu)
     fallback = False
+    product = linsolve._product(q)
     if not isinstance(z0, str):
         z_start = float(z0)
     elif z0 == "safe" and phi[1] < (1.0 - _PHI_TIE) * phi[0]:
@@ -319,7 +324,7 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
         seed = seed if fallback else start
-        z_start = -_rayleigh(mu, seed, _apply(q, seed), np.empty(len(mu)))
+        z_start = -_rayleigh(mu, seed, product(seed), np.empty(len(mu)))
         if z0 == "combination":
             z_start = z0_combination(init.delta1, z_start)
     del init, phi, seed
@@ -327,7 +332,8 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
              else _peak_one(_closed_form_solver(q, mu)))
     return _result(*run_shifted_iteration(q, solve, start, -z_start,
                                           z_update=partial(_rayleigh, mu),
-                                          norm=partial(_mu_norm, mu), negate=True, **opts),
+                                          norm=partial(_mu_norm, mu), negate=True,
+                                          product=product, **opts),
                    h_scaling=h, z0_fallback=fallback)
 
 
@@ -481,9 +487,14 @@ def tridiag_rqi(
     phi, strictly decreasing, meets only through rounding), "rayleigh",
     or a number.  ``v0`` is
     "efficient", the sqrt(phi) seed, or "uniform".  The options are
-    checked here, before any O(N) work (``_check_options``).
+    checked here, before any O(N) work (``_check_options``); a
+    ``system`` that is not a TridiagonalSystem, a matrix say, is an
+    InvalidInput that names ``general_rqi``.
     """
-    if solver not in ("generic", "explicit"):
+    if not isinstance(system, TridiagonalSystem):
+        raise InvalidInput(f"tridiag_rqi takes a TridiagonalSystem, not "
+                           f"{type(system).__name__}; pass a matrix to general_rqi")
+    if not (isinstance(solver, str) and solver in ("generic", "explicit")):
         raise InvalidInput(f"unknown solver {solver!r}")
     _check_options(Z0_POLICIES, z0, v0, tol_z, tol_residual, max_iterations)
     if not system.c.any():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxeig import linsolve, models
+from maxeig import iterengine, linsolve, models
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.general_init import general_rqi
 from maxeig.iterengine import (
@@ -23,7 +23,7 @@ from maxeig.iterengine import (
 )
 from maxeig.tridiag import tridiag_rqi
 
-from conftest import oracle_eigenvalues, oracle_max_pair
+from conftest import fail_if_called, oracle_eigenvalues, oracle_max_pair
 
 
 class TestPowerIteration:
@@ -229,6 +229,80 @@ def test_l1_norm_is_numpy_abs_sum_bitwise(pairs, is_complex, complex_run):
         expected = np.float64(np.abs(u).sum()).tobytes()
         assert np.float64(_l1_norm(u, np.empty(len(u), kind))).tobytes() == expected
     assert np.float64(_l1_norm(u, u)).tobytes() == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNormsOutOfRange:
+    """An l2 norm whose sum of squares overflows is taken again on the vector
+    scaled by 2^-600, and the driver retakes a norm of 0 or inf on a finite,
+    nonzero vector scaled by a power of two; no numpy warning on the way."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=32), st.booleans())
+    def test_l2_norm_overflows_only_past_the_largest_double(self, entries, is_complex):
+        # numpy's norm where its squares stay finite, else numpy's norm of v
+        # scaled by 2^-600, scaled back (to inf past the largest double)
+        v = np.array(entries) * (1 + 1j if is_complex else 1)
+        with np.errstate(over="ignore"):
+            expected = float(np.linalg.norm(v))
+        if expected == np.inf:
+            expected = float(np.linalg.norm(v * 2.0**-600)) * 2.0**600
+        assert np.float64(_l2_norm(v, None)).tobytes() == np.float64(expected).tobytes()
+
+    def test_l2_norm_of_huge_entries(self):
+        assert _l2_norm(np.array([1e200, 1.0]), None) == 1e200
+        assert _l2_norm(np.array([3e200, 4e200 + 0j]), None) == pytest.approx(5e200, rel=1e-15)
+        assert _l2_norm(np.array([1.7e308, 1.7e308]), None) == np.inf
+        assert _l2_norm(np.array([np.inf, 1.0]), None) == np.inf
+        assert np.isnan(_l2_norm(np.array([np.nan, 1e300]), None))
+
+    def test_algorithm1_on_an_entry_past_1e154(self):
+        # A v0 - z0 v0 overflowed the squares of the first residual, and the
+        # retried solve's output, of entries near 1e-188, underflowed them to 0
+        result, trace = algorithm1(np.diag([1e200, 1.0]))
+        assert trace.termination == "converged"
+        assert result.eigenvalue == 1e200
+        assert result.eigenvector[0] == 1.0 and 0.0 < result.eigenvector[1] < 1e-11
+        assert np.isfinite(trace.residuals()).all()
+
+    @pytest.mark.parametrize("method", [algorithm2, lambda A: rqi(A, [1.0, 1.0], 2e200)])
+    def test_other_dense_methods_on_an_entry_past_1e154(self, method):
+        result, _ = method(np.diag([1e200, 1.0]))
+        assert result.eigenvalue == 1e200
+
+    def test_power_iteration_on_an_entry_past_1e154(self):
+        trace = power_iteration(np.diag([1e200, 1.0]), norm="l2", steps=5)
+        assert trace.zs()[0] == pytest.approx(1e200 / np.sqrt(2.0), rel=1e-15)
+        assert trace.zs()[-1] == 1e200
+
+    def test_a_solve_output_whose_norm_underflows_is_scaled(self):
+        # entries of 1e-170 square to 0: the output is scaled by 2^600 and normalised
+        A = np.diag([2.0, 1.0])
+        _, v, _ = run_shifted_iteration(A, lambda z, v: np.array([1e-170, 1e-190]),
+                                        [1.0, 0.5], 2.5, z_update=_rayleigh_update,
+                                        norm=_l2_norm, max_iterations=2)
+        assert v[0] == 1.0 and v[1] == pytest.approx(1e-20, rel=1e-14)
+
+
+@pytest.mark.parametrize("steps", [2.5, None, "3", np.float64(3.0)])
+def test_power_iteration_takes_an_integer_number_of_steps(steps):
+    with pytest.raises(InvalidInput, match="steps must be a nonnegative integer"):
+        power_iteration(np.eye(2), steps=steps)
+    assert power_iteration(np.eye(2), steps=np.int64(3)).iterations == 3
+
+
+@pytest.mark.parametrize("opts", [{"tol_z": "1e-3"}, {"tol_residual": None},
+                                  {"max_iterations": 2.5}, {"z0": "x"}])
+@pytest.mark.parametrize("method", ["rqi", "algorithm1", "algorithm2"])
+def test_options_are_checked_before_the_matrix_is_read(monkeypatch, method, opts):
+    # a wrong option is reported before the uniform start's product or the LU's packing
+    fail_if_called(monkeypatch, iterengine, "_uniform_start")
+    fail_if_called(monkeypatch, linsolve, "_lu")
+    A = np.random.default_rng(7).uniform(0.01, 1.0, (200, 200))
+    args = (A, np.ones(200)) if method == "rqi" else (A,)
+    opts = {"z0": 0.5, **opts} if method == "rqi" else opts
+    with pytest.raises(InvalidInput):
+        getattr(iterengine, method)(*args, **opts)
 
 
 class TestDriverChecksEachIterate:

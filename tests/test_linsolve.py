@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
-from maxeig.numat import TridiagonalSystem, shift_to_qc
+from maxeig.numat import TridiagonalSystem, _apply, shift_to_qc
 
 from conftest import oracle_min_neg, random_system
 
@@ -225,6 +225,141 @@ class TestShiftedTridiagonalSolver:
         # each solution is the caller's alone: the bound call does not keep it
         gc.collect()
         assert all(ref() is None for ref in solutions)
+
+
+def bits(x):
+    """The bits of a float64 array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def wide_system(rng, n):
+    """A random TridiagonalSystem of order n, rates from 1e-8 to 1e8, killing on half its rows."""
+    a, b, c = (10.0 ** rng.uniform(-8, 8, size) for size in (n - 1, n - 1, n))
+    return TridiagonalSystem.from_rates(a, b, c * (rng.random(n) < 0.5))
+
+
+def wide_vector(rng, n):
+    """Entries of either sign over 16 decades, a tenth of them zeros of either sign."""
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+    zeros = rng.random(n) < 0.1
+    v[zeros] = np.copysign(0.0, rng.choice([-1.0, 1.0], zeros.sum()))
+    return v
+
+
+class TestTridiagonalProduct:
+    """linsolve._product on a TridiagonalSystem: LAPACK dlagtm, bound once per
+    run, against numat._apply, the bitwise reference.
+
+    dlagtm sums row i as ((0 + a v[i-1]) + diagonal v[i]) + b v[i+1] and
+    _apply as (diagonal v[i] + a v[i-1]) + b v[i+1]: the same number, as
+    IEEE addition commutes, but for the sign of a zero.  A row whose three
+    terms are all -0.0 is -0.0 in _apply and +0.0 from dlagtm, whose sum
+    starts at +0.0 and so never gives -0.0; every other row has the same
+    bits.  So the product is _apply's result plus 0.0."""
+
+    @pytest.fixture(autouse=True)
+    def needs_lapack(self):
+        if LAPACK is None:
+            pytest.skip("no LAPACK library was found")
+
+    def test_equals_apply_bitwise_on_wide_random_systems(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(2, 201))
+            system, v = wide_system(rng, n), wide_vector(rng, n)
+            assert np.array_equal(bits(linsolve._product(system)(v)), bits(_apply(system, v) + 0.0))
+
+    @pytest.mark.parametrize("system", [models.bd_squares(10**5 - 1), "wide"])
+    def test_equals_apply_bitwise_at_order_1e5(self, rng, system):
+        system = wide_system(rng, 10**5) if system == "wide" else system
+        product = linsolve._product(system)
+        for v in (rng.random(system.order), wide_vector(rng, system.order)):
+            assert np.array_equal(bits(product(v)), bits(_apply(system, v) + 0.0))
+
+    def test_a_row_of_negative_zeros_comes_out_positive(self):
+        # v = (-0, +0, -0, +0, ...): each odd row's terms a v[i-1], diagonal v[i]
+        # and b v[i+1] are all -0.0 (a, b > 0, diagonal < 0), the even rows' +0.0
+        system = models.bd_squares(6)
+        v = np.copysign(np.zeros(7), [-1.0, 1.0] * 3 + [-1.0])
+        applied = _apply(system, v)
+        assert np.array_equal(np.signbit(applied), [False, True] * 3 + [False])
+        product = linsolve._product(system)(v)
+        assert not np.signbit(product).any()
+        assert np.array_equal(bits(product), bits(applied + 0.0))
+
+    def test_without_lapack_the_product_is_apply(self, rng, monkeypatch):
+        system = models.bd_squares(6)
+        v = np.copysign(np.zeros(7), [-1.0, 1.0] * 3 + [-1.0])
+        monkeypatch.setattr(linsolve, "_lapack", None)
+        for u in (v, wide_vector(rng, 7)):
+            assert np.array_equal(bits(linsolve._product(system)(u)), bits(_apply(system, u)))
+
+    def test_a_complex_vector_takes_apply(self, rng):
+        system = wide_system(rng, 40)
+        v = rng.normal(size=40) + 1j * rng.normal(size=40)
+        assert linsolve._product(system)(v).tobytes() == _apply(system, v).tobytes()
+
+    def test_a_dense_matrix_takes_apply(self, rng):
+        A = rng.normal(size=(5, 5))
+        v = rng.normal(size=5)
+        assert linsolve._product(A)(v).tobytes() == (A @ v).tobytes()
+
+    def test_a_strided_system_is_read_in_place(self, rng):
+        # the system keeps contiguous copies of strided rates, which dlagtm reads
+        a, b, c = (rng.uniform(0.5, 2.0, (9, 2))[:, 0] for _ in range(3))
+        a[0] = b[-1] = 0.0
+        system = TridiagonalSystem(a, b, c)
+        assert all(x.flags.c_contiguous for x in (system.a, system.b, system.diagonal))
+        v = rng.normal(size=9)
+        assert np.array_equal(bits(linsolve._product(system)(v)), bits(_apply(system, v) + 0.0))
+
+    @pytest.mark.parametrize("run", ["tridiag_rqi", "general_rqi", "power_iteration"])
+    def test_a_run_binds_dlagtm_once_and_keeps_no_product(self, monkeypatch, run):
+        bound, prepare = [], linsolve._prepare
+        products, factory = [], linsolve._product
+
+        def counted(lapack, name, *args, **kwargs):
+            bound.append(name)
+            return prepare(lapack, name, *args, **kwargs)
+
+        def watched(A):
+            product = factory(A)
+
+            def kept(v):
+                out = product(v)
+                products.append(weakref.ref(out))
+                return out
+
+            return kept
+
+        monkeypatch.setattr(linsolve, "_prepare", counted)
+        monkeypatch.setattr(linsolve, "_product", watched)
+        system = models.bd_squares(40)
+        {"tridiag_rqi": lambda: tridiag.tridiag_rqi(system, z0="rayleigh"),
+         "general_rqi": lambda: general_init.general_rqi(system, z0="rayleigh"),
+         "power_iteration": lambda: iterengine.power_iteration(system, steps=5)}[run]()
+        assert bound.count("dlagtm") == 1
+        assert len(products) >= 4
+        # each product is the caller's alone: the bound call does not keep it
+        gc.collect()
+        assert all(ref() is None for ref in products)
+
+    def test_the_bind_passes_doubles_by_reference_and_reads_no_info(self, rng):
+        # alpha = beta = -1 on a filled B (dlagtm reads 0 and +-1 only):
+        # B := -A X - B, and no INFO to return
+        system = random_system(rng, 9, with_killing="all")
+        x, b = rng.normal(size=10), rng.normal(size=10)
+        call = linsolve._prepare(LAPACK, "dlagtm", b"N", 10, 1, -1.0, system.a[1:],
+                                 system.diagonal, system.b[:-1], x, 10, -1.0, None, 10,
+                                 info=False)
+        out = b.copy()
+        assert call(out) is None
+        assert np.abs(out + (_apply(system, x) + b)).max() <= 1e-14 * np.abs(out).max()
+
+    def test_a_strided_read_only_array_is_refused(self):
+        strided = np.arange(10.0)[::2]
+        strided.flags.writeable = False
+        with pytest.raises(ValueError, match="C or Fortran order"):
+            linsolve._address(strided)
 
 
 

@@ -273,6 +273,13 @@ class TestTridiagRqi:
         with pytest.raises(InvalidInput, match="^unknown v0 choice "):
             tridiag_rqi(models.bd_squares(7), v0=v0)
 
+    @pytest.mark.parametrize("system", [models.bd_squares(7).dense(), [[-1.0, 1.0], [1.0, -2.0]],
+                                        None])
+    def test_rejects_what_is_not_a_system(self, system):
+        # a matrix is general_rqi's input
+        with pytest.raises(InvalidInput, match="takes a TridiagonalSystem.*general_rqi"):
+            tridiag_rqi(system)
+
     def test_order_two_closed_form(self):
         result, _ = tridiag_rqi(models.bd_squares(1))
         assert result.eigenvalue == pytest.approx(3.0 - np.sqrt(5.0), rel=1e-12)
@@ -355,16 +362,16 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    def test_tridiag_rqi_holds_nine_arrays(self):
+    def test_tridiag_rqi_holds_eight_arrays(self):
         # mu, the start, dgtsv's three work arrays, the iterate, the driver's
-        # scratch and A v's two while it is formed
+        # scratch and a solve's output or A v, which dlagtm forms in one array
         system = models.bd_squares(self.N - 1)
-        assert self.peak(lambda: tridiag_rqi(system)) <= 9 * self.ARRAY + self.SMALL
+        assert self.peak(lambda: tridiag_rqi(system)) <= 8 * self.ARRAY + self.SMALL
 
-    def test_general_rqi_on_a_system_holds_nine_arrays(self):
+    def test_general_rqi_on_a_system_holds_eight_arrays(self):
         # min(c) = 0: the system runs as it is, so the run is tridiag_rqi's
         system = models.bd_squares(self.N - 1)
-        assert self.peak(lambda: general_rqi(system)) <= 9 * self.ARRAY + self.SMALL
+        assert self.peak(lambda: general_rqi(system)) <= 8 * self.ARRAY + self.SMALL
 
     def test_recover_original_holds_one_array(self):
         result, _ = tridiag_rqi(models.bd_squares(self.N - 1))
