@@ -39,7 +39,17 @@ not an error: the l2 norm takes an overflowing sum of squares again on
 the vector scaled by a power of two, and the driver (``_normalised``)
 does the same for any norm of 0 or inf, so that an entry past 1e154, or
 a solve's output of entries all below 1e-154, is normalised, with no
-numpy warning; no bit of a run inside the range moves.
+numpy warning; a residual (``_relative_residual``) and power
+iteration's ||A v|| whose squares underflowed to 0 are taken again
+scaled by 2^600, so neither reads 0 on a vector that is not zero.  No
+bit of a run inside the range moves.
+
+A step takes its iterate's norm once.  The Rayleigh updates return
+||v|| with the shift, the root of the quotient's denominator, which is
+the norm's own sum of squares bit for bit (the l2 norm of a real run,
+``tridiag``'s mu-norm), and the relative residual shares it; the
+max-ratio update and a complex run's quotient return the shift alone,
+and the residual takes ||v|| itself.
 """
 
 from __future__ import annotations
@@ -165,13 +175,16 @@ class EigenpairResult:
 
 def _sign_fix(v, work):
     """Rotate/flip v in place so its largest-magnitude component is positive
-    real; returns v.  The magnitudes are formed in work."""
-    pivot = v[np.abs(v, out=work).argmax()]
-    if pivot == 0:
-        return v
+    real; returns v.  That component is argmax(|v|)'s: on a complex v the
+    magnitudes are formed in work; on a real v it is the larger in magnitude
+    of v's largest and smallest entries, the lower index on a tie, found with
+    no array formed."""
     if v.dtype.kind == "c":
-        return np.multiply(v, np.conj(pivot) / abs(pivot), out=v)
-    return v if pivot > 0 else np.negative(v, out=v)
+        pivot = v[np.abs(v, out=work).argmax()]
+        return v if pivot == 0 else np.multiply(v, np.conj(pivot) / abs(pivot), out=v)
+    top, bottom = v.argmax(), v.argmin()
+    pivot = v[top] if v[top] > -v[bottom] or v[top] == -v[bottom] and top < bottom else v[bottom]
+    return v if pivot >= 0 else np.negative(v, out=v)
 
 
 # A norm takes the vector and the run's scratch array, which it may use.
@@ -191,7 +204,8 @@ def _l2_norm(v, work):
     is taken again on v scaled by 2^-600 and its root scaled back, so the
     norm is inf only when it exceeds the largest double or v holds inf;
     no warning is raised on the way (numat._dot).  One that underflows is
-    left as numpy leaves it: _normalised retakes a norm of 0."""
+    left as numpy leaves it: its callers retake a norm of 0 (_normalised,
+    _relative_residual and power_iteration)."""
     v = v.ravel(order="K")
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
@@ -206,12 +220,21 @@ def _l2_norm(v, work):
 _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
 
 
-def _relative_residual(norm, av, z, v, scale, work):
+def _relative_residual(norm, av, z, v, scale, work, size=None):
     """||A v - z v|| / (scale ||v||) in the run's norm; absolute for a zero matrix, scale 0.
-    A v - z v is formed in work, the run's scratch array."""
+    ``size`` is ||v|| where the caller has it, else the norm is taken here.
+    A v - z v is formed in work, the run's scratch array, and a norm of 0,
+    which the mu-norm gives where every square underflowed (it squares the
+    residual in place), is taken again on A v - z v formed anew and scaled
+    by 2^600, so a residual is 0 only where A v - z v is."""
     np.multiply(z, v, out=work)
     np.subtract(av, work, out=work)
-    return norm(work, work) / ((scale or 1.0) * norm(v, work))
+    top = norm(work, work)
+    if top == 0.0:
+        np.multiply(z, v, out=work)
+        np.subtract(av, work, out=work)
+        top = norm(np.multiply(work, _HUGE, out=work), work) * _TINY
+    return top / ((scale or 1.0) * (norm(v, work) if size is None else size))
 
 
 def _normalised(norm, vec, work, what, out=None):
@@ -257,11 +280,17 @@ def _shift_tolerance(tol_z, n):
 
 
 # An update takes the iterate, A times it and the run's scratch array, which
-# it may use; the two here need none, and may be called without it.
+# it may use, and returns the next shift, or the pair of it and ||v|| in the
+# run's norm where forming the shift gave that; the two here need no scratch,
+# and may be called without it.
 def _rayleigh_update(v, av, work=None):
-    vh = v.conj()
-    z = (vh @ av) / (vh @ v)
-    return z if av.dtype.kind == "c" else float(z.real)
+    """The Rayleigh quotient; on a real run also ||v||_2, the root of its
+    denominator v . v, which is _l2_norm's sum of squares bit for bit."""
+    if av.dtype.kind == "c":
+        vh = v.conj()
+        return (vh @ av) / (vh @ v)
+    square = v @ v
+    return float((v @ av) / square), math.sqrt(square)
 
 
 def _max_ratio_update(v, av, work=None):
@@ -298,8 +327,9 @@ def run_shifted_iteration(
     nonzero multiple of (z I - A)^{-1} v as a new, finite array, or
     raise SolverBreakdown: the driver normalises and sign-fixes it in
     place.  ``z_update(v, av, work)`` gives the next shift from the
-    normalized iterate v and av = A v; ``norm(vec, work)``
-    normalizes the iterates and measures the relative residual.  Both
+    normalized iterate v and av = A v, or the pair of it and ||v|| in
+    the run's norm, which the relative residual then shares; ``norm(vec,
+    work)`` normalizes the iterates and measures the relative residual.  Both
     may form their products in ``work``, the run's one scratch array,
     which a norm is also handed as vec (the residual).  The scratch is
     real or complex as the run is: complex when v0, z0 or A v0 is, as a
@@ -368,9 +398,10 @@ def run_shifted_iteration(
         v = _sign_fix(w, work)
         av = apply(v)
         z_new = z_update(v, av, work)
+        z_new, size = z_new if isinstance(z_new, tuple) else (z_new, None)
         if not cmath.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
-        residual = _relative_residual(norm, av, z_new, v, scale, work)
+        residual = _relative_residual(norm, av, z_new, v, scale, work, size)
         del av
         trace.record(k, sign * z_new, residual, time.perf_counter() - t0)
         if abs(z_new - z) <= tol_z * max(1.0, abs(z_new)) and residual <= tol_residual:
@@ -438,8 +469,13 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     work = np.empty(n, np.result_type(v, kind))
     v = _normalised(norm_fn, v, work, "start vector v0")
 
+    def size(av):
+        # ||A v||, taken again on A v scaled by 2^600 where its squares underflowed
+        z = norm_fn(av, work)
+        return norm_fn(av * _HUGE, work) * _TINY if z == 0.0 and av.any() else z
+
     av = apply(v)
-    z = norm_fn(av, work)
+    z = size(av)
     record(0, z, _relative_residual(norm_fn, av, z, v, scale, work))
     for k in range(1, steps + 1):
         if z == 0:
@@ -449,7 +485,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
         v = av
         v /= z      # in place: A v_{k-1} is not needed again
         av = apply(v)
-        z = norm_fn(av, work)
+        z = size(av)
         record(k, z, _relative_residual(norm_fn, av, z, v, scale, work))
     trace.termination = "steps_exhausted"
     return trace

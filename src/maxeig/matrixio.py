@@ -105,10 +105,19 @@ def _read_tridiag(path, head, lines):
     seqs = []
     for offset, (ln, want) in enumerate(zip(body, (N, N, N + 1)), start=2):
         try:
-            # numpy parses each token as float() does, without boxing a float per entry
-            vals = np.array(ln.split(), dtype=float)
+            # numpy's parser reads the line in one call and refuses any token it
+            # cannot read; it also takes "nan(...)", which float() refuses
+            vals = np.fromstring(ln, sep=" ")
+            if len(vals) != want or np.isnan(vals).any():
+                raise ValueError
         except ValueError:
-            raise parse_error(f"{path}:{offset}: non-numeric token") from None
+            # float()'s grammar ("1_0", other scripts' digits) and the messages
+            # are the token-by-token parse's, which numpy makes without boxing
+            # a float per entry
+            try:
+                vals = np.array(ln.split(), dtype=float)
+            except ValueError:
+                raise parse_error(f"{path}:{offset}: non-numeric token") from None
         if len(vals) != want:
             raise parse_error(f"{path}:{offset}: expected {want} values, found {len(vals)}")
         seqs.append(vals)

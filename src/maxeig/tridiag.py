@@ -38,6 +38,20 @@ started from -z_start with ``negate``, reports the decay rates; nothing
 here negates q, a solve or a shift by hand.  The module owns the
 mu-weighting: the weighted Rayleigh quotient and the mu-norm, which the
 driver lends its scratch array, and ``_unit`` for the start vectors.
+The quotient returns the mu-norm of the iterate with the shift, the
+root of its denominator, so the driver takes each iterate's norm once
+per step.
+
+A run is unweighted when mu is all ones, which it is exactly when the
+transformed chain is symmetric (b_{n-1} = a_n, as in t1's
+``bd_squares``): every ratio of mu's product is then exactly 1.
+``compute_initials`` tests that equality and makes mu a read-only view
+of one 1.0, with no divide or product, and ``_efficient_rqi`` decides
+once per run, from mu alone (``_weights``: every entry exactly 1.0),
+to hand the quotient, the mu-norm, ``_unit`` and ``_delta1_peak`` mu
+None.  Each then skips its multiplications by mu, which by an exact 1.0
+are the identity, so an unweighted run's bits are the weighted run's.
+The closed form keeps its mu, a view of one 1.0 on such a chain.
 
 The O(N) arrays of a ``tridiag_rqi`` run, and who holds them: the
 input's a, b, c and diagonal; h and r (``compute_h``; read-only views
@@ -47,11 +61,12 @@ system, which then is the input; mu, phi and the seed sqrt(phi)
 policy reads delta_1; the start vector; the solver's work arrays (three
 for ``dgtsv``, or the closed form's kappa and two sequences per solve); and
 the driver's iterate and scratch array, plus a solve's output or A v,
-which ``dlagtm`` forms in one array, as they are made.
+which ``dlagtm`` forms in one array, as they are made.  On a symmetric
+chain mu is no array.
 ``tridiag_rqi`` hands the initials to ``_efficient_rqi`` inline, and
 the body drops phi and the seed once it has picked the start and the
-shift, so at order 10^6 a run holds eight arrays of N doubles beyond its
-input at its peak (see README, "Memory").  The body binds the run's one
+shift, so at order 10^6 a t1 run holds seven arrays of N doubles beyond
+its input at its peak (see README, "Memory").  The body binds the run's one
 product, ``linsolve._product(q)``, and lends it to the driver, so the
 start's quotient and every step share one ``dlagtm`` binding.
 
@@ -181,10 +196,22 @@ class InitialData:
 
 
 def _unit(v, mu):
-    """Real v scaled to unit mu-norm; the one place the start vectors are weighted."""
-    weighted = mu * v
-    weighted *= v
+    """Real v scaled to unit mu-norm (mu None: the l2 norm, summed pairwise);
+    the one place the start vectors are weighted."""
+    if mu is None:
+        weighted = v * v
+    else:
+        weighted = mu * v
+        weighted *= v
     return v / math.sqrt(np.add.reduce(weighted))
+
+
+def _weights(mu):
+    """mu, or None when every entry is exactly 1.0: a symmetric chain's
+    weights, by which multiplying is the identity, so a run skips it.
+    compute_initials' ones, a stride-0 view, are read at one entry."""
+    ones = mu[0] == 1.0 and (mu.strides == (0,) or mu.min() == 1.0 == mu.max())
+    return None if ones else mu
 
 
 def compute_initials(transformed: TridiagonalSystem) -> InitialData:
@@ -192,7 +219,9 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
 
     The sequences are built in place, through ``out=``, in the arrays
     returned, so the call holds three arrays of order N: mu, phi and the
-    seed.  delta_1 is left to the record's property.
+    seed.  On a symmetric chain, b_{n-1} = a_n exactly, mu is all ones
+    and a read-only view of one 1.0, and phi is the same without it.
+    delta_1 is left to the record's property.
     """
     a, b, c = transformed.a, transformed.b, transformed.c
     N = transformed.n_max
@@ -204,11 +233,16 @@ def compute_initials(transformed: TridiagonalSystem) -> InitialData:
     # phi starts as b_eff and becomes 1/(mu b_eff), then its suffix sums, in place
     phi = b.copy()
     phi[N] = c[N]
-    mu = np.empty(N + 1)
-    mu[0] = 1.0
-    np.divide(phi[:-1], a[1:], out=mu[1:])
-    np.multiply.accumulate(mu[1:], out=mu[1:])
-    phi *= mu
+    if np.array_equal(phi[:-1], a[1:]):
+        # a symmetric chain, b_{n-1} = a_n: every ratio, so every mu_n, is
+        # exactly 1, and mu is a read-only view of one 1.0
+        mu = np.ndarray(N + 1, buffer=_ONE, strides=(0,))
+    else:
+        mu = np.empty(N + 1)
+        mu[0] = 1.0
+        np.divide(phi[:-1], a[1:], out=mu[1:])
+        np.multiply.accumulate(mu[1:], out=mu[1:])
+        phi *= mu
     np.divide(1.0, phi, out=phi)
     np.add.accumulate(phi[::-1], out=phi[::-1])
     return InitialData(mu=mu, phi=phi, v0_raw=np.sqrt(phi))
@@ -219,15 +253,19 @@ def _delta1_peak(phi, mu, sqrt_phi) -> float:
                         + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ]
 
     evaluated with prefix/suffix sums, O(N) overall, in two work arrays;
-    ``sqrt_phi`` is sqrt(phi), which the caller keeps.
+    ``sqrt_phi`` is sqrt(phi), which the caller keeps, and mu None is
+    all ones (_weights).
     """
-    terms = mu * phi
-    terms *= sqrt_phi
+    if mu is None:
+        terms = phi * sqrt_phi
+    else:
+        terms = mu * phi
+        terms *= sqrt_phi
     np.add.accumulate(terms[::-1], out=terms[::-1])
     # the suffix sums over j > n over sqrt(phi_n); there are none past the end
     tail = terms[1:] / sqrt_phi[:-1]
-    np.multiply(mu, sqrt_phi, out=terms)
-    np.add.accumulate(terms, out=terms)
+    np.add.accumulate(sqrt_phi if mu is None else np.multiply(mu, sqrt_phi, out=terms),
+                      out=terms)
     terms *= sqrt_phi
     terms[:-1] += tail
     return float(terms.max())
@@ -256,7 +294,7 @@ def safe_z0(phi, mu):
     mu = as_vector(mu)
     if len(phi) < 2 or phi[1] >= 1.0:
         raise InvalidInput(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
-    return (1.0 - float(phi[1])) / _delta1_peak(phi, mu, np.sqrt(phi))
+    return (1.0 - float(phi[1])) / _delta1_peak(phi, _weights(mu), np.sqrt(phi))
 
 
 def _check_options(policies, z0, v0, tol_z, tol_residual, max_iterations):
@@ -303,15 +341,16 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     applies q through the run's one product, bound here
     (``linsolve._product``), which the start's quotient shares.  The
     weighted Rayleigh quotient and the mu-norm are formed in the
-    driver's scratch array.  The result holds lambda_min(-q) and the
+    driver's scratch array, unweighted when mu is all ones (``_weights``).  The result holds lambda_min(-q) and the
     eigenvector in the h-scaled coordinates; recover_original maps it
     back.
     """
     mu, phi = init.mu, init.phi
+    weights = _weights(mu)      # None on a symmetric chain: the run is unweighted
     # scaled here although run_shifted_iteration normalises again: the roundings
     # differ, and starting from bare sqrt(phi) loses some interior-killing runs
-    seed = _unit(init.v0_raw, mu)
-    start = seed if v0 == "efficient" else _unit(np.ones(len(mu)), mu)
+    seed = _unit(init.v0_raw, weights)
+    start = seed if v0 == "efficient" else _unit(np.ones(len(mu)), weights)
     fallback = False
     product = linsolve._product(q)
     if not isinstance(z0, str):
@@ -319,39 +358,48 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     elif z0 == "safe" and phi[1] < (1.0 - _PHI_TIE) * phi[0]:
         z_start = safe_z0(phi / phi[0], mu)
     elif z0 == "delta1":
-        z_start = 1.0 / init.delta1
+        z_start = 1.0 / _delta1_peak(phi, weights, init.v0_raw)
     else:
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
         seed = seed if fallback else start
-        z_start = -_rayleigh(mu, seed, product(seed), np.empty(len(mu)))
+        z_start = -_rayleigh(weights, seed, product(seed), np.empty(len(mu)))[0]
         if z0 == "combination":
-            z_start = z0_combination(init.delta1, z_start)
+            z_start = z0_combination(_delta1_peak(phi, weights, init.v0_raw), z_start)
     del init, phi, seed
     solve = (linsolve._shifted_solver(q) if solver == "generic"
              else _peak_one(_closed_form_solver(q, mu)))
     return _result(*run_shifted_iteration(q, solve, start, -z_start,
-                                          z_update=partial(_rayleigh, mu),
-                                          norm=partial(_mu_norm, mu), negate=True,
+                                          z_update=partial(_rayleigh, weights),
+                                          norm=partial(_mu_norm, weights), negate=True,
                                           product=product, **opts),
                    h_scaling=h, z0_fallback=fallback)
 
 
 def _rayleigh(mu, v, av, work):
-    """The weighted Rayleigh quotient (mu v . av) / (mu v . v), formed in work."""
-    np.multiply(mu, v, out=work)
-    work *= av
+    """The weighted Rayleigh quotient (mu v . av) / (mu v . v), formed in work,
+    and the mu-norm of v, the root of its denominator, for the driver to share."""
+    if mu is None:
+        np.multiply(v, av, out=work)
+    else:
+        np.multiply(mu, v, out=work)
+        work *= av
     numerator = np.add.reduce(work)
-    np.multiply(v, v, out=work)
-    work *= mu
-    return float(numerator / np.add.reduce(work))
+    square = _mu_square(mu, v, work)
+    return float(numerator / square), math.sqrt(square)
+
+
+def _mu_square(mu, vec, work):
+    """mu vec . vec, summed pairwise in work, which may be vec itself; mu None is all ones."""
+    np.multiply(vec, vec, out=work)
+    if mu is not None:
+        work *= mu
+    return np.add.reduce(work)
 
 
 def _mu_norm(mu, vec, work):
     """The mu-norm sqrt(mu vec . vec), formed in work, which may be vec itself."""
-    np.multiply(vec, vec, out=work)
-    work *= mu
-    return math.sqrt(np.add.reduce(work))
+    return math.sqrt(_mu_square(mu, vec, work))
 
 
 def _peak_one(solve):

@@ -19,11 +19,13 @@ from maxeig.iterengine import (
     _l2_norm,
     _max_ratio_update,
     _rayleigh_update,
+    _relative_residual,
     _shift_tolerance,
+    _sign_fix,
 )
-from maxeig.tridiag import tridiag_rqi
+from maxeig.tridiag import _mu_norm, tridiag_rqi
 
-from conftest import fail_if_called, oracle_eigenvalues, oracle_max_pair
+from conftest import count_calls, fail_if_called, oracle_eigenvalues, oracle_max_pair
 
 
 class TestPowerIteration:
@@ -217,6 +219,43 @@ def test_l2_norm_is_numpy_norm_bitwise(pairs, is_complex):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(_finite, min_size=1, max_size=300))
+def test_rayleigh_denominator_is_the_l2_norms_square_bitwise(entries):
+    # the driver takes ||v|| of a real l2 run from the Rayleigh update
+    v = np.array(entries + [1.0])
+    z, size = _rayleigh_update(v, v[::-1].copy())
+    assert np.float64(size).tobytes() == np.float64(_l2_norm(v, None)).tobytes()
+
+
+def test_rayleigh_update_of_a_complex_run_shares_no_norm():
+    v = np.array([1.0 + 1j, 0.5])
+    assert _rayleigh_update(v, 2.0 * v) == pytest.approx(2.0)
+
+
+_ties = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_ties, st.floats(-1e300, 1e300)), min_size=1, max_size=40))
+def test_sign_fix_pivot_is_argmax_of_abs(entries):
+    # a real iterate is flipped as when the pivot is v[argmax(|v|)]: the larger
+    # magnitude, on a tie of opposite signs the lower index; -0.0 is no sign
+    v = np.array(entries)
+    pivot = v[np.abs(v).argmax()]
+    expected = v if pivot == 0 or pivot > 0 else -v
+    assert _sign_fix(v.copy(), np.empty(len(v))).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method, per_step", [(algorithm1, 2), (algorithm2, 3)])
+def test_the_driver_takes_each_iterates_norm_once(monkeypatch, method, per_step):
+    # the solve's output and the residual; the Rayleigh update's denominator is
+    # ||v||^2, the max-ratio update has none.  At the start also v0 and ||v0||
+    calls = count_calls(monkeypatch, iterengine, "_l2_norm")
+    _, trace = method(np.random.default_rng(3).uniform(0.01, 1.0, (30, 30)))
+    assert len(calls) == 3 + per_step * trace.iterations
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=64), st.booleans(),
        st.booleans())
 def test_l1_norm_is_numpy_abs_sum_bitwise(pairs, is_complex, complex_run):
@@ -274,6 +313,34 @@ class TestNormsOutOfRange:
         trace = power_iteration(np.diag([1e200, 1.0]), norm="l2", steps=5)
         assert trace.zs()[0] == pytest.approx(1e200 / np.sqrt(2.0), rel=1e-15)
         assert trace.zs()[-1] == 1e200
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_algorithm1_residual_below_1e154_does_not_underflow(self):
+        # A v0 - z0 v0 = (0, -9e-201) / sqrt(2): its square underflowed, and the
+        # residual of 0 accepted the uniform start as converged at step 0
+        result, trace = algorithm1(np.diag([1e-200, 1e-201]))
+        assert trace.residuals()[0] == pytest.approx(0.9 / np.sqrt(2.0), rel=1e-14)
+        assert trace.iterations > 0 and result.residual <= iterengine.DEFAULT_TOL_RESIDUAL
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_iteration_below_1e154(self):
+        # ||A v_0||_2 underflowed to 0, which read as A v_0 = 0
+        trace = power_iteration(np.diag([1e-200, 1e-201]), norm="l2", steps=40)
+        assert trace.zs()[0] == pytest.approx(1.01e-200 / np.sqrt(2.0), rel=1e-14)
+        assert trace.zs()[-1] == pytest.approx(1e-200, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("norm", [_l2_norm, lambda v, work: _mu_norm(None, v, work),
+                                      lambda v, work: _mu_norm(np.arange(1.0, 9.0), v, work)])
+    def test_a_residual_below_1e154_is_taken_at_scale(self, norm):
+        # the mu-norm squares the residual in place of it, so it is formed anew
+        rng = np.random.default_rng(1)
+        v, av = rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8)
+        at_one = _relative_residual(norm, av, 0.75, v, 3.0, np.empty(8))
+        tiny = _relative_residual(norm, av * 2.0**-700, 0.75 * 2.0**-700, v, 3.0 * 2.0**-700,
+                                  np.empty(8))
+        assert tiny == pytest.approx(at_one, rel=1e-15)
+        assert _relative_residual(norm, 0.75 * v, 0.75, v, 3.0, np.empty(8)) == 0.0
 
     def test_a_solve_output_whose_norm_underflows_is_scaled(self):
         # entries of 1e-170 square to 0: the output is scaled by 2^600 and normalised

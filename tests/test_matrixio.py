@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxeig import models
 from maxeig.iterengine import IterationTrace, TraceStep
@@ -113,6 +114,30 @@ class TestTridiagFormat:
         p.write_text("TRIDIAG 0\n\n\n4.0\n")
         with pytest.raises(parse_error, match=":1: TRIDIAG size"):
             read_matrix(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
+def test_numpy_parse_is_the_token_parse_bitwise(values):
+    # repr'd doubles, subnormal, huge and infinite ones included, read as float() reads them
+    line = " ".join(repr(x) for x in values)
+    assert np.fromstring(line, sep=" ").tobytes() == np.array(line.split(), dtype=float).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    *(st.lists(st.floats(5e-324, 1e300), min_size=k, max_size=k) for k in (n, n, n + 1)))))
+def test_tridiag_reader_takes_the_same_bits_on_either_parse(tmp_path_factory, rates):
+    path = tmp_path_factory.mktemp("t") / "r.tridiag"
+    write_matrix(path, TridiagonalSystem.from_rates(*rates))
+    fast = read_matrix(path)
+    with pytest.MonkeyPatch.context() as patch:
+        # numpy giving no values: every line goes to the token-by-token parse
+        patch.setattr(np, "fromstring", lambda *args, **kwargs: np.array(()))
+        slow = read_matrix(path)
+    for x, y in ((fast.a, slow.a), (fast.b, slow.b), (fast.c, slow.c)):
+        assert x.tobytes() == y.tobytes()
+    assert [x.tolist() for x in (fast.a[1:], fast.b[:-1], fast.c)] == [list(r) for r in rates]
 
 
 class TestTraceCsv:

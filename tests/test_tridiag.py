@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxeig import iterengine, models, tridiag
 from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
@@ -15,6 +16,11 @@ from maxeig.numat import TridiagonalSystem, matrix_scale, matvec, shift_to_qc
 from maxeig.tridiag import (
     Z0_POLICIES,
     _closed_form_solver,
+    _delta1_peak,
+    _mu_norm,
+    _rayleigh,
+    _unit,
+    _weights,
     compute_h,
     compute_initials,
     explicit_rqi_solve,
@@ -24,6 +30,79 @@ from maxeig.tridiag import (
 )
 
 from conftest import count_calls, fail_if_called, oracle_eigenvalues, oracle_min_neg, random_system
+
+
+class TestUnweightedRun:
+    """A symmetric chain (a_{k+1} = b_k) has mu all ones; compute_initials
+    makes it a stride-0 view of one 1.0, and the run skips the weighting,
+    which with mu = ones changes no bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_each_unweighted_form_is_its_weighted_form_at_ones(self, order, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(order) * 10.0 ** rng.uniform(-20, 20, order)
+        v[1:][rng.uniform(size=order - 1) < 0.1] = -0.0
+        av = rng.standard_normal(order) * 10.0 ** rng.uniform(-20, 20, order)
+        phi = rng.uniform(0.01, 100.0, order)
+        ones = np.ones(order)
+
+        def bits(*values):
+            return [float(x).hex() for x in values]
+
+        assert bits(*_rayleigh(None, v, av, np.empty(order))) == bits(
+            *_rayleigh(ones, v, av, np.empty(order)))
+        assert bits(_mu_norm(None, v, np.empty(order))) == bits(_mu_norm(ones, v, np.empty(order)))
+        # the residual's norm is taken in place, the vector its own scratch
+        u, w = v.copy(), v.copy()
+        assert bits(_mu_norm(None, u, u)) == bits(_mu_norm(ones, w, w))
+        assert _unit(np.abs(v), None).tobytes() == _unit(np.abs(v), ones).tobytes()
+        assert bits(_delta1_peak(phi, None, np.sqrt(phi))) == bits(
+            _delta1_peak(phi, ones, np.sqrt(phi)))
+
+    def test_weights_are_none_only_when_all_ones(self):
+        init = compute_initials(models.bd_squares(20))
+        assert init.mu.strides == (0,) and not init.mu.flags.writeable
+        assert _weights(init.mu) is None and _weights(np.ones(5)) is None
+        for mu in (np.array([1.0, 1.0, np.nextafter(1.0, 2.0)]), np.array([1.0, 0.5, 2.0]),
+                   np.array([1.0, np.nan])):
+            assert _weights(mu) is mu
+
+    def test_a_symmetric_chain_has_the_divided_phi(self, rng):
+        # phi bit for bit as the divide and cumulative product form it
+        for order in (2, 3, 17, 300):
+            system = _symmetric(int(rng.integers(2**32)), order)
+            init = compute_initials(system)
+            b_eff = system.b.copy()
+            b_eff[-1] = system.c[-1]
+            mu = np.concatenate([[1.0], np.multiply.accumulate(b_eff[:-1] / system.a[1:])])
+            assert np.array_equal(mu, np.ones(order))
+            phi = np.add.accumulate((1.0 / (b_eff * mu))[::-1])[::-1]
+            assert init.phi.tobytes() == phi.tobytes()
+            assert _weights(init.mu) is None
+
+    def test_an_unsymmetric_chain_keeps_its_mu(self, rng):
+        system = random_system(rng, 30)
+        init = compute_initials(system)
+        assert init.mu.flags.owndata and _weights(init.mu) is init.mu
+
+    @pytest.mark.parametrize("solver", ["generic", "explicit"])
+    def test_the_run_takes_each_iterates_norm_once(self, monkeypatch, solver):
+        # per step: the solve's output and the residual; ||v|| is the quotient's
+        # denominator.  At the start also v0 and ||v0||
+        calls = count_calls(monkeypatch, tridiag, "_mu_norm")
+        _, trace = tridiag_rqi(_symmetric(3, 60), solver=solver)
+        assert len(calls) == 3 + 2 * trace.iterations
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_symmetric_chain_on_both_routes(self, seed):
+        # general_rqi on the dense form reads roundoff killing from the row sums,
+        # so its bits are its own; both routes find the same decay rate
+        system = _symmetric(seed, 80)
+        result, _ = tridiag_rqi(system, z0="safe")
+        dense, _ = general_rqi(system.dense())
+        assert -dense.eigenvalue == pytest.approx(result.eigenvalue, rel=1e-9)
+        assert result.eigenvalue == pytest.approx(oracle_min_neg(system), rel=1e-9)
 
 
 class TestComputeH:
@@ -362,16 +441,17 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    def test_tridiag_rqi_holds_eight_arrays(self):
-        # mu, the start, dgtsv's three work arrays, the iterate, the driver's
-        # scratch and a solve's output or A v, which dlagtm forms in one array
+    def test_tridiag_rqi_holds_seven_arrays(self):
+        # the start, dgtsv's three work arrays, the iterate, the driver's scratch
+        # and a solve's output or A v, which dlagtm forms in one array; the
+        # chain is symmetric, so its mu is all ones and no array
         system = models.bd_squares(self.N - 1)
-        assert self.peak(lambda: tridiag_rqi(system)) <= 8 * self.ARRAY + self.SMALL
+        assert self.peak(lambda: tridiag_rqi(system)) <= 7 * self.ARRAY + self.SMALL
 
-    def test_general_rqi_on_a_system_holds_eight_arrays(self):
+    def test_general_rqi_on_a_system_holds_seven_arrays(self):
         # min(c) = 0: the system runs as it is, so the run is tridiag_rqi's
         system = models.bd_squares(self.N - 1)
-        assert self.peak(lambda: general_rqi(system)) <= 8 * self.ARRAY + self.SMALL
+        assert self.peak(lambda: general_rqi(system)) <= 7 * self.ARRAY + self.SMALL
 
     def test_recover_original_holds_one_array(self):
         result, _ = tridiag_rqi(models.bd_squares(self.N - 1))
@@ -467,6 +547,16 @@ def _tiny_style(seed, order, killing_everywhere):
     return TridiagonalSystem.from_rates(a, b, c)
 
 
+def _symmetric(seed, order):
+    """A symmetric chain, a_{k+1} = b_k, killed only at the last state: b and
+    then c[-1] drawn from U(0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.5, 2.0, order - 1)
+    c = np.zeros(order)
+    c[-1] = rng.uniform(0.5, 2.0)
+    return TridiagonalSystem.from_rates(b, b, c)
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -490,6 +580,25 @@ class TestPinnedOutputs:
         "bd_squares order=10000": (
             "0x1.35d27f90a2d4dp-2", 3,
             "41df8c5f409cfc8d9a775288131163499af7df7c5f1cea5b5259856a51b8fc36"),
+        "bd_squares order=1000000": (
+            "0x1.1dd1cabef94fbp-2", 3,
+            "801e06f415f5043064114ee6ce37ec1e45222b801c575db53375af17ec9d0065"),
+        # symmetric chains (_symmetric): mu is all ones and the run unweighted
+        "symmetric seed=7 order=100": (
+            "0x1.0b65fb00605e0p-12", 3,
+            "7e3f0055654ac97f39f57e1451b4fdd9c1a0d0063f8b1dd7b1ae7f5e234ee31d"),
+        "symmetric seed=8 order=300 z0=safe": (
+            "0x1.f7aee2c027a6bp-16", 2,
+            "83c43c53f8073d39e338158bc94a7446f249831e3738770dc2677d00a0733765"),
+        "symmetric seed=9 order=50 z0=delta1": (
+            "0x1.15f859bf5096dp-10", 3,
+            "0f791b138c3efbf6384de22066dd7ff6c51362e2580165351589941778d400e5"),
+        "symmetric seed=10 order=64 z0=rayleigh v0=uniform": (
+            "0x1.9ba902686f5e9p-8", 6,
+            "924082e09747e683859b6d79212df3fa0b60e8bc7968fb64eb98743f2ea77e07"),
+        "symmetric seed=11 order=40 solver=explicit": (
+            "0x1.a8b806a73d79dp-10", 3,
+            "c52530a2306b52a2755e36a660cbedb284f4f29aee4c98e43e2075c8bfe64acd"),
         "killing-at-last seed=1 order=16": (
             "0x1.18fd674022556p-7", 3,
             "c8cd8ae98b617e068728a6f425a59ba16d4d25d71ea84159d316bc8549263691"),
@@ -576,6 +685,12 @@ class TestPinnedOutputs:
         "killing-at-last seed=6 order=50 z0=rayleigh v0=uniform": (
             "-0x1.40ca6a1b28926p-4", 4,
             "e3e9e529d5c905a9056072e184bf2bf1bbe7201636f3324e5a14b4f89a905b01"),
+        "symmetric seed=7 order=100": (
+            "-0x1.0b65fb006016cp-12", 3,
+            "099193d13d1142baa8eb03fdb6de03796ca5a662f7039d09480b5c1051c13fdd"),
+        "symmetric seed=12 order=30 z0=rayleigh v0=uniform": (
+            "-0x1.8d0e4c70de104p-6", 5,
+            "53264c1a23fd88197e59cda3fb2200f1b964dd704bec0c0219b3245cfda774a5"),
     }
 
     @staticmethod
@@ -583,7 +698,17 @@ class TestPinnedOutputs:
         """(kind, seed, order, options) of a pinned run's name."""
         kind, *options = name.split()
         words = dict(part.split("=") for part in options)
-        return kind, int(words.pop("seed")), int(words.pop("order")), words
+        return kind, int(words.pop("seed", 0)), int(words.pop("order")), words
+
+    @staticmethod
+    def system(kind, seed, order):
+        if kind == "bd_squares":
+            return models.bd_squares(order - 1)
+        if kind == "symmetric":
+            return _symmetric(seed, order)
+        if kind == "killing-everywhere":
+            return _tiny_style(seed, order, True)
+        return random_system(np.random.default_rng(seed), order - 1)
 
     @staticmethod
     def got(result, trace):
@@ -592,19 +717,14 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("name", sorted(RQI))
     def test_tridiag_rqi(self, name):
-        if name.startswith("bd_squares"):
-            run = tridiag_rqi(models.bd_squares(9999))
-        else:
-            kind, seed, order, words = self.parse(name)
-            system = (_tiny_style(seed, order, True) if kind == "killing-everywhere"
-                      else random_system(np.random.default_rng(seed), order - 1))
-            run = tridiag_rqi(system, **words)
-        assert self.got(*run) == self.RQI[name]
+        kind, seed, order, words = self.parse(name)
+        assert self.got(*tridiag_rqi(self.system(kind, seed, order), **words)) == self.RQI[name]
 
     @pytest.mark.parametrize("name", sorted(DENSE_FORM))
     def test_general_rqi_on_the_dense_form(self, name):
         kind, seed, order, words = self.parse(name)
-        system = _tiny_style(seed, order, kind == "killing-everywhere")
+        system = (_symmetric(seed, order) if kind == "symmetric"
+                  else _tiny_style(seed, order, kind == "killing-everywhere"))
         assert self.got(*general_rqi(system.dense(), **words)) == self.DENSE_FORM[name]
 
     def test_power_iteration_on_a_tridiagonal_system(self):
