@@ -5,9 +5,7 @@ Three routes for the solves:
 
 - LAPACK ``dgtsv`` (elimination with partial pivoting between adjacent
   rows) for real tridiagonal systems: ``tridiag_solve``, and the shifted
-  solves of a ``TridiagonalSystem``.  Without LAPACK a Python loop with
-  the same arithmetic, ``_gtsv_loop``, takes its place: bitwise the same
-  solutions, 20-50 times more slowly from order 10^3 up.
+  solves of a ``TridiagonalSystem``.
 - Real dense systems: LU with partial pivoting, factored once and then
   solved, by LAPACK's pairs ``dgbtrf``/``dgbtrs`` on a band and
   ``dgetrf``/``dgetrs`` on a full matrix.  One factory, ``_lu(A,
@@ -22,13 +20,12 @@ Three routes for the solves:
   packing the band once per matrix, so a run of shifted solves takes it
   sooner than a single solve: tridiagonal matrices from order 44 (single
   solves from 55), the grid Laplacian (kl = ku = sqrt(n)) from 81 (144)
-  and Hessenberg ones from 160 (608).  Without LAPACK ``gesv`` takes the
-  place of both pairs, one LU per solve; the numbers agree to roundoff.
-  With one BLAS thread ``dgetrf`` and ``dgetrs`` give the bits of
-  numpy's ``gesv``; with more, OpenBLAS threads the two from different
-  orders, and orders 100-141 round apart.
+  and Hessenberg ones from 160 (608).  With one BLAS thread ``dgetrf``
+  and ``dgetrs`` give the bits of numpy's ``gesv``; with more, OpenBLAS
+  threads the two from different orders, and orders 100-141 round apart.
 - ``gesv`` (LU with partial pivoting) through ``numpy.linalg.solve`` for
-  complex matrices, right-hand sides and shifts.
+  complex matrices, right-hand sides and shifts, which the real LAPACK
+  work arrays cannot hold: ``_gesv``, the one solve not bound here.
 
 The product of a ``TridiagonalSystem`` with a real vector is LAPACK
 ``dlagtm`` (B := A X, alpha = 1, beta = 0), which ``_product`` binds once
@@ -36,18 +33,20 @@ per run to the system's three read-only diagonals: one pass and one new
 array per product, where numpy's five passes made two.  Fortran sums each
 row in ``numat._apply``'s order, so the bits are _apply's but for the sign
 of a zero row (see ``_product``).  _apply stays the product of a dense
-matrix, of a complex vector and of a run without LAPACK.  On a 2-core
+matrix and of a complex vector.  On a 2-core
 Intel Xeon host, one BLAS thread, best of 7 batches in each of several
 runs, a product of order 10^6 took 2.85-2.90 ms against 9.6-11.4 for
 _apply, and one of order 10^5 0.20-0.26 against 0.44-1.29.
 
 The six routines, ``dgtsv``, ``dgetrf``, ``dgetrs``, ``dgbtrf``,
 ``dgbtrs`` and ``dlagtm``, are called through ``ctypes`` from the LAPACK
-library numpy's own ``linalg`` is linked against.  One loader looks them
-up once, at import, all from the first export family that has all six;
+library numpy's own ``linalg`` is linked against.  They are a
+requirement: one loader looks them up once, at import, all from the
+first export family that has all six, and binds them there;
 ``LAPACK_EXPORT`` names that family's pattern (``scipy_{}_64_`` in
-numpy's bundled OpenBLAS), or is None when no family has all six, and
-then every solve and product takes the fallbacks above.  One binder,
+numpy's bundled OpenBLAS).  When no family has all six the import
+raises ImportError, naming each pattern tried and the routines it
+lacks, so every solve and product has one code path.  One binder,
 ``_prepare``, converts a call's arguments once, so a run repeats prepared
 calls: ``dgtsv`` and ``dlagtm`` are bound once per run and given only the
 addresses of each call's one or two vectors, and ``_lu`` binds its
@@ -59,7 +58,7 @@ the ctypes object the call passes, so no call converts through
 buffer (``_address``), 0.4 microseconds against the 1.4 of numpy's
 ``.ctypes`` helper, which builds an object on every read; a read-only
 one's from the array interface.  The pivot array is allocated with the
-family's integer type as a numpy dtype (``_INT_DTYPES``), 0.2
+family's integer type as a numpy dtype (``_INT_DTYPE``), 0.2
 microseconds against 3.0 with the ctypes type, which numpy converts anew
 on every call.  On the same host, building ``_lu`` at order 22 takes
 about 18 microseconds, a tridiagonal run's solve (``_shifted_solver``)
@@ -143,9 +142,6 @@ _RUN_SOLVES = 4
 _LAPACK_EXPORTS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
                    ("{}_", ctypes.c_int32))
 _ROUTINES = ("dgtsv", "dgetrf", "dgetrs", "dgbtrf", "dgbtrs", "dlagtm")
-# each family's integer type as a numpy dtype, for the pivot arrays: numpy converts
-# a ctypes type to a dtype anew on every allocation, at ten times the cost
-_INT_DTYPES = {ctypes.c_int64: np.dtype(np.int64), ctypes.c_int32: np.dtype(np.int32)}
 # the hidden length of a character flag, which Fortran takes by value after the arguments
 _LENGTH = ctypes.c_size_t(1)
 # the dtype of a real vector, numpy's one instance of it, which is compared by identity
@@ -153,24 +149,34 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def _load_lapack():
-    """(the export pattern, (routines by name, integer type)) for the first
-    family of _LAPACK_EXPORTS that exports every one of _ROUTINES, or
-    (None, None).
+    """(the export pattern, the routines by name, the integer type) of the
+    first family of _LAPACK_EXPORTS that exports every one of _ROUTINES.
 
     Opening numpy's ``linalg`` extension by its path reaches the LAPACK
     library it links, and symbol lookup through that handle searches
-    its dependencies too.
+    its dependencies too.  Raises ImportError when that library cannot
+    be opened, or when no family exports all of _ROUTINES; the message
+    names each pattern tried and the routines it lacks.
     """
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError, AttributeError):
-        return None, None
+    except (ImportError, OSError, AttributeError) as exc:
+        raise ImportError(f"maxeig needs the LAPACK library numpy.linalg links: {exc}") from exc
+    lacking = []
     for pattern, int_t in _LAPACK_EXPORTS:
         routines = {name: getattr(lib, pattern.format(name), None) for name in _ROUTINES}
         if None not in routines.values():
-            return pattern, (routines, int_t)
-    return None, None
+            return pattern, routines, int_t
+        lacking.append(f"{pattern} lacks " + ", ".join(k for k in _ROUTINES if routines[k] is None))
+    raise ImportError(f"maxeig needs LAPACK's {', '.join(_ROUTINES)} from one export family "
+                      f"of the library numpy.linalg links; " + "; ".join(lacking))
+
+
+LAPACK_EXPORT, _LAPACK, _INT = _load_lapack()
+# the integer type as a numpy dtype, for the pivot arrays: numpy converts a
+# ctypes type to a dtype anew on every allocation, at ten times the cost
+_INT_DTYPE = np.dtype(_INT)
 
 
 def _address(a):
@@ -196,10 +202,9 @@ def _address(a):
     return ctypes.c_void_p(interface["data"][0])
 
 
-def _prepare(lapack, name, *args, info=True):
-    """call(*vectors) -> info: LAPACK routine ``name`` of ``lapack`` on
-    ``args``, converted once, so that a run can repeat the call on refilled
-    arrays.
+def _prepare(name, *args, info=True):
+    """call(*vectors) -> info: LAPACK routine ``name`` on ``args``,
+    converted once, so that a run can repeat the call on refilled arrays.
 
     Every argument is converted to the ctypes object the call passes, so
     the routine is called without ``argtypes``, whose per-argument
@@ -214,8 +219,7 @@ def _prepare(lapack, name, *args, info=True):
     INFO, which the call returns; a routine without one (dlagtm) returns
     None.
     """
-    routines, int_t = lapack
-    fn, status = routines[name], int_t(0)
+    fn, status = _LAPACK[name], _INT(0)
     fn.restype = None
     pointers, late, lengths = [], [], []
     for a in args:
@@ -229,7 +233,7 @@ def _prepare(lapack, name, *args, info=True):
         elif kind is bytes:
             lengths.append(_LENGTH)
         else:       # an integer; ctypes raises TypeError for anything else
-            a = ctypes.byref(int_t(a))
+            a = ctypes.byref(_INT(a))
         pointers.append(a)
     if info:
         pointers.append(ctypes.byref(status))
@@ -279,52 +283,6 @@ def _check_layout(a, n, band):
     if not (a.flags.f_contiguous and a.dtype == np.float64 and a.shape[0] >= max(rows, 1)):
         raise ValueError("LAPACK LU needs a float64 Fortran-order matrix, or a band "
                          "of 2kl+ku+1 rows")
-
-
-LAPACK_EXPORT, _lapack = _load_lapack()
-
-
-def _gtsv_loop(dl, d, du, b):
-    """dgtsv's elimination as a Python loop: same arithmetic, same in-place results.
-
-    Plain Python floats are read and written through memoryviews, so no
-    step boxes a numpy scalar.  Row i is swapped with row i+1 when the
-    sub-diagonal entry is the larger in magnitude; the swap's fill-in on
-    the second super-diagonal is left in ``dl``, U's diagonal in ``d``,
-    its first super-diagonal in ``du`` and the solution in ``b``.
-    Returns 0, or i+1 when pivot i is exactly zero.
-    """
-    l, d, u, x = map(memoryview, (dl, d, du, b))
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(l[i]):
-            if d[i] == 0.0:
-                return i + 1
-            f = l[i] / d[i]
-            d[i + 1] = d[i + 1] - f * u[i]
-            x[i + 1] = x[i + 1] - f * x[i]
-            if i < n - 2:
-                l[i] = 0.0
-        else:
-            f = d[i] / l[i]
-            d[i] = l[i]
-            t = d[i + 1]
-            d[i + 1] = u[i] - f * t
-            if i < n - 2:
-                l[i] = u[i + 1]
-                u[i + 1] = -f * l[i]
-            u[i] = t
-            t = x[i]
-            x[i] = x[i + 1]
-            x[i + 1] = t - f * x[i + 1]
-    if d[n - 1] == 0.0:
-        return n
-    x[n - 1] = x[n - 1] / d[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - u[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - u[i] * x[i + 1] - l[i] * x[i + 2]) / d[i]
-    return 0
 
 
 def tridiag_solve(lower, diag, upper, rhs):
@@ -383,14 +341,13 @@ def _gtsv(dl, d, du):
     length n) copied into a new array that becomes the solution, so a run
     of solves holds no solution buffer between them.
     """
-    n, lapack = len(d), _lapack
-    call = _prepare(lapack, "dgtsv", n, 1, dl, d, du, None, n) if lapack else None
+    call = _prepare("dgtsv", len(d), 1, dl, d, du, None, len(d))
 
     def solve(rhs):
         x = np.array(rhs, dtype=np.float64)
         if x.shape != d.shape:
             raise ValueError("dgtsv needs a right-hand side of the system's order")
-        info = call(x) if call else _gtsv_loop(dl, d, du, x)
+        info = call(x)
         if not info:
             pivots = np.abs(d, out=d)  # U's diagonal; d is work space
             if pivots.min() < PIVOT_FLOOR:
@@ -412,16 +369,15 @@ def _product(A):
     order, and the new array it fills.  With beta = 0 Fortran sums row i
     as ((0 + a v[i-1]) + diagonal v[i]) + b v[i+1], numat._apply's order,
     so the bits are _apply's, but for a row whose three terms are all
-    -0.0: ``dlagtm`` gives +0.0 there, and _apply -0.0.  A dense A, a v
-    that is not float64 (complex, say) and a run without LAPACK take
-    _apply.
+    -0.0: ``dlagtm`` gives +0.0 there, and _apply -0.0.  A dense A and a
+    v that is not float64 (complex, say) take _apply.
     """
-    if _lapack is None or not isinstance(A, TridiagonalSystem):
+    if not isinstance(A, TridiagonalSystem):
         return partial(_apply, A)
     n, d = A.order, A.diagonal
     # the system's read-only diagonals, contiguous (see TridiagonalSystem)
-    call = _prepare(_lapack, "dlagtm", b"N", n, 1, 1.0, A.a[1:], d, A.b[:-1], None, n, 0.0,
-                    None, n, info=False)
+    call = _prepare("dlagtm", b"N", n, 1, 1.0, A.a[1:], d, A.b[:-1], None, n, 0.0, None, n,
+                    info=False)
 
     def product(v):
         if v.dtype is not _FLOAT64:
@@ -454,7 +410,8 @@ def dense_solve(A, rhs):
 
 def _gesv(A, rhs):
     """The gesv route, ``numpy.linalg.solve``, for a finite square A and a
-    fitting rhs: complex input, and real input without LAPACK."""
+    fitting rhs: the route of complex input, which the real LAPACK work
+    arrays cannot hold."""
     try:
         x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -539,15 +496,8 @@ def _lu(A, solves):
     transposes, which took 0.35 ms against 0.08 ms at order 400 and 11 ms
     against 1.9 ms at 1600 (one BLAS thread), at every factorisation.
     The factorisation and the solve of one vector are prepared once.
-    Without LAPACK, solve is gesv on z I - A or its transpose.
     """
-    n, lapack = A.shape[0], _lapack
-    if lapack is None:
-        def refactor_gesv(z):
-            shifted = z * np.eye(n) - A
-            return lambda rhs, transpose=False: _gesv(shifted.T if transpose else shifted, rhs)
-
-        return refactor_gesv
+    n = A.shape[0]
     route = _band_route(A, solves)
     if route is None:
         kl, band, step, trf, trs = 0, (), 1, "dgetrf", "dgetrs"
@@ -561,9 +511,9 @@ def _lu(A, solves):
     _check_layout(work, n, band)
     ld = len(work)
     diagonal = work[sum(band)] if band else work.ravel(order="F")[::n + 1]
-    ipiv, x = np.empty(n, _INT_DTYPES[lapack[1]]), np.empty(n)
-    factor = _prepare(lapack, trf, n, n, *band, work, ld, ipiv)
-    solve_x = _prepare(lapack, trs, b"N", n, *band, 1, work, ld, ipiv, x, n)
+    ipiv, x = np.empty(n, _INT_DTYPE), np.empty(n)
+    factor = _prepare(trf, n, n, *band, work, ld, ipiv)
+    solve_x = _prepare(trs, b"N", n, *band, 1, work, ld, ipiv, x, n)
 
     def solve(rhs, transpose=False):
         if len(rhs) != n:
@@ -572,8 +522,8 @@ def _lu(A, solves):
             x[:] = rhs[::step]
             return _checked(trs, solve_x(), x)[::step].copy()
         b = np.array(rhs[::step], dtype=np.float64, order="F")
-        call = _prepare(lapack, trs, b"T" if transpose else b"N", n, *band, b.size // n,
-                        work, ld, ipiv, b, n)
+        call = _prepare(trs, b"T" if transpose else b"N", n, *band, b.size // n, work, ld,
+                        ipiv, b, n)
         return _checked(trs, call(), b)[::step]
 
     def refactor(z):
@@ -594,8 +544,8 @@ def _shifted_solver(A):
     refills them before each solve.  A TridiagonalSystem takes dgtsv, bound
     once to its work arrays, its diagonal refilled as z minus A's.  A real
     dense A takes _lu, refactored at each real z and solved for a real v.
-    A complex A, z or v, which the real work array cannot hold, takes gesv
-    on z I - A.
+    A complex A, z or v, which the real work array cannot hold, takes
+    _gesv on z I - A, the one solve that is not a LAPACK call bound here.
     """
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
@@ -609,10 +559,9 @@ def _shifted_solver(A):
             return solve(v)
 
         return solve_tridiagonal
-    n = A.shape[0]
 
     def solve_complex(z, v):
-        return _gesv(z * np.eye(n, dtype=A.dtype) - A, v)
+        return _gesv(z * np.eye(len(A), dtype=A.dtype) - A, v)
 
     if np.iscomplexobj(A):
         return solve_complex

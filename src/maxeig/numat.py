@@ -213,10 +213,10 @@ def _apply(A, v):
     """matvec's arithmetic without its checks, for operands that already passed them.
 
     It is the iterations' product of a dense matrix, and of a
-    TridiagonalSystem with a complex vector or on an install without
-    LAPACK (see ``linsolve._product``); it is also the bitwise reference
-    for LAPACK's tridiagonal product, which differs only in a row whose
-    three terms are all -0.0: -0.0 here, +0.0 there."""
+    TridiagonalSystem with a complex vector (see ``linsolve._product``);
+    it is also the bitwise reference for LAPACK's tridiagonal product,
+    which differs only in a row whose three terms are all -0.0: -0.0
+    here, +0.0 there."""
     if isinstance(A, TridiagonalSystem):
         # the diagonal term first, then both neighbours through one temporary
         out = A.diagonal * v

@@ -64,9 +64,10 @@ the driver's iterate and scratch array, plus a solve's output or A v,
 which ``dlagtm`` forms in one array, as they are made.  On a symmetric
 chain mu is no array.
 ``tridiag_rqi`` hands the initials to ``_efficient_rqi`` inline, and
-the body drops phi and the seed once it has picked the start and the
-shift, so at order 10^6 a t1 run holds seven arrays of N doubles beyond
-its input at its peak (see README, "Memory").  The body binds the run's one
+the body drops phi and the seed once it has picked the shift and the
+start, which it builds after the shift unless the shift is the start's
+quotient, so at order 10^6 a t1 run holds seven arrays of N doubles
+beyond its input at its peak, for every z0 and v0 (see README, "Memory").  The body binds the run's one
 product, ``linsolve._product(q)``, and lends it to the driver, so the
 start's quotient and every step share one ``dlagtm`` binding.
 
@@ -329,9 +330,11 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     read ``init.delta1``, and general_rqi admits neither.  When phi_1 is
     not below phi_0 by more than roundoff (_PHI_TIE), the safe shift is
     ruled out: the run starts from the seed's quotient and is flagged
-    (``z0_fallback``).  Then phi and the seed are dropped, as the run
-    needs neither; a caller that passes ``init`` inline leaves this the
-    last reference to them.
+    (``z0_fallback``).  The start is built once the shift is chosen,
+    unless the shift is its quotient, so that no start is held while
+    safe_z0 forms its arrays.  Then phi and the seed are dropped, as the
+    run needs neither; a caller that passes ``init`` inline leaves this
+    the last reference to them.
 
     ``solver`` is "generic", the solve ``linsolve._shifted_solver(q)``
     builds, or "explicit", the closed form (q tridiagonal).  The driver
@@ -347,11 +350,7 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     """
     mu, phi = init.mu, init.phi
     weights = _weights(mu)      # None on a symmetric chain: the run is unweighted
-    # scaled here although run_shifted_iteration normalises again: the roundings
-    # differ, and starting from bare sqrt(phi) loses some interior-killing runs
-    seed = _unit(init.v0_raw, weights)
-    start = seed if v0 == "efficient" else _unit(np.ones(len(mu)), weights)
-    fallback = False
+    fallback, quoted, seed = False, None, None
     product = linsolve._product(q)
     if not isinstance(z0, str):
         z_start = float(z0)
@@ -362,10 +361,13 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     else:
         # the safe shift's fallback takes the seed's quotient whatever the start
         fallback = z0 == "safe"
-        seed = seed if fallback else start
+        quoted = "efficient" if fallback else v0
+        seed = _start(quoted, init.v0_raw, weights)
         z_start = -_rayleigh(weights, seed, product(seed), np.empty(len(mu)))[0]
         if z0 == "combination":
             z_start = z0_combination(_delta1_peak(phi, weights, init.v0_raw), z_start)
+    # built once the shift is chosen, so that no start is held while safe_z0 works
+    start = seed if quoted == v0 else _start(v0, init.v0_raw, weights)
     del init, phi, seed
     solve = (linsolve._shifted_solver(q) if solver == "generic"
              else _peak_one(_closed_form_solver(q, mu)))
@@ -374,6 +376,16 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
                                           norm=partial(_mu_norm, weights), negate=True,
                                           product=product, **opts),
                    h_scaling=h, z0_fallback=fallback)
+
+
+def _start(v0, seed, mu):
+    """The start vector ``v0`` names, the seed sqrt(phi) ("efficient") or
+    the ones ("uniform"), scaled to unit mu-norm.
+
+    Scaled here although run_shifted_iteration normalises again: the
+    roundings differ, and starting from bare sqrt(phi) loses some
+    interior-killing runs."""
+    return _unit(seed if v0 == "efficient" else np.ones(len(seed)), mu)
 
 
 def _rayleigh(mu, v, av, work):

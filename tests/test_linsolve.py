@@ -2,7 +2,9 @@
 
 import ctypes
 import gc
+import importlib.util
 import math
+import re
 import types
 import weakref
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from maxeig import general_init, iterengine, linsolve, models, tridiag
 from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
-from maxeig.numat import TridiagonalSystem, _apply, shift_to_qc
+from maxeig.numat import TridiagonalSystem, _apply
 
 from conftest import oracle_min_neg, random_system
 
@@ -135,53 +137,6 @@ class TestTridiagSolve:
             tridiag_solve([], [1e-29], [], [1e300])
 
 
-# the LAPACK routines found at import, kept before any test forces the fallback
-LAPACK = linsolve._lapack
-
-
-def shifted_systems(rng):
-    """Random real shifted tridiagonal systems, orders 1 to 5000, as (lower, diag, upper, rhs)."""
-    for n in (1, 2, 3, 4, 7, 16, 64, 500, 5000):
-        for with_killing in ("last", "all") if n > 1 else ():
-            system = random_system(rng, n - 1, with_killing=with_killing)
-            # shifts below, inside and above the spectrum's low end
-            for z in (0.0, *rng.uniform(0.0, 4.0, 3)):
-                yield (*shifted_coeffs(system, z), rng.normal(size=n))
-        # no structure at all: pivots of either sign and many row swaps
-        yield (rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1),
-               rng.normal(size=n))
-
-
-class TestTridiagSolveLoop(TestTridiagSolve):
-    """Every TestTridiagSolve case again, on the Python loop that stands in
-    when no LAPACK library was found."""
-
-    @pytest.fixture(autouse=True)
-    def without_lapack(self, monkeypatch):
-        monkeypatch.setattr(linsolve, "_lapack", None)
-
-    @staticmethod
-    def lapack_solve(*args):
-        if LAPACK is None:
-            pytest.skip("no LAPACK library was found")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linsolve, "_lapack", LAPACK)
-            return tridiag_solve(*args)
-
-    def compare(self, args):
-        assert tridiag_solve(*args).tobytes() == self.lapack_solve(*args).tobytes()
-
-    def test_bitwise_equal_to_lapack_on_random_shifted_systems(self, rng):
-        for args in shifted_systems(rng):
-            self.compare(args)
-
-    def test_bitwise_equal_to_lapack_on_t1(self):
-        system = models.bd_squares(10**5 - 1)
-        rhs = np.ones(system.order)
-        for z in (0.25, 0.29, 0.5):
-            self.compare((*shifted_coeffs(system, z), rhs))
-
-
 def shifted_tridiagonal(system, z, rhs):
     """tridiag_solve of (z I - Q) x = rhs, with the diagonals built from Q's rates."""
     return tridiag_solve(-system.a[1:], z - system.diagonal, -system.b[:-1], rhs)
@@ -208,13 +163,11 @@ class TestShiftedTridiagonalSolver:
         assert solve(0.5, rhs).tobytes() == shifted_tridiagonal(system, 0.5, rhs).tobytes()
 
     def test_a_run_binds_dgtsv_once_and_keeps_no_solution(self, rng, monkeypatch):
-        if LAPACK is None:
-            pytest.skip("no LAPACK library was found")
         bound, prepare = [], linsolve._prepare
 
-        def counted(*args):
-            bound.append(args[1])
-            return prepare(*args)
+        def counted(name, *args):
+            bound.append(name)
+            return prepare(name, *args)
 
         monkeypatch.setattr(linsolve, "_prepare", counted)
         system = random_system(rng, 30, with_killing="all")
@@ -257,11 +210,6 @@ class TestTridiagonalProduct:
     starts at +0.0 and so never gives -0.0; every other row has the same
     bits.  So the product is _apply's result plus 0.0."""
 
-    @pytest.fixture(autouse=True)
-    def needs_lapack(self):
-        if LAPACK is None:
-            pytest.skip("no LAPACK library was found")
-
     def test_equals_apply_bitwise_on_wide_random_systems(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 201))
@@ -285,13 +233,6 @@ class TestTridiagonalProduct:
         product = linsolve._product(system)(v)
         assert not np.signbit(product).any()
         assert np.array_equal(bits(product), bits(applied + 0.0))
-
-    def test_without_lapack_the_product_is_apply(self, rng, monkeypatch):
-        system = models.bd_squares(6)
-        v = np.copysign(np.zeros(7), [-1.0, 1.0] * 3 + [-1.0])
-        monkeypatch.setattr(linsolve, "_lapack", None)
-        for u in (v, wide_vector(rng, 7)):
-            assert np.array_equal(bits(linsolve._product(system)(u)), bits(_apply(system, u)))
 
     def test_a_complex_vector_takes_apply(self, rng):
         system = wide_system(rng, 40)
@@ -317,9 +258,9 @@ class TestTridiagonalProduct:
         bound, prepare = [], linsolve._prepare
         products, factory = [], linsolve._product
 
-        def counted(lapack, name, *args, **kwargs):
+        def counted(name, *args, **kwargs):
             bound.append(name)
-            return prepare(lapack, name, *args, **kwargs)
+            return prepare(name, *args, **kwargs)
 
         def watched(A):
             product = factory(A)
@@ -348,9 +289,8 @@ class TestTridiagonalProduct:
         # B := -A X - B, and no INFO to return
         system = random_system(rng, 9, with_killing="all")
         x, b = rng.normal(size=10), rng.normal(size=10)
-        call = linsolve._prepare(LAPACK, "dlagtm", b"N", 10, 1, -1.0, system.a[1:],
-                                 system.diagonal, system.b[:-1], x, 10, -1.0, None, 10,
-                                 info=False)
+        call = linsolve._prepare("dlagtm", b"N", 10, 1, -1.0, system.a[1:], system.diagonal,
+                                 system.b[:-1], x, 10, -1.0, None, 10, info=False)
         out = b.copy()
         assert call(out) is None
         assert np.abs(out + (_apply(system, x) + b)).max() <= 1e-14 * np.abs(out).max()
@@ -366,11 +306,6 @@ class TestTridiagonalProduct:
 class TestShiftedFullSolver:
     """linsolve._shifted_solver on a full real matrix: -A packed once, one
     work array refilled, shifted and factored by dgetrf/dgetrs per solve."""
-
-    @pytest.fixture(autouse=True)
-    def needs_lapack(self):
-        if LAPACK is None:
-            pytest.skip("no LAPACK library was found")
 
     @pytest.mark.parametrize("n", [3, 40, 400])
     def test_equals_numpy_solve_bitwise(self, rng, n):
@@ -462,7 +397,7 @@ class TestLuSolver:
             {"full": None, "band": False, "reversed": True}[route]
         shifted = z * np.eye(len(A)) - A
         y = np.linalg.solve(shifted.T if transpose else shifted, rhs)
-        if route == "full" and not transpose and LAPACK is not None:
+        if route == "full" and not transpose:
             assert x.tobytes() == y.tobytes()
         else:
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
@@ -473,38 +408,47 @@ class TestLuSolver:
         assert linsolve._band_route(band, 3) == (15, 15, False)
         assert linsolve._band_route(reversed_band, 3) == (1, 299, True)
 
-    def test_numpy_takes_the_place_of_missing_symbols(self, rng, monkeypatch):
-        # the same sequences, to roundoff, from gesv: one LU per solve, half of them on Qc^T
-        matrices = (models.toeplitz_linear(60), rng.uniform(0.01, 1.0, (50, 50)),
-                    models.poisson_block(12))
-        qcs = [shift_to_qc(A)[0] for A in matrices]
-        expected = [general_init._initials(qc) for qc in qcs]
-        monkeypatch.setattr(linsolve, "_lapack", None)
-        for qc, sequences in zip(qcs, expected):
-            for got, want in zip(general_init._initials(qc), sequences):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            n = len(qc)
-            v = rng.normal(size=n)
-            assert linsolve._shifted_solver(qc)(0.25, v).tobytes() == \
-                np.linalg.solve(0.25 * np.eye(n) - qc, v).tobytes()
+
+def import_linsolve_afresh():
+    """Run the linsolve module's code again, as a new module, the way an import does."""
+    spec = importlib.util.spec_from_file_location("maxeig._linsolve_afresh", linsolve.__file__)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_lapack_comes_from_one_export_family_or_none(monkeypatch):
-    # a family that lacks one of the five routines gives none of them
+    # a family that lacks one of the six routines gives none of them, and
+    # without a complete family the import fails, naming what each lacks
     names = [pattern.format(routine) for pattern, _ in linsolve._LAPACK_EXPORTS
              for routine in linsolve._ROUTINES]
     fake = types.SimpleNamespace(**{name: object() for name in names})
     monkeypatch.setattr(ctypes, "CDLL", lambda path: fake)
     (first, first_int), (second, second_int), (third, _) = linsolve._LAPACK_EXPORTS
-    export, (routines, int_t) = linsolve._load_lapack()
+    export, routines, int_t = linsolve._load_lapack()
     assert (export, int_t, sorted(routines)) == (first, first_int, sorted(linsolve._ROUTINES))
     delattr(fake, first.format("dgbtrs"))
-    export, (routines, int_t) = linsolve._load_lapack()
+    export, routines, int_t = linsolve._load_lapack()
     assert (export, int_t) == (second, second_int)
     assert routines["dgtsv"] is getattr(fake, second.format("dgtsv"))
     delattr(fake, second.format("dgtsv"))
     delattr(fake, third.format("dgetrf"))
-    assert linsolve._load_lapack() == (None, None)
+    delattr(fake, third.format("dlagtm"))
+    lacks = f"{first} lacks dgbtrs; {second} lacks dgtsv; {third} lacks dgetrf, dlagtm"
+    with pytest.raises(ImportError) as raised:
+        linsolve._load_lapack()
+    assert str(raised.value).endswith(lacks)
+    assert all(pattern in str(raised.value) for pattern, _ in linsolve._LAPACK_EXPORTS)
+    assert all(routine in str(raised.value) for routine in linsolve._ROUTINES)
+    with pytest.raises(ImportError, match=re.escape(lacks)):
+        import_linsolve_afresh()
+
+
+def test_a_linalg_library_that_cannot_be_opened_fails_the_import(monkeypatch):
+    def refuse(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    with pytest.raises(ImportError, match="^maxeig needs the LAPACK library numpy.linalg links: "):
+        import_linsolve_afresh()
 
 
 def _tridiagonal_with_zero_column(n=60):
@@ -536,8 +480,6 @@ BREAKDOWNS = [
 
 @pytest.mark.parametrize("solve, message", BREAKDOWNS, ids=[m.strip("^$") for _, m in BREAKDOWNS])
 def test_each_breakdown_names_its_routine(solve, message):
-    if message.startswith(("^dgb", "^dge")) and LAPACK is None:
-        pytest.skip("no LAPACK library was found")
     with pytest.raises(SolverBreakdown, match=message):
         solve()
 
@@ -789,8 +731,6 @@ def test_band_rule_takes_small_orders_to_gesv():
 
 
 def test_shifted_runs_take_the_band_sooner_than_single_solves(monkeypatch):
-    if LAPACK is None:
-        pytest.skip("no LAPACK library was found")
     storage, bands = linsolve._band_storage, []
     monkeypatch.setattr(linsolve, "_band_storage",
                         lambda A, kl, ku, reverse: bands.append((kl, ku)) or storage(A, kl, ku, reverse))

@@ -444,9 +444,14 @@ class TestWorkingSet:
     def test_tridiag_rqi_holds_seven_arrays(self):
         # the start, dgtsv's three work arrays, the iterate, the driver's scratch
         # and a solve's output or A v, which dlagtm forms in one array; the
-        # chain is symmetric, so its mu is all ones and no array
+        # chain is symmetric, so its mu is all ones and no array.  For every
+        # shift and start: the start is built once the shift is chosen, so none
+        # is held while safe_z0 forms phi / phi_0, its root and two work arrays
         system = models.bd_squares(self.N - 1)
-        assert self.peak(lambda: tridiag_rqi(system)) <= 7 * self.ARRAY + self.SMALL
+        for z0 in ("combination", "delta1", "safe", "rayleigh", 0.25):
+            for v0 in ("efficient", "uniform"):
+                peak = self.peak(lambda: tridiag_rqi(system, z0=z0, v0=v0))
+                assert peak <= 7 * self.ARRAY + self.SMALL, (z0, v0, peak / self.ARRAY)
 
     def test_general_rqi_on_a_system_holds_seven_arrays(self):
         # min(c) = 0: the system runs as it is, so the run is tridiag_rqi's
