@@ -190,6 +190,7 @@ def cmd_solve(args) -> int:
             "stabilized_at": stab,
             "residual": float(trace.steps[-1].residual),
             "tol_z": trace.tol_z,
+            "bracket": trace.bracket,
             "eigenvector": _vector_doc(result.eigenvector),
             "eigenvector_positive": positive,
             "shift_m": float(result.shift_m),

@@ -3,13 +3,29 @@
 All shifted-inverse variants share one driver that records a uniform
 trace and applies the same convergence control: the iteration stops
 when the relative shift change and the relative eigen-residual are both
-below tolerance.  The shift-change tolerance has a roundoff floor that
+below tolerance, or, a solve sooner, when its Collatz-Wielandt bracket
+certifies the pair.  The shift-change tolerance has a roundoff floor that
 grows with the order n: a shifted solve of order n accumulates about
 n*eps of rounding, so two converged iterates jitter by that much and a
 tighter test only passes when they land close by luck.  The driver
 stops on max(tol_z, C_FLOOR * n * eps), records it as the trace's
 ``tol_z``, and so clamps a smaller tol_z up to the floor.  With the
 default tol_z = 1e-10 the floor only takes over above order 10^5.
+
+The certified stop (``_bracket_test``) needs no option: a run decides
+from A itself.  On a real run whose operator has no negative
+off-diagonal entry (every TridiagonalSystem; a dense A is tested once
+per run, without a copy), step k stops when v_k is positive, the
+residual passes and max(A v / v) - min(A v / v) <= tol_z |z_k|, with
+tol_z after its floor.  For such an A and a positive v that bracket
+holds the maximal eigenvalue and z_k, and bounds the residual entry by
+entry, |A v - z v| <= (hi - lo) v, so it certifies the pair; the trace
+records it, on the reported scale, as ``bracket``.  The test only ends
+a run: every step a run keeps is the step it took before, and a run the
+bracket cannot certify (a sign-changing iterate, a complex run, a matrix
+with a negative off-diagonal entry, or a scale so large against z that
+A v rounds past the tolerance, as on t1 from about order 10^3) stops on
+the repeat as it did.
 
 Each caller hands the driver the operator A (a dense matrix or a
 TridiagonalSystem), a solve of (z I - A), and its shift update and norm
@@ -68,6 +84,7 @@ from .numat import (
     _check_length,
     _dot,
     _largest_ratio,
+    _nonnegative_off_diagonal,
     _require_finite,
     _scale,
     as_square_matrix,
@@ -119,6 +136,8 @@ class IterationTrace:
     steps: list[TraceStep] = field(default_factory=list)
     termination: str = "running"
     tol_z: float | None = None    # the shift-change tolerance a shifted-inverse run stops on
+    # the Collatz-Wielandt bracket (lo, hi) on the reported scale of a run that stopped on it
+    bracket: tuple[float, float] | None = None
 
     def record(self, k, z, residual, seconds):
         self.steps.append(TraceStep(k, z, residual, seconds))
@@ -139,7 +158,7 @@ class IterationTrace:
         Agreement is relative to the final value; this is the step at
         which the printed-table value of the run stops changing, which
         can precede the stopping test by the one confirming iterate the
-        convergence control needs.
+        repeat test needs (a run stopped on its bracket needs none).
         """
         zs = self.zs()
         zfinal = zs[-1]
@@ -302,6 +321,40 @@ def _max_ratio_update(v, av, work=None):
 _RQI_UPDATES = {"rayleigh": _rayleigh_update, "max_ratio": _max_ratio_update}
 
 
+def _bracket_test(A, scale, tol_z, tol_residual):
+    """The Collatz-Wielandt stop of a run on A, of scale ``scale`` and with the
+    shift-change tolerance tol_z after its floor: bracket(v, av, z, residual,
+    work) is (min(A v / v), max(A v / v)) when that bracket is no wider than
+    tol_z |z| and certifies the pair (z, v), else None.
+
+    It certifies only a real run whose residual passes, on a positive v and
+    an A with no negative off-diagonal entry.  Then the bracket holds the
+    maximal eigenvalue, every Rayleigh quotient and the max ratio lie in it,
+    and |A v - z v| <= (hi - lo) v entry by entry.  Two scalar tests rule a
+    narrow bracket out for free: its width w bounds the relative residual by
+    w / scale in the l2 norm and the mu-norm alike, and A v rounds by about
+    eps * scale.  A's sign is tested once, by the first step past the other
+    tests (``numat._nonnegative_off_diagonal``), and the ratios are formed in
+    work, the run's scratch array."""
+    certifiable = None
+
+    def bracket(v, av, z, residual, work):
+        nonlocal certifiable
+        bound = tol_z * abs(z)
+        if not (_EPS * scale <= bound and residual * scale <= bound and residual <= tol_residual
+                and work.dtype.kind == "f" and v.min() > 0.0):
+            return None
+        if certifiable is None:
+            certifiable = _nonnegative_off_diagonal(A)
+        if not certifiable:
+            return None
+        ratios = np.divide(av, v, out=work)
+        lo, hi = float(ratios.min()), float(ratios.max())
+        return (lo, hi) if hi - lo <= bound else None
+
+    return bracket
+
+
 def run_shifted_iteration(
     A,
     solve_shifted,
@@ -333,9 +386,14 @@ def run_shifted_iteration(
     may form their products in ``work``, the run's one scratch array,
     which a norm is also handed as vec (the residual).  The scratch is
     real or complex as the run is: complex when v0, z0 or A v0 is, as a
-    real run stays real.  A v is dropped once its residual is formed.
+    real run stays real.  A v is dropped once its residual and the
+    bracket test have read it.
     The shift-change test uses tol_z clamped up to
     the roundoff floor of order len(v0), recorded as ``trace.tol_z``.
+    A step that fails the repeat test but whose pair its
+    Collatz-Wielandt bracket certifies (``_bracket_test``) ends the run
+    too; the trace then records the bracket as ``bracket``, negated with
+    the shifts under ``negate``.
     The driver owns the orientation: with ``negate`` the run shifts A
     from z0 as given and reports every shift negated (lambda_min(-A) for
     generator-type input, from z0 = -lambda); the arithmetic is the same
@@ -371,6 +429,7 @@ def run_shifted_iteration(
     work = np.empty(len(v), np.result_type(v, z0))
     v = _sign_fix(_normalised(norm, v, work, "start vector v0"), work)
     z = z0
+    bracket = _bracket_test(A, scale, tol_z, tol_residual)
     av = apply(v)
     # a complex A on a real start and shift shows first in A v0; no later step
     # turns a real run complex
@@ -402,9 +461,15 @@ def run_shifted_iteration(
         if not cmath.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
         residual = _relative_residual(norm, av, z_new, v, scale, work, size)
-        del av
         trace.record(k, sign * z_new, residual, time.perf_counter() - t0)
         if abs(z_new - z) <= tol_z * max(1.0, abs(z_new)) and residual <= tol_residual:
+            trace.termination = "converged"
+            return sign * z_new, v, trace
+        certified = bracket(v, av, z_new, residual, work)
+        del av
+        if certified:
+            lo, hi = certified
+            trace.bracket = (lo, hi) if sign > 0 else (-hi, -lo)
             trace.termination = "converged"
             return sign * z_new, v, trace
         z = z_new

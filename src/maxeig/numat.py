@@ -10,7 +10,9 @@ its operands at entry.  Only iteration loops, which apply one
 already-checked operand many times, call private kernels: ``_apply``
 (matvec's arithmetic, which ``linsolve._product`` takes to LAPACK for a
 real tridiagonal run), ``_scale`` (matrix_scale's, in row blocks), ``_check_length``,
-``_require_finite`` and ``_largest_ratio``; each new iterate is checked
+``_require_finite``, ``_largest_ratio`` and ``_nonnegative_off_diagonal``
+(``shift_to_qc``'s sign test, which ``run_shifted_iteration`` makes once
+per run, without a copy of the matrix); each new iterate is checked
 once per step, where it is made, so no check is skipped and none
 repeats.  Functions called once per run have no private twin; where such
 a function is called on input a caller has just built, its checks are
@@ -254,6 +256,29 @@ def _largest_ratio(av, v) -> float:
     return float(ratios[ratios.argmax()])
 
 
+def _nonnegative_off_diagonal(A) -> bool:
+    """True when no off-diagonal entry of A, a TridiagonalSystem or a checked
+    real matrix, is negative.  A system's are its positive rates.  A C- or
+    Fortran-ordered matrix is read in place: in memory order its off-diagonal
+    entries are the first n of each of the n - 1 runs of n + 1 entries that
+    follow the first diagonal entry, one strided view.  Any other layout is
+    read in row blocks, each copied with its diagonal cleared."""
+    if isinstance(A, TridiagonalSystem):
+        return True
+    n = len(A)
+    flat = A if A.flags.c_contiguous else A.T if A.flags.f_contiguous else None
+    if flat is not None:
+        # initial=0.0: an order-1 matrix has no off-diagonal entry to read
+        return flat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min(initial=0.0) >= 0
+    rows = _rows_per_block(A)
+    for i in range(0, n, rows):
+        block = A[i:i + rows].copy()
+        np.fill_diagonal(block[:, i:], 0.0)
+        if block.min() < 0:
+            return False
+    return True
+
+
 def shift_to_qc(A):
     """Shift a matrix to generator form: Qc = A - mI with m the max row sum.
 
@@ -262,13 +287,11 @@ def shift_to_qc(A):
     InvalidInput.
     """
     A = as_square_matrix(A)
-    qc = A.copy()
-    diagonal = qc.reshape(-1)[::len(qc) + 1]    # a view of qc's diagonal
-    diagonal[:] = 0.0   # the sign check reads the off-diagonal entries only
-    if qc.dtype.kind == "c" or qc.min() < 0:
+    if A.dtype.kind == "c" or not _nonnegative_off_diagonal(A):
         raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")
+    qc = A.copy()
     m = float(A.sum(axis=1).max())
-    np.subtract(A.diagonal(), m, out=diagonal)
+    np.subtract(A.diagonal(), m, out=qc.reshape(-1)[::len(qc) + 1])    # qc's diagonal, a view
     return qc, m
 
 

@@ -174,6 +174,24 @@ class TestSolve:
         assert doc["options"]["tol_z"] == 0.0
         assert doc["result"]["tol_z"] == 4.0 * 6 * np.finfo(float).eps
 
+    def test_json_record_carries_the_bracket_of_a_certified_stop(self, capsys):
+        argv = ("solve", "--model", "branching", "--n", "60", "--method", "alg2", "--negate")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        lo, hi = result["bracket"]
+        assert lo <= result["eigenvalue"] <= hi
+        assert hi - lo <= result["tol_z"] * abs(result["eigenvalue"])
+        # the human-readable output does not show it
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "bracket" not in out and "8 solves" in out
+
+    def test_json_record_bracket_is_null_after_a_repeat(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--model", "bd_squares", "--n", "9999",
+                               "--method", "rqi-tridiag", "--json")
+        assert code == 0
+        assert '"bracket":null' in out and json.loads(out)["result"]["bracket"] is None
+
     @pytest.mark.parametrize("method, keys", [
         ("power", {"steps", "norm", "v0"}),
         ("rqi-tridiag", {"tol_z", "tol_residual", "max_iterations", "z0", "v0"}),

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxeig import iterengine, linsolve, models
-from maxeig.errors import InvalidInput, SolverBreakdown
+from maxeig.errors import InvalidInput, MaxeigError, SolverBreakdown
 from maxeig.general_init import general_rqi
 from maxeig.iterengine import (
     C_FLOOR,
     DEFAULT_TOL_Z,
+    _EPS,
     algorithm1,
     algorithm2,
     power_iteration,
@@ -23,9 +24,11 @@ from maxeig.iterengine import (
     _shift_tolerance,
     _sign_fix,
 )
+from maxeig.numat import TridiagonalSystem, matrix_scale
 from maxeig.tridiag import _mu_norm, tridiag_rqi
 
-from conftest import count_calls, fail_if_called, oracle_eigenvalues, oracle_max_pair
+from conftest import (count_calls, fail_if_called, oracle_eigenvalues, oracle_max_pair,
+                      oracle_min_neg)
 
 
 class TestPowerIteration:
@@ -585,3 +588,150 @@ class TestEngineInvariants:
         assert result.eigenvalue == pytest.approx(lam, rel=1e-10)
         got = result.eigenvector / result.eigenvector[-1]
         assert np.abs(got - g).max() <= 1e-8
+
+
+def _outcome(run):
+    """(result, trace) of run(); a raised MaxeigError stands in for the result,
+    with the trace it carries, or None."""
+    try:
+        return run()
+    except MaxeigError as exc:
+        return exc, getattr(exc, "trace", None)
+
+
+def _without_bracket(run):
+    """_outcome(run) with the certified stop switched off: the repeat rule alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iterengine, "_bracket_test", lambda *run_args: lambda *step: None)
+        return _outcome(run)
+
+
+def _steps(trace):
+    return [(s.k, s.z, s.residual) for s in trace.steps]
+
+
+def _assert_only_shortened(run, oracle=None):
+    """run's outcome against the same run without the certified stop.
+
+    The traces agree bitwise up to where the certified run stops, and it
+    takes no more solves.  A run that stops on its bracket returns a
+    positive eigenvector and a bracket no wider than tol_z |z| that holds
+    ``oracle(result)``, the maximal eigenvalue on the trace's scale, to the
+    oracle's accuracy, (value, accuracy); any other run is the plain run,
+    bit for bit.  Returns the trace, or None where the run raised before
+    it had one."""
+    result, trace = _outcome(run)
+    plain_result, plain = _without_bracket(run)
+    if trace is None or plain is None:
+        assert type(result) is type(plain_result) and trace is plain is None
+        return None
+    steps = len(trace.steps)
+    assert steps <= len(plain.steps)
+    assert _steps(trace) == _steps(plain)[:steps]
+    if trace.bracket is None:
+        assert _steps(trace) == _steps(plain) and trace.termination == plain.termination
+        assert type(result) is type(plain_result)
+        if isinstance(result, iterengine.EigenpairResult):
+            assert np.array_equal(result.eigenvector, plain_result.eigenvector)
+        return trace
+    lo, hi = trace.bracket
+    z = trace.steps[-1].z
+    assert trace.termination == "converged" and isinstance(result, iterengine.EigenpairResult)
+    assert lo <= hi and hi - lo <= trace.tol_z * abs(z)
+    assert result.eigenvector_positive
+    if oracle is not None:
+        value, accuracy = oracle(result)
+        assert lo - accuracy <= value <= hi + accuracy
+    return trace
+
+
+@st.composite
+def _nonnegative_matrices(draw):
+    """A random irreducible matrix of order 2-60 with nonnegative off-diagonals:
+    rates U(0.01, 1) kept with a drawn density, a cycle through every state,
+    and a diagonal U(-5, 5)."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(0.01, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < draw(st.floats(0.05, 1.0)))
+    cycle = np.arange(n)
+    A[cycle, np.roll(cycle, -1)] = rng.uniform(0.01, 1.0, n)
+    np.fill_diagonal(A, rng.uniform(-5.0, 5.0, n))
+    return A
+
+
+@st.composite
+def _generators(draw):
+    """A tridiagonal generator of order 8-200, rates U(0.5, 2), killed at the
+    last state or at every state."""
+    n = draw(st.integers(8, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n - 1)
+    c = rng.uniform(0.5, 2.0, n) if draw(st.booleans()) else np.r_[np.zeros(n - 1), rng.uniform(0.5, 2.0)]
+    return TridiagonalSystem.from_rates(a, b, c)
+
+
+def _dense_oracle(A, shifted):
+    """oracle(result) of _assert_only_shortened for a dense run on A: rho(A), or
+    m - rho(A) where the trace holds lambda_min(-Qc) (general_rqi)."""
+    rho = float(np.max(oracle_eigenvalues(A).real))
+    accuracy = 8 * len(A) * _EPS * matrix_scale(A)
+    return lambda result: (result.shift_m - rho if shifted else rho, accuracy)
+
+
+def _e13():
+    """Example 1.3's rough start, as the e13 table runs it: RQI on -Q from the
+    uniform vector and its quotient."""
+    neg_q = -models.bd_squares(7).dense()
+    v0 = np.ones(8) / np.sqrt(8)
+    return rqi(neg_q, v0, float(v0 @ neg_q @ v0))
+
+
+class TestCertifiedStop:
+    """The Collatz-Wielandt stop: it ends runs one solve sooner and changes no
+    step a run keeps."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_nonnegative_matrices(), st.sampled_from(["algorithm1", "algorithm2", "general_rqi"]))
+    def test_dense_runs(self, A, method):
+        run = {"algorithm1": lambda: algorithm1(A), "algorithm2": lambda: algorithm2(A),
+               "general_rqi": lambda: general_rqi(A)}[method]
+        _assert_only_shortened(run, _dense_oracle(A, method == "general_rqi"))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_generators())
+    def test_tridiagonal_runs(self, system):
+        oracle = oracle_min_neg(system)
+        accuracy = 8 * system.order * _EPS * matrix_scale(system)
+        _assert_only_shortened(lambda: tridiag_rqi(system), lambda result: (oracle, accuracy))
+
+    @pytest.mark.parametrize("run", [
+        lambda: algorithm1(np.abs(models.negative3())),
+        lambda: algorithm2(models.triangular_model(79), negate=True),
+        lambda: general_rqi(np.random.default_rng(1).uniform(0.01, 1.0, (50, 50)),
+                            z0="rayleigh", v0="uniform"),
+    ], ids=["algorithm1", "algorithm2 negate", "general_rqi"])
+    def test_the_bracket_is_on_the_reported_scale(self, run):
+        _, trace = run()
+        lo, hi = trace.bracket
+        assert lo <= trace.steps[-1].z <= hi
+
+    @pytest.mark.parametrize("run", [
+        lambda: algorithm1(models.negative3()),
+        lambda: algorithm2(models.negative3()),
+        lambda: algorithm1(models.complex3()),
+        _e13,
+        lambda: general_rqi(models.bd_squares(7).dense(), z0="rayleigh", v0="uniform"),
+        lambda: tridiag_rqi(models.bd_squares(9999)),
+    ], ids=["t6 algorithm1", "t6 algorithm2", "complex3", "e13", "e13 pitfall", "t1 order 1e4"])
+    def test_where_the_stop_cannot_fire(self, run):
+        # a negative off-diagonal entry (t6, e13's -Q), a complex run, a
+        # sign-changing iterate, and a scale against which A v rounds past
+        # tol_z |z|
+        trace = _assert_only_shortened(run)
+        assert trace.bracket is None and trace.termination == "converged"
+
+    def test_a_dense_matrix_is_sign_tested_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, iterengine, "_nonnegative_off_diagonal")
+        A = np.random.default_rng(1).uniform(0.01, 1.0, (50, 50))
+        _, trace = algorithm1(A)
+        assert trace.bracket is not None and len(calls) == 1 and calls[0][0] is A

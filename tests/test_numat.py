@@ -198,6 +198,24 @@ class TestShiftToQc:
         qc, m = shift_to_qc([[-5.0, 1.0], [2.0, -7.0]])   # a negative diagonal is allowed
         assert m == -4.0 and np.array_equal(qc, [[-1.0, 1.0], [2.0, -3.0]])
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_every_layout_is_sign_tested_alike(self, layout, rng):
+        # C and Fortran order are read in place, any other layout in row blocks
+        # (three at order 300)
+        for n in (1, 2, 5, 300):
+            A = rng.uniform(0.0, 1.0, (n, n))
+            np.fill_diagonal(A, -1.0)
+            B = np.asfortranarray(A) if layout == "F" else A.copy()
+            if layout == "strided":
+                B = np.zeros((2 * n, 2 * n))[::2, ::2]
+                B[...] = A
+            shift_to_qc(B)
+            for i, j in ((n - 1, 0), (0, n - 1)) if n > 1 else ():
+                B[i, j] = -1e-300
+                with pytest.raises(InvalidInput):
+                    shift_to_qc(B)
+                B[i, j] = A[i, j]
+
     def test_row_sums(self):
         # Qc's row sums are nonpositive, and zero on the rows of the largest row sum
         for A, sums in ((models.bd_squares(3).dense(), [0.0, 0.0, 0.0, -16.0]),
