@@ -15,7 +15,8 @@ default tol_z = 1e-10 the floor only takes over above order 10^5.
 The certified stop (``_bracket_test``) needs no option: a run decides
 from A itself.  On a real run whose operator has no negative
 off-diagonal entry (every TridiagonalSystem; a dense A is tested once
-per run, without a copy), step k stops when v_k is positive, the
+per run, in row blocks, and on general_rqi's dense route once more, as
+shift_to_qc tests its input), step k stops when v_k is positive, the
 residual passes and max(A v / v) - min(A v / v) <= tol_z |z_k|, with
 tol_z after its floor.  For such an A and a positive v that bracket
 holds the maximal eigenvalue and z_k, and bounds the residual entry by

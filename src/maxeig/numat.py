@@ -12,7 +12,9 @@ already-checked operand many times, call private kernels: ``_apply``
 real tridiagonal run), ``_scale`` (matrix_scale's, in row blocks), ``_check_length``,
 ``_require_finite``, ``_largest_ratio`` and ``_nonnegative_off_diagonal``
 (``shift_to_qc``'s sign test, which ``run_shifted_iteration`` makes once
-per run, without a copy of the matrix); each new iterate is checked
+per run, in row blocks, without a copy of the matrix; on
+``general_rqi``'s dense route ``shift_to_qc`` has tested the input once
+before); each new iterate is checked
 once per step, where it is made, so no check is skipped and none
 repeats.  Functions called once per run have no private twin; where such
 a function is called on input a caller has just built, its checks are
@@ -258,23 +260,16 @@ def _largest_ratio(av, v) -> float:
 
 def _nonnegative_off_diagonal(A) -> bool:
     """True when no off-diagonal entry of A, a TridiagonalSystem or a checked
-    real matrix, is negative.  A system's are its positive rates.  A C- or
-    Fortran-ordered matrix is read in place: in memory order its off-diagonal
-    entries are the first n of each of the n - 1 runs of n + 1 entries that
-    follow the first diagonal entry, one strided view.  Any other layout is
-    read in row blocks, each copied with its diagonal cleared."""
+    real matrix, is negative.  A system's are its positive rates.  A matrix
+    of any layout is read in row blocks, each as the mask of its negative
+    entries with the diagonal cleared, so A is never copied."""
     if isinstance(A, TridiagonalSystem):
         return True
-    n = len(A)
-    flat = A if A.flags.c_contiguous else A.T if A.flags.f_contiguous else None
-    if flat is not None:
-        # initial=0.0: an order-1 matrix has no off-diagonal entry to read
-        return flat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min(initial=0.0) >= 0
     rows = _rows_per_block(A)
-    for i in range(0, n, rows):
-        block = A[i:i + rows].copy()
-        np.fill_diagonal(block[:, i:], 0.0)
-        if block.min() < 0:
+    for i in range(0, len(A), rows):
+        negative = A[i:i + rows] < 0
+        np.fill_diagonal(negative[:, i:], False)
+        if negative.any():
             return False
     return True
 

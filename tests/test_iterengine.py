@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxeig import iterengine, linsolve, models
+from maxeig import iterengine, linsolve, models, numat, tridiag
 from maxeig.errors import InvalidInput, MaxeigError, SolverBreakdown
 from maxeig.general_init import general_rqi
 from maxeig.iterengine import (
@@ -731,7 +731,14 @@ class TestCertifiedStop:
         assert trace.bracket is None and trace.termination == "converged"
 
     def test_a_dense_matrix_is_sign_tested_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, iterengine, "_nonnegative_off_diagonal")
+        # once per driver run; on general_rqi's dense route shift_to_qc tests
+        # the input once more, and the driver the Q~ = H^-1 Qc H it runs on
+        checks = count_calls(monkeypatch, numat, "_nonnegative_off_diagonal")
+        runs = count_calls(monkeypatch, iterengine, "_nonnegative_off_diagonal")
+        operators = count_calls(monkeypatch, tridiag, "_efficient_rqi")
         A = np.random.default_rng(1).uniform(0.01, 1.0, (50, 50))
         _, trace = algorithm1(A)
-        assert trace.bracket is not None and len(calls) == 1 and calls[0][0] is A
+        assert trace.bracket is not None and not checks and len(runs) == 1 and runs[0][0] is A
+        _, trace = general_rqi(A, z0="rayleigh", v0="uniform")
+        assert trace.bracket is not None and len(checks) == 1 and checks[0][0] is A
+        assert len(runs) == 2 and runs[1][0] is operators[0][0]

@@ -200,8 +200,7 @@ class TestShiftToQc:
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_every_layout_is_sign_tested_alike(self, layout, rng):
-        # C and Fortran order are read in place, any other layout in row blocks
-        # (three at order 300)
+        # every layout is read in row blocks (three at order 300)
         for n in (1, 2, 5, 300):
             A = rng.uniform(0.0, 1.0, (n, n))
             np.fill_diagonal(A, -1.0)
