@@ -32,11 +32,12 @@ class NonPositiveSequence(InvalidInput):
 
 
 class SolverBreakdown(MaxeigError):
-    """A shifted solve hit an (almost) exactly singular system.
+    """A shifted solve hit an exactly singular system.
 
-    Raised by the tridiagonal elimination (pivot below the floor), the
-    dense LU (zero pivot or non-finite solution) and the closed-form
-    tridiagonal solve (vanishing denominator).  This is the normal
+    Raised by every solve on an exactly zero pivot (the tridiagonal
+    elimination and the dense LU) or an exactly zero closed-form
+    denominator, and on a solution that is not finite; a pivot that is
+    tiny but not zero is no breakdown.  This is the normal
     endgame of Rayleigh quotient iteration once the shift lands on an
     eigenvalue to machine precision; the iteration driver catches it and
     either accepts the converged pair or perturbs the shift and retries

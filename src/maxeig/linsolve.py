@@ -73,8 +73,11 @@ and must not error.  Only an exact hit on an eigenvalue raises
 SolverBreakdown, and the iteration driver handles that.  One check,
 ``_checked``, serves every solve: an exactly zero pivot or a non-finite
 solution raises SolverBreakdown naming ``dgtsv``, ``dgetrf``,
-``dgetrs``, ``dgbtrf``, ``dgbtrs`` or ``gesv``; ``dgtsv`` also raises
-for a pivot below an absolute floor.  A solution is found finite by its
+``dgetrs``, ``dgbtrf``, ``dgbtrs`` or ``gesv``, and nothing else does.
+No pivot is compared with an absolute size: a tiny pivot whose solution
+is finite is no breakdown, and a ``dgtsv`` solve of (z I - A) scaled by a
+power of two gives the solution scaled back, bit for bit, while every
+number stays in the normal range.  A solution is found finite by its
 dot product with itself, with no temporary of its size, and scanned only
 when that is not finite.
 
@@ -112,13 +115,9 @@ from .numat import TridiagonalSystem, _apply, _dot, as_square_matrix, as_vector
 
 __all__ = [
     "LAPACK_EXPORT",
-    "PIVOT_FLOOR",
     "dense_solve",
     "tridiag_solve",
 ]
-
-# Far below any legitimate pivot at desk scale; signals an exact eigenvalue hit.
-PIVOT_FLOOR = 1e-30
 
 # The band route's rule, in flops with the full LU's 2n^3/3 doubled to n^3,
 # so that the band must cost at most half of it: the band LU's elimination
@@ -297,8 +296,8 @@ def tridiag_solve(lower, diag, upper, rhs):
     arguments are left as they are.
 
     Raises InvalidInput for complex input or mismatched lengths, and
-    SolverBreakdown when a pivot falls below PIVOT_FLOOR or the solution
-    is not finite.
+    SolverBreakdown when a pivot is exactly zero or the solution is not
+    finite.
     """
     diag = as_vector(diag)
     n = len(diag)
@@ -317,8 +316,10 @@ def tridiag_solve(lower, diag, upper, rhs):
 
 def _checked(routine, info, x=None):
     """x, the solution ``routine`` returned with LAPACK's ``info`` (None after a
-    factorisation); the one place a zero pivot (info > 0) or a non-finite
-    solution raises SolverBreakdown.
+    factorisation); the one place a LAPACK route raises SolverBreakdown,
+    for an exactly zero pivot (info > 0) or a non-finite solution.  A
+    pivot that is tiny but not zero is no breakdown: its solution is
+    returned when it is finite.
 
     x . x is finite when every entry is and no square overflows, so only
     when it is not are the entries scanned one by one: the usual check
@@ -332,7 +333,8 @@ def _checked(routine, info, x=None):
 
 def _gtsv(dl, d, du):
     """solve(rhs): tridiag_solve without its input checks, on the system
-    held in ``dl``, ``d`` and ``du``; raises SolverBreakdown as it does.
+    held in ``dl``, ``d`` and ``du``; raises SolverBreakdown as it does,
+    through _checked alone.
 
     The three are contiguous, writable float64 arrays of lengths n-1, n,
     n-1, and each solve overwrites them, so a caller that solves again
@@ -347,14 +349,7 @@ def _gtsv(dl, d, du):
         x = np.array(rhs, dtype=np.float64)
         if x.shape != d.shape:
             raise ValueError("dgtsv needs a right-hand side of the system's order")
-        info = call(x)
-        if not info:
-            pivots = np.abs(d, out=d)  # U's diagonal; d is work space
-            if pivots.min() < PIVOT_FLOOR:
-                row = int(pivots.argmin())
-                raise SolverBreakdown(f"dgtsv: pivot {float(pivots[row])!r} below floor "
-                                      f"at row {row}")
-        return _checked("dgtsv", info, x)
+        return _checked("dgtsv", call(x), x)
 
     return solve
 

@@ -284,8 +284,8 @@ def shift_to_qc(A):
     A = as_square_matrix(A)
     if A.dtype.kind == "c" or not _nonnegative_off_diagonal(A):
         raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")
-    qc = A.copy()
-    m = float(A.sum(axis=1).max())
+    qc = A.copy()   # C order, whatever A's layout, so m's rounding is the same for every layout
+    m = float(qc.sum(axis=1).max())
     np.subtract(A.diagonal(), m, out=qc.reshape(-1)[::len(qc) + 1])    # qc's diagonal, a view
     return qc, m
 

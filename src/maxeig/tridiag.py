@@ -442,8 +442,8 @@ def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
 
     Checks its operands and runs the closed form once; see
     _closed_form_solver for the method and its accuracy limit.  Raises
-    SolverBreakdown when the closed-form denominator vanishes (z is an
-    eigenvalue to machine precision) or the solution overflows.
+    SolverBreakdown when the closed-form denominator is exactly zero (z
+    is an eigenvalue to machine precision) or the solution is not finite.
     """
     mu = as_vector(mu, dtype=np.float64)
     v = as_vector(v, dtype=np.float64)
@@ -463,7 +463,12 @@ def _closed_form_solver(transformed, mu):
     kappa_{j-1}) with kappa_s the prefix sums of 1/(mu_k b_k), so the
     triangular kernel is never materialized; kappa is summed once per
     run.  Each solve raises SolverBreakdown when the closed-form
-    denominator vanishes.
+    denominator is exactly zero, as a LAPACK route does on an exactly
+    zero pivot; a tiny denominator is no breakdown, so the solve of the
+    system and shift scaled by a power of two is the solution scaled
+    back, bit for bit, while every number stays in the normal range.  A
+    solution that is not finite is its caller's to raise (_peak_one,
+    explicit_rqi_solve).
 
     Accuracy limit: the running sums cancel, so the error grows with
     the span max(mu) / min(mu), and more for shifts near an eigenvalue.
@@ -510,9 +515,8 @@ def _closed_form_solver(transformed, mu):
         with np.errstate(over="ignore", invalid="ignore"):
             numer = float(np.sum(mu * (v - z * A_seq))) - mb * A_seq[N]
             denom = mb * B_seq[N] + z * float(np.sum(mu * B_seq))
-            scale = max(1.0, abs(mb * B_seq[N]), abs(z) * float(np.abs(mu * B_seq).sum()))
-            if abs(denom) < linsolve.PIVOT_FLOOR * scale:
-                raise SolverBreakdown(f"closed-form denominator {denom} vanished")
+            if denom == 0.0:
+                raise SolverBreakdown("closed-form denominator is exactly zero")
             x = numer / denom
             return A_seq + x * B_seq
 

@@ -48,6 +48,11 @@ def random_system(rng, N, low=0.5, high=2.0, with_killing="last"):
     return TridiagonalSystem.from_rates(a, b, c)
 
 
+def scaled(system, k):
+    """The TridiagonalSystem of ``system``'s rates times 2^-k, each exactly."""
+    return TridiagonalSystem(*(np.ldexp(r, -k) for r in (system.a, system.b, system.c)))
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap module.name for the test so each call is counted; returns the list
     that one entry per call is appended to."""

@@ -183,6 +183,23 @@ class TestGeneralRqi:
         g_t = res_t.eigenvector / res_t.eigenvector[-1]
         assert np.abs(res_g.eigenvector - g_t).max() <= 1e-9
 
+    def test_every_layout_gives_the_same_bits(self):
+        # shift_to_qc sums the rows of its C-order copy, so m, and with it the
+        # whole run, rounds the same for a C-order, Fortran-order or strided A
+        A = np.random.default_rng(3).uniform(0, 1, (300, 300))
+        wide = np.zeros((300, 600))
+        wide[:, ::2] = A
+        layouts = (A, np.asfortranarray(A), wide[:, ::2])
+        assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+        runs = []
+        for layout in layouts:
+            result, trace = general_rqi(layout)
+            runs.append((result.eigenvalue.hex(), result.eigenvector.tobytes(),
+                         [(s.k, s.z, s.residual) for s in trace.steps], trace.termination,
+                         trace.tol_z, trace.bracket))
+        assert runs[0][0] == "0x1.2b99a11458c93p+7"
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_structure_detection(self):
         assert tridiagonal_from_dense(models.bd_squares(5).dense()) is not None
         assert tridiagonal_from_dense(models.toeplitz_linear(5)) is None

@@ -17,7 +17,7 @@ from maxeig.errors import InvalidInput, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
 from maxeig.numat import TridiagonalSystem, _apply
 
-from conftest import oracle_min_neg, random_system
+from conftest import oracle_min_neg, random_system, scaled
 
 
 def shifted_coeffs(system, z):
@@ -130,11 +130,19 @@ class TestTridiagSolve:
         with pytest.raises(SolverBreakdown):
             tridiag_solve([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
 
-    def test_tiny_pivot_or_overflow_raises(self):
-        with pytest.raises(SolverBreakdown):
-            tridiag_solve([1.0], [1e-40, 1.0], [0.0], [1.0, 1.0])
+    def test_tiny_pivot_solves_and_overflow_raises(self):
+        # a pivot of 1e-40 is no breakdown: the finite solution comes back,
+        # with a residual at roundoff of |M| |x| in every row
+        M, rhs = np.array([[1e-40, 0.0], [1.0, 1.0]]), np.ones(2)
+        x = tridiag_solve([1.0], [1e-40, 1.0], [0.0], rhs)
+        assert x == pytest.approx([1e40, -1e40], rel=1e-15)
+        assert (np.abs(M @ x - rhs) <= 2 * np.finfo(float).eps * (np.abs(M) @ np.abs(x))).all()
         with pytest.raises(SolverBreakdown):
             tridiag_solve([], [1e-29], [], [1e300])
+
+    def test_a_pivot_of_1e_31_is_no_breakdown(self):
+        x = tridiag_solve([0.0], [1e-31, 1.0], [0.0], [1.0, 1.0])
+        assert np.array_equal(x, [1.0 / 1e-31, 1.0])
 
 
 def shifted_tridiagonal(system, z, rhs):
@@ -178,6 +186,45 @@ class TestShiftedTridiagonalSolver:
         # each solution is the caller's alone: the bound call does not keep it
         gc.collect()
         assert all(ref() is None for ref in solutions)
+
+
+@st.composite
+def scaled_solves(draw):
+    """(chain, shift, right-hand side, k): a random chain of order 2 to 80 with
+    killing at the last state only or everywhere, a shift within and around
+    its spectrum, and a scale 2^-k far below the old pivot floor of 1e-30."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    system = random_system(rng, draw(st.integers(1, 79)),
+                           with_killing=draw(st.sampled_from(["last", "all"])))
+    z = draw(st.floats(-1.0, 5.0, allow_subnormal=False))
+    return system, z, rng.normal(size=system.order), draw(st.sampled_from([100, 200, 460]))
+
+
+class TestScaleEquivariance:
+    """Only an exactly zero pivot or denominator, or a non-finite solution,
+    stops a shifted solve; no pivot is compared with an absolute size.  So a
+    system and shift scaled by 2^-k give the solution scaled by 2^k, bit for
+    bit, down to rates of about 1e-139, where a floor of 1e-30 used to raise."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scaled_solves())
+    def test_the_shifted_solve_scales_bitwise(self, case):
+        system, z, v, k = case
+        x = linsolve._shifted_solver(system)(z, v)
+        assert np.isfinite(x).all()
+        small = linsolve._shifted_solver(scaled(system, k))(math.ldexp(z, -k), v)
+        assert np.ldexp(small, -k).tobytes() == x.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scaled_solves())
+    def test_the_closed_form_scales_bitwise(self, case):
+        system, z, v, k = case
+        transformed = tridiag.compute_h(system).transformed
+        mu = tridiag.compute_initials(transformed).mu
+        x = tridiag._closed_form_solver(transformed, mu)(z, v)
+        assert np.isfinite(x).all()
+        small = tridiag._closed_form_solver(scaled(transformed, k), mu)(math.ldexp(z, -k), v)
+        assert np.ldexp(small, -k).tobytes() == x.tobytes()
 
 
 def bits(x):
@@ -460,8 +507,6 @@ def _tridiagonal_with_zero_column(n=60):
 BREAKDOWNS = [
     (lambda: tridiag_solve([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]),
      r"^dgtsv: pivot at row 1 is exactly zero$"),
-    (lambda: tridiag_solve([0.0], [1e-31, 1.0], [0.0], [1.0, 1.0]),
-     r"^dgtsv: pivot 1e-31 below floor at row 0$"),
     (lambda: tridiag_solve([0.0], [1e-20, 1.0], [0.0], [1e300, 1.0]),
      r"^dgtsv returned a non-finite solution$"),
     (lambda: dense_solve(_tridiagonal_with_zero_column(), np.ones(60)),

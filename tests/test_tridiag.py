@@ -1,6 +1,7 @@
 """The tridiagonal pipeline: transform, initials, closed-form solver, RQI."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,8 @@ from maxeig.tridiag import (
     z0_combination,
 )
 
-from conftest import count_calls, fail_if_called, oracle_eigenvalues, oracle_min_neg, random_system
+from conftest import (count_calls, fail_if_called, oracle_eigenvalues, oracle_min_neg,
+                      random_system, scaled)
 
 
 class TestUnweightedRun:
@@ -425,6 +427,34 @@ class TestTridiagRqi:
             lam = result.eigenvalue
             assert abs(trace.zs()[2] - lam) < 1e-6 * lam
             assert trace.stabilized_at() <= 2
+
+
+TINY_RATE_RUNS = {
+    "generic": tridiag_rqi,
+    "explicit": lambda system: tridiag_rqi(system, solver="explicit"),
+    "general_rqi": general_rqi,
+    "general_rqi on the dense form": lambda system: general_rqi(system.dense()),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [100, 200, 460])
+@pytest.mark.parametrize("order", [8, 100])
+@pytest.mark.parametrize("run", TINY_RATE_RUNS)
+def test_runs_on_rates_far_below_one(run, order, k):
+    # t1's rates times 2^-k, far below the pivot floor of 1e-30 every tridiagonal
+    # solve once had: only an exact breakdown stops a solve, so each run converges
+    # to 2^-k times its unscaled value.  This is no claim of scale invariance:
+    # the shift-change test is absolute below |z| = 1, and it stops such scaled
+    # runs early from order 300 (3.5e-5 off there, 8e-5 at order 10^4) and on
+    # some random chains (up to 1.4e-9 off at orders 32-64); see ROADMAP item 7
+    solve = TINY_RATE_RUNS[run]
+    system = models.bd_squares(order - 1)
+    result, trace = solve(scaled(system, k))
+    assert trace.termination == "converged"
+    assert result.eigenvector_positive
+    expected = math.ldexp(solve(system)[0].eigenvalue, -k)
+    assert abs(result.eigenvalue - expected) <= 1e-10 * abs(expected)
 
 
 class TestWorkingSet:
