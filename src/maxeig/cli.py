@@ -238,15 +238,14 @@ def _run_method(method, matrix, options):
         result, trace = general_rqi(matrix, z0=z0, v0=options["v0"], **opts)
         primary = float(trace.steps[-1].z)  # lambda_min(-Qc) = m - rho
         return result, trace, primary, "lambda_min(-Qc)"
-    dense = matrix.dense() if isinstance(matrix, TridiagonalSystem) else np.asarray(matrix)
     z0 = None if z0 == "max-ratio" else z0
     negate = options["negate"]
-    if method == "alg1" or np.iscomplexobj(dense):
+    if method == "alg1" or np.iscomplexobj(matrix):
         if method == "alg2":
             print("note: complex input routes to alg1 (max-ratio undefined)", file=sys.stderr)
-        result, trace = algorithm1(dense, z0=z0, negate=negate, **opts)
+        result, trace = algorithm1(matrix, z0=z0, negate=negate, **opts)
     else:
-        result, trace = algorithm2(dense, z0=z0, negate=negate, **opts)
+        result, trace = algorithm2(matrix, z0=z0, negate=negate, **opts)
     label = "lambda_min(-A)" if negate else "rho(A)"
     return result, trace, result.eigenvalue, label
 

@@ -29,9 +29,11 @@ A v rounds past the tolerance, as on t1 from about order 10^3) stops on
 the repeat as it did.
 
 Each caller hands the driver the operator A (a dense matrix or a
-TridiagonalSystem), a solve of (z I - A), and its shift update and norm
-as functions: ``rqi`` the Rayleigh or max-ratio update in the l2 norm,
-``tridiag`` the weighted Rayleigh update in the mu-norm.  The driver
+TridiagonalSystem, which ``rqi``, ``algorithm1`` and ``algorithm2`` take
+alike, through ``numat._operand``), a solve of (z I - A), and its shift
+update and norm as functions: ``rqi`` the Rayleigh or max-ratio update
+in the l2 norm, ``tridiag`` the weighted Rayleigh update in the mu-norm.
+The driver
 applies A through ``linsolve._product``, one LAPACK ``dlagtm`` binding
 per run on a TridiagonalSystem, takes its scale for the relative
 residual, and owns the
@@ -52,14 +54,17 @@ MaxIterationsExceeded does.  Each solve checks its own output once and
 raises SolverBreakdown for a non-finite one, which the same retry
 covers; the driver scans no iterate, and its norm check is the backstop.
 A norm that leaves the range of doubles on a finite, nonzero vector is
-not an error: the l2 norm takes an overflowing sum of squares again on
-the vector scaled by a power of two, and the driver (``_normalised``)
-does the same for any norm of 0 or inf, so that an entry past 1e154, or
-a solve's output of entries all below 1e-154, is normalised, with no
-numpy warning; a residual (``_relative_residual``) and power
-iteration's ||A v|| whose squares underflowed to 0 are taken again
-scaled by 2^600, so neither reads 0 on a vector that is not zero.  No
-bit of a run inside the range moves.
+not an error: the l2 norm and ``tridiag``'s mu-norm take an overflowing
+sum of squares again on the vector scaled by a power of two, and the
+driver (``_normalised``) does the same for any norm of 0 or inf, so that
+an entry past 1e154, or a solve's output of entries all below 1e-154,
+is normalised, with no numpy warning; a residual (``_relative_residual``)
+whose norm is 0 or inf, as the mu-norm gives where its squares of the
+residual, formed in place, underflowed or overflowed, is taken again
+scaled by 2^600 or 2^-600, and power iteration's ||A v|| whose squares
+underflowed to 0 by 2^600, so neither reads 0 on a vector that is not
+zero, nor inf on one whose norm is finite.  No bit of a run inside the
+range moves.
 
 A step takes its iterate's norm once.  The Rayleigh updates return
 ||v|| with the shift, the root of the quotient's denominator, which is
@@ -87,8 +92,8 @@ from .numat import (
     _largest_ratio,
     _nonnegative_off_diagonal,
     _require_finite,
+    _operand,
     _scale,
-    as_square_matrix,
     as_vector,
     is_positive_vector,
 )
@@ -243,17 +248,19 @@ _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
 def _relative_residual(norm, av, z, v, scale, work, size=None):
     """||A v - z v|| / (scale ||v||) in the run's norm; absolute for a zero matrix, scale 0.
     ``size`` is ||v|| where the caller has it, else the norm is taken here.
-    A v - z v is formed in work, the run's scratch array, and a norm of 0,
-    which the mu-norm gives where every square underflowed (it squares the
-    residual in place), is taken again on A v - z v formed anew and scaled
-    by 2^600, so a residual is 0 only where A v - z v is."""
+    A v - z v is formed in work, the run's scratch array.  A norm of 0 or
+    inf, which the mu-norm gives where every square underflowed or their
+    sum overflowed (it squares the residual in place), is taken again on
+    A v - z v formed anew and scaled by 2^600 or 2^-600, so a residual is
+    0 only where A v - z v is, and inf only where its norm is."""
     np.multiply(z, v, out=work)
     np.subtract(av, work, out=work)
     top = norm(work, work)
-    if top == 0.0:
+    if top == 0.0 or top == math.inf:
         np.multiply(z, v, out=work)
         np.subtract(av, work, out=work)
-        top = norm(np.multiply(work, _HUGE, out=work), work) * _TINY
+        factor = _HUGE if top == 0.0 else _TINY
+        top = norm(np.multiply(work, factor, out=work), work) / factor
     return top / ((scale or 1.0) * (norm(v, work) if size is None else size))
 
 
@@ -510,39 +517,31 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     norm_fn = _POWER_NORMS[norm]
     t0 = time.perf_counter()
     trace = IterationTrace()
+    A = _operand(A)
+    product = linsolve._product(A)
     if isinstance(A, TridiagonalSystem):
         m = -float(A.diagonal.min())                # max(a + b + c), exactly
-        n, scale = A.order, m - float(A.c.min())   # max absolute row sum of m I + Q
-        kind = np.float64
-        product = linsolve._product(A)
-
-        def apply(vec):
-            return m * vec + product(vec)
-
-        def record(k, z, residual):
-            trace.record(k, m - z, residual, time.perf_counter() - t0)
+        n, scale, kind = A.order, m - float(A.c.min()), np.float64  # max |row| sum of m I + Q
     else:
-        A = as_square_matrix(A)
+        m = None
         n, scale, kind = A.shape[0], _scale(A), A.dtype
-
-        def apply(vec):
-            return A @ vec
-
-        def record(k, z, residual):
-            trace.record(k, z, residual, time.perf_counter() - t0)
     v = as_vector(v0) if v0 is not None else np.ones(n)
     _check_length(A, v)
     work = np.empty(n, np.result_type(v, kind))
     v = _normalised(norm_fn, v, work, "start vector v0")
 
-    def size(av):
-        # ||A v||, taken again on A v scaled by 2^600 where its squares underflowed
+    def step(k, v):
+        """A v (m I + Q on a system) and z = ||A v||, recorded as step k; ||A v||
+        is taken again on A v scaled by 2^600 where its squares underflowed."""
+        av = product(v) if m is None else m * v + product(v)
         z = norm_fn(av, work)
-        return norm_fn(av * _HUGE, work) * _TINY if z == 0.0 and av.any() else z
+        if z == 0.0 and av.any():
+            z = norm_fn(av * _HUGE, work) * _TINY
+        residual = _relative_residual(norm_fn, av, z, v, scale, work)
+        trace.record(k, z if m is None else m - z, residual, time.perf_counter() - t0)
+        return av, z
 
-    av = apply(v)
-    z = size(av)
-    record(0, z, _relative_residual(norm_fn, av, z, v, scale, work))
+    av, z = step(0, v)
     for k in range(1, steps + 1):
         if z == 0:
             raise InvalidInput(f"A v_{k - 1} = 0 at step {k - 1}: power iteration cannot go on")
@@ -550,9 +549,7 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
             raise InvalidInput(f"||A v_{k - 1}|| = {z} at step {k - 1}: the iterate overflowed")
         v = av
         v /= z      # in place: A v_{k-1} is not needed again
-        av = apply(v)
-        z = size(av)
-        record(k, z, _relative_residual(norm_fn, av, z, v, scale, work))
+        av, z = step(k, v)
     trace.termination = "steps_exhausted"
     return trace
 
@@ -560,17 +557,19 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
 def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
         tol_z=DEFAULT_TOL_Z, tol_residual=DEFAULT_TOL_RESIDUAL,
         max_iterations=DEFAULT_MAX_ITERATIONS):
-    """Rayleigh quotient iteration on a dense matrix, in the l2 norm.
+    """Rayleigh quotient iteration on a dense matrix or a TridiagonalSystem, in the l2 norm.
 
     v_k = (z_{k-1} I - A)^{-1} v_{k-1} normalized, with the shift update
     selected by ``z_update`` (rayleigh | max_ratio; the latter realizes
-    shifted inverse iteration).  The options are checked first, before
-    A is read.
+    shifted inverse iteration).  A TridiagonalSystem runs in O(N), through
+    ``dgtsv`` and ``dlagtm``, so it equals the run on its ``.dense()``
+    matrix only to rounding; it is real, and takes a real v0 and z0.  The
+    options are checked first, before A is read.
     """
     _check_run(z0, tol_z, tol_residual, max_iterations)
     if not (isinstance(z_update, str) and z_update in _RQI_UPDATES):
         raise InvalidInput(f"unknown z_update {z_update!r}")
-    A = as_square_matrix(A)
+    A = _operand(A)
     v0 = as_vector(v0)
     _check_length(A, v0)
     return _rqi(A, v0, z0, _RQI_UPDATES[z_update], negate=negate, tol_z=tol_z,
@@ -578,44 +577,54 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
 
 
 def _rqi(A, v0, z0, z_update, **opts):
-    """rqi on a checked A and a start v0 of its order, with the update function."""
+    """rqi on a checked operand A and a start v0 of its order, with the update
+    function; InvalidInput for a complex v0 or z0 on a TridiagonalSystem,
+    whose solve is real."""
+    if isinstance(A, TridiagonalSystem) and not (v0.dtype.kind == "f" and isinstance(z0, _REAL)):
+        raise InvalidInput("a TridiagonalSystem is real: its run takes a real v0 and z0")
     return _result(*run_shifted_iteration(A, linsolve._shifted_solver(A), v0, z0,
                                           z_update=z_update, norm=_l2_norm, **opts))
 
 
-def _checked_options(z0, tol_z, tol_residual, max_iterations):
-    """The driver's options of a global algorithm, checked (``_check_run``;
-    z0 None is the automatic shift) before the matrix is read."""
-    _check_run(0.0 if z0 is None else z0, tol_z, tol_residual, max_iterations)
-    return {"tol_z": tol_z, "tol_residual": tol_residual, "max_iterations": max_iterations}
-
-
-def _uniform_start(A):
-    n = A.shape[0]
-    v0 = np.ones(n, dtype=A.dtype) / np.sqrt(n)
+def _uniform_start(A, product):
+    """The uniform start v0, of A's dtype on a dense A, and z0 = max(A v0 / v0),
+    with A v0 from the run's ``product``; on a complex A, whose ratios have
+    no maximum, z0 is the largest real part of a row sum."""
+    n, dtype = (A.order, float) if isinstance(A, TridiagonalSystem) else (len(A), A.dtype)
+    v0 = np.ones(n, dtype=dtype) / np.sqrt(n)
     if np.iscomplexobj(A):
-        # max-ratio is undefined over complex ratios; start from the
-        # largest row-sum real part instead
-        z0 = float(A.sum(axis=1).real.max())
-    else:
-        z0 = _largest_ratio(A @ v0, v0)
-    return v0, z0
+        return v0, float(A.sum(axis=1).real.max())
+    return v0, _largest_ratio(product(v0), v0)
+
+
+def _global(A, z0, negate, z_update, tol_z, tol_residual, max_iterations):
+    """The one body of algorithm1 and algorithm2: the options are checked
+    (``_check_run``; z0 None is the automatic shift) before A is read, and
+    the uniform start's quotient and every step of the run share one
+    ``linsolve._product(A)``."""
+    _check_run(0.0 if z0 is None else z0, tol_z, tol_residual, max_iterations)
+    A = _operand(A)
+    if z_update is _max_ratio_update and np.iscomplexobj(A):
+        raise InvalidInput("the max-ratio update is undefined for complex input; use algorithm1")
+    product = linsolve._product(A)
+    v0, z0_auto = _uniform_start(A, product)
+    return _rqi(A, v0, z0_auto if z0 is None else z0, z_update, negate=negate, product=product,
+                tol_z=tol_z, tol_residual=tol_residual, max_iterations=max_iterations)
 
 
 def algorithm1(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,
                tol_residual=DEFAULT_TOL_RESIDUAL, max_iterations=DEFAULT_MAX_ITERATIONS):
     """Global specific RQI: uniform start, z0 = max(A v0 / v0), Rayleigh updates.
 
-    Guaranteed for matrices with the Perron-Frobenius property (up to a
-    shift); in practice it converges on a much wider class, complex
-    input included, but with a small chance of capturing a non-maximal
-    pair -- check ``eigenvector_positive`` on the result.  The options
-    are checked first, before A is read.
+    ``A`` is a real or complex square matrix or a TridiagonalSystem, which
+    runs in O(N) and equals the run on its ``.dense()`` matrix only to
+    rounding (see ``rqi``).  Guaranteed for matrices with the
+    Perron-Frobenius property (up to a shift); in practice it converges on
+    a much wider class, complex input included, but with a small chance of
+    capturing a non-maximal pair -- check ``eigenvector_positive`` on the
+    result.  The options are checked first, before A is read.
     """
-    opts = _checked_options(z0, tol_z, tol_residual, max_iterations)
-    A = as_square_matrix(A)
-    v0, z0_auto = _uniform_start(A)
-    return _rqi(A, v0, z0_auto if z0 is None else z0, _rayleigh_update, negate=negate, **opts)
+    return _global(A, z0, negate, _rayleigh_update, tol_z, tol_residual, max_iterations)
 
 
 def algorithm2(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,
@@ -623,12 +632,14 @@ def algorithm2(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,
     """Global shifted inverse iteration: like algorithm1 but z_k = max(A v_k / v_k).
 
     The max ratio stays above the Perron root for positive iterates, so
-    the shift approaches it from the safe side.  Real input only.  The
+    the shift approaches it from the safe side.  Real input only: a real
+    square matrix or a TridiagonalSystem, in O(N) (see ``rqi``).  The
     options are checked first, before A is read.
+
+    Known defect: on ``bd_squares(99999)`` as a system, with ``negate``,
+    the run does not converge, even in 1000 iterations: from step 100 on
+    the max-ratio shifts jitter between 0.288224 and 0.288228, a relative
+    2e-5 to 4e-5 below tridiag_rqi's 0.288234.  At order 9999 it
+    converges, in 74 solves.
     """
-    opts = _checked_options(z0, tol_z, tol_residual, max_iterations)
-    A = as_square_matrix(A)
-    if np.iscomplexobj(A):
-        raise InvalidInput("the max-ratio update is undefined for complex input; use algorithm1")
-    v0, z0_auto = _uniform_start(A)
-    return _rqi(A, v0, z0_auto if z0 is None else z0, _max_ratio_update, negate=negate, **opts)
+    return _global(A, z0, negate, _max_ratio_update, tol_z, tol_residual, max_iterations)

@@ -25,6 +25,14 @@ vector with ``as_vector`` took, and only rates that fail the test are
 checked one fault at a time, so every fault raises the error it raised
 before.
 
+An operator is a dense matrix or a ``TridiagonalSystem``, and one check,
+``_operand``, chooses between them: it returns a system as it is and
+passes anything else to ``as_square_matrix``.  ``matvec``,
+``matrix_scale``, power iteration, ``rqi`` and the global algorithms
+take either through it; only functions that need a dense matrix
+(``shift_to_qc``, ``linsolve.dense_solve``) refuse a system, naming
+``.dense()``.
+
 The mu-weighted inner product and norm of the RQI runs are not here:
 ``tridiag`` owns them, as the weighted Rayleigh quotient and mu-norm
 it hands the iteration driver and ``tridiag._unit`` for the start.
@@ -198,10 +206,16 @@ def matvec(A, v):
     order, whose bits are these but for the sign of a zero row.
     """
     v = as_vector(v)
-    if not isinstance(A, TridiagonalSystem):
-        A = as_square_matrix(A)
+    A = _operand(A)
     _check_length(A, v)
     return _apply(A, v)
+
+
+def _operand(A):
+    """A TridiagonalSystem as it is, and anything else checked by
+    as_square_matrix: the one place that chooses between the two operands
+    a run takes."""
+    return A if isinstance(A, TridiagonalSystem) else as_square_matrix(A)
 
 
 def _check_length(A, v):
@@ -292,7 +306,7 @@ def shift_to_qc(A):
 
 def matrix_scale(A) -> float:
     """Max absolute row sum; the scale used in relative residuals."""
-    return _scale(A if isinstance(A, TridiagonalSystem) else as_square_matrix(A))
+    return _scale(_operand(A))
 
 
 def _rows_per_block(A) -> int:

@@ -237,16 +237,20 @@ class TestSolve:
         assert code == 0
         assert "0.763932" in out
 
+    @pytest.mark.parametrize("method, printed", [
+        (["rqi-general"], "lambda_min(-Qc) = 0.302561"),
+        (["alg2", "--negate"], "lambda_min(-A) = 0.302561"),
+    ], ids=["rqi-general", "alg2-negate"])
     def test_rqi_general_solves_a_tridiag_file_without_densifying(self, capsys, tmp_path,
-                                                                    monkeypatch):
+                                                                    monkeypatch, method, printed):
         path = tmp_path / "q.tridiag"
         code, _, _ = run_cli(capsys, "model", "--name", "bd_squares", "--n", "9999",
                              "--emit", str(path))
         assert code == 0
         monkeypatch.setattr(TridiagonalSystem, "dense", lambda self: pytest.fail("densified"))
-        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", "rqi-general")
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--method", *method)
         assert code == 0
-        assert "lambda_min(-Qc) = 0.302561" in out
+        assert printed in out
 
     def test_spec_file_input(self, capsys, tmp_path):
         spath = tmp_path / "spec.json"

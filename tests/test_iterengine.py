@@ -529,6 +529,67 @@ class TestGlobalAlgorithms:
             algorithm2(models.complex3())
 
 
+def _chain(seed, n, everywhere):
+    """The killing-at-last or killing-everywhere generator of ``seed`` at order
+    n: rates U(0.5, 2), drawn a, b, then c."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n - 1)
+    c = rng.uniform(0.5, 2.0, n) if everywhere else np.r_[np.zeros(n - 1), rng.uniform(0.5, 2.0)]
+    return TridiagonalSystem.from_rates(a, b, c)
+
+
+_OPERAND_SYSTEMS = {
+    **{f"bd_squares order={n}": lambda n=n: models.bd_squares(n - 1) for n in (8, 64, 500)},
+    **{f"{kind} seed={seed} order={n}": lambda seed=seed, n=n, kind=kind: _chain(
+        seed, n, kind == "killing-everywhere")
+       for kind in ("killing-at-last", "killing-everywhere") for seed in (1, 2, 3)
+       for n in (8, 64, 500)},
+}
+# lambda = 5.2e-12, below the absolute unit of the shift-change test: both runs
+# stop after one solve, 3e-5 to 5e-5 apart and as far from the answer
+_OPERAND_SYSTEMS_AT_THE_UNIT = {"killing-at-last seed=3 order=500"}
+
+
+class TestTridiagonalOperand:
+    """rqi, algorithm1 and algorithm2 take a TridiagonalSystem in O(N), never
+    densifying it; A v is LAPACK dlagtm, not A @ v, so the run equals the run
+    on the dense form to rounding, not bit for bit."""
+
+    # each takes the operand and its order
+    RUNS = {
+        "algorithm1": lambda A, n: algorithm1(A, negate=True),
+        "algorithm2": lambda A, n: algorithm2(A, negate=True),
+        "rqi": lambda A, n: rqi(A, np.ones(n), 0.0, negate=True),
+    }
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="absolute-unit stop"))
+        if name in _OPERAND_SYSTEMS_AT_THE_UNIT else name for name in _OPERAND_SYSTEMS])
+    def test_agrees_with_the_dense_form(self, monkeypatch, name):
+        system = _OPERAND_SYSTEMS[name]()
+        dense = {method: run(system.dense(), system.order) for method, run in self.RUNS.items()}
+        monkeypatch.setattr(TridiagonalSystem, "dense", lambda self: pytest.fail("densified"))
+        for method, run in self.RUNS.items():
+            result, trace = run(system, system.order)
+            expected = dense[method][0].eigenvalue
+            assert trace.termination == "converged"
+            assert result.eigenvalue == pytest.approx(expected, rel=1e-9, abs=0.0), method
+            assert result.eigenvector_positive == dense[method][0].eigenvector_positive
+
+    def test_a_system_takes_a_real_start_and_shift(self):
+        system = models.bd_squares(7)
+        with pytest.raises(InvalidInput, match="real"):
+            rqi(system, np.ones(8, complex), 0.5)
+        with pytest.raises(InvalidInput, match="real"):
+            algorithm1(system, z0=0.5 + 0.1j)
+
+    def test_the_start_shares_the_runs_product(self, monkeypatch):
+        # the uniform start's max(A v0 / v0) and every step take one dlagtm binding
+        products = count_calls(monkeypatch, linsolve, "_product")
+        _, trace = algorithm2(models.bd_squares(99), negate=True)
+        assert len(products) == 1 and trace.termination == "converged"
+
+
 @pytest.mark.parametrize("method", [algorithm1, algorithm2])
 def test_the_zero_matrix_converges_at_once_with_an_absolute_residual(method):
     result, trace = method(np.zeros((3, 3)))
@@ -679,8 +740,8 @@ def _dense_oracle(A, shifted):
 
 
 def _e13():
-    """Example 1.3's rough start, as the e13 table runs it: RQI on -Q from the
-    uniform vector and its quotient."""
+    """Example 1.3's rough start: RQI on the dense -Q from the uniform vector and
+    its quotient (the e13 table runs it on Q, reporting the negated shifts)."""
     neg_q = -models.bd_squares(7).dense()
     v0 = np.ones(8) / np.sqrt(8)
     return rqi(neg_q, v0, float(v0 @ neg_q @ v0))

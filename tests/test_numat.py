@@ -5,7 +5,6 @@ import pytest
 
 from maxeig import models
 from maxeig.errors import InvalidInput
-from maxeig.iterengine import algorithm2
 from maxeig.linsolve import dense_solve
 from maxeig.numat import (
     TridiagonalSystem,
@@ -40,7 +39,7 @@ class TestValidation:
         with pytest.raises(InvalidInput, match=r"\.dense\(\)"):
             as_vector(models.bd_squares(3))
         with pytest.raises(InvalidInput, match=r"\.dense\(\)"):
-            algorithm2(models.bd_squares(7))
+            shift_to_qc(models.bd_squares(7))
 
     def test_system_invariants(self):
         with pytest.raises(InvalidInput):

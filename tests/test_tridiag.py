@@ -438,7 +438,7 @@ TINY_RATE_RUNS = {
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("k", [100, 200, 460])
+@pytest.mark.parametrize("k", [100, 200, 460, 498])
 @pytest.mark.parametrize("order", [8, 100])
 @pytest.mark.parametrize("run", TINY_RATE_RUNS)
 def test_runs_on_rates_far_below_one(run, order, k):
@@ -455,6 +455,20 @@ def test_runs_on_rates_far_below_one(run, order, k):
     assert result.eigenvector_positive
     expected = math.ldexp(solve(system)[0].eigenvalue, -k)
     assert abs(result.eigenvalue - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1e160, 1e200])
+@pytest.mark.parametrize("run", TINY_RATE_RUNS)
+def test_runs_on_rates_past_1e154(run, k):
+    # t1's rates times k: the squares of the early residuals overflow, and the
+    # mu-norm takes them again on the residual scaled by 2^-600, as the l2 norm
+    # does, so each run converges, with no numpy warning
+    solve = TINY_RATE_RUNS[run]
+    system = models.bd_squares(7)
+    result, trace = solve(TridiagonalSystem(system.a * k, system.b * k, system.c * k))
+    assert trace.termination == "converged"
+    assert result.eigenvalue == pytest.approx(k * solve(system)[0].eigenvalue, rel=1e-12)
 
 
 class TestWorkingSet:
