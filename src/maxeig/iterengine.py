@@ -50,21 +50,22 @@ precision) is accepted as convergence when the current residual
 already passes, otherwise the shift is perturbed once, moving the
 reported value up by 1e-12 (1 + |z|), and the solve retried; a second
 breakdown raises SolverBreakdown, carrying the run's trace as
-MaxIterationsExceeded does.  Each solve checks its own output once and
-raises SolverBreakdown for a non-finite one, which the same retry
-covers; the driver scans no iterate, and its norm check is the backstop.
-A norm that leaves the range of doubles on a finite, nonzero vector is
-not an error: the l2 norm and ``tridiag``'s mu-norm take an overflowing
-sum of squares again on the vector scaled by a power of two, and the
-driver (``_normalised``) does the same for any norm of 0 or inf, so that
-an entry past 1e154, or a solve's output of entries all below 1e-154,
-is normalised, with no numpy warning; a residual (``_relative_residual``)
-whose norm is 0 or inf, as the mu-norm gives where its squares of the
-residual, formed in place, underflowed or overflowed, is taken again
-scaled by 2^600 or 2^-600, and power iteration's ||A v|| whose squares
-underflowed to 0 by 2^600, so neither reads 0 on a vector that is not
-zero, nor inf on one whose norm is finite.  No bit of a run inside the
-range moves.
+MaxIterationsExceeded does.  Each solve checks its own output once
+(``linsolve._checked``, on every LAPACK route and the closed form
+alike) and raises SolverBreakdown for a non-finite one, which the same
+retry covers; the driver scans no iterate, and its norm check is the
+backstop.
+
+The norms are plain: the l2 norm and ``tridiag``'s mu-norm are the root
+of a sum of squares, which is inf where the squares overflow (an entry
+past about 1.3e154) and 0 where they all underflow (entries all below
+about 1.5e-154).  A norm that leaves the range of doubles on a finite,
+nonzero vector is not an error, and one rule, here, takes it again on
+the vector scaled by 2^600 or 2^-600: ``_normalised`` for the start and
+each solve's output, ``_relative_residual`` for each residual, and
+power iteration's ||A v|| at each step, so none reads 0 on a vector
+that is not zero, nor inf on one whose norm is finite, and no numpy
+warning is raised.  No bit of a run inside the range moves.
 
 A step takes its iterate's norm once.  The Rayleigh updates return
 ||v|| with the shift, the root of the quotient's denominator, which is
@@ -225,21 +226,15 @@ def _l2_norm(v, work):
     summed over the real and imaginary parts, on v as a contiguous vector
     (ravel copies a strided one, whose dot product rounds otherwise).
 
-    A sum of squares that overflows, from an entry beyond about 1.3e154,
-    is taken again on v scaled by 2^-600 and its root scaled back, so the
-    norm is inf only when it exceeds the largest double or v holds inf;
-    no warning is raised on the way (numat._dot).  One that underflows is
-    left as numpy leaves it: its callers retake a norm of 0 (_normalised,
-    _relative_residual and power_iteration)."""
+    A plain norm: a sum of squares that overflows, from an entry beyond
+    about 1.3e154, makes it inf, and one that underflows 0, with no
+    warning (numat._dot); its callers take such a norm again at scale
+    (_normalised, _relative_residual and power_iteration)."""
     v = v.ravel(order="K")
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
-        square = _dot(re, re) + _dot(im, im)
-    else:
-        square = _dot(v, v)
-    if square == math.inf and np.isfinite(v).all():
-        return _l2_norm(v * _TINY, work) * _HUGE
-    return math.sqrt(square)
+        return math.sqrt(_dot(re, re) + _dot(im, im))
+    return math.sqrt(_dot(v, v))
 
 
 _POWER_NORMS = {"l1": _l1_norm, "l2": _l2_norm}
@@ -249,9 +244,9 @@ def _relative_residual(norm, av, z, v, scale, work, size=None):
     """||A v - z v|| / (scale ||v||) in the run's norm; absolute for a zero matrix, scale 0.
     ``size`` is ||v|| where the caller has it, else the norm is taken here.
     A v - z v is formed in work, the run's scratch array.  A norm of 0 or
-    inf, which the mu-norm gives where every square underflowed or their
-    sum overflowed (it squares the residual in place), is taken again on
-    A v - z v formed anew and scaled by 2^600 or 2^-600, so a residual is
+    inf, which a norm gives where every square underflowed or their sum
+    overflowed, is taken again on A v - z v formed anew (the mu-norm
+    squares it in place) and scaled by 2^600 or 2^-600, so a residual is
     0 only where A v - z v is, and inf only where its norm is."""
     np.multiply(z, v, out=work)
     np.subtract(av, work, out=work)
@@ -270,8 +265,9 @@ def _normalised(norm, vec, work, what, out=None):
     finite and positive, so no iterate is ever normalised by 0 or inf.
 
     A norm of 0 or inf on a finite vec that is not zero left the range of
-    doubles (the l2 norm of entries all below about 1.5e-154, or the
-    mu-norm of entries beyond 1e154): it is taken again on vec scaled by
+    doubles (the l2 norm or the mu-norm of entries all below about
+    1.5e-154, or of an entry beyond about 1.3e154, as a closed-form solve
+    can return): it is taken again on vec scaled by
     2^600 or 2^-600, which changes no bit of the normalised vector but
     for entries that leave the normal range.  A vector with a non-finite
     entry has a non-finite norm, so only then are its entries scanned, to
@@ -531,12 +527,14 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
     v = _normalised(norm_fn, v, work, "start vector v0")
 
     def step(k, v):
-        """A v (m I + Q on a system) and z = ||A v||, recorded as step k; ||A v||
-        is taken again on A v scaled by 2^600 where its squares underflowed."""
+        """A v (m I + Q on a system) and z = ||A v||, recorded as step k; a
+        ||A v|| of 0 or inf is taken again on A v scaled by 2^600 or 2^-600,
+        as the driver takes a norm (_normalised)."""
         av = product(v) if m is None else m * v + product(v)
         z = norm_fn(av, work)
-        if z == 0.0 and av.any():
-            z = norm_fn(av * _HUGE, work) * _TINY
+        if z == 0.0 or z == math.inf:
+            factor = _HUGE if z == 0.0 else _TINY
+            z = norm_fn(av * factor, work) / factor
         residual = _relative_residual(norm_fn, av, z, v, scale, work)
         trace.record(k, z if m is None else m - z, residual, time.perf_counter() - t0)
         return av, z
@@ -620,9 +618,13 @@ def algorithm1(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,
     runs in O(N) and equals the run on its ``.dense()`` matrix only to
     rounding (see ``rqi``).  Guaranteed for matrices with the
     Perron-Frobenius property (up to a shift); in practice it converges on
-    a much wider class, complex input included, but with a small chance of
-    capturing a non-maximal pair -- check ``eigenvector_positive`` on the
-    result.  The options are checked first, before A is read.
+    a much wider class, complex input included, but it can capture a
+    non-maximal pair, so check ``eigenvector_positive`` on the result.
+    Under interior killing that is no rare event: with ``negate`` on
+    killing-everywhere chains (rates U(0.5, 2), seeds 1-3, orders 64 and
+    500, as a system and as its dense form) it captured a flagged
+    non-maximal pair on every chain tried, where algorithm2 found the
+    maximal one.  The options are checked first, before A is read.
     """
     return _global(A, z0, negate, _rayleigh_update, tol_z, tol_residual, max_iterations)
 

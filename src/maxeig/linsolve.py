@@ -73,7 +73,9 @@ and must not error.  Only an exact hit on an eigenvalue raises
 SolverBreakdown, and the iteration driver handles that.  One check,
 ``_checked``, serves every solve: an exactly zero pivot or a non-finite
 solution raises SolverBreakdown naming ``dgtsv``, ``dgetrf``,
-``dgetrs``, ``dgbtrf``, ``dgbtrs`` or ``gesv``, and nothing else does.
+``dgetrs``, ``dgbtrf``, ``dgbtrs``, ``gesv`` or the closed form
+(``tridiag``'s explicit solver, whose own breakdown is an exactly zero
+denominator), and nothing else does.
 No pivot is compared with an absolute size: a tiny pivot whose solution
 is finite is no breakdown, and a ``dgtsv`` solve of (z I - A) scaled by a
 power of two gives the solution scaled back, bit for bit, while every
@@ -316,10 +318,13 @@ def tridiag_solve(lower, diag, upper, rhs):
 
 def _checked(routine, info, x=None):
     """x, the solution ``routine`` returned with LAPACK's ``info`` (None after a
-    factorisation); the one place a LAPACK route raises SolverBreakdown,
-    for an exactly zero pivot (info > 0) or a non-finite solution.  A
-    pivot that is tiny but not zero is no breakdown: its solution is
-    returned when it is finite.
+    factorisation); the one check of every solve route's output, each
+    LAPACK route's and the closed form's (``tridiag._closed_form_solver``,
+    with info 0), which raises SolverBreakdown for an exactly zero pivot
+    (info > 0) or a non-finite solution.  A pivot that is tiny but not
+    zero is no breakdown: its solution is returned when it is finite,
+    however large, as the driver takes a norm that leaves the range of
+    doubles again at scale.
 
     x . x is finite when every entry is and no square overflows, so only
     when it is not are the entries scanned one by one: the usual check

@@ -33,22 +33,27 @@ def _fmt(x: float) -> str:
 
 
 def write_matrix(path, matrix, fmt=None):
-    """Write a matrix file; fmt defaults to the natural format of the object."""
+    """Write a matrix file; fmt is "coord", "tridiag" or None, the natural
+    format of the object.  The format and the matrix are checked before
+    the path is opened, so an InvalidInput leaves an existing file as it was."""
+    system = isinstance(matrix, TridiagonalSystem)
     if fmt is None:
-        fmt = "tridiag" if isinstance(matrix, TridiagonalSystem) else "coord"
+        fmt = "tridiag" if system else "coord"
+    if not (isinstance(fmt, str) and fmt in ("coord", "tridiag")):
+        raise InvalidInput(f"unknown matrix format {fmt!r}; use 'coord' or 'tridiag'")
+    if fmt == "tridiag" and not system:
+        raise InvalidInput("tridiag format needs a TridiagonalSystem")
+    dense = None if system else as_square_matrix(matrix)
     with open(path, "w") as fh:
         if fmt == "tridiag":
-            if not isinstance(matrix, TridiagonalSystem):
-                raise InvalidInput("tridiag format needs a TridiagonalSystem")
             fh.write(f"TRIDIAG {matrix.n_max}\n")
             for x in (matrix.a[1:], matrix.b[:-1], matrix.c):
                 fh.write(" ".join(map(repr, x.tolist())) + "\n")   # _fmt on Python floats
             return
-        if isinstance(matrix, TridiagonalSystem):
+        if system:
             fh.write(f"coordinate {matrix.order} {3 * matrix.n_max + 1} real\n")
             fh.writelines(f"{i} {j} {_fmt(v)}\n" for i, j, v in _tridiagonal_entries(matrix))
             return
-        dense = as_square_matrix(matrix)
         order = dense.shape[0]
         complex_field = bool(np.iscomplexobj(dense))
         rows, cols = np.nonzero(dense)

@@ -86,7 +86,7 @@ import numpy as np
 
 from . import iterengine, linsolve
 from .errors import InvalidInput, NonPositiveSequence, SolverBreakdown
-from .iterengine import _HUGE, _TINY, EigenpairResult, _result, run_shifted_iteration
+from .iterengine import EigenpairResult, _result, run_shifted_iteration
 from .numat import TridiagonalSystem, as_vector
 
 __all__ = [
@@ -277,9 +277,12 @@ def z0_combination(delta1: float, rayleigh_quotient: float) -> float:
 
     The fixed convex combination 7/8 : 1/8 reproduces the reference
     tables at every size; the weighting does not vary with the order.
+    Raises InvalidInput unless delta1 is positive, and for a NaN quotient.
     """
-    if delta1 <= 0:
-        raise InvalidInput("delta1 must be positive")
+    if not delta1 > 0:
+        raise InvalidInput(f"delta1 must be positive, got {delta1!r}")
+    if math.isnan(rayleigh_quotient):
+        raise InvalidInput("the Rayleigh quotient is NaN")
     return (7.0 / delta1 + rayleigh_quotient) / 8.0
 
 
@@ -289,10 +292,12 @@ def safe_z0(phi, mu):
     z0^{-1} = 1/(1 - phi_1) * max_n [ sqrt(phi_n) sum_{k<=n} mu_k sqrt(phi_k)
               + (1/sqrt(phi_n)) sum_{j>n} mu_j phi_j^{3/2} ],
     the delta_1 peak of compute_initials with a 1/(1 - phi_1) correction.
-    Raises InvalidInput when phi_1 >= 1.
+    Raises InvalidInput when mu's length is not phi's or phi_1 >= 1.
     """
     phi = as_vector(phi)
     mu = as_vector(mu)
+    if len(mu) != len(phi):
+        raise InvalidInput(f"mu has {len(mu)} entries and phi {len(phi)}; they must match")
     if len(phi) < 2 or phi[1] >= 1.0:
         raise InvalidInput(f"safe shift needs phi_1 < 1, got {phi[1] if len(phi) > 1 else 'n/a'}")
     return (1.0 - float(phi[1])) / _delta1_peak(phi, _weights(mu), np.sqrt(phi))
@@ -347,9 +352,10 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     driver's scratch array, unweighted when mu is all ones (``_weights``).
     The start's quotient and the run ignore numpy's overflow flag, each
     once: set on every call of the quotient and the mu-norm instead, it
-    made an order-20 run about 13 % slower.  A sum of squares of the
-    mu-norm that overflows is taken again at scale, and any other
-    overflow ends in a value that is not finite, which a check raises.
+    made an order-20 run about 13 % slower.  A mu-norm whose sum of
+    squares overflows is inf, which the driver takes again at scale, and
+    any other overflow ends in a value that is not finite, which a check
+    raises.
     The result holds lambda_min(-q) and the eigenvector in the h-scaled
     coordinates; recover_original maps it back.
     """
@@ -375,8 +381,7 @@ def _efficient_rqi(q, h, init, z0, v0, solver="generic", **opts):
     # built once the shift is chosen, so that no start is held while safe_z0 works
     start = seed if quoted == v0 else _start(v0, init.v0_raw, weights)
     del init, phi, seed
-    solve = (linsolve._shifted_solver(q) if solver == "generic"
-             else _peak_one(_closed_form_solver(q, mu)))
+    solve = linsolve._shifted_solver(q) if solver == "generic" else _closed_form_solver(q, mu)
     with np.errstate(over="ignore"):
         run = run_shifted_iteration(q, solve, start, -z_start,
                                     z_update=partial(_rayleigh, weights),
@@ -398,9 +403,9 @@ def _start(v0, seed, mu):
 def _rayleigh(mu, v, av, work):
     """The weighted Rayleigh quotient (mu v . av) / (mu v . v), formed in work,
     and the mu-norm of v, the root of its denominator, for the driver to share.
-    Unlike _mu_norm it needs no retake: v has unit mu-norm (the start, or
-    the driver's normalised iterate), so the square is about 1, and a
-    numerator that overflows is a shift beyond the largest double, which
+    That norm never leaves the range of doubles: v has unit mu-norm (the
+    start, or the driver's normalised iterate), so the square is about 1.
+    A numerator that overflows is a shift beyond the largest double, which
     the driver rejects as not finite."""
     if mu is None:
         np.multiply(v, av, out=work)
@@ -423,55 +428,30 @@ def _mu_square(mu, vec, work):
 def _mu_norm(mu, vec, work):
     """The mu-norm sqrt(mu vec . vec), formed in work, which may be vec itself.
 
-    As the l2 norm does (iterengine._l2_norm), a sum of squares that
-    overflows on a finite vec is taken again on vec scaled by 2^-600 and
-    its root scaled back.  Where vec is work, its squares took its place:
-    the norm is then inf, and the caller, which formed vec, takes it again
-    (iterengine._relative_residual).  The run ignores numpy's overflow
-    flag (see _efficient_rqi), so no warning is raised on the way."""
-    square = _mu_square(mu, vec, work)
-    if square == math.inf and vec is not work and np.isfinite(vec).all():
-        return _mu_norm(mu, vec * _TINY, work) * _HUGE
-    return math.sqrt(square)
-
-
-def _peak_one(solve):
-    """solve with each output checked, and scaled in place by a power of two
-    to a peak in [0.5, 1).
-
-    The driver takes any nonzero multiple of the solution, and a power of
-    two changes no bit of the normalised iterate unless an entry leaves
-    the normal range; but the closed form's output can be finite and
-    still too large to square in the mu-norm (order 10^5 from the
-    uniform start's quotient: a peak of 3.8e200).  Its loop runs on
-    Python floats, which overflow to inf and then NaN without a warning:
-    a peak that is not finite raises SolverBreakdown, as a LAPACK route's
-    non-finite solution does, so the driver retries it once.
-    """
-    def scaled(z, v):
-        w = solve(z, v)
-        peak = max(w.max(), -w.min())
-        if not peak < np.inf:
-            raise SolverBreakdown("the closed form returned a non-finite solution")
-        return np.ldexp(w, -np.frexp(peak)[1], out=w)
-
-    return scaled
+    A plain norm, as the l2 norm is (iterengine._l2_norm): a sum of
+    squares that overflows makes it inf, and one that underflows 0.  The
+    driver, which formed vec, takes such a norm again on vec scaled by a
+    power of two (iterengine._normalised, _relative_residual).  The run
+    ignores numpy's overflow flag (see _efficient_rqi), so no warning is
+    raised on the way."""
+    return math.sqrt(_mu_square(mu, vec, work))
 
 
 def explicit_rqi_solve(transformed: TridiagonalSystem, mu, z, v):
     """Closed-form O(N) solve of (-Q - z I) w = v for a transformed system.
 
     Checks its operands and runs the closed form once; see
-    _closed_form_solver for the method and its accuracy limit.  Raises
-    SolverBreakdown when the closed-form denominator is exactly zero (z
-    is an eigenvalue to machine precision) or the solution is not finite.
+    _closed_form_solver for the method and its accuracy limit.  The solve
+    raises SolverBreakdown when the closed-form denominator is exactly
+    zero (z is an eigenvalue to machine precision) or the solution is not
+    finite.
     """
     mu = as_vector(mu, dtype=np.float64)
     v = as_vector(v, dtype=np.float64)
     z = float(z)
     if len(v) != transformed.order or len(mu) != transformed.order:
         raise InvalidInput("mu and v must match the system order")
-    return linsolve._checked("the closed form", 0, _closed_form_solver(transformed, mu)(-z, v))
+    return _closed_form_solver(transformed, mu)(-z, v)
 
 
 def _closed_form_solver(transformed, mu):
@@ -487,9 +467,13 @@ def _closed_form_solver(transformed, mu):
     denominator is exactly zero, as a LAPACK route does on an exactly
     zero pivot; a tiny denominator is no breakdown, so the solve of the
     system and shift scaled by a power of two is the solution scaled
-    back, bit for bit, while every number stays in the normal range.  A
-    solution that is not finite is its caller's to raise (_peak_one,
-    explicit_rqi_solve).
+    back, bit for bit, while every number stays in the normal range.  The
+    loop runs on Python floats, which overflow to inf and then NaN
+    without a warning: each output passes the check every LAPACK route
+    makes (``linsolve._checked``), which raises SolverBreakdown for one
+    that is not finite, so the driver retries it once.  A finite output
+    is returned as it is, however large: a norm it puts out of range is
+    the driver's to take again.
 
     Accuracy limit: the running sums cancel, so the error grows with
     the span max(mu) / min(mu), and more for shifts near an eigenvalue.
@@ -532,14 +516,15 @@ def _closed_form_solver(transformed, mu):
 
         # the sequences can reach the overflow threshold, and numpy would warn
         # where a product with them overflows: the result is then not finite,
-        # which the caller's check raises as a breakdown
+        # which the check below raises as a breakdown
         with np.errstate(over="ignore", invalid="ignore"):
             numer = float(np.sum(mu * (v - z * A_seq))) - mb * A_seq[N]
             denom = mb * B_seq[N] + z * float(np.sum(mu * B_seq))
             if denom == 0.0:
                 raise SolverBreakdown("closed-form denominator is exactly zero")
             x = numer / denom
-            return A_seq + x * B_seq
+            w = A_seq + x * B_seq
+        return linsolve._checked("the closed form", 0, w)
 
     return solve
 

@@ -171,6 +171,13 @@ class TestInitials:
         with pytest.raises(InvalidInput):
             safe_z0([1.0, 1.0, 1.0], np.ones(3))
 
+    @pytest.mark.parametrize("mu", [[2.0], np.ones(7), [1.0, 2.0]])
+    def test_mu_of_another_length_than_phi_is_refused(self, mu):
+        # a mu of one entry broadcast, a longer one was accepted, and one of two
+        # raised numpy's broadcast error
+        with pytest.raises(InvalidInput, match=f"mu has {len(mu)} entries and phi 4"):
+            safe_z0([1.0, 0.5, 0.25, 0.1], mu)
+
 
 class TestGeneralRqi:
     def test_pipeline_equivalence_on_tridiagonal_input(self):

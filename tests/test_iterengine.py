@@ -1,5 +1,8 @@
 """Power iteration, RQI, and the two global algorithms."""
 
+import contextlib
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,28 +278,59 @@ def test_l1_norm_is_numpy_abs_sum_bitwise(pairs, is_complex, complex_run):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNormsOutOfRange:
-    """An l2 norm whose sum of squares overflows is taken again on the vector
-    scaled by 2^-600, and the driver retakes a norm of 0 or inf on a finite,
-    nonzero vector scaled by a power of two; no numpy warning on the way."""
+    """The l2 norm and the mu-norm are plain: inf where the squares overflow
+    and 0 where they all underflow.  The driver, and power iteration for its
+    ||A v||, take a norm of 0 or inf on a finite, nonzero vector again on the
+    vector scaled by 2^600 or 2^-600; no numpy warning on the way."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=32), st.booleans())
-    def test_l2_norm_overflows_only_past_the_largest_double(self, entries, is_complex):
-        # numpy's norm where its squares stay finite, else numpy's norm of v
-        # scaled by 2^-600, scaled back (to inf past the largest double)
-        v = np.array(entries) * (1 + 1j if is_complex else 1)
-        with np.errstate(over="ignore"):
+    @given(st.lists(st.floats(), min_size=1, max_size=32), st.booleans())
+    def test_l2_norm_is_numpy_norm_over_the_whole_range(self, entries, is_complex):
+        # numpy's norm bit for bit, inf where the squares overflow, NaN propagated
+        v = np.array(entries)
+        if is_complex:
+            v = v + np.zeros(len(v), complex)
+            v.imag = v.real[::-1]
+        with np.errstate(over="ignore", invalid="ignore"):
             expected = float(np.linalg.norm(v))
-        if expected == np.inf:
-            expected = float(np.linalg.norm(v * 2.0**-600)) * 2.0**600
-        assert np.float64(_l2_norm(v, None)).tobytes() == np.float64(expected).tobytes()
+        got = _l2_norm(v, None)
+        if np.isnan(expected):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
-    def test_l2_norm_of_huge_entries(self):
-        assert _l2_norm(np.array([1e200, 1.0]), None) == 1e200
-        assert _l2_norm(np.array([3e200, 4e200 + 0j]), None) == pytest.approx(5e200, rel=1e-15)
-        assert _l2_norm(np.array([1.7e308, 1.7e308]), None) == np.inf
+    def test_l2_norm_of_huge_entries_is_inf(self):
+        assert _l2_norm(np.array([1e150, 1.0]), None) == 1e150
+        assert _l2_norm(np.array([1e200, 1.0]), None) == np.inf
+        assert _l2_norm(np.array([3e200, 4e200 + 0j]), None) == np.inf
         assert _l2_norm(np.array([np.inf, 1.0]), None) == np.inf
         assert np.isnan(_l2_norm(np.array([np.nan, 1e300]), None))
+
+    def test_mu_norm_is_plain(self):
+        # a weighted run ignores numpy's overflow flag, as tridiag's runs do
+        with np.errstate(over="ignore"):
+            assert _mu_norm(None, np.array([1e200, 1.0]), np.empty(2)) == np.inf
+            assert _mu_norm(np.array([4.0, 1.0]), np.array([1e150, 1.0]), np.empty(2)) == 2e150
+        assert _mu_norm(np.array([4.0, 1.0]), np.array([1e-170, 1e-180]), np.empty(2)) == 0.0
+
+    MU = np.array([4.0, 1.0])
+    DRIVER_NORMS = {"l2": (_l2_norm, _rayleigh_update, 1.0),
+                    "mu None": (partial(_mu_norm, None), partial(tridiag._rayleigh, None), 1.0),
+                    "weighted": (partial(_mu_norm, MU), partial(tridiag._rayleigh, MU), 0.5)}
+
+    @pytest.mark.parametrize("name", DRIVER_NORMS)
+    def test_a_solve_output_whose_norm_overflows_is_scaled(self, name):
+        # entries near 1e200 square past the largest double, so the norm is inf:
+        # the driver scales the output by 2^-600 and normalises it.  The mu-norm
+        # runs as a weighted run does, with numpy's overflow flag ignored
+        norm, update, peak = self.DRIVER_NORMS[name]
+        A = np.diag([2.0, 1.0])
+        with contextlib.nullcontext() if name == "l2" else np.errstate(over="ignore"):
+            _, v, _ = run_shifted_iteration(A, lambda z, v: np.array([1e200, 1e180]),
+                                            [1.0, 0.5], 2.5, z_update=update, norm=norm,
+                                            max_iterations=2)
+        assert v[0] == peak and v[1] == pytest.approx(peak * 1e-20, rel=1e-14)
+        assert norm(v, np.empty(2)) == pytest.approx(1.0, rel=1e-15)
 
     def test_algorithm1_on_an_entry_past_1e154(self):
         # A v0 - z0 v0 overflowed the squares of the first residual, and the

@@ -5,9 +5,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxeig import models
+from maxeig.errors import InvalidInput
 from maxeig.iterengine import IterationTrace, TraceStep
 from maxeig.matrixio import parse_error, read_matrix, write_matrix, write_trace_csv
 from maxeig.numat import TridiagonalSystem
+
+
+class TestRefusedExport:
+    """A format or matrix write_matrix refuses is refused before the path is
+    opened, so an existing file keeps its bytes."""
+
+    @pytest.mark.parametrize("matrix, fmt", [
+        (models.negative3(), "tridiag"),
+        (models.bd_squares(3), "bogus"),
+        (models.negative3(), "bogus"),
+        (np.ones((2, 3)), None),
+        (np.ones((2, 3)), "coord"),
+        ([[1.0, np.nan], [0.0, 1.0]], None),
+    ], ids=["dense-tridiag", "system-bogus", "dense-bogus", "not-square", "not-square-coord",
+            "nan"])
+    def test_leaves_an_existing_file_unchanged(self, tmp_path, matrix, fmt):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"an earlier export\n")
+        with pytest.raises(InvalidInput):
+            write_matrix(path, matrix, fmt=fmt)
+        assert path.read_bytes() == b"an earlier export\n"
 
 
 class TestCoordinateFormat:

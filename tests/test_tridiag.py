@@ -199,6 +199,17 @@ class TestZ0Combination:
     def test_weights(self):
         assert z0_combination(2.0, 1.0) == pytest.approx(7.0 / 16.0 + 1.0 / 8.0)
 
+    @pytest.mark.parametrize("delta1, quotient", [(np.nan, 0.5), (2.0, np.nan), (0.0, 0.5),
+                                                  (-1.0, 0.5)])
+    def test_rejects_nan_and_a_delta1_that_is_not_positive(self, delta1, quotient):
+        with pytest.raises(InvalidInput):
+            z0_combination(delta1, quotient)
+
+    def test_an_accepted_pair_keeps_its_result(self):
+        # the checks refuse only NaN and delta1 <= 0: infinite arguments pass as before
+        assert z0_combination(np.inf, 0.5) == 0.5 / 8.0
+        assert z0_combination(2.0, np.inf) == np.inf
+
 
 class TestExplicitSolve:
     def test_basis_vector_against_dense(self):
@@ -374,8 +385,9 @@ class TestTridiagRqi:
 
     def test_closed_form_output_too_large_to_square(self):
         # from the uniform start's quotient the closed form's second output at
-        # order 1101 peaks near 1e178: its mu-norm overflowed, and the driver
-        # divided by inf.  Scaled by a power of two, the run converges
+        # order 1101 peaks near 1e178: its mu-norm is inf, once a division by
+        # inf.  The driver takes that norm again on the output scaled by 2^-600,
+        # and the run converges
         result, trace = tridiag_rqi(models.bd_squares(1100), solver="explicit",
                                     z0="rayleigh", v0="uniform")
         assert trace.termination == "converged"
@@ -462,8 +474,8 @@ def test_runs_on_rates_far_below_one(run, order, k):
 @pytest.mark.parametrize("run", TINY_RATE_RUNS)
 def test_runs_on_rates_past_1e154(run, k):
     # t1's rates times k: the squares of the early residuals overflow, and the
-    # mu-norm takes them again on the residual scaled by 2^-600, as the l2 norm
-    # does, so each run converges, with no numpy warning
+    # driver takes the mu-norm or the l2 norm of such a residual again on it
+    # scaled by 2^-600, so each run converges, with no numpy warning
     solve = TINY_RATE_RUNS[run]
     system = models.bd_squares(7)
     result, trace = solve(TridiagonalSystem(system.a * k, system.b * k, system.c * k))
