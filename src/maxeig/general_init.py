@@ -329,9 +329,10 @@ def general_rqi(
         if qc.shape[0] < 2:
             raise InvalidInput("general_rqi needs a matrix of order at least 2")
         system = _tridiagonal_from_dense(qc)
-        # each row sum against its own row's roundoff, a_i + |qc_ii| + b_i
-        conservative = system is not None and bool(
-            (system.c <= _ROUNDOFF * (system.a + system.b - qc.diagonal())).all())
+        # each row sum against its own row's roundoff, a_i + |qc_ii| + b_i, formed a
+        # quarter of the way up so it cannot overflow: exactly, in the normal range
+        conservative = system is not None and bool((system.c <= 4 * _ROUNDOFF * (
+            0.25 * system.a + 0.25 * system.b - 0.25 * qc.diagonal())).all())
     if conservative:
         result, trace = _conservative_pair(system, tol_z)
     elif system is not None:

@@ -67,12 +67,12 @@ power iteration's ||A v|| at each step, so none reads 0 on a vector
 that is not zero, nor inf on one whose norm is finite, and no numpy
 warning is raised.  No bit of a run inside the range moves.
 
-A step takes its iterate's norm once.  The Rayleigh updates return
-||v|| with the shift, the root of the quotient's denominator, which is
-the norm's own sum of squares bit for bit (the l2 norm of a real run,
-``tridiag``'s mu-norm), and the relative residual shares it; the
-max-ratio update and a complex run's quotient return the shift alone,
-and the residual takes ||v|| itself.
+A step takes its iterate's norm once.  Every shift update returns the
+pair (z, ||v|| or None).  The Rayleigh updates of a real run give ||v||,
+the root of the quotient's denominator, which is the norm's own sum of
+squares bit for bit (the l2 norm of a real run, ``tridiag``'s mu-norm),
+and the relative residual shares it; the max-ratio update and a complex
+run's quotient give None, and the residual takes ||v|| itself.
 """
 
 from __future__ import annotations
@@ -303,23 +303,25 @@ def _shift_tolerance(tol_z, n):
 
 
 # An update takes the iterate, A times it and the run's scratch array, which
-# it may use, and returns the next shift, or the pair of it and ||v|| in the
-# run's norm where forming the shift gave that; the two here need no scratch,
-# and may be called without it.
+# it may use, and returns the pair of the next shift and ||v|| in the run's
+# norm, or None where forming the shift did not give that; the two here need
+# no scratch, and may be called without it.
 def _rayleigh_update(v, av, work=None):
-    """The Rayleigh quotient; on a real run also ||v||_2, the root of its
-    denominator v . v, which is _l2_norm's sum of squares bit for bit."""
+    """(the Rayleigh quotient, ||v||_2): on a real run ||v||_2 is the root of
+    the quotient's denominator v . v, _l2_norm's sum of squares bit for bit;
+    a complex run's quotient, (v^H A v) / (v^H v), gives None."""
     if av.dtype.kind == "c":
         vh = v.conj()
-        return (vh @ av) / (vh @ v)
+        return (vh @ av) / (vh @ v), None
     square = v @ v
     return float((v @ av) / square), math.sqrt(square)
 
 
 def _max_ratio_update(v, av, work=None):
+    """(max(A v / v), None) for a positive iterate v: the ratio gives no norm."""
     if not is_positive_vector(v):
         raise InvalidInput("max-ratio update met a non-positive iterate")
-    return _largest_ratio(av, v)
+    return _largest_ratio(av, v), None
 
 
 _RQI_UPDATES = {"rayleigh": _rayleigh_update, "max_ratio": _max_ratio_update}
@@ -383,9 +385,10 @@ def run_shifted_iteration(
     without checking A again.  ``solve_shifted(z, v)`` must return any
     nonzero multiple of (z I - A)^{-1} v as a new, finite array, or
     raise SolverBreakdown: the driver normalises and sign-fixes it in
-    place.  ``z_update(v, av, work)`` gives the next shift from the
-    normalized iterate v and av = A v, or the pair of it and ||v|| in
-    the run's norm, which the relative residual then shares; ``norm(vec,
+    place.  ``z_update(v, av, work)`` gives the pair of the next shift,
+    from the normalized iterate v and av = A v, and ||v|| in the run's
+    norm, which the relative residual then shares, or None where the
+    update did not form it; ``norm(vec,
     work)`` normalizes the iterates and measures the relative residual.  Both
     may form their products in ``work``, the run's one scratch array,
     which a norm is also handed as vec (the residual).  The scratch is
@@ -460,8 +463,7 @@ def run_shifted_iteration(
         _normalised(norm, w, work, f"the shifted solve's output at iteration {k}", out=w)
         v = _sign_fix(w, work)
         av = apply(v)
-        z_new = z_update(v, av, work)
-        z_new, size = z_new if isinstance(z_new, tuple) else (z_new, None)
+        z_new, size = z_update(v, av, work)
         if not cmath.isfinite(z_new):
             raise InvalidInput(f"shift update gave a non-finite z at iteration {k}: {z_new!r}")
         residual = _relative_residual(norm, av, z_new, v, scale, work, size)
@@ -539,15 +541,18 @@ def power_iteration(A, v0=None, norm="l1", steps=100):
         trace.record(k, z if m is None else m - z, residual, time.perf_counter() - t0)
         return av, z
 
-    av, z = step(0, v)
-    for k in range(1, steps + 1):
-        if z == 0:
-            raise InvalidInput(f"A v_{k - 1} = 0 at step {k - 1}: power iteration cannot go on")
-        if not z < math.inf:
-            raise InvalidInput(f"||A v_{k - 1}|| = {z} at step {k - 1}: the iterate overflowed")
-        v = av
-        v /= z      # in place: A v_{k-1} is not needed again
-        av, z = step(k, v)
+    # a norm whose sum overflows is inf, which the step retakes or refuses: numpy's
+    # overflow flag is ignored once per run, not on every norm
+    with np.errstate(over="ignore"):
+        av, z = step(0, v)
+        for k in range(1, steps + 1):
+            if z == 0:
+                raise InvalidInput(f"A v_{k - 1} = 0 at step {k - 1}: power iteration cannot go on")
+            if not z < math.inf:
+                raise InvalidInput(f"||A v_{k - 1}|| = {z} at step {k - 1}: the iterate overflowed")
+            v = av
+            v /= z      # in place: A v_{k-1} is not needed again
+            av, z = step(k, v)
     trace.termination = "steps_exhausted"
     return trace
 
@@ -577,10 +582,19 @@ def rqi(A, v0, z0, z_update="rayleigh", *, negate=False,
 def _rqi(A, v0, z0, z_update, **opts):
     """rqi on a checked operand A and a start v0 of its order, with the update
     function; InvalidInput for a complex v0 or z0 on a TridiagonalSystem,
-    whose solve is real."""
-    if isinstance(A, TridiagonalSystem) and not (v0.dtype.kind == "f" and isinstance(z0, _REAL)):
+    whose solve is real.
+
+    The run's solve route is fixed here, once: a complex v0 or z0 on a real
+    dense A makes every iterate and shift complex, so the solver is built on
+    A.astype(complex), which takes gesv (``linsolve._shifted_solver``)."""
+    real_start = v0.dtype.kind == "f" and isinstance(z0, _REAL)
+    if isinstance(A, TridiagonalSystem) and not real_start:
         raise InvalidInput("a TridiagonalSystem is real: its run takes a real v0 and z0")
-    return _result(*run_shifted_iteration(A, linsolve._shifted_solver(A), v0, z0,
+    # only the solver gets the promoted copy: the driver's product, scale and bracket
+    # keep A as given, since A @ v on the real A rounds apart from the product of
+    # A.astype(complex) (a relative 2e-15 on an order-30 run)
+    solved = A if real_start or np.iscomplexobj(A) else A.astype(complex)
+    return _result(*run_shifted_iteration(A, linsolve._shifted_solver(solved), v0, z0,
                                           z_update=z_update, norm=_l2_norm, **opts))
 
 
@@ -605,9 +619,13 @@ def _global(A, z0, negate, z_update, tol_z, tol_residual, max_iterations):
     if z_update is _max_ratio_update and np.iscomplexobj(A):
         raise InvalidInput("the max-ratio update is undefined for complex input; use algorithm1")
     product = linsolve._product(A)
-    v0, z0_auto = _uniform_start(A, product)
-    return _rqi(A, v0, z0_auto if z0 is None else z0, z_update, negate=negate, product=product,
-                tol_z=tol_z, tol_residual=tol_residual, max_iterations=max_iterations)
+    # a ratio past the largest double is inf, a shift the driver refuses as not
+    # finite: numpy's overflow flag is ignored once per run, not at every ratio
+    with np.errstate(over="ignore"):
+        v0, z0_auto = _uniform_start(A, product)
+        return _rqi(A, v0, z0_auto if z0 is None else z0, z_update, negate=negate,
+                    product=product, tol_z=tol_z, tol_residual=tol_residual,
+                    max_iterations=max_iterations)
 
 
 def algorithm1(A, z0=None, negate=False, *, tol_z=DEFAULT_TOL_Z,

@@ -24,8 +24,9 @@ Three routes for the solves:
   and ``dgetrs`` give the bits of numpy's ``gesv``; with more, OpenBLAS
   threads the two from different orders, and orders 100-141 round apart.
 - ``gesv`` (LU with partial pivoting) through ``numpy.linalg.solve`` for
-  complex matrices, right-hand sides and shifts, which the real LAPACK
-  work arrays cannot hold: ``_gesv``, the one solve not bound here.
+  complex input, which the real LAPACK work arrays cannot hold: a complex
+  matrix or right-hand side of ``dense_solve``, and the shifted solves of
+  a complex matrix: ``_gesv``, the one solve not bound here.
 
 The product of a ``TridiagonalSystem`` with a real vector is LAPACK
 ``dlagtm`` (B := A X, alpha = 1, beta = 0), which ``_product`` binds once
@@ -57,10 +58,13 @@ the ctypes object the call passes, so no call converts through
 ``argtypes``.  A writable array's address comes from ctypes' view of its
 buffer (``_address``), 0.4 microseconds against the 1.4 of numpy's
 ``.ctypes`` helper, which builds an object on every read; a read-only
-one's from the array interface.  The pivot array is allocated with the
-family's integer type as a numpy dtype (``_INT_DTYPE``), 0.2
-microseconds against 3.0 with the ctypes type, which numpy converts anew
-on every call.  On the same host, building ``_lu`` at order 22 takes
+one's from the array interface.  A call's vectors are new, writable,
+contiguous float64 arrays that this module or the iteration driver made,
+and are pointed to through that view alone: for any other array it
+raises TypeError or ValueError before LAPACK runs.  The pivot array is
+allocated with the family's integer type as a numpy dtype
+(``_INT_DTYPE``), 0.2 microseconds against 3.0 with the ctypes type,
+which numpy converts anew on every call.  On the same host, building ``_lu`` at order 22 takes
 about 18 microseconds, a tridiagonal run's solve (``_shifted_solver``)
 about 8 and ``_product`` about 11, five of them for the read-only
 addresses; a shifted ``dgtsv`` solve of order 36, with its refill and
@@ -89,7 +93,10 @@ calls them.  Other modules take their solves from two factories, and
 their products from ``_product``, given an already-checked matrix.
 Iteration loops, which solve (z I - A) x = v for many shifts z, take
 theirs from ``_shifted_solver``, the one factory for every shifted
-solve.  Every route it builds solves (z I - A) x = v as
+solve.  It picks a run's one route from A alone, and no solve tests the
+kind of its shift or vector again; a run whose start or shift is complex
+on a real matrix builds it on ``A.astype(complex)``
+(``iterengine._rqi``).  Every route it builds solves (z I - A) x = v as
 it is written, with no negation after the solve: for a
 ``TridiagonalSystem`` it refills one set of ``dgtsv`` work arrays per
 solve for the one call ``_gtsv`` binds, and for a real dense matrix it
@@ -215,10 +222,13 @@ def _prepare(name, *args, info=True):
     reference as doubles and integers by reference in LAPACK's integer
     type.  Up to two arguments may be None: each call then passes its
     ``vectors`` there, in order, and keeps no pointer to them once it
-    returns.  The call keeps the other arrays alive; every size must
-    already be checked.  ``info`` says the routine ends with LAPACK's
-    INFO, which the call returns; a routine without one (dlagtm) returns
-    None.
+    returns.  Each such vector must be writable and C-contiguous, as
+    ctypes' view of its buffer, the one way a call points to it, needs:
+    for any other array the view raises TypeError or ValueError before
+    the routine runs.  The call keeps the other arrays alive; every size
+    must already be checked.  ``info`` says the routine ends with
+    LAPACK's INFO, which the call returns; a routine without one (dlagtm)
+    returns None.
     """
     fn, status = _LAPACK[name], _INT(0)
     fn.restype = None
@@ -241,9 +251,7 @@ def _prepare(name, *args, info=True):
     pointers += lengths
 
     # One closure per number of vectors: a loop over them, a function per
-    # address and a.T took two fifths of a small call.  A vector is nearly
-    # always writable and contiguous, as ctypes' view needs it without a.T;
-    # any other goes to _address.
+    # address and a.T took two fifths of a small call.
     byref, view = ctypes.byref, ctypes.c_char.from_buffer
     if not late:
         def call():
@@ -253,10 +261,7 @@ def _prepare(name, *args, info=True):
         (i,) = late
 
         def call(x):
-            try:
-                pointers[i] = byref(view(x))
-            except (TypeError, ValueError):
-                pointers[i] = _address(x)
+            pointers[i] = byref(view(x))
             fn(*pointers)
             pointers[i] = None
             return status.value if info else None
@@ -264,10 +269,7 @@ def _prepare(name, *args, info=True):
         i, j = late
 
         def call(x, y):
-            try:
-                pointers[i], pointers[j] = byref(view(x)), byref(view(y))
-            except (TypeError, ValueError):
-                pointers[i], pointers[j] = _address(x), _address(y)
+            pointers[i], pointers[j] = byref(view(x)), byref(view(y))
             fn(*pointers)
             pointers[i] = pointers[j] = None
             return status.value if info else None
@@ -539,13 +541,15 @@ def _lu(A, solves):
 def _shifted_solver(A):
     """solve(z, v) = (z I - A)^{-1} v for a TridiagonalSystem or a checked square A.
 
-    The route is chosen once, for a run of solves.  Each LAPACK route
-    overwrites its arrays, so the run allocates one set of work arrays and
-    refills them before each solve.  A TridiagonalSystem takes dgtsv, bound
-    once to its work arrays, its diagonal refilled as z minus A's.  A real
-    dense A takes _lu, refactored at each real z and solved for a real v.
-    A complex A, z or v, which the real work array cannot hold, takes
-    _gesv on z I - A, the one solve that is not a LAPACK call bound here.
+    The route is chosen once, for a run of solves, from A alone; no solve
+    tests its z or v.  Each LAPACK route overwrites its arrays, so the run
+    allocates one set of work arrays and refills them before each solve.
+    A TridiagonalSystem takes dgtsv, bound once to its work arrays, its
+    diagonal refilled as z minus A's.  A real dense A takes _lu,
+    refactored at each z, and is solved for a real z and v only.  A
+    complex A, which the real work array cannot hold, takes _gesv on
+    z I - A, the one solve that is not a LAPACK call bound here; a caller
+    whose run is complex on a real A hands over ``A.astype(complex)``.
     """
     if isinstance(A, TridiagonalSystem):
         dl, d, du = np.empty(A.order - 1), np.empty(A.order), np.empty(A.order - 1)
@@ -560,16 +564,7 @@ def _shifted_solver(A):
 
         return solve_tridiagonal
 
-    def solve_complex(z, v):
-        return _gesv(z * np.eye(len(A), dtype=A.dtype) - A, v)
-
     if np.iscomplexobj(A):
-        return solve_complex
+        return lambda z, v: _gesv(z * np.eye(len(A), dtype=A.dtype) - A, v)
     refactor = _lu(A, _RUN_SOLVES)
-
-    def solve(z, v):
-        if v.dtype.kind == "c" or np.iscomplexobj(z):
-            return solve_complex(z, v)
-        return refactor(z)(v)
-
-    return solve
+    return lambda z, v: refactor(z)(v)

@@ -137,12 +137,15 @@ class TridiagonalSystem:
             if (a.ndim == b.ndim == c.ndim == 1 and len(a) == len(b) == len(c) >= 2
                     and a[0] == 0.0 and b[-1] == 0.0 and a[1:].min() > 0 and b[:-1].min() > 0
                     and c.min() >= 0):
-                diagonal = -(a + b + c)
+                with np.errstate(over="ignore"):    # an overflowing sum is refused below
+                    diagonal = -(a + b + c)
         except (TypeError, ValueError):
             pass
         if diagonal is None or not np.isfinite(diagonal).all():
-            # raises, unless every rate is valid and only their sum overflowed
-            a, b, c = _checked_rates(self.a, self.b, self.c)
+            # raises for each fault of the rates; valid rates whose sum overflowed remain
+            _checked_rates(self.a, self.b, self.c)
+            raise InvalidInput("the diagonal -(a + b + c) overflows: a row's rates sum past "
+                               "the largest double")
         for name, values in (("a", a), ("b", b), ("c", c), ("diagonal", diagonal)):
             # read-only views: the checks above and the diagonal stay true
             view = values.view()
@@ -292,14 +295,17 @@ def shift_to_qc(A):
     """Shift a matrix to generator form: Qc = A - mI with m the max row sum.
 
     Qc has nonpositive row sums with at least one zero.  A must be real
-    with nonnegative off-diagonal entries; anything else raises
-    InvalidInput.
+    with nonnegative off-diagonal entries, and its largest row sum must not
+    overflow; anything else raises InvalidInput.
     """
     A = as_square_matrix(A)
     if A.dtype.kind == "c" or not _nonnegative_off_diagonal(A):
         raise InvalidInput("shift_to_qc requires real nonnegative off-diagonal entries")
     qc = A.copy()   # C order, whatever A's layout, so m's rounding is the same for every layout
-    m = float(qc.sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        m = float(qc.sum(axis=1).max())
+    if m == np.inf:
+        raise InvalidInput("shift_to_qc: the largest row sum overflows the largest double")
     np.subtract(A.diagonal(), m, out=qc.reshape(-1)[::len(qc) + 1])    # qc's diagonal, a view
     return qc, m
 
@@ -327,6 +333,8 @@ def _scale(A) -> float:
         # is -(a + b + c): one pass over the diagonal, no temporaries
         return -2.0 * float(A.diagonal.min())
     rows = _rows_per_block(A)
-    if rows >= len(A):
-        return float(np.abs(A).sum(axis=1).max())
-    return max(float(np.abs(A[i:i + rows]).sum(axis=1).max()) for i in range(0, len(A), rows))
+    # a row sum past the largest double is inf, as a norm's is, with no warning
+    with np.errstate(over="ignore"):
+        if rows >= len(A):
+            return float(np.abs(A).sum(axis=1).max())
+        return max(float(np.abs(A[i:i + rows]).sum(axis=1).max()) for i in range(0, len(A), rows))

@@ -37,6 +37,8 @@ SPEC_FILES = {
     "blank_header.coord": "\ncoordinate 2 0 real\n",
     "negative_order.coord": "coordinate -2 0 real\n",
     "order0.coord": "coordinate 0 0 real\n",
+    # every entry 1e308: its row sums, A v and max(A v / v) pass the largest double
+    "huge.coord": "coordinate 2 4 real\n0 0 1e308\n0 1 1e308\n1 0 1e308\n1 1 1e308\n",
 }
 BD7 = ("solve", "--model", "bd_squares", "--n", "7")
 
@@ -86,6 +88,7 @@ EXIT_TABLE = [
     (BD7 + ("--method", "power", "--norm", "l2mu"), 2),
     *[(BD7 + ("--method", m, "--negate"), 2) for m in METHODS if m not in ("alg1", "alg2")],
     (BD7 + ("--method", "alg2", "--negate"), 0),
+    (BD7 + ("--method", "rqi-tridiag", "--z0", "0.5"), 0),
     (("solve", "--model", "toeplitz", "--n", "3", "--method", "power", "--v0", "uniform"), 2),
     (BD7 + ("--method", "power", "--steps", "10", "--v0", "uniform"), 0),
     (("solve", "--model", "bd_squares", "--n", "99999", "--method", "power", "--steps", "10"), 0),
@@ -106,6 +109,9 @@ EXIT_TABLE = [
     *[(("solve", "--input", "{tmp}/zeros.coord", "--method", m), 0) for m in ("alg1", "alg2")],
     *[(("solve", "--input", f"{{tmp}}/{name}.coord", "--method", "power"), 4)
       for name in ("zeros", "nilpotent")],
+    # an overflow is an input error, with no numpy warning on the way
+    *[(("solve", "--input", "{tmp}/huge.coord", "--method", m), 4)
+      for m in ("alg1", "alg2", "power", "rqi-general")],
 ]
 
 
@@ -140,6 +146,12 @@ class TestSolve:
         assert code == 0
         assert "0.525268" in out
         assert "stabilized at iteration 1" in out
+
+    def test_a_shifted_run_prints_rho_and_its_shift(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--model", "toeplitz", "--n", "3",
+                               "--method", "rqi-general")
+        assert code == 0
+        assert "rho(A) = 5.70156   (shift m = 6)" in out
 
     def test_negative_entries_example(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--model", "negative3", "--method", "alg2")

@@ -79,6 +79,10 @@ class TestHTransform:
                 expected = layout * (h[None, :] / h[:, None])
                 assert h_transform_general(layout, h).tobytes() == expected.tobytes()
 
+    def test_h_of_another_length_is_refused(self):
+        with pytest.raises(InvalidInput, match="h length"):
+            h_transform_general([[-1.0, 1.0], [1.0, -2.0]], [1.0, 1.0, 1.0])
+
     @pytest.mark.parametrize("h", [[1.0, 0.0], [1e-320, 1.0]])
     def test_a_ratio_that_is_not_finite_is_invalid_input(self, h):
         # a zero in h divides by zero, and a subnormal next to 1 overflows
@@ -211,6 +215,10 @@ class TestGeneralRqi:
         assert tridiagonal_from_dense(models.bd_squares(5).dense()) is not None
         assert tridiagonal_from_dense(models.toeplitz_linear(5)) is None
         assert tridiagonal_from_dense(models.negative3()) is None
+        # a positive row sum beyond roundoff is no generator; one within it is cleared
+        assert tridiagonal_from_dense([[-1.0, 1.0], [1.0, -0.5]]) is None
+        system = tridiagonal_from_dense([[-1.0, 1.0], [1.0, -1.0 + 1e-16]])
+        assert system.c.tolist() == [0.0, 0.0]
 
     def test_one_entry_outside_the_band_is_not_tridiagonal(self):
         Q = models.bd_squares(5).dense()
@@ -352,6 +360,25 @@ class TestGeneralRqi:
             assert result.eigenvalue == pytest.approx(rho, abs=1e-3)
             assert trace.iterations >= 1
             assert result.eigenvector[0] < 0.6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_killing_near_the_largest_double_is_not_taken_for_roundoff(self):
+        # a_i + |qc_ii| + b_i overflows here: the bound is formed a quarter of the
+        # way up, so c = 1e300 is killing on the dense route as on the system's,
+        # and both agree with the order-2 chain of unit rates and killing 1e-8
+        # scaled by 1e308
+        system = TridiagonalSystem.from_rates([1e308], [1e308], [0.0, 1e300])
+        twin, _ = general_rqi(TridiagonalSystem.from_rates([1.0], [1.0], [0.0, 1e-8]))
+        dense, trace = general_rqi(system.dense())
+        rates, _ = general_rqi(system)
+        assert trace.iterations >= 1
+        assert dense.eigenvalue == pytest.approx(rates.eigenvalue, rel=1e-10)
+        assert rates.eigenvalue == pytest.approx(1e308 * twin.eigenvalue, rel=1e-10)
+        assert rates.eigenvalue == pytest.approx(-5.00000000705e299, rel=1e-10)
+
+    def test_a_largest_row_sum_that_overflows_is_invalid(self):
+        with pytest.raises(InvalidInput, match="row sum overflows"):
+            general_rqi(np.full((2, 2), 1e308))
 
     def test_uniform_killing_checks_the_run_options(self):
         system = TridiagonalSystem.from_rates(np.ones(5), np.ones(5), np.full(6, 0.5))

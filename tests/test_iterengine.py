@@ -123,9 +123,8 @@ class TestPowerIteration:
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_an_overflowing_iterate_is_invalid(self, norm):
         # ||A v_0|| overflows to inf, and dividing by it would leave a zero iterate:
-        # the step checks that scalar, not the iterate
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(InvalidInput, match=r"\|\|A v_0\|\| = inf at step 0: .*overflowed"):
+        # the step checks that scalar, not the iterate, and numpy warns of nothing
+        with pytest.raises(InvalidInput, match=r"\|\|A v_0\|\| = inf at step 0: .*overflowed"):
             power_iteration(np.full((2, 2), 1e308), norm=norm, steps=3)
 
 
@@ -234,8 +233,12 @@ def test_rayleigh_denominator_is_the_l2_norms_square_bitwise(entries):
 
 
 def test_rayleigh_update_of_a_complex_run_shares_no_norm():
+    # every update returns the pair (z, ||v|| or None): the complex quotient
+    # and the max ratio give no norm
     v = np.array([1.0 + 1j, 0.5])
-    assert _rayleigh_update(v, 2.0 * v) == pytest.approx(2.0)
+    z, size = _rayleigh_update(v, 2.0 * v)
+    assert z == pytest.approx(2.0) and size is None
+    assert _max_ratio_update(np.array([1.0, 0.5]), np.array([2.0, 3.0])) == (6.0, None)
 
 
 _ties = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324])
@@ -346,6 +349,12 @@ class TestNormsOutOfRange:
         result, _ = method(np.diag([1e200, 1.0]))
         assert result.eigenvalue == 1e200
 
+    @pytest.mark.parametrize("method", [algorithm1, algorithm2])
+    def test_a_start_ratio_past_the_largest_double_is_no_shift(self, method):
+        # max(A v0 / v0) overflows to inf: refused as a shift, with no numpy warning
+        with pytest.raises(InvalidInput, match="z0 must be finite"):
+            method(np.full((2, 2), 1e308))
+
     def test_power_iteration_on_an_entry_past_1e154(self):
         trace = power_iteration(np.diag([1e200, 1.0]), norm="l2", steps=5)
         assert trace.zs()[0] == pytest.approx(1e200 / np.sqrt(2.0), rel=1e-15)
@@ -427,7 +436,7 @@ class TestDriverChecksEachIterate:
 
     def test_non_finite_shift_update_rejected(self):
         with pytest.raises(InvalidInput, match="non-finite z at iteration 1"):
-            self.run(lambda z, v: v, z_update=lambda v, av, work: np.inf)
+            self.run(lambda z, v: v, z_update=lambda v, av, work: (np.inf, None))
 
 
 class TestPerturbAndRetry:

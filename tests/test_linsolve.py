@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxeig import general_init, iterengine, linsolve, models, tridiag
-from maxeig.errors import InvalidInput, SolverBreakdown
+from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
 from maxeig.linsolve import dense_solve, tridiag_solve
 from maxeig.numat import TridiagonalSystem, _apply
 
@@ -26,6 +26,38 @@ def shifted_coeffs(system, z):
     upper = -system.b[:-1]
     diag = (system.a + system.b + system.c) - z
     return lower, diag, upper
+
+
+def record_solves(monkeypatch, run):
+    """(solves, gesv_calls) of ``run``: (z, v, x) for each solve of
+    linsolve._shifted_solver, x as the solve returned it, and one entry per
+    call of linsolve._gesv.  A run that does not converge is recorded all
+    the same."""
+    solves, gesv_calls = [], []
+    build, gesv_route = linsolve._shifted_solver, linsolve._gesv
+
+    def shifted_solver(A):
+        solve = build(A)
+
+        def recorded(z, v):
+            x = solve(z, v)
+            solves.append((z, v.copy(), x.copy()))
+            return x
+
+        return recorded
+
+    def counted_gesv(M, rhs):
+        gesv_calls.append(M)
+        return gesv_route(M, rhs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linsolve, "_shifted_solver", shifted_solver)
+        mp.setattr(linsolve, "_gesv", counted_gesv)
+        try:
+            run()
+        except MaxIterationsExceeded:
+            pass
+    return solves, gesv_calls
 
 
 class TestTridiagSolve:
@@ -103,6 +135,14 @@ class TestTridiagSolve:
             args[i] = args[i] + 1j * rng.normal(size=len(args[i]))
             with pytest.raises(InvalidInput):
                 tridiag_solve(*args)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(InvalidInput, match="length n-1"):
+            tridiag_solve([1.0], [2.0, 2.0, 2.0], [1.0, 1.0], np.ones(3))
+        with pytest.raises(InvalidInput, match="length n-1"):
+            tridiag_solve([1.0, 1.0], [2.0, 2.0, 2.0], [1.0], np.ones(3))
+        with pytest.raises(InvalidInput, match="rhs length"):
+            tridiag_solve([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0], np.ones(2))
 
     def test_orders_one_and_two_agree_with_dense(self, rng):
         for n in (1, 2):
@@ -349,6 +389,69 @@ class TestTridiagonalProduct:
             linsolve._address(strided)
 
 
+class TestGuardsRaiseBeforeLapack:
+    """LAPACK reads and writes through its pointers unchecked: each size and
+    layout guard of a bound call raises before its routine runs.  Every
+    routine is replaced by one that records its calls."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        calls = []
+        for name in linsolve._ROUTINES:
+            def routine(*pointers, name=name):
+                calls.append(name)
+
+            monkeypatch.setitem(linsolve._LAPACK, name, routine)
+        return calls
+
+    def test_a_vector_is_pointed_to_through_the_view_alone(self, ran):
+        # a read-only, strided or Fortran-order vector is refused, not pointed to
+        d = np.ones(3)
+        read_only = np.ones(3)
+        read_only.flags.writeable = False
+        refused = (read_only, np.ones(6)[::2], np.ones((3, 2), order="F"))
+        one = linsolve._prepare("dgtsv", 3, 1, np.zeros(2), d, np.zeros(2), None, 3)
+        two = linsolve._prepare("dlagtm", b"N", 3, 1, 1.0, np.zeros(2), d, np.zeros(2), None, 3,
+                                0.0, None, 3, info=False)
+        for x in refused:
+            with pytest.raises((TypeError, ValueError)):
+                one(x)
+            with pytest.raises((TypeError, ValueError)):
+                two(np.ones(3), x)
+            with pytest.raises((TypeError, ValueError)):
+                two(x, np.empty(3))
+        assert ran == []
+        one(np.ones(3))
+        two(np.ones(3), np.empty(3))
+        assert ran == ["dgtsv", "dlagtm"]
+
+    def test_a_factor_array_of_the_wrong_layout(self):
+        for a, n, band in ((np.zeros((3, 3)), 3, ()), (np.zeros((3, 3), np.float32, order="F"), 3, ()),
+                           (np.zeros((2, 3), order="F"), 3, ()),
+                           (np.zeros((3, 5), order="F"), 5, (1, 1))):
+            with pytest.raises(ValueError, match="LAPACK LU needs"):
+                linsolve._check_layout(a, n, band)
+        linsolve._check_layout(np.zeros((4, 5), order="F"), 5, (1, 1))
+
+    def test_a_right_hand_side_of_another_order(self, ran):
+        solve = linsolve._gtsv(np.zeros(2), np.ones(3), np.zeros(2))
+        with pytest.raises(ValueError, match="dgtsv needs a right-hand side"):
+            solve(np.ones(4))
+        refactor = linsolve._lu(np.eye(3), 1)
+        solve = refactor(2.0)
+        assert ran == ["dgetrf"]
+        for rhs in (np.ones(4), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="does not match the factored order"):
+                solve(rhs)
+        assert ran == ["dgetrf"]
+
+    def test_a_product_vector_of_another_order(self, ran):
+        product = linsolve._product(models.bd_squares(3))
+        with pytest.raises(ValueError, match="dlagtm needs a vector"):
+            product(np.ones(5))
+        assert ran == []
+
+
 
 class TestShiftedFullSolver:
     """linsolve._shifted_solver on a full real matrix: -A packed once, one
@@ -363,15 +466,22 @@ class TestShiftedFullSolver:
         for z in (0.3, -2.5, 0.3, float(n)):
             assert solve(z, v).tobytes() == np.linalg.solve(z * np.eye(n) - A, v).tobytes()
 
-    def test_complex_shift_or_vector(self, rng):
+    def test_complex_shift_or_vector(self, rng, monkeypatch):
+        # a complex z0 or v0 on a real matrix: rqi builds the solver on
+        # A.astype(complex), and every solve of the run is gesv's, numpy's
+        # solution of z I - A bit for bit
         n = 40
         A = rng.uniform(0.01, 1.0, (n, n))
-        solve = linsolve._shifted_solver(A)
         v = rng.normal(size=n)
-        for z, rhs in ((0.5 + 2j, v), (0.5, v + 1j), (0.5 + 2j, v + 1j)):
-            x = solve(z, rhs)
-            assert np.iscomplexobj(x)
-            assert np.abs((z * np.eye(n) - A) @ x - rhs).max() <= 1e-12 * np.abs(rhs).max() * n
+        for z0, v0 in ((0.5 + 2j, v), (0.5, v + 1j), (0.5 + 2j, v + 1j)):
+            solves, gesv_calls = record_solves(monkeypatch, lambda: iterengine.rqi(A, v0, z0))
+            assert solves and len(gesv_calls) == len(solves)
+            for z, rhs, x in solves:
+                assert np.iscomplexobj(x)
+                assert x.tobytes() == np.linalg.solve(z * np.eye(n) - A, rhs).tobytes()
+        solve = linsolve._shifted_solver(A.astype(complex))
+        assert solve(0.5 + 2j, v).tobytes() == np.linalg.solve((0.5 + 2j) * np.eye(n) - A, v).tobytes()
+        solve = linsolve._shifted_solver(A)
         assert solve(0.5, v).tobytes() == np.linalg.solve(0.5 * np.eye(n) - A, v).tobytes()
 
     def test_exact_singular_shift_raises_and_the_next_shift_solves(self):
@@ -703,22 +813,24 @@ class TestBandedSolve:
         rhs = rng.normal(size=n).astype(complex)
         assert np.abs(C @ dense_solve(C, rhs) - rhs).max() <= 1e-12 * n
 
-    def test_complex_rhs_or_shift_on_a_real_band(self, rng):
-        # the band holds real numbers: a complex right-hand side or shift
-        # takes gesv, and loses no imaginary part
+    def test_complex_rhs_or_shift_on_a_real_band(self, rng, monkeypatch):
+        # the band holds real numbers: a complex right-hand side takes gesv,
+        # and so does every solve of an rqi run from a complex shift or start,
+        # on A.astype(complex); none loses an imaginary part
         n = 60
         for A in (random_band(rng, n, 2, 3), np.triu(random_band(rng, n, n - 1, n - 1), -1).T):
             self.assert_route(A)
             rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
             x, y = dense_solve(A, rhs), gesv(A, rhs)
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
-            solve = linsolve._shifted_solver(A)
-            for z, v in ((0.5 + 2j, rhs.real.copy()), (0.5, rhs), (0.5 + 2j, rhs)):
-                x, y = solve(z, v), gesv(z * np.eye(n) - A, v)
-                assert np.iscomplexobj(x)
-                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
-            # the band is intact for the next real shift
-            x, y = solve(0.5, rhs.real.copy()), gesv(0.5 * np.eye(n) - A, rhs.real)
+            for z0, v0 in ((0.5 + 2j, rhs.real.copy()), (0.5, rhs), (0.5 + 2j, rhs)):
+                solves, gesv_calls = record_solves(monkeypatch, lambda: iterengine.rqi(A, v0, z0))
+                assert solves and len(gesv_calls) == len(solves)
+                for z, v, x in solves:
+                    assert np.iscomplexobj(x)
+                    assert x.tobytes() == gesv(z * np.eye(n) - A, v).tobytes()
+            # a real shift on the real matrix takes the band or the full LU
+            x, y = linsolve._shifted_solver(A)(0.5, rhs.real.copy()), gesv(0.5 * np.eye(n) - A, rhs.real)
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
     def test_rqi_from_a_complex_shift_on_a_real_band(self, rng):

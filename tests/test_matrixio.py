@@ -89,6 +89,23 @@ class TestCoordinateFormat:
             p.write_text(header + "\n")
             with pytest.raises(parse_error, match=":1:"):
                 read_matrix(p)
+        for header, message in (("coordinate 2 1", "coordinate header needs order, count and field"),
+                                ("coordinate two 1 real", "bad order/count"),
+                                ("coordinate 2 1 integer", "field must be real or complex")):
+            p.write_text(header + "\n0 0 1.0\n")
+            with pytest.raises(parse_error, match=f":1: {message}"):
+                read_matrix(p)
+        p.write_text("coordinate 2 1 real\n0 0 one\n")
+        with pytest.raises(parse_error, match=":2: non-numeric token"):
+            read_matrix(p)
+        p.write_text("")
+        with pytest.raises(parse_error, match="empty file"):
+            read_matrix(p)
+
+    def test_blank_data_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.txt"
+        p.write_text("coordinate 2 2 real\n\n0 0 1.5\n   \n1 1 -2.0\n\n")
+        assert np.array_equal(read_matrix(p), [[1.5, 0.0], [0.0, -2.0]])
 
     def test_an_order_too_large_to_densify_is_a_parse_error(self, tmp_path):
         # 8e16 bytes lie beyond any address space, so the allocation fails at once
@@ -136,6 +153,12 @@ class TestTridiagFormat:
         p.write_text("TRIDIAG 0\n\n\n4.0\n")
         with pytest.raises(parse_error, match=":1: TRIDIAG size"):
             read_matrix(p)
+        for header, message in (("TRIDIAG", "TRIDIAG header needs exactly one size field"),
+                                ("TRIDIAG 2 3", "TRIDIAG header needs exactly one size field"),
+                                ("TRIDIAG two", "bad size 'two'")):
+            p.write_text(header + "\n1.0 1.0\n1.0 1.0\n0.0 0.0 4.0\n")
+            with pytest.raises(parse_error, match=f":1: {message}"):
+                read_matrix(p)
 
 
 @settings(max_examples=200, deadline=None)

@@ -41,6 +41,10 @@ class TestTriangular:
             assert np.abs(sums[:-1]).max() == 0.0
             assert sums[-1] == -7.0
 
+    def test_size_refused(self):
+        with pytest.raises(InvalidInput, match="N >= 1"):
+            models.triangular_model(0)
+
     def test_rules(self):
         assert models.triangular_model(3, "inv_kp1")[2, 0] == pytest.approx(1.0 / 3.0)
         assert models.triangular_model(3, "k")[2, 0] == 2.0
@@ -118,6 +122,10 @@ class TestToeplitz:
         A = models.toeplitz_linear(n)
         assert np.array_equal(A, A.T)
 
+    def test_size_refused(self):
+        with pytest.raises(InvalidInput, match="n >= 2"):
+            models.toeplitz_linear(1)
+
 
 class TestPoisson:
     def test_explicit_two_by_two_blocks(self):
@@ -128,6 +136,10 @@ class TestPoisson:
             [0.0, 1.0, 1.0, -4.0],
         ])
         assert np.array_equal(models.poisson_block(2), expected)
+
+    def test_size_refused(self):
+        with pytest.raises(InvalidInput, match="grid >= 2"):
+            models.poisson_block(1)
 
     def test_symmetry(self):
         A = models.poisson_block(5, 4)

@@ -8,7 +8,9 @@ from maxeig.errors import InvalidInput
 from maxeig.linsolve import dense_solve
 from maxeig.numat import (
     TridiagonalSystem,
+    as_square_matrix,
     as_vector,
+    is_positive_vector,
     matrix_scale,
     matvec,
     max_ratio,
@@ -46,6 +48,24 @@ class TestValidation:
             TridiagonalSystem.from_rates([0.0], [1.0], [0.0, 1.0])  # a must be > 0
         with pytest.raises(InvalidInput):
             TridiagonalSystem.from_rates([1.0], [1.0], [0.0, -1.0])  # c must be >= 0
+
+    def test_each_fault_of_the_padded_rates_is_named(self):
+        with pytest.raises(InvalidInput, match="share a length of at least 2"):
+            TridiagonalSystem(np.zeros(3), np.zeros(2), np.zeros(3))
+        with pytest.raises(InvalidInput, match="share a length of at least 2"):
+            TridiagonalSystem([0.0], [0.0], [1.0])
+        with pytest.raises(InvalidInput, match="padding convention"):
+            TridiagonalSystem([1.0, 1.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(InvalidInput, match="padding convention"):
+            TridiagonalSystem([0.0, 1.0], [1.0, 1.0], [0.0, 1.0])
+
+    def test_rates_whose_sum_overflows_are_refused(self):
+        # as the dense form is: each rate is finite, but the diagonal -(a + b + c)
+        # would be -inf; refused with no numpy warning
+        with pytest.raises(InvalidInput, match="diagonal .* overflows"):
+            TridiagonalSystem.from_rates([1e308] * 2, [1e308] * 2, [0, 0, 1])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            as_square_matrix([[-np.inf, 1e308], [1e308, -np.inf]])
 
     def test_diagonal_is_cached_and_every_array_read_only(self):
         system = models.bd_squares(3)
@@ -153,6 +173,19 @@ class TestMaxRatio:
         printed_g = np.array([0.486078, 1.24981, 1.0])
         assert max_ratio(models.negative3(), printed_g) == pytest.approx(17.5124, abs=1e-4)
 
+    def test_rejects_a_complex_matrix(self):
+        with pytest.raises(InvalidInput, match="undefined for complex"):
+            max_ratio(models.complex3(), np.ones(3))
+
+
+class TestIsPositiveVector:
+    def test_a_near_real_complex_vector_is_judged_by_its_real_part(self):
+        # an imaginary part within imag_tol of the largest magnitude is dropped
+        assert is_positive_vector(np.array([1.0 + 1e-12j, 2.0]), imag_tol=1e-10)
+        assert not is_positive_vector(np.array([1.0 + 1e-12j, -2.0]), imag_tol=1e-10)
+        assert not is_positive_vector(np.array([1.0 + 1e-12j, 2.0]))
+        assert not is_positive_vector(np.array([1.0 + 1e-3j, 2.0]), imag_tol=1e-10)
+
 
 class TestShiftToQc:
     def test_example_matrix(self):
@@ -249,3 +282,8 @@ class TestMatrixScale:
                 A = A + 1j * rng.normal(size=(n, n))
             for layout in (A, np.asfortranarray(A), A.T, A[::-1, ::-1], A[::2, ::2]):
                 assert matrix_scale(layout) == float(np.abs(layout).sum(axis=1).max())
+
+    def test_a_row_sum_past_the_largest_double_is_inf(self):
+        # with no numpy warning, in one row block and in several
+        assert matrix_scale(np.full((2, 2), 1e308)) == np.inf
+        assert matrix_scale(np.full((300, 300), 1e306)) == np.inf

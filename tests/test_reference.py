@@ -1,5 +1,8 @@
 """The reproduction contract: run_table against the bundled reference tables."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from maxeig import reference
@@ -33,6 +36,22 @@ def test_smallest_row_pairs_every_cell_in_order_and_passes(table):
 def test_max_size_below_a_fixed_tables_only_row_is_empty():
     (row,) = _rows("e11")
     assert reference.run_table("e11", max_size=row["size"] - 1) == []
+
+
+def test_a_cell_passes_only_when_gated_and_computed_within_its_tolerance():
+    cell = reference.CellReport("t1", "size=8", "z1", 1.0, 1.0, 1e-6, gated=True)
+    assert cell.passed is True
+    assert replace(cell, computed=1.1).passed is False
+    assert replace(cell, computed=None).passed is False
+    assert replace(cell, gated=False).passed is None
+    assert replace(cell, computed=None, gated=False).passed is None
+
+
+def test_a_trace_cell_past_the_trace_has_no_value():
+    zs = np.array([0.5, 0.25])
+    assert reference._trace_value(zs, "z1") == 0.25
+    assert reference._trace_value(zs, "z2") is None
+    assert reference._trace_value(zs, "final") == 0.25
 
 
 def test_unknown_table_is_a_key_error():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxeig import iterengine, models, tridiag
-from maxeig.errors import InvalidInput, MaxIterationsExceeded, SolverBreakdown
+from maxeig.errors import InvalidInput, MaxeigError, MaxIterationsExceeded, SolverBreakdown
 from maxeig.general_init import general_rqi, h_transform_general, solve_h_general
 from maxeig.iterengine import EigenpairResult
 from maxeig.linsolve import dense_solve
@@ -191,6 +191,10 @@ class TestComputeInitials:
         with pytest.raises(Exception):
             compute_initials(system)
 
+    def test_rejects_a_chain_with_no_killing(self):
+        with pytest.raises(InvalidInput, match="right-endpoint rate must be positive"):
+            compute_initials(TridiagonalSystem.from_rates([1.0], [1.0], [0.0, 0.0]))
+
 
 class TestZ0Combination:
     def test_fixed_point(self):
@@ -247,6 +251,14 @@ class TestExplicitSolve:
                                -system.b[:-1], v)
             worst = max(worst, np.abs(w1 - w2).max() / max(1e-30, np.abs(w2).max()))
         assert worst <= 1e-8
+
+    def test_mu_or_v_of_another_order_is_refused(self):
+        system = models.bd_squares(3)
+        mu = compute_initials(system).mu
+        with pytest.raises(InvalidInput, match="match the system order"):
+            explicit_rqi_solve(system, mu, 0.2, np.ones(5))
+        with pytest.raises(InvalidInput, match="match the system order"):
+            explicit_rqi_solve(system, np.ones(3), 0.2, np.ones(4))
 
     def test_strided_input_equals_contiguous(self, rng):
         system = random_system(rng, 30)
@@ -371,6 +383,12 @@ class TestTridiagRqi:
         fail_if_called(monkeypatch, tridiag, "compute_h")
         with pytest.raises(InvalidInput, match="^unknown v0 choice "):
             tridiag_rqi(models.bd_squares(7), v0=v0)
+
+    @pytest.mark.parametrize("solver", ["bogus", None, "Generic"])
+    def test_rejects_unknown_solver(self, monkeypatch, solver):
+        fail_if_called(monkeypatch, tridiag, "compute_h")
+        with pytest.raises(InvalidInput, match="^unknown solver "):
+            tridiag_rqi(models.bd_squares(7), solver=solver)
 
     @pytest.mark.parametrize("system", [models.bd_squares(7).dense(), [[-1.0, 1.0], [1.0, -2.0]],
                                         None])
@@ -799,3 +817,37 @@ class TestPinnedOutputs:
         trace = iterengine.power_iteration(models.bd_squares(7), steps=200)
         assert _digest(trace.zs(), trace.residuals()) == (
             "bd24ff5ffbbe64f8ed2164ba762e0cbcdd1a99eb436fd1aed4dad88cc57f42c2")
+
+
+# lambda_min(-Q) of the chain below as each method reports it (general_rqi as
+# -rho, since its shift m is 0); the eigenvalue it must reach is the first entry
+_TWO_STATE_RUNS = {
+    "tridiag_rqi": lambda s: tridiag_rqi(s)[0].eigenvalue,
+    "explicit": lambda s: tridiag_rqi(s, solver="explicit")[0].eigenvalue,
+    "general_rqi": lambda s: -general_rqi(s)[0].eigenvalue,
+    "general_rqi dense": lambda s: -general_rqi(s.dense())[0].eigenvalue,
+    "algorithm1": lambda s: iterengine.algorithm1(s, negate=True)[0].eigenvalue,
+    "algorithm2": lambda s: iterengine.algorithm2(s, negate=True)[0].eigenvalue,
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lambda_min far below the rates is absolute-accurate only")
+def test_two_state_chain_with_rates_far_above_its_eigenvalue():
+    # rates a = b, killing (0, 1): lambda_min(-Q) = 2a / (2a + 1 + sqrt(4a^2 + 1)),
+    # about 0.5, while the diagonal's rounding is about eps * 2a.  Every method
+    # must find it to a relative 1e-10 or raise a typed error.  Today each
+    # returns a positive eigenvector, unflagged, and a value off by 8e-6 to 1 at
+    # a = 1e12 and by 0.125 to 1 at a = 1e16
+    wrong = []
+    for a in (1e12, 1e16):
+        system = TridiagonalSystem.from_rates([a], [a], [0.0, 1.0])
+        exact = 2.0 * a / (2.0 * a + 1.0 + math.sqrt(4.0 * a * a + 1.0))
+        for name, run in _TWO_STATE_RUNS.items():
+            try:
+                value = run(system)
+            except MaxeigError:
+                continue
+            if not abs(value - exact) <= 1e-10 * exact:
+                wrong.append(f"{name} at a = {a:g}: {value!r}")
+    assert not wrong, wrong
