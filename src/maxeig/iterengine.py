@@ -591,8 +591,8 @@ def _rqi(A, v0, z0, z_update, **opts):
     if isinstance(A, TridiagonalSystem) and not real_start:
         raise InvalidInput("a TridiagonalSystem is real: its run takes a real v0 and z0")
     # only the solver gets the promoted copy: the driver's product, scale and bracket
-    # keep A as given, since A @ v on the real A rounds apart from the product of
-    # A.astype(complex) (a relative 2e-15 on an order-30 run)
+    # keep A as given, since a real start's A v0 is then a real product, which rounds
+    # apart from the complex product of A.astype(complex)
     solved = A if real_start or np.iscomplexobj(A) else A.astype(complex)
     return _result(*run_shifted_iteration(A, linsolve._shifted_solver(solved), v0, z0,
                                           z_update=z_update, norm=_l2_norm, **opts))
